@@ -4,9 +4,8 @@ An algebra stores its multiplication sparsely: ``mult[i][j]`` is a tuple of
 ``(k, c)`` pairs meaning b_i * b_j = sum c * b_k.  Vectors over the algebra
 are dense tuples of field scalars; hot paths work with sparse dicts.
 
-All objects here are immutable after construction (tuples throughout) and
-therefore safe to share between threads; derived data is memoised in a
-private per-instance cache.
+All objects here are immutable after construction (tuples throughout);
+derived data is memoised in a private per-instance cache.
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ from .fields import Field
 from .linalg import (
     Echelon,
     Matrix,
-    RankCounter,
     Subspace,
     densify,
     kernel,
@@ -84,20 +82,6 @@ class Algebra:
 
     def is_idempotent(self, vec) -> bool:
         return self.mul(vec, vec) == tuple(vec)
-
-    def left_mult_matrix(self, vec) -> Matrix:
-        """Matrix of y -> vec*y on basis coordinates."""
-        f = self.field
-        sv = sparse(f, vec)
-        cols = []
-        for j in range(self.dim):
-            col = [f.zero] * self.dim
-            for i, a in sv.items():
-                for k, c in self.mult[i][j]:
-                    col[k] = f.add(col[k], f.mul(a, c))
-            cols.append(col)
-        rows = [tuple(cols[j][r] for j in range(self.dim)) for r in range(self.dim)]
-        return Matrix(f, rows, self.dim)
 
     def trace_left(self, vec):
         """Trace of left multiplication by ``vec`` on the algebra."""
@@ -252,30 +236,6 @@ class IdempotentFrame:
             self._cache[key] = span(self.algebra.field, self.algebra.dim, self.idempotents)
         return self._cache[key]
 
-    def level_span(self, level: int) -> Subspace:
-        vecs = [e for e, d in zip(self.idempotents, self.degrees) if d == level]
-        return span(self.algebra.field, self.algebra.dim, vecs)
-
-    # Peirce blocks ------------------------------------------------------
-
-    def block(self, j: int, i: int, vectors=None) -> Subspace:
-        """Canonical basis of e_j X e_i for X the algebra or a spanned set."""
-        a = self.algebra
-        f = a.field
-        ej = sparse(f, self.idempotents[j])
-        ei = sparse(f, self.idempotents[i])
-        if vectors is None:
-            gens = ({k: f.one} for k in range(a.dim))
-        else:
-            gens = (sparse(f, v) for v in vectors)
-        acc = Echelon(f, a.dim)
-        for g in gens:
-            acc.insert(a.mul_sparse(ej, a.mul_sparse(g, ei)))
-        return acc.to_subspace()
-
-    def block_dim(self, j: int, i: int, vectors=None) -> int:
-        return self.block(j, i, vectors).dim
-
 
 class AlgSubspace:
     """A subspace of an algebra, optionally verified as subalgebra or ideal."""
@@ -373,6 +333,16 @@ class AlgSubspace:
         return tuple(out)
 
 
+def subalgebra_frame(b: AlgSubspace, frame: IdempotentFrame):
+    """A verified subalgebra as an algebra, with the ambient frame restricted
+    to it; ``(None, None)`` when a frame idempotent lies outside it."""
+    sub_alg, _ = b.extracted()
+    idems = [b.restrict_vector(e) for e in frame.idempotents]
+    if any(coords is None for coords in idems):
+        return None, None
+    return sub_alg, IdempotentFrame(sub_alg, idems, frame.labels, frame.degrees, check=False)
+
+
 def plain_subspace(a: Algebra, vectors) -> AlgSubspace:
     return AlgSubspace(a, span(a.field, a.dim, vectors), AlgSubspace.PLAIN)
 
@@ -420,6 +390,66 @@ def ideal_closure(a: Algebra, generators) -> AlgSubspace:
                         new.append(prod)
         frontier = new
     return AlgSubspace(a, acc.to_subspace(), AlgSubspace.IDEAL)
+
+
+# spans and products --------------------------------------------------------
+
+
+def _image_span(a: Algebra, vectors, image) -> Subspace:
+    """Span of image(v) over sparse v in ``vectors`` (the basis of A when None)."""
+    f = a.field
+    acc = Echelon(f, a.dim)
+    if vectors is None:
+        gens = ({k: f.one} for k in range(a.dim))
+    else:
+        gens = (sparse(f, v) for v in vectors)
+    for v in gens:
+        acc.insert(image(v))
+    return acc.to_subspace()
+
+
+def column_span(a: Algebra, vectors, e) -> Subspace:
+    """Span of X*e for X the given vectors (the column A*e when None)."""
+    se = sparse(a.field, e)
+    return _image_span(a, vectors, lambda v: a.mul_sparse(v, se))
+
+
+def row_span(a: Algebra, e, vectors) -> Subspace:
+    """Span of e*X for X the given vectors (the row e*A when None)."""
+    se = sparse(a.field, e)
+    return _image_span(a, vectors, lambda v: a.mul_sparse(se, v))
+
+
+def corner_span(a: Algebra, e, vectors) -> Subspace:
+    """Span of e*X*e for X the given vectors (the corner eAe when None)."""
+    se = sparse(a.field, e)
+    return _image_span(a, vectors, lambda v: a.mul_sparse(se, a.mul_sparse(v, se)))
+
+
+def product_rank(a: Algebra, pairs, base: Subspace | None = None) -> tuple[int, int]:
+    """Domain dimension and rank of multiplication from the sum of X (x) Y to A.
+
+    ``pairs`` yields (X, Y) lists of vectors of A, each X (x) Y of dimension
+    |X|*|Y|.  With ``base`` the rank is taken modulo that subspace, i.e.
+    dim(base + image) - dim(base).
+    """
+    f = a.field
+    acc = Echelon(f, a.dim)
+    if base is not None:
+        for v in base.basis:
+            acc.insert(sparse(f, v))
+    start = acc.dim
+    domain = 0
+    for xs, ys in pairs:
+        domain += len(xs) * len(ys)
+        sparse_ys = [sparse(f, y) for y in ys]
+        for x in xs:
+            sx = sparse(f, x)
+            for sy in sparse_ys:
+                prod = a.mul_sparse(sx, sy)
+                if prod:
+                    acc.insert(prod)
+    return domain, acc.dim - start
 
 
 class QuotientMap:
@@ -497,18 +527,6 @@ class CornerMap:
         self.idempotent = tuple(idempotent)
         self.rows = rows
 
-    def embed(self, vec) -> tuple:
-        f = self.source.field
-        out = [f.zero] * self.source.dim
-        for c, row in zip(vec, self.rows):
-            if c != f.zero:
-                out = [f.add(x, f.mul(c, y)) for x, y in zip(out, row)]
-        return tuple(out)
-
-    def restrict(self, vec):
-        sub = span(self.source.field, self.source.dim, self.rows)
-        return sub.coords(vec)
-
 
 def corner(a: Algebra, e) -> tuple[Algebra, CornerMap]:
     """The corner algebra eAe with unit e and its embedding into A."""
@@ -516,11 +534,7 @@ def corner(a: Algebra, e) -> tuple[Algebra, CornerMap]:
     e = tuple(e)
     if not a.is_idempotent(e):
         raise AlgebraError("corner requires an idempotent element")
-    se = sparse(f, e)
-    acc = Echelon(f, a.dim)
-    for k in range(a.dim):
-        acc.insert(a.mul_sparse(se, a.mul_sparse({k: f.one}, se)))
-    sub = acc.to_subspace()
+    sub = corner_span(a, e, None)
     rows = sub.basis
     labels = [f"c_{a.labels[p]}" for p in sub.pivots()]
     mult = []
@@ -698,16 +712,7 @@ def radical(a: Algebra) -> AlgSubspace:
     if "radical" in a._cache:
         return a._cache["radical"]
     hint = a._cache.get("radical_hint")
-    if hint is not None:
-        result = AlgSubspace(a, hint, AlgSubspace.IDEAL)
-    else:
-        if a.dim == 0:
-            sub = Subspace(a.field, 0)
-        elif a.field.characteristic == 0:
-            sub = _radical_char0(a)
-        else:
-            sub = _radical_charp(a)
-        result = AlgSubspace(a, sub, AlgSubspace.IDEAL)
+    result = AlgSubspace(a, radical_generic(a) if hint is None else hint, AlgSubspace.IDEAL)
     if not _check_nilpotent(a, result.space):
         raise AlgebraError("radical candidate not nilpotent (unsupported input)")
     if not result.is_ideal():
@@ -717,7 +722,7 @@ def radical(a: Algebra) -> AlgSubspace:
 
 
 def radical_generic(a: Algebra) -> Subspace:
-    """The radical computed without any builder hint (for cross-checks)."""
+    """The radical by trace forms, ignoring any builder hint."""
     if a.dim == 0:
         return Subspace(a.field, 0)
     if a.field.characteristic == 0:
@@ -731,15 +736,7 @@ def is_elementary(a: Algebra, frame: IdempotentFrame) -> bool:
     if a.dim - rad.dim != len(frame):
         return False
     q, qmap = quotient(a, rad)
-    for e in frame.idempotents:
-        img = qmap.project(e)
-        se = sparse(q.field, img)
-        acc = Echelon(q.field, q.dim)
-        for k in range(q.dim):
-            acc.insert(q.mul_sparse(se, q.mul_sparse({k: q.field.one}, se)))
-        if acc.dim != 1:
-            return False
-    return True
+    return all(corner_span(q, qmap.project(e), None).dim == 1 for e in frame.idempotents)
 
 
 def is_primitive_idempotent(a: Algebra, e) -> bool:
@@ -797,61 +794,33 @@ def tensor_dim_over_corner(a: Algebra, e) -> int:
     e = tuple(e)
     if not a.is_idempotent(e):
         raise AlgebraError("tensor_dim_over_corner requires an idempotent")
-    se = sparse(f, e)
-    left_acc = Echelon(f, a.dim)
-    right_acc = Echelon(f, a.dim)
-    corner_acc = Echelon(f, a.dim)
-    for k in range(a.dim):
-        bk = {k: f.one}
-        left_acc.insert(a.mul_sparse(bk, se))
-        right_acc.insert(a.mul_sparse(se, bk))
-        corner_acc.insert(a.mul_sparse(se, a.mul_sparse(bk, se)))
-    m_space = left_acc.to_subspace()
-    n_space = right_acc.to_subspace()
-    b_space = corner_acc.to_subspace()
+    m_space = column_span(a, None, e)
+    n_space = row_span(a, e, None)
     dim_m, dim_n = m_space.dim, n_space.dim
     if dim_m == 0 or dim_n == 0:
         return 0
     m_rows = [sparse(f, v) for v in m_space.basis]
     n_rows = [sparse(f, v) for v in n_space.basis]
-    rank = RankCounter(f)
-    for r in b_space.basis:
+
+    def coords(space: Subspace, prod: dict) -> dict:
+        return sparse(f, space.coords(densify(f, prod, a.dim))) if prod else {}
+
+    relations = Echelon(f, dim_m * dim_n)
+    for r in corner_span(a, e, None).basis:
         sr = sparse(f, r)
-        xr = []
-        for x in m_rows:
-            prod = a.mul_sparse(x, sr)
-            if prod:
-                coords = m_space.coords(densify(f, prod, a.dim))
-                xr.append({c: v for c, v in enumerate(coords) if v != f.zero})
-            else:
-                xr.append(None)
-        ry = []
-        for y in n_rows:
-            prod = a.mul_sparse(sr, y)
-            if prod:
-                coords = n_space.coords(densify(f, prod, a.dim))
-                ry.append({c: v for c, v in enumerate(coords) if v != f.zero})
-            else:
-                ry.append(None)
-        nz_ry = [j for j, v in enumerate(ry) if v is not None]
-        for xi in range(dim_m):
-            left = xr[xi]
-            if left is None:
-                for yj in nz_ry:
-                    vec = {xi * dim_n + c: f.neg(v) for c, v in ry[yj].items()}
-                    rank.insert(vec)
-            else:
-                for yj in range(dim_n):
-                    vec = {c * dim_n + yj: v for c, v in left.items()}
-                    rel = ry[yj]
-                    if rel is not None:
-                        for c, v in rel.items():
-                            key = xi * dim_n + c
-                            val = f.sub(vec.get(key, f.zero), v)
-                            if val == f.zero:
-                                vec.pop(key, None)
-                            else:
-                                vec[key] = val
-                    if vec:
-                        rank.insert(vec)
-    return dim_m * dim_n - rank.rank
+        xr = [coords(m_space, a.mul_sparse(x, sr)) for x in m_rows]
+        ry = [coords(n_space, a.mul_sparse(sr, y)) for y in n_rows]
+        # x r (x) y - x (x) r y for every basis pair (x, y)
+        for xi, left in enumerate(xr):
+            for yj, right in enumerate(ry):
+                vec = {c * dim_n + yj: v for c, v in left.items()}
+                for c, v in right.items():
+                    key = xi * dim_n + c
+                    val = f.sub(vec.get(key, f.zero), v)
+                    if val == f.zero:
+                        vec.pop(key, None)
+                    else:
+                        vec[key] = val
+                if vec:
+                    relations.insert(vec)
+    return dim_m * dim_n - relations.dim

@@ -8,7 +8,6 @@ byte-identical across runs on the same inputs.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -43,16 +42,6 @@ from .serialize import (
 EXIT_TRUE = 0
 EXIT_FALSE = 1
 EXIT_ERROR = 2
-
-
-def worker_count() -> int:
-    env = os.environ.get("REEDYLAB_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
 
 
 def _emit(report: dict, out: str | None) -> None:
@@ -206,7 +195,7 @@ def cmd_search(args) -> int:
 
 
 def cmd_corpus(args) -> int:
-    return run_corpus(args.dir, sys.stdout, workers=worker_count())
+    return run_corpus(args.dir, sys.stdout)
 
 
 def make_parser() -> argparse.ArgumentParser:

@@ -18,14 +18,16 @@ from .algebra import (
     AlgebraError,
     AlgSubspace,
     IdempotentFrame,
+    column_span,
     is_elementary,
     radical,
+    row_span,
     tensor_algebras,
     validate,
     _check_nilpotent,
 )
 from .fields import Field
-from .linalg import Echelon, Subspace, densify, span, sparse
+from .linalg import Echelon, densify, span, sparse
 from .qh import peirce_blocks
 from .reedy import ReedyStructure, verify_reedy
 
@@ -268,11 +270,6 @@ class MonotoneMap:
     def is_surjective(self) -> bool:
         return len(set(self.values)) == self.target_size
 
-    def is_identity(self) -> bool:
-        return self.source_size == self.target_size and all(
-            v == i for i, v in enumerate(self.values)
-        )
-
     def epi_mono_factor(self) -> tuple["MonotoneMap", "MonotoneMap"]:
         """Unique factorization as injection-after-surjection through the image."""
         image = sorted(set(self.values))
@@ -405,18 +402,8 @@ def build_dual_extension(aplus_alg: Algebra, plus_frame: IdempotentFrame,
                 raise AlgebraError("lowering factor violates directedness")
 
     # Columns A+ e_l and rows e_l A-.
-    cols, rows = [], []
-    for l in range(n):
-        acc = Echelon(f, aplus_alg.dim)
-        se = sparse(f, plus_frame.idempotents[l])
-        for k in range(aplus_alg.dim):
-            acc.insert(aplus_alg.mul_sparse({k: f.one}, se))
-        cols.append(acc.to_subspace())
-        acc = Echelon(f, aminus_alg.dim)
-        se = sparse(f, minus_frame.idempotents[l])
-        for k in range(aminus_alg.dim):
-            acc.insert(aminus_alg.mul_sparse(se, {k: f.one}))
-        rows.append(acc.to_subspace())
+    cols = [column_span(aplus_alg, None, e) for e in plus_frame.idempotents]
+    rows = [row_span(aminus_alg, e, None) for e in minus_frame.idempotents]
 
     offsets = []
     total = 0

@@ -8,7 +8,6 @@ the expectation (PAPER, TRIVIAL or DERIVED).
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from .algebra import AlgebraError
@@ -100,7 +99,7 @@ def run_entry(entry: dict, base: Path) -> dict:
     return {"name": name, "ok": True, "reason": ""}
 
 
-def run_corpus(directory, out, workers: int = 1) -> int:
+def run_corpus(directory, out) -> int:
     base = Path(directory) if directory else default_corpus_dir()
     index = base / "entries.json"
     if not base.is_dir() or not index.exists():
@@ -114,11 +113,7 @@ def run_corpus(directory, out, workers: int = 1) -> int:
     if not entries:
         print(f"error: corpus at {base} is empty", file=out)
         return 2
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda e: run_entry(e, base), entries))
-    else:
-        results = [run_entry(e, base) for e in entries]
+    results = [run_entry(e, base) for e in entries]
     failures = 0
     for entry, result in zip(entries, results):
         tag = entry.get("provenance", "?")

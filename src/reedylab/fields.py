@@ -25,7 +25,7 @@ class Field:
     """Base descriptor for the supported exact fields.
 
     Subclasses implement the arithmetic; instances are immutable and
-    hashable so algebras can share them freely across threads.
+    hashable so algebras can share them freely.
     """
 
     characteristic: int
@@ -40,9 +40,6 @@ class Field:
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))
-
-    def is_zero(self, a) -> bool:
-        return a == self.zero
 
     def dot(self, u, v):
         acc = self.zero

@@ -304,9 +304,6 @@ class Echelon:
             self._col_index.setdefault(c, set()).add(pivot)
         return True
 
-    def contains(self, vec: dict) -> bool:
-        return not self.reduce(vec)
-
     def to_subspace(self) -> Subspace:
         f = self.field
         basis = []
@@ -317,41 +314,6 @@ class Echelon:
                 dense[c] = x
             basis.append(tuple(dense))
         return Subspace(f, self.ambient_dim, basis)
-
-
-class RankCounter:
-    """Forward-elimination rank accumulator for sparse row streams."""
-
-    __slots__ = ("field", "rows")
-
-    def __init__(self, field: Field):
-        self.field = field
-        self.rows: dict[int, dict] = {}
-
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
-
-    def insert(self, vec: dict) -> bool:
-        f = self.field
-        v = {c: x for c, x in vec.items() if x != f.zero}
-        while v:
-            pivot = min(v)
-            row = self.rows.get(pivot)
-            if row is None:
-                inv = f.inv(v[pivot])
-                if inv != f.one:
-                    v = {c: f.mul(inv, x) for c, x in v.items()}
-                self.rows[pivot] = v
-                return True
-            coeff = v[pivot]
-            for c, x in row.items():
-                val = f.sub(v.get(c, f.zero), f.mul(coeff, x))
-                if val == f.zero:
-                    v.pop(c, None)
-                else:
-                    v[c] = val
-        return False
 
 
 def sparse(field: Field, vec) -> dict:

@@ -12,8 +12,10 @@ from .algebra import (
     AlgebraError,
     AlgSubspace,
     IdempotentFrame,
+    column_span,
     is_elementary,
     radical,
+    row_span,
 )
 from .fields import Field
 from .linalg import Echelon, Subspace, densify, sparse
@@ -91,26 +93,6 @@ class ModuleRep:
 
     # derived structures ---------------------------------------------------
 
-    def span_closure(self, vectors) -> Subspace:
-        """Smallest action-stable subspace containing the vectors."""
-        f = self.algebra.field
-        acc = Echelon(f, self.dim)
-        frontier = []
-        for v in vectors:
-            sv = sparse(f, v)
-            if acc.insert(sv):
-                frontier.append(sv)
-        while frontier:
-            new = []
-            for r in frontier:
-                dense = densify(f, r, self.dim)
-                for k in range(self.algebra.dim):
-                    img = sparse(f, self.apply_basis(k, dense))
-                    if img and acc.insert(img):
-                        new.append(img)
-            frontier = new
-        return acc.to_subspace()
-
     def radical_submodule(self) -> Subspace:
         """rad(A)*M (or M*rad(A) for right modules) inside module coordinates."""
         if "radical_submodule" in self._cache:
@@ -187,7 +169,6 @@ def regular_module(a: Algebra, side: str = "left") -> ModuleRep:
 
 def module_from_subspace(a: Algebra, sub: Subspace, side: str = "left") -> ModuleRep:
     """Module structure on an action-stable subspace of the regular module."""
-    f = a.field
     rows = sub.basis
     actions = []
     for k in range(a.dim):
@@ -205,14 +186,7 @@ def module_from_subspace(a: Algebra, sub: Subspace, side: str = "left") -> Modul
 
 def projective_module(a: Algebra, e, side: str = "left") -> tuple[ModuleRep, Subspace]:
     """The cyclic projective Ae (left) or eA (right) with its carrier subspace."""
-    f = a.field
-    se = sparse(f, e)
-    acc = Echelon(f, a.dim)
-    for k in range(a.dim):
-        bk = {k: f.one}
-        prod = a.mul_sparse(bk, se) if side == "left" else a.mul_sparse(se, bk)
-        acc.insert(prod)
-    sub = acc.to_subspace()
+    sub = column_span(a, None, e) if side == "left" else row_span(a, e, None)
     return module_from_subspace(a, sub, side), sub
 
 
@@ -325,11 +299,3 @@ def is_projective_module(m: ModuleRep, frame: IdempotentFrame) -> bool:
         _, carrier = projective_module(a, frame.idempotents[i], m.side)
         total += mult * carrier.dim
     return total == m.dim
-
-
-def projective_dims(a: Algebra, frame: IdempotentFrame, side: str = "left") -> tuple[int, ...]:
-    dims = []
-    for e in frame.idempotents:
-        _, carrier = projective_module(a, e, side)
-        dims.append(carrier.dim)
-    return tuple(dims)

@@ -15,11 +15,14 @@ from .algebra import (
     AlgebraError,
     AlgSubspace,
     IdempotentFrame,
+    column_span,
+    corner_span,
     ideal_closure,
     is_elementary,
     quotient,
     quotient_frame,
     radical,
+    subalgebra_frame,
     tensor_dim_over_corner,
 )
 from .linalg import Echelon, Subspace, span, sparse
@@ -123,25 +126,6 @@ def peirce_blocks(frame: IdempotentFrame, sub: AlgSubspace | None = None) -> dic
     return blocks
 
 
-def column_span(a: Algebra, vectors, idem) -> Subspace:
-    """Span of X*e for a generating set X (the column at an idempotent)."""
-    f = a.field
-    se = sparse(f, idem)
-    acc = Echelon(f, a.dim)
-    for v in vectors:
-        acc.insert(a.mul_sparse(sparse(f, v), se))
-    return acc.to_subspace()
-
-
-def row_span(a: Algebra, idem, vectors) -> Subspace:
-    f = a.field
-    se = sparse(f, idem)
-    acc = Echelon(f, a.dim)
-    for v in vectors:
-        acc.insert(a.mul_sparse(se, sparse(f, v)))
-    return acc.to_subspace()
-
-
 class LevelChain:
     """Cached data of the candidate chain 0 <= J_0 <= J_1 <= ... <= A."""
 
@@ -187,7 +171,6 @@ def level_chain(a: Algebra, frame: IdempotentFrame, order: WeightOrder) -> Level
 
 def heredity_ideal_check(a: Algebra, frame: IdempotentFrame, eps) -> dict:
     """Corner criterion for J = A*eps*A being a heredity ideal."""
-    f = a.field
     eps = tuple(eps)
     if not a.is_idempotent(eps):
         raise AlgebraError("heredity_ideal_check requires an idempotent")
@@ -201,10 +184,7 @@ def heredity_ideal_check(a: Algebra, frame: IdempotentFrame, eps) -> dict:
             "tensor_bijective": True,
         }
     rad = radical(a)
-    se = sparse(f, eps)
-    corner_rad = Echelon(f, a.dim)
-    for r in rad.space.basis:
-        corner_rad.insert(a.mul_sparse(se, a.mul_sparse(sparse(f, r), se)))
+    corner_rad = corner_span(a, eps, rad.space.basis)
     corner_ss = corner_rad.dim == 0
     tens = tensor_dim_over_corner(a, eps) if corner_ss else None
     tensor_ok = tens == ideal.dim if corner_ss else False
@@ -367,19 +347,6 @@ def directed_qh_check(a: Algebra, frame: IdempotentFrame, order: WeightOrder) ->
     return {"simple_standards": simple, "projective_standards": projective, "diag_ok": diag_ok}
 
 
-def _subalgebra_frame(b: AlgSubspace, frame: IdempotentFrame):
-    """Extract a subalgebra together with the image of the ambient frame."""
-    sub_alg, _rows = b.extracted()
-    idems = []
-    for e in frame.idempotents:
-        coords = b.restrict_vector(e)
-        if coords is None:
-            return None, None
-        idems.append(coords)
-    sub_frame = IdempotentFrame(sub_alg, idems, frame.labels, frame.degrees, check=False)
-    return sub_alg, sub_frame
-
-
 def layer_quotient_module(a: Algebra, frame: IdempotentFrame, order: WeightOrder, i: int) -> ModuleRep:
     """The module A e_i / J_{l-1} e_i for l the level of weight i.
 
@@ -405,7 +372,7 @@ def exact_borel_check(a: Algebra, frame: IdempotentFrame, b: AlgSubspace, order:
     if not all(b.contains(e) for e in frame.idempotents):
         report["reason"] = "candidate does not contain the frame idempotents"
         return report
-    sub_alg, sub_frame = _subalgebra_frame(b, frame)
+    sub_alg, sub_frame = subalgebra_frame(b, frame)
     if sub_alg is None:
         report["reason"] = "frame idempotents do not restrict"
         return report
@@ -458,7 +425,7 @@ def delta_subalgebra_check(a: Algebra, frame: IdempotentFrame, c: AlgSubspace, o
     if not all(c.contains(e) for e in frame.idempotents):
         report["reason"] = "candidate does not contain the frame idempotents"
         return report
-    sub_alg, sub_frame = _subalgebra_frame(c, frame)
+    sub_alg, sub_frame = subalgebra_frame(c, frame)
     if sub_alg is None:
         report["reason"] = "frame idempotents do not restrict"
         return report

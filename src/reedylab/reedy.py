@@ -16,16 +16,21 @@ from .algebra import (
     AlgebraError,
     AlgSubspace,
     IdempotentFrame,
+    column_span,
     corner,
+    corner_span,
     ideal_closure,
     is_elementary,
+    product_rank,
     quotient,
     radical,
+    row_span,
     subalgebra_closure,
+    subalgebra_frame,
     tensor_dim_over_corner,
 )
 from .fields import Field
-from .linalg import Echelon, Matrix, Subspace, densify, kernel, span, sparse, subspace_intersect
+from .linalg import Echelon, Matrix, Subspace, kernel, span, sparse, subspace_intersect
 from .qh import (
     WeightOrder,
     delta_subalgebra_check,
@@ -111,8 +116,6 @@ def verify_reedy(r: ReedyStructure) -> dict:
     """Full check of the three decomposition conditions, with per-pair data."""
     if "verify" in r._cache:
         return r._cache["verify"]
-    a = r.algebra
-    f = a.field
     frame = r.frame
     cond_plus = _directedness(frame, r.aplus, raising=True)
     cond_minus = _directedness(frame, r.aminus, raising=False)
@@ -124,20 +127,12 @@ def verify_reedy(r: ReedyStructure) -> dict:
     n = len(frame)
     for j in range(n):
         for i in range(n):
-            domain = 0
-            acc = Echelon(f, a.dim)
-            for l in range(n):
-                xs = blocks_plus[(j, l)].basis
-                ys = blocks_minus[(l, i)].basis
-                domain += len(xs) * len(ys)
-                for x in xs:
-                    sx = sparse(f, x)
-                    for y in ys:
-                        prod = a.mul_sparse(sx, sparse(f, y))
-                        if prod:
-                            acc.insert(prod)
+            domain, rank = product_rank(
+                r.algebra,
+                [(blocks_plus[(j, l)].basis, blocks_minus[(l, i)].basis) for l in range(n)],
+            )
             block_dim = blocks_full[(j, i)].dim
-            ok = domain == block_dim == acc.dim
+            ok = domain == block_dim == rank
             decomp_ok = decomp_ok and ok
             pairs.append(
                 {
@@ -145,7 +140,7 @@ def verify_reedy(r: ReedyStructure) -> dict:
                     "to": frame.labels[j],
                     "domain_dim": domain,
                     "block_dim": block_dim,
-                    "rank": acc.dim,
+                    "rank": rank,
                     "ok": ok,
                 }
             )
@@ -171,6 +166,29 @@ def _require_verified(r: ReedyStructure) -> None:
         raise AlgebraError("structure does not verify as Reedy")
 
 
+def _tensor_pairs(r: ReedyStructure, indices) -> list:
+    """Bases of the column A+ e_i and the row e_i A- for each frame index."""
+    a = r.algebra
+    pairs = []
+    for i in indices:
+        e = r.frame.idempotents[i]
+        pairs.append((column_span(a, r.aplus.space.basis, e).basis,
+                      row_span(a, e, r.aminus.space.basis).basis))
+    return pairs
+
+
+def _quotient_span(sub: AlgSubspace, q_alg: Algebra, qmap, e, column: bool) -> list:
+    """Column q_alg*e or row e*q_alg of a (quotient of a) subalgebra, in A.
+
+    ``q_alg`` is ``sub`` as an algebra, or its quotient by ``qmap``.
+    """
+    e = sub.restrict_vector(e)
+    if qmap is not None:
+        e = qmap.project(e)
+    space = column_span(q_alg, None, e) if column else row_span(q_alg, e, None)
+    return [sub.embed_vector(v if qmap is None else qmap.lift(v)) for v in space.basis]
+
+
 def layer_check(r: ReedyStructure) -> dict:
     """Per-level layer isomorphisms, in both the direct and the quotient form.
 
@@ -180,114 +198,55 @@ def layer_check(r: ReedyStructure) -> dict:
     """
     _require_setup(r)
     a = r.algebra
-    f = a.field
     frame = r.frame
     order = r.order()
     chain = level_chain(a, frame, order)
-    work = chain.frame
-
-    plus_alg, plus_rows = r.aplus.extracted()
-    minus_alg, minus_rows = r.aminus.extracted()
+    subs = ((r.aplus, r.aplus.extracted()[0]), (r.aminus, r.aminus.extracted()[0]))
 
     levels_report = []
     all_ok = True
-    prev = AlgSubspace(a, Subspace(f, a.dim))
+    prev = Subspace(a.field, a.dim)
     for rank, lev in enumerate(chain.levels):
         j_here = chain.ideals[rank]
         layer_dim = j_here.dim - prev.dim
         idx_here = [i for i in range(len(frame)) if order.levels[i] == lev]
 
         # direct form: A+ e_i (x) e_i A- -> J_l / J_{l-1}
-        domain3 = 0
-        acc3 = Echelon(f, len(prev.space.complement_coords()))
-        comp_prev = prev.space.complement_coords()
-        pos_prev = {c: t for t, c in enumerate(comp_prev)}
-        for i in idx_here:
-            ei = sparse(f, frame.idempotents[i])
-            cols = Echelon(f, a.dim)
-            for v in plus_rows:
-                cols.insert(a.mul_sparse(sparse(f, v), ei))
-            rows_ = Echelon(f, a.dim)
-            for v in minus_rows:
-                rows_.insert(a.mul_sparse(ei, sparse(f, v)))
-            cols_s = cols.to_subspace()
-            rows_s = rows_.to_subspace()
-            domain3 += cols_s.dim * rows_s.dim
-            for x in cols_s.basis:
-                sx = sparse(f, x)
-                for y in rows_s.basis:
-                    prod = a.mul_sparse(sx, sparse(f, y))
-                    if not prod:
-                        continue
-                    red = prev.space.reduce(densify(f, prod, a.dim))
-                    acc3.insert({pos_prev[c]: red[c] for c in comp_prev if red[c] != f.zero})
-        ok3 = domain3 == layer_dim == acc3.dim
+        domain3, rank3 = product_rank(a, _tensor_pairs(r, idx_here), prev)
+        ok3 = domain3 == layer_dim == rank3
 
         # quotient form: (A+/A+ e A+) e_i (x) e_i (A-/A- e A-) -> J_l / J_{l-1}
         if rank == 0:
-            qplus_alg, qplus_map = plus_alg, None
-            qminus_alg, qminus_map = minus_alg, None
+            plus, minus = [(sub, sub_alg, None) for sub, sub_alg in subs]
         else:
-            eps_prev = work.eps_upto(chain.levels[rank - 1])
-            plus_ideal = ideal_closure(plus_alg, [r.aplus.restrict_vector(eps_prev)])
-            minus_ideal = ideal_closure(minus_alg, [r.aminus.restrict_vector(eps_prev)])
-            qplus_alg, qplus_map = quotient(plus_alg, plus_ideal)
-            qminus_alg, qminus_map = quotient(minus_alg, minus_ideal)
-        domain2 = 0
-        acc2 = Echelon(f, len(comp_prev))
+            eps_prev = chain.frame.eps_upto(chain.levels[rank - 1])
+            plus, minus = [
+                (sub, *quotient(sub_alg, ideal_closure(sub_alg, [sub.restrict_vector(eps_prev)])))
+                for sub, sub_alg in subs
+            ]
+        pairs = []
         for i in idx_here:
-            ei_plus = r.aplus.restrict_vector(frame.idempotents[i])
-            ei_minus = r.aminus.restrict_vector(frame.idempotents[i])
-            if qplus_map is not None:
-                ei_plus_q = qplus_map.project(ei_plus)
-            else:
-                ei_plus_q = ei_plus
-            if qminus_map is not None:
-                ei_minus_q = qminus_map.project(ei_minus)
-            else:
-                ei_minus_q = ei_minus
-            col_acc = Echelon(f, qplus_alg.dim)
-            for k in range(qplus_alg.dim):
-                col_acc.insert(qplus_alg.mul_sparse({k: f.one}, sparse(f, ei_plus_q)))
-            row_acc = Echelon(f, qminus_alg.dim)
-            for k in range(qminus_alg.dim):
-                row_acc.insert(qminus_alg.mul_sparse(sparse(f, ei_minus_q), {k: f.one}))
-            cols_q = col_acc.to_subspace()
-            rows_q = row_acc.to_subspace()
-            domain2 += cols_q.dim * rows_q.dim
-            for xq in cols_q.basis:
-                if qplus_map is not None:
-                    x_amb = r.aplus.embed_vector(qplus_map.lift(xq))
-                else:
-                    x_amb = r.aplus.embed_vector(xq)
-                sx = sparse(f, x_amb)
-                for yq in rows_q.basis:
-                    if qminus_map is not None:
-                        y_amb = r.aminus.embed_vector(qminus_map.lift(yq))
-                    else:
-                        y_amb = r.aminus.embed_vector(yq)
-                    prod = a.mul_sparse(sx, sparse(f, y_amb))
-                    if not prod:
-                        continue
-                    red = prev.space.reduce(densify(f, prod, a.dim))
-                    acc2.insert({pos_prev[c]: red[c] for c in comp_prev if red[c] != f.zero})
-        ok2 = domain2 == layer_dim == acc2.dim
+            e = frame.idempotents[i]
+            pairs.append((_quotient_span(*plus, e, column=True),
+                          _quotient_span(*minus, e, column=False)))
+        domain2, rank2 = product_rank(a, pairs, prev)
+        ok2 = domain2 == layer_dim == rank2
 
         levels_report.append(
             {
                 "level": lev,
                 "layer_dim": layer_dim,
                 "direct_domain": domain3,
-                "direct_rank": acc3.dim,
+                "direct_rank": rank3,
                 "direct_ok": ok3,
                 "quotient_domain": domain2,
-                "quotient_rank": acc2.dim,
+                "quotient_rank": rank2,
                 "quotient_ok": ok2,
                 "agree": ok2 == ok3,
             }
         )
         all_ok = all_ok and ok2 and ok3
-        prev = j_here
+        prev = j_here.space
     overall = verify_reedy(r)["overall"]
     return {
         "levels": levels_report,
@@ -300,24 +259,12 @@ def layer_check(r: ReedyStructure) -> dict:
 def reedy_heredity_bottom(r: ReedyStructure) -> dict:
     """Bottom-layer bimodule identity at the minimal occupied degree."""
     _require_verified(r)
-    a = r.algebra
-    f = a.field
-    frame = r.frame
     order = r.order()
     t = min(order.levels)
-    idx = [i for i in range(len(frame)) if order.levels[i] == t]
-    lhs = 0
-    for i in idx:
-        ei = sparse(f, frame.idempotents[i])
-        cols = Echelon(f, a.dim)
-        rows_ = Echelon(f, a.dim)
-        for v in r.aplus.space.basis:
-            cols.insert(a.mul_sparse(sparse(f, v), ei))
-        for v in r.aminus.space.basis:
-            rows_.insert(a.mul_sparse(ei, sparse(f, v)))
-        lhs += cols.dim * rows_.dim
-    work = frame.with_degrees(order.levels)
-    rhs = ideal_closure(a, [work.eps(t)]).dim
+    idx = [i for i in range(len(r.frame)) if order.levels[i] == t]
+    lhs = sum(len(xs) * len(ys) for xs, ys in _tensor_pairs(r, idx))
+    work = r.frame.with_degrees(order.levels)
+    rhs = ideal_closure(r.algebra, [work.eps(t)]).dim
     return {"level": t, "tensor_dim": lhs, "ideal_dim": rhs, "overall": lhs == rhs}
 
 
@@ -337,16 +284,11 @@ def _build_corner_structure(r: ReedyStructure, cut: int) -> tuple[ReedyStructure
             labels.append(r.frame.labels[i])
             degrees.append(r.frame.degrees[i])
     c_frame = IdempotentFrame(c_alg, idems, labels, degrees, check=False)
-    se = sparse(f, e)
 
     def corner_sub(sub: AlgSubspace) -> AlgSubspace:
-        acc = Echelon(f, c_alg.dim)
-        for v in sub.space.basis:
-            piece = a.mul_sparse(se, a.mul_sparse(sparse(f, v), se))
-            if piece:
-                coords = carrier.coords(densify(f, piece, a.dim))
-                acc.insert({k: x for k, x in enumerate(coords) if x != f.zero})
-        return AlgSubspace(c_alg, acc.to_subspace(), AlgSubspace.SUBALGEBRA)
+        pieces = corner_span(a, e, sub.space.basis).basis
+        space = span(f, c_alg.dim, [carrier.coords(v) for v in pieces])
+        return AlgSubspace(c_alg, space, AlgSubspace.SUBALGEBRA)
 
     structure = ReedyStructure(c_alg, c_frame, corner_sub(r.aplus), corner_sub(r.aminus), check=False)
     return structure, {"corner_dim": c_alg.dim, "cut": cut}
@@ -416,13 +358,7 @@ def recursive_check(r: ReedyStructure, cut: int) -> dict:
     """Corner/quotient recursion at one cut, with the A = A+.A- hypothesis."""
     _require_setup(r)
     a = r.algebra
-    f = a.field
-    prod_acc = Echelon(f, a.dim)
-    for x in r.aplus.space.basis:
-        sx = sparse(f, x)
-        for y in r.aminus.space.basis:
-            prod_acc.insert(a.mul_sparse(sx, sparse(f, y)))
-    hypothesis = prod_acc.dim == a.dim
+    hypothesis = product_rank(a, [(r.aplus.space.basis, r.aminus.space.basis)])[1] == a.dim
 
     corner_struct, _ = _build_corner_structure(r, cut)
     quotient_struct, qdiag = _build_quotient_structure(r, cut)
@@ -462,8 +398,8 @@ def characterization_crosscheck(r: ReedyStructure) -> dict:
     # Route (ii): elementary subalgebras, S maximal semisimple, C (x)_S B = A.
     detail_ii: dict = {}
     try:
-        plus_alg, plus_frame = _extract_with_frame(r.aplus, frame)
-        minus_alg, minus_frame = _extract_with_frame(r.aminus, frame)
+        plus_alg, plus_frame = subalgebra_frame(r.aplus, frame)
+        minus_alg, minus_frame = subalgebra_frame(r.aminus, frame)
         elem = (
             plus_alg is not None
             and minus_alg is not None
@@ -526,46 +462,15 @@ def characterization_crosscheck(r: ReedyStructure) -> dict:
     }
 
 
-def _extract_with_frame(sub: AlgSubspace, frame: IdempotentFrame):
-    sub_alg, _ = sub.extracted()
-    idems = []
-    for e in frame.idempotents:
-        coords = sub.restrict_vector(e)
-        if coords is None:
-            return None, None
-        idems.append(coords)
-    sub_frame = IdempotentFrame(sub_alg, idems, frame.labels, frame.degrees, check=False)
-    return sub_alg, sub_frame
-
-
 def _bimodule_bijective(r: ReedyStructure) -> dict:
     """Multiplication C (x)_S B -> A, blockwise over the frame idempotents."""
     a = r.algebra
-    f = a.field
-    domain = 0
-    acc = Echelon(f, a.dim)
-    for e in r.frame.idempotents:
-        se = sparse(f, e)
-        cols = Echelon(f, a.dim)
-        for v in r.aplus.space.basis:
-            cols.insert(a.mul_sparse(sparse(f, v), se))
-        rows_ = Echelon(f, a.dim)
-        for v in r.aminus.space.basis:
-            rows_.insert(a.mul_sparse(se, sparse(f, v)))
-        cols_s = cols.to_subspace()
-        rows_s = rows_.to_subspace()
-        domain += cols_s.dim * rows_s.dim
-        for x in cols_s.basis:
-            sx = sparse(f, x)
-            for y in rows_s.basis:
-                prod = a.mul_sparse(sx, sparse(f, y))
-                if prod:
-                    acc.insert(prod)
+    domain, rank = product_rank(a, _tensor_pairs(r, range(len(r.frame))))
     return {
         "tensor_dim": domain,
-        "image_rank": acc.dim,
+        "image_rank": rank,
         "algebra_dim": a.dim,
-        "bijective": domain == acc.dim == a.dim,
+        "bijective": domain == rank == a.dim,
     }
 
 

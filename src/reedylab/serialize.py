@@ -39,6 +39,13 @@ def read_json(path) -> dict:
         raise FormatError(f"{path}: {exc}") from exc
 
 
+def natural(value, label: str) -> int:
+    """A JSON integer >= 0 (not a boolean), or a FormatError naming ``label``."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise FormatError(f"{label} must be a natural number, got {json.dumps(value)}")
+    return value
+
+
 def field_to_json(field: Field) -> dict:
     if field.characteristic == 0:
         return {"kind": "Q"}
@@ -129,7 +136,9 @@ def algebra_from_json(data: dict):
         degrees = None
         if "degrees" in data:
             try:
-                degrees = [int(data["degrees"][lab]) for lab in idem_labels]
+                degrees = [
+                    natural(data["degrees"][lab], f"degree of {lab!r}") for lab in idem_labels
+                ]
             except KeyError as exc:
                 raise FormatError(f"degrees missing for idempotent {exc}") from exc
         try:
@@ -189,7 +198,7 @@ def reedy_from_json(data: dict, base_dir) -> ReedyStructure:
         work = frame
     else:
         try:
-            degs = [int(degrees_map[lab]) for lab in frame.labels]
+            degs = [natural(degrees_map[lab], f"degree of {lab!r}") for lab in frame.labels]
         except KeyError as exc:
             raise FormatError(f"degrees missing for idempotent {exc}") from exc
         work = frame.with_degrees(degs)
@@ -211,8 +220,12 @@ def save_reedy(path, r: ReedyStructure, algebra_ref: str) -> None:
 
 
 def order_from_json(data: dict, frame: IdempotentFrame) -> WeightOrder:
-    if "levels" not in data:
+    levels = data.get("levels") if isinstance(data, dict) else None
+    if not isinstance(levels, dict):
         raise FormatError("order document needs a 'levels' object")
+    for lab in frame.labels:
+        if lab in levels:
+            natural(levels[lab], f"level of {lab!r}")
     try:
         return WeightOrder.from_json(data, frame.labels)
     except ValueError as exc:

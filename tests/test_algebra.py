@@ -3,8 +3,9 @@
 import pytest
 
 import reedylab as rl
-from reedylab.algebra import AlgebraError
+from reedylab.algebra import AlgebraError, product_rank
 from reedylab.linalg import span
+from reedylab.qh import peirce_blocks
 
 
 def label_index(algebra, label):
@@ -344,3 +345,50 @@ def test_tensor_dim_requires_idempotent(diamond):
     algebra, _ = diamond
     with pytest.raises(AlgebraError):
         rl.tensor_dim_over_corner(algebra, basis_by_label(algebra, "ab"))
+
+
+# --- product_rank ---------------------------------------------------------------
+
+
+def _oracle_rank(field, rows, ncols) -> int:
+    """Rank by an independent route: sympy over Q, dense rref over GF(p)."""
+    if not rows:
+        return 0
+    if field.characteristic == 0:
+        sympy = pytest.importorskip("sympy")
+        return sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in r]
+                             for r in rows]).rank()
+    return rl.rref(rl.Matrix(field, rows, ncols))[1]
+
+
+def _product_rank_cases(a, frame):
+    """Peirce-block pairs for every (j, i) and the level ideals A e_0 A, A(e_0+e_1)A."""
+    blocks = peirce_blocks(frame)
+    n = len(frame)
+    bases = [None]
+    for k in (1, 2):
+        eps = [sum(col) for col in zip(*frame.idempotents[:k])]
+        bases.append(rl.ideal_closure(a, [tuple(a.field.of(x) for x in eps)]).space)
+    for j in range(n):
+        for i in range(n):
+            pairs = [(blocks[(j, l)].basis, blocks[(l, i)].basis) for l in range(n)]
+            for base in bases:
+                yield pairs, base
+
+
+@pytest.mark.parametrize("name", ["simplex2", "diamond-Q", "diamond-GF3"])
+def test_product_rank_matches_oracle(name, simplex2, diamond, GF3):
+    if name == "simplex2":
+        a, frame = simplex2.algebra, simplex2.frame
+    elif name == "diamond-Q":
+        a, frame = diamond
+    else:
+        a, frame = rl.build_quiver_algebra(rl.diamond_presentation(), GF3)
+    f = a.field
+    for pairs, base in _product_rank_cases(a, frame):
+        products = [a.mul(x, y) for xs, ys in pairs for x in xs for y in ys]
+        base_rows = list(base.basis) if base is not None else []
+        expected_rank = (_oracle_rank(f, base_rows + products, a.dim)
+                         - _oracle_rank(f, base_rows, a.dim))
+        expected_domain = sum(len(xs) * len(ys) for xs, ys in pairs)
+        assert product_rank(a, pairs, base) == (expected_domain, expected_rank)

@@ -1,11 +1,14 @@
 """CLI contract: subcommands, exit codes, deterministic reports."""
 
 import json
+import shutil
 from pathlib import Path
+
+import pytest
 
 from reedylab.cli import main
 from reedylab.corpus import default_corpus_dir
-from reedylab.serialize import write_json
+from reedylab.serialize import read_json, write_json
 
 CORPUS = default_corpus_dir()
 
@@ -79,8 +82,6 @@ def test_construct_tensor(tmp_path, capsys):
 
 def test_construct_tensor_sibling_discovery(tmp_path, capsys):
     # passing .alg.json files finds the .reedy.json siblings by name
-    import shutil
-
     for stem in ("simplex1",):
         shutil.copy(CORPUS / f"{stem}.alg.json", tmp_path / f"{stem}.alg.json")
         shutil.copy(CORPUS / f"{stem}.reedy.json", tmp_path / f"{stem}.reedy.json")
@@ -96,13 +97,47 @@ def test_construct_tensor_sibling_discovery(tmp_path, capsys):
     assert code == 0 and json.loads(stdout)["dim"] == 49
 
 
-def test_corpus_run_with_worker_env(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("REEDYLAB_THREADS", "2")
+def test_corpus_run_is_deterministic(capsys):
     code, stdout, _ = run(capsys, "corpus", "run")
     assert code == 0
-    monkeypatch.setenv("REEDYLAB_THREADS", "1")
     code2, stdout2, _ = run(capsys, "corpus", "run")
     assert code2 == 0 and stdout2 == stdout
+
+
+NOT_NATURAL = [1.7, True, "x", -1]
+
+
+def _corrupt(tmp_path, stem, suffix, key, label, value):
+    """Copy a corpus file into tmp_path with data[key][label] replaced."""
+    data = read_json(CORPUS / f"{stem}{suffix}")
+    data[key][label] = value
+    write_json(tmp_path / f"{stem}{suffix}", data)
+
+
+@pytest.mark.parametrize("value", NOT_NATURAL)
+def test_non_natural_degree_in_algebra_file_exits_2(tmp_path, capsys, value):
+    _corrupt(tmp_path, "simplex1", ".alg.json", "degrees", "e1", value)
+    shutil.copy(CORPUS / "simplex1.reedy.json", tmp_path)
+    code, _, stderr = run(capsys, "verify", "reedy", str(tmp_path / "simplex1.reedy.json"))
+    assert code == 2 and "degree of 'e1'" in stderr
+
+
+@pytest.mark.parametrize("value", NOT_NATURAL)
+def test_non_natural_degree_in_reedy_file_exits_2(tmp_path, capsys, value):
+    shutil.copy(CORPUS / "diamond.alg.json", tmp_path)
+    _corrupt(tmp_path, "diamond.deg1234", ".reedy.json", "degrees", "a", value)
+    code, _, stderr = run(capsys, "verify", "reedy", str(tmp_path / "diamond.deg1234.reedy.json"))
+    assert code == 2 and "degree of 'a'" in stderr
+
+
+@pytest.mark.parametrize("value", NOT_NATURAL)
+def test_non_natural_level_in_order_file_exits_2(tmp_path, capsys, value):
+    _corrupt(tmp_path, "uppertri.order01", ".order.json", "levels", "v1", value)
+    code, _, stderr = run(
+        capsys, "verify", "qh", str(CORPUS / "uppertri.alg.json"),
+        str(tmp_path / "uppertri.order01.order.json"),
+    )
+    assert code == 2 and "level of 'v1'" in stderr
 
 
 def test_construct_dualext(tmp_path, capsys):

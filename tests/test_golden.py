@@ -1,0 +1,122 @@
+"""Golden reports: the canonical report text of the bundled examples, byte for byte.
+
+``tests/golden/`` holds the ``serialize.dumps`` text of
+
+- the report of every corpus entry (the CLI ``search`` output for search
+  entries, plus a heuristic search on every bundled algebra with a frame
+  below dimension 40);
+- ``layer_check``, ``reedy_heredity_bottom``, ``recursive_check`` at every
+  cut and ``characterization_crosscheck`` for every bundled Reedy file (the
+  last two only below dimension 40).
+
+Dimension 40 keeps the suite fast: it leaves out the tensor examples.
+
+A refactor must leave every file unchanged.  Regenerate the files only for
+an intended report change, and say so in CHANGES.md:
+
+    PYTHONPATH=src python tests/test_golden.py --write
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import sys
+from pathlib import Path
+
+from reedylab import AlgebraError, serialize
+from reedylab.cli import main
+from reedylab.corpus import default_corpus_dir
+from reedylab.qh import heredity_chain_verify
+from reedylab.reedy import (
+    characterization_crosscheck,
+    layer_check,
+    recursive_check,
+    reedy_heredity_bottom,
+    verify_reedy,
+)
+
+CORPUS = default_corpus_dir()
+GOLDEN = Path(__file__).resolve().parent / "golden"
+SMALL_DIM = 40
+
+
+def _search(algebra: str, mode: str, max_levels=None) -> str:
+    argv = ["search", str(CORPUS / algebra), "--mode", mode]
+    if max_levels is not None:
+        argv += ["--max-levels", str(max_levels)]
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        main(argv)
+    return buf.getvalue()
+
+
+def _or_error(fn, *args):
+    try:
+        return fn(*args)
+    except AlgebraError as exc:
+        return {"error": str(exc)}
+
+
+def _entry_report(entry: dict) -> str:
+    check = entry["check"]
+    if check == "search":
+        return _search(entry["algebra"], entry.get("mode", "heuristic"), entry.get("max_levels"))
+    if check == "qh":
+        algebra, frame = serialize.load_algebra(CORPUS / entry["algebra"])
+        order = serialize.load_order(CORPUS / entry["order"], frame)
+        report = heredity_chain_verify(algebra, frame, order)
+    else:
+        r = serialize.load_reedy(CORPUS / entry["reedy"])
+        if check == "reedy":
+            report = verify_reedy(r)
+        elif check == "theorem41":
+            report = characterization_crosscheck(r)
+        else:
+            report = recursive_check(r, int(entry["cut"]))
+    return serialize.dumps(report)
+
+
+def _structure_report(path: Path) -> str:
+    r = serialize.load_reedy(path)
+    report = {
+        "layer_check": _or_error(layer_check, r),
+        "heredity_bottom": _or_error(reedy_heredity_bottom, r),
+    }
+    if r.algebra.dim < SMALL_DIM:
+        cuts = sorted(set(r.order().levels))
+        report["recursive_check"] = [_or_error(recursive_check, r, cut) for cut in cuts]
+        report["theorem41"] = _or_error(characterization_crosscheck, r)
+    return serialize.dumps(report)
+
+
+def golden_reports() -> dict[str, str]:
+    """File name under tests/golden/ -> canonical report text."""
+    out = {}
+    for entry in serialize.read_json(CORPUS / "entries.json")["entries"]:
+        out[f"corpus.{entry['name']}.json"] = _entry_report(entry)
+    for path in sorted(CORPUS.glob("*.alg.json")):
+        data = serialize.read_json(path)
+        if "idempotents" in data and data["dim"] < SMALL_DIM:
+            out[f"search.{path.name[:-len('.alg.json')]}.json"] = _search(path.name, "heuristic")
+    for path in sorted(CORPUS.glob("*.reedy.json")):
+        out[f"structure.{path.name[:-len('.reedy.json')]}.json"] = _structure_report(path)
+    return out
+
+
+def test_golden_reports_are_byte_identical():
+    reports = golden_reports()
+    assert sorted(p.name for p in GOLDEN.glob("*.json")) == sorted(reports)
+    changed = [name for name, text in reports.items()
+               if (GOLDEN / name).read_text(encoding="utf-8") != text]
+    assert not changed, f"reports differ from tests/golden/: {changed}"
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        raise SystemExit("usage: PYTHONPATH=src python tests/test_golden.py --write")
+    GOLDEN.mkdir(exist_ok=True)
+    for stale in GOLDEN.glob("*.json"):
+        stale.unlink()
+    for name, text in golden_reports().items():
+        (GOLDEN / name).write_text(text, encoding="utf-8")
