@@ -19,7 +19,6 @@ from .linalg import (
     kernel,
     span,
     sparse,
-    subspace_sum,
 )
 
 
@@ -264,13 +263,18 @@ class AlgSubspace:
     def contains(self, vec) -> bool:
         return self.space.contains(vec)
 
+    def _contains_all(self, products) -> bool:
+        """Whether every sparse vector in ``products`` lies in the space."""
+        f = self.algebra.field
+        acc = Echelon(f, self.algebra.dim)
+        for v in self.space.basis:
+            acc.insert(sparse(f, v))
+        return not any(prod and acc.reduce(prod) for prod in products)
+
     def is_multiplicatively_closed(self) -> bool:
         a = self.algebra
-        for u in self.space.basis:
-            for v in self.space.basis:
-                if not self.space.contains(a.mul(u, v)):
-                    return False
-        return True
+        rows = [sparse(a.field, v) for v in self.space.basis]
+        return self._contains_all(a.mul_sparse(u, v) for u in rows for v in rows)
 
     def is_subalgebra(self) -> bool:
         return self.space.contains(self.algebra.unit) and self.is_multiplicatively_closed()
@@ -278,17 +282,14 @@ class AlgSubspace:
     def is_ideal(self) -> bool:
         a = self.algebra
         f = a.field
-        for v in self.space.basis:
-            sv = sparse(f, v)
-            for k in range(a.dim):
-                bk = {k: f.one}
-                left = a.mul_sparse(bk, sv)
-                right = a.mul_sparse(sv, bk)
-                if not self.space.contains(densify(f, left, a.dim)):
-                    return False
-                if not self.space.contains(densify(f, right, a.dim)):
-                    return False
-        return True
+        rows = [sparse(f, v) for v in self.space.basis]
+        units = [{k: f.one} for k in range(a.dim)]
+        return self._contains_all(
+            prod
+            for v in rows
+            for bk in units
+            for prod in (a.mul_sparse(bk, v), a.mul_sparse(v, bk))
+        )
 
     def extracted(self):
         """The subspace as a standalone algebra plus its embedding rows.
@@ -573,38 +574,29 @@ def _trace_form_kernel(a: Algebra) -> Subspace:
     return kernel(Matrix(f, rows, a.dim)) if a.dim else Subspace(f, 0)
 
 
-def _radical_char0(a: Algebra) -> Subspace:
-    f = a.field
-    candidate = _trace_form_kernel(a)
-    while True:
-        ideal = AlgSubspace(a, candidate, AlgSubspace.IDEAL)
-        q, qmap = quotient(a, ideal)
-        k = _trace_form_kernel(q)
-        if k.dim == 0:
-            return candidate
-        lifted = [qmap.lift(v) for v in k.basis]
-        candidate = subspace_sum(candidate, span(f, a.dim, lifted))
+def _trace_power_mod(rows, exp: int, modulus: int) -> int:
+    """tr(M**exp) mod modulus for an integer matrix M given by sparse rows."""
 
-
-def _trace_power_mod(mat, exp: int, modulus: int, n: int) -> int:
-    """tr(mat**exp) for an integer matrix, with entries reduced mod modulus."""
+    def reduced(acc: dict) -> dict:
+        out = {}
+        for s, v in acc.items():
+            v %= modulus
+            if v:
+                out[s] = v
+        return out
 
     def matmul(x, y):
-        out = [[0] * n for _ in range(n)]
-        for r in range(n):
-            xr = x[r]
-            outr = out[r]
-            for m in range(n):
-                c = xr[m]
-                if c:
-                    ym = y[m]
-                    for s in range(n):
-                        if ym[s]:
-                            outr[s] = (outr[s] + c * ym[s]) % modulus
+        out = []
+        for xr in x:
+            acc: dict = {}
+            for m, c in xr.items():
+                for s, v in y[m].items():
+                    acc[s] = acc.get(s, 0) + c * v
+            out.append(reduced(acc))
         return out
 
     result = None
-    base = [[v % modulus for v in row] for row in mat]
+    base = [reduced(row) for row in rows]
     e = exp
     while e:
         if e & 1:
@@ -612,59 +604,66 @@ def _trace_power_mod(mat, exp: int, modulus: int, n: int) -> int:
         e >>= 1
         if e:
             base = matmul(base, base)
+            if not any(base):
+                return 0  # every later factor is a power of the zero matrix
     if result is None:
-        result = [[1 if r == s else 0 for s in range(n)] for r in range(n)]
-    return sum(result[r][r] for r in range(n)) % modulus
+        return len(rows) % modulus
+    return sum(row.get(r, 0) for r, row in enumerate(result)) % modulus
 
 
-def _radical_charp(a: Algebra) -> Subspace:
+def _radical_charp(a: Algebra, seed: Subspace | None = None) -> Subspace:
     """Descending p-power trace chain on integer lifts of the regular
     representation: step i cuts by x -> tr(L_{xy}^{p^(i-1)}) / p^(i-1) mod p,
     which resolves the block multiplicities that make the plain trace form
-    degenerate in characteristic p.
+    degenerate in characteristic p.  The form is symmetric: the lift of
+    L_{xy} agrees mod p with the product of the lifts of L_x and L_y,
+    matrices that agree mod p have p^(i-1)-th powers that agree mod p^i,
+    and tr((XY)^q) = tr((YX)^q).
+
+    Step 1 is the plain trace form on the standard basis, so its kernel is
+    ``_trace_form_kernel(a)``; passing that kernel as ``seed`` starts the
+    chain at step 2.  Without a seed the chain starts from the whole space.
     """
     p = a.field.characteristic
     f = a.field
     n = a.dim
-    int_mats = []
+    # int_rows[k][t][j]: coefficient of b_t in b_k * b_j, lifted to [0, p).
+    int_rows = []
     for k in range(n):
-        mat = [[0] * n for _ in range(n)]
+        rows: dict = {}
         for j in range(n):
             for t, c in a.mult[k][j]:
-                mat[t][j] = (mat[t][j] + int(c)) % p
-        int_mats.append(mat)
+                row = rows.setdefault(t, {})
+                row[j] = (row.get(j, 0) + int(c)) % p
+        int_rows.append(rows)
 
-    def left_matrix_int(vec) -> list:
-        out = [[0] * n for _ in range(n)]
-        for k, c in enumerate(vec):
-            c = int(c) % p
-            if c:
-                mk = int_mats[k]
-                for r in range(n):
-                    row = mk[r]
-                    outr = out[r]
-                    for s in range(n):
-                        if row[s]:
-                            outr[s] += c * row[s]
+    def left_matrix_int(vec: dict) -> list:
+        out = [{} for _ in range(n)]
+        for k, c in vec.items():
+            c = int(c)
+            for t, row in int_rows[k].items():
+                outt = out[t]
+                for j, v in row.items():
+                    outt[j] = outt.get(j, 0) + c * v
         return out
 
-    current = span(f, n, [a.basis_vector(i) for i in range(n)])
-    power = 1  # p^(i-1) at step i
-    modulus = p
-    while True:
+    if seed is None:
+        current, power = span(f, n, [a.basis_vector(i) for i in range(n)]), 1
+    else:
+        current, power = seed, p
+    # power = p^(i-1) at step i; the chain ends with the first power >= n.
+    while current.dim and power // p < n:
         rows_amb = list(current.basis)
         s = len(rows_amb)
-        if s == 0:
-            break
-        form = []
+        modulus = power * p
+        sparse_rows = [sparse(f, v) for v in rows_amb]
+        form = [[0] * s for _ in range(s)]
         for r in range(s):
-            row = []
-            for t in range(s):
-                prod = a.mul(rows_amb[r], rows_amb[t])
-                lm = left_matrix_int(prod)
-                tr = _trace_power_mod(lm, power, modulus, n)
-                row.append((tr // power) % p)
-            form.append(row)
+            for t in range(r, s):
+                prod = a.mul_sparse(sparse_rows[r], sparse_rows[t])
+                if prod:
+                    tr = _trace_power_mod(left_matrix_int(prod), power, modulus)
+                    form[r][t] = form[t][r] = (tr // power) % p
         ker = kernel(Matrix(f, form, s))
         vecs = []
         for combo in ker.basis:
@@ -674,45 +673,42 @@ def _radical_charp(a: Algebra) -> Subspace:
                     vec = [f.add(x, f.mul(c, y)) for x, y in zip(vec, rows_amb[idx])]
             vecs.append(vec)
         current = span(f, n, vecs)
-        if power >= n:
-            break
         power *= p
-        modulus *= p
     return current
 
 
 def _check_nilpotent(a: Algebra, sub: Subspace) -> bool:
+    """Whether some power of ``sub`` vanishes, where J^(k+1) = span(J^k * J).
+
+    A nonzero power that repeats (J^(k+1) = J^k) repeats forever, so the
+    check stops there with False.
+    """
     f = a.field
-    current = [sparse(f, v) for v in sub.basis]
-    gens = list(current)
+    gens = [sparse(f, v) for v in sub.basis]
+    power = sub
     for _ in range(a.dim + 1):
-        if not current:
+        if power.dim == 0:
             return True
         acc = Echelon(f, a.dim)
-        for u in current:
+        for u in power.basis:
+            su = sparse(f, u)
             for v in gens:
-                prod = a.mul_sparse(u, v)
+                prod = a.mul_sparse(su, v)
                 if prod:
                     acc.insert(prod)
         nxt = acc.to_subspace()
-        if nxt.dim == 0:
-            return True
-        current = [sparse(f, v) for v in nxt.basis]
-    return False
+        if nxt == power:
+            return False
+        power = nxt
+    return power.dim == 0
 
 
 def radical(a: Algebra) -> AlgSubspace:
-    """The Jacobson radical as a verified two-sided ideal.
-
-    Characteristic zero uses the trace-form kernel iterated to a fixed
-    point; positive characteristic uses p-power trace forms.  A quiver or
-    graded builder may pre-register the span of positive-length classes
-    via ``_cache['radical_hint']`` after verifying it nilpotent.
-    """
+    """The Jacobson radical as a verified two-sided ideal (see
+    ``radical_generic``), checked nilpotent and two-sided on every result."""
     if "radical" in a._cache:
         return a._cache["radical"]
-    hint = a._cache.get("radical_hint")
-    result = AlgSubspace(a, radical_generic(a) if hint is None else hint, AlgSubspace.IDEAL)
+    result = AlgSubspace(a, radical_generic(a), AlgSubspace.IDEAL)
     if not _check_nilpotent(a, result.space):
         raise AlgebraError("radical candidate not nilpotent (unsupported input)")
     if not result.is_ideal():
@@ -722,12 +718,21 @@ def radical(a: Algebra) -> AlgSubspace:
 
 
 def radical_generic(a: Algebra) -> Subspace:
-    """The radical by trace forms, ignoring any builder hint."""
+    """The radical by trace forms.
+
+    The trace-form kernel K is an ideal containing rad A, so K = rad A as
+    soon as K is nilpotent.  In characteristic 0 or p > dim A, Newton's
+    identities make every element of K nilpotent, so K is the radical with
+    no further pass.  Otherwise K is checked nilpotent, and if it is not,
+    the p-power trace chain continues from K.
+    """
     if a.dim == 0:
         return Subspace(a.field, 0)
-    if a.field.characteristic == 0:
-        return _radical_char0(a)
-    return _radical_charp(a)
+    k = _trace_form_kernel(a)
+    p = a.field.characteristic
+    if p == 0 or p > a.dim or _check_nilpotent(a, k):
+        return k
+    return _radical_charp(a, k)
 
 
 def is_elementary(a: Algebra, frame: IdempotentFrame) -> bool:

@@ -24,7 +24,6 @@ from .algebra import (
     row_span,
     tensor_algebras,
     validate,
-    _check_nilpotent,
 )
 from .fields import Field
 from .linalg import Echelon, densify, span, sparse
@@ -216,12 +215,6 @@ def build_quiver_algebra(pres: QuiverPresentation, field: Field):
 
     idempotents = [algebra.basis_vector(vertex_pos[v]) for v in pres.vertices]
     frame = IdempotentFrame(algebra, idempotents, pres.vertices)
-    arrow_span = span(
-        field, algebra.dim,
-        [algebra.basis_vector(t) for t, (s, g, labs) in enumerate(basis_paths) if labs],
-    )
-    if _check_nilpotent(algebra, arrow_span):
-        algebra._cache["radical_hint"] = arrow_span
     return algebra, frame
 
 

@@ -46,6 +46,15 @@ def natural(value, label: str) -> int:
     return value
 
 
+def json_object(value, key: str, values: str) -> dict:
+    """A JSON object, or a FormatError naming ``key`` and what it maps to."""
+    if not isinstance(value, dict):
+        raise FormatError(
+            f"{key!r} must be an object mapping labels to {values}, got {json.dumps(value)}"
+        )
+    return value
+
+
 def field_to_json(field: Field) -> dict:
     if field.characteristic == 0:
         return {"kind": "Q"}
@@ -126,19 +135,19 @@ def algebra_from_json(data: dict):
     a = Algebra(f, labels, mult, [f.parse(x) for x in unit])
     frame = None
     if "idempotents" in data:
-        idem_labels = list(data["idempotents"].keys())
+        idem_map = json_object(data["idempotents"], "idempotents", "vectors")
+        idem_labels = list(idem_map)
         idems = []
         for lab in idem_labels:
-            vec = data["idempotents"][lab]
+            vec = idem_map[lab]
             if len(vec) != dim:
                 raise FormatError(f"idempotent {lab!r} has wrong length")
             idems.append([f.parse(x) for x in vec])
         degrees = None
         if "degrees" in data:
+            degree_map = json_object(data["degrees"], "degrees", "natural numbers")
             try:
-                degrees = [
-                    natural(data["degrees"][lab], f"degree of {lab!r}") for lab in idem_labels
-                ]
+                degrees = [natural(degree_map[lab], f"degree of {lab!r}") for lab in idem_labels]
             except KeyError as exc:
                 raise FormatError(f"degrees missing for idempotent {exc}") from exc
         try:
@@ -197,6 +206,7 @@ def reedy_from_json(data: dict, base_dir) -> ReedyStructure:
             raise FormatError("no degree function given (reedy file or algebra file)")
         work = frame
     else:
+        json_object(degrees_map, "degrees", "natural numbers")
         try:
             degs = [natural(degrees_map[lab], f"degree of {lab!r}") for lab in frame.labels]
         except KeyError as exc:

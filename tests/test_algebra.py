@@ -1,11 +1,16 @@
 """Algebra core: validation, closures, quotients, corners, radicals, tensors."""
 
+import random
+
 import pytest
 
 import reedylab as rl
-from reedylab.algebra import AlgebraError, product_rank
-from reedylab.linalg import span
+import reedylab.algebra as algebra_module
+from reedylab.algebra import AlgebraError, _check_nilpotent, _radical_charp, product_rank
+from reedylab.corpus import default_corpus_dir
+from reedylab.linalg import Matrix, rref, span, sparse
 from reedylab.qh import peirce_blocks
+from reedylab.serialize import algebra_from_json, read_json
 
 
 def label_index(algebra, label):
@@ -97,6 +102,63 @@ def test_ideal_closure_empty_level_eps(diamond):
     assert all(x == 0 for x in work.eps(0))
     ideal = rl.ideal_closure(algebra, [work.eps(0)])
     assert ideal.dim == 0
+
+
+def _rank_contains(space, vec):
+    return span(space.field, space.ambient_dim, list(space.basis) + [vec]).dim == space.dim
+
+
+def dense_closed(algebra, space):
+    return all(_rank_contains(space, algebra.mul(u, v)) for u in space.basis for v in space.basis)
+
+
+def dense_ideal(algebra, space):
+    units = [algebra.basis_vector(k) for k in range(algebra.dim)]
+    return all(
+        _rank_contains(space, algebra.mul(b, v)) and _rank_contains(space, algebra.mul(v, b))
+        for v in space.basis
+        for b in units
+    )
+
+
+def random_subspaces(algebra, frame, rng, count=24):
+    """Seeded sparse random spans, plus closures and the span of the frame."""
+    f = algebra.field
+    n = algebra.dim
+
+    def random_vector():
+        vec = [f.zero] * n
+        for c in rng.sample(range(n), rng.randint(1, 3)):
+            vec[c] = f.random(rng)
+        return vec
+
+    spaces = [frame.semisimple_span()]
+    for _ in range(count):
+        gens = [random_vector() for _ in range(rng.randint(1, 3))]
+        spaces.append(span(f, n, gens))
+        spaces.append(rl.ideal_closure(algebra, gens[:1]).space)
+        spaces.append(rl.subalgebra_closure(algebra, gens[:1]).space)
+    return spaces
+
+
+@pytest.mark.parametrize("name", ["diamond", "simplex1"])
+@pytest.mark.parametrize("field", [rl.rationals(), rl.prime_field(3)], ids=["Q", "GF3"])
+def test_sparse_membership_tests_match_dense_brute_force(name, field):
+    if name == "diamond":
+        algebra, frame = rl.build_quiver_algebra(rl.diamond_presentation(), field)
+    else:
+        structure = rl.build_simplex_algebra(1, field)
+        algebra, frame = structure.algebra, structure.frame
+    rng = random.Random(f"{name}-{field.characteristic}")
+    outcomes = {"ideal": set(), "closed": set()}
+    for space in random_subspaces(algebra, frame, rng):
+        sub = rl.AlgSubspace(algebra, space)
+        ideal, closed = sub.is_ideal(), sub.is_multiplicatively_closed()
+        assert ideal == dense_ideal(algebra, space)
+        assert closed == dense_closed(algebra, space)
+        outcomes["ideal"].add(ideal)
+        outcomes["closed"].add(closed)
+    assert outcomes == {"ideal": {True, False}, "closed": {True, False}}
 
 
 # --- quotient and corner ---------------------------------------------------
@@ -238,10 +300,120 @@ def test_radical_postconditions_on_corpus(diamond, uppertri, simplex1, simplex2,
 
 
 def test_radical_arrow_ideal_crosscheck(diamond, uppertri, diamond_gf2):
-    # quiver-built algebras carry the arrow-ideal hint; the generic method agrees
-    for algebra, _ in (diamond, uppertri, diamond_gf2):
-        assert "radical_hint" in algebra._cache
-        assert rl.radical(algebra).space == rl.radical_generic(algebra)
+    # a quiver algebra with admissible relations has the arrow ideal as radical:
+    # the span of every basis path that is not a vertex idempotent
+    for algebra, frame in (diamond, uppertri, diamond_gf2):
+        f = algebra.field
+        vertices = {e.index(f.one) for e in frame.idempotents}
+        paths = [algebra.basis_vector(t) for t in range(algebra.dim) if t not in vertices]
+        assert paths
+        assert rl.radical(algebra).space == span(f, algebra.dim, paths)
+
+
+ORACLE_PRIMES = (2, 3, 5, 2147483629)
+ORACLE_ALGEBRAS = ("diamond", "dualext.a2", "k", "m2.gf2", "m2unit.gf2", "uppertri",
+                   "simplex1", "simplex2", "tensor49", "tensor63")
+
+
+def corpus_algebra(name, field_json):
+    """A bundled corpus algebra with its 0/1 structure constants read in another field."""
+    data = read_json(default_corpus_dir() / f"{name}.alg.json")
+    data["field"] = field_json
+    return algebra_from_json(data)[0]
+
+
+@pytest.mark.parametrize("p", ORACLE_PRIMES)
+def test_radical_generic_matches_full_p_power_chain(p):
+    for name in ORACLE_ALGEBRAS:
+        algebra = corpus_algebra(name, {"kind": "GF", "p": p})
+        rad = rl.radical_generic(algebra)
+        assert rad == _radical_charp(algebra), (p, name)
+        assert _check_nilpotent(algebra, rad), (p, name)
+        assert not _check_nilpotent(algebra, span(algebra.field, algebra.dim, [algebra.unit]))
+
+
+def test_radical_over_q_is_nilpotent_ideal_with_semisimple_quotient():
+    for name in ORACLE_ALGEBRAS:
+        algebra = corpus_algebra(name, {"kind": "Q"})
+        rad = rl.radical(algebra)
+        assert rad.is_ideal() and _check_nilpotent(algebra, rad.space), name
+        assert not _check_nilpotent(algebra, span(algebra.field, algebra.dim, [algebra.unit]))
+        q, _ = rl.quotient(algebra, rad)
+        assert rl.radical_generic(q).dim == 0, name
+
+
+def inverse_rows(field, rows):
+    """Rows of the inverse of an invertible square matrix, via RREF of [T | I]."""
+    n = len(rows)
+    aug = [list(r) + [field.one if c == i else field.zero for c in range(n)]
+           for i, r in enumerate(rows)]
+    red, rank = rref(Matrix(field, aug, 2 * n))
+    assert rank == n and all(red.rows[i][i] == field.one for i in range(n))
+    return [row[n:] for row in red.rows]
+
+
+def times(field, vec, rows):
+    out = [field.zero] * len(rows[0])
+    for c, row in zip(vec, rows):
+        out = [field.add(x, field.mul(c, y)) for x, y in zip(out, row)]
+    return tuple(out)
+
+
+@pytest.mark.parametrize("p", (2, 3, 5))
+def test_radical_follows_a_random_change_of_basis(p):
+    # the new structure constants are general field elements, not 0/1, so the
+    # integer lifts of the p-power chain are exercised beyond the corpus data
+    rng = random.Random(p)
+    field = rl.prime_field(p)
+    for name in ("m2.gf2", "simplex1", "diamond"):
+        algebra = corpus_algebra(name, {"kind": "GF", "p": p})
+        n = algebra.dim
+        while True:
+            new_basis = [[field.random(rng) for _ in range(n)] for _ in range(n)]
+            if span(field, n, new_basis).dim == n:
+                break
+        inv = inverse_rows(field, new_basis)
+        mult = [[sparse(field, times(field, algebra.mul(u, v), inv)).items() for v in new_basis]
+                for u in new_basis]
+        changed = rl.Algebra(field, algebra.labels, mult, times(field, algebra.unit, inv))
+        assert rl.validate(changed)["valid"]
+        expected = span(field, n, [times(field, v, inv) for v in rl.radical(algebra).space.basis])
+        assert rl.radical_generic(changed) == expected == _radical_charp(changed), (p, name)
+
+
+def test_check_nilpotent_on_non_closed_spans(diamond, Q):
+    algebra, _ = diamond
+
+    def element(*labels):
+        vecs = [basis_by_label(algebra, lab) for lab in labels]
+        return [sum(col) for col in zip(*vecs)]
+
+    def one_dim(vec):
+        return span(Q, algebra.dim, [vec])
+
+    # ac + cd squares to the length-2 path, so dim J^2 = dim J = 1, yet J^3 = 0
+    walk = element("ac", "cd")
+    assert not one_dim(walk).contains(algebra.mul(walk, walk))
+    assert _check_nilpotent(algebra, one_dim(walk))
+    # a + b + ab has powers a + b + k*ab: a new line at every step, never zero
+    assert not _check_nilpotent(algebra, one_dim(element("a", "b", "ab")))
+    assert _check_nilpotent(algebra, span(Q, algebra.dim, []))
+
+
+def test_one_pass_radical_decides_qh_and_crosscheck(monkeypatch):
+    # over Q and over a prime above the dimension the trace-form kernel is the
+    # radical, so the p-power chain must never be reached
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the p-power chain ran")
+
+    monkeypatch.setattr(algebra_module, "_radical_charp", forbidden)
+    for field in (rl.rationals(), rl.prime_field(2147483629)):
+        r = rl.build_simplex_algebra(2, field)
+        assert rl.heredity_chain_verify(r.algebra, r.frame)["overall"]
+        report = rl.characterization_crosscheck(r)
+        assert report["overall"] and report["route_reedy"], field
+        assert "error" not in report["detail_bimodule"]
+        assert "error" not in report["detail_borel_delta"]
 
 
 def test_radical_charp_agrees_with_char0_on_diamond(diamond, diamond_gf2):

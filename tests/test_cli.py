@@ -140,6 +140,29 @@ def test_non_natural_level_in_order_file_exits_2(tmp_path, capsys, value):
     assert code == 2 and "level of 'v1'" in stderr
 
 
+NOT_OBJECT = [[1, 2, 3, 4], "1234", 4]
+
+
+@pytest.mark.parametrize("value", NOT_OBJECT)
+def test_non_object_degrees_in_algebra_file_exits_2(tmp_path, capsys, value):
+    data = read_json(CORPUS / "simplex1.alg.json")
+    data["degrees"] = value
+    write_json(tmp_path / "simplex1.alg.json", data)
+    shutil.copy(CORPUS / "simplex1.reedy.json", tmp_path)
+    code, _, stderr = run(capsys, "verify", "reedy", str(tmp_path / "simplex1.reedy.json"))
+    assert code == 2 and "'degrees' must be an object" in stderr
+
+
+@pytest.mark.parametrize("value", NOT_OBJECT)
+def test_non_object_degrees_in_reedy_file_exits_2(tmp_path, capsys, value):
+    shutil.copy(CORPUS / "diamond.alg.json", tmp_path)
+    data = read_json(CORPUS / "diamond.deg1234.reedy.json")
+    data["degrees"] = value
+    write_json(tmp_path / "diamond.deg1234.reedy.json", data)
+    code, _, stderr = run(capsys, "verify", "reedy", str(tmp_path / "diamond.deg1234.reedy.json"))
+    assert code == 2 and "'degrees' must be an object" in stderr
+
+
 def test_construct_dualext(tmp_path, capsys):
     up = tmp_path / "up.alg.json"
     down = tmp_path / "down.alg.json"

@@ -144,3 +144,13 @@ def test_malformed_algebra_documents():
         algebra_from_json(
             {"field": {"kind": "X"}, "dim": 1, "labels": ["a"], "unit": ["1"], "mult": []}
         )
+
+
+@pytest.mark.parametrize("key", ["idempotents", "degrees"])
+@pytest.mark.parametrize("value", [[1, 2], "ab", 3])
+def test_frame_maps_must_be_objects(key, value, diamond):
+    data = algebra_to_json(*diamond)
+    data["degrees"] = {lab: 0 for lab in diamond[1].labels}
+    data[key] = value
+    with pytest.raises(FormatError, match=f"'{key}' must be an object"):
+        algebra_from_json(data)
