@@ -2,7 +2,9 @@
 
 An algebra stores its multiplication sparsely: ``mult[i][j]`` is a tuple of
 ``(k, c)`` pairs meaning b_i * b_j = sum c * b_k.  Vectors over the algebra
-are dense tuples of field scalars; hot paths work with sparse dicts.
+given one at a time (units, frame idempotents) are dense tuples of field
+scalars; subspaces keep sparse echelon rows (dicts index -> scalar), and
+everything that walks a span works on those rows.
 
 All objects here are immutable after construction (tuples throughout);
 derived data is memoised in a private per-instance cache.
@@ -13,12 +15,14 @@ from __future__ import annotations
 from .fields import Field
 from .linalg import (
     Echelon,
-    Matrix,
     Subspace,
+    add_scaled,
     densify,
-    kernel,
+    full_space,
+    null_space,
     span,
     sparse,
+    sparse_span,
 )
 
 
@@ -82,36 +86,17 @@ class Algebra:
     def is_idempotent(self, vec) -> bool:
         return self.mul(vec, vec) == tuple(vec)
 
-    def trace_left(self, vec):
-        """Trace of left multiplication by ``vec`` on the algebra."""
-        f = self.field
-        cached = self._cache.get("basis_traces")
-        if cached is None:
-            cached = []
-            for m in range(self.dim):
-                t = f.zero
-                for k in range(self.dim):
-                    for idx, c in self.mult[m][k]:
-                        if idx == k:
-                            t = f.add(t, c)
-                cached.append(t)
-            self._cache["basis_traces"] = cached
-        acc = f.zero
-        for m, a in enumerate(vec):
-            if a != f.zero:
-                acc = f.add(acc, f.mul(a, cached[m]))
-        return acc
-
 
 def validate(a: Algebra) -> dict:
     """Check associativity and the unit laws, listing every violation."""
     f = a.field
     violations = []
+    unit = sparse(f, a.unit)
     for i in range(a.dim):
         bi = {i: f.one}
-        if a.mul_sparse(sparse(f, a.unit), bi) != bi:
+        if a.mul_sparse(unit, bi) != bi:
             violations.append({"kind": "unit-left", "index": i})
-        if a.mul_sparse(bi, sparse(f, a.unit)) != bi:
+        if a.mul_sparse(bi, unit) != bi:
             violations.append({"kind": "unit-right", "index": i})
     for i in range(a.dim):
         row_i = a.mult[i]
@@ -261,38 +246,35 @@ class AlgSubspace:
         return f"AlgSubspace(dim={self.dim}, kind={self.closure_kind})"
 
     def contains(self, vec) -> bool:
-        return self.space.contains(vec)
+        """Whether a dense element lies in the space."""
+        return self.space.contains(sparse(self.algebra.field, vec))
 
     def _contains_all(self, products) -> bool:
         """Whether every sparse vector in ``products`` lies in the space."""
-        f = self.algebra.field
-        acc = Echelon(f, self.algebra.dim)
-        for v in self.space.basis:
-            acc.insert(sparse(f, v))
-        return not any(prod and acc.reduce(prod) for prod in products)
+        return not any(prod and self.space.reduce(prod) for prod in products)
 
     def is_multiplicatively_closed(self) -> bool:
         a = self.algebra
-        rows = [sparse(a.field, v) for v in self.space.basis]
+        rows = self.space.rows.values()
         return self._contains_all(a.mul_sparse(u, v) for u in rows for v in rows)
 
     def is_subalgebra(self) -> bool:
-        return self.space.contains(self.algebra.unit) and self.is_multiplicatively_closed()
+        return self.contains(self.algebra.unit) and self.is_multiplicatively_closed()
 
     def is_ideal(self) -> bool:
         a = self.algebra
         f = a.field
-        rows = [sparse(f, v) for v in self.space.basis]
         units = [{k: f.one} for k in range(a.dim)]
         return self._contains_all(
             prod
-            for v in rows
+            for v in self.space.rows.values()
             for bk in units
             for prod in (a.mul_sparse(bk, v), a.mul_sparse(v, bk))
         )
 
     def extracted(self):
-        """The subspace as a standalone algebra plus its embedding rows.
+        """The subspace as a standalone algebra plus its embedding rows
+        (the sparse rows of the space, whose order indexes the new basis).
 
         Requires a verified multiplicative closure (subalgebra flag for a
         unital result; the unit of an extracted ideal is not defined).
@@ -303,19 +285,18 @@ class AlgSubspace:
             raise AlgebraError("extraction needs a verified subalgebra")
         a = self.algebra
         f = a.field
-        rows = self.space.basis
-        labels = [f"s{i}_{a.labels[p]}" for i, p in enumerate(self.space.pivots())]
+        rows = tuple(self.space.rows.values())
+        labels = [f"s{i}_{a.labels[p]}" for i, p in enumerate(self.space.rows)]
         mult = []
         for u in rows:
             per = []
             for v in rows:
-                prod = a.mul(u, v)
-                coords = self.space.coords(prod)
+                coords = self.space.coords(a.mul_sparse(u, v))
                 if coords is None:
                     raise AlgebraError("subalgebra flag is wrong: not closed")
-                per.append(tuple((k, c) for k, c in enumerate(coords) if c != f.zero))
+                per.append(tuple(coords.items()))
             mult.append(tuple(per))
-        unit_coords = self.space.coords(a.unit)
+        unit_coords = self.restrict_vector(a.unit)
         if unit_coords is None:
             raise AlgebraError("subalgebra flag is wrong: unit missing")
         sub = Algebra(f, labels, mult, unit_coords)
@@ -323,15 +304,19 @@ class AlgSubspace:
         return sub, rows
 
     def restrict_vector(self, vec):
-        return self.space.coords(vec)
-
-    def embed_vector(self, coords) -> tuple:
+        """Dense coordinates of a dense element on the rows, or None if outside."""
         f = self.algebra.field
-        out = [f.zero] * self.algebra.dim
-        for c, row in zip(coords, self.space.basis):
-            if c != f.zero:
-                out = [f.add(x, f.mul(c, y)) for x, y in zip(out, row)]
-        return tuple(out)
+        coords = self.space.coords(sparse(f, vec))
+        return None if coords is None else densify(f, coords, self.dim)
+
+    def embed(self, coords: dict) -> dict:
+        """The sparse element with the given coordinates on the rows."""
+        f = self.algebra.field
+        out: dict = {}
+        rows = tuple(self.space.rows.values())
+        for t, c in coords.items():
+            add_scaled(f, out, c, rows[t])
+        return out
 
 
 def subalgebra_frame(b: AlgSubspace, frame: IdempotentFrame):
@@ -349,17 +334,20 @@ def plain_subspace(a: Algebra, vectors) -> AlgSubspace:
 
 
 def full_subalgebra(a: Algebra) -> AlgSubspace:
-    return AlgSubspace(
-        a, span(a.field, a.dim, [a.basis_vector(i) for i in range(a.dim)]), AlgSubspace.SUBALGEBRA
-    )
+    return AlgSubspace(a, full_space(a.field, a.dim), AlgSubspace.SUBALGEBRA)
+
+
+def _as_sparse(f, vec) -> dict:
+    """An element given densely or as a sparse dict, as a sparse dict."""
+    return vec if isinstance(vec, dict) else sparse(f, vec)
 
 
 def subalgebra_closure(a: Algebra, generators) -> AlgSubspace:
-    """Smallest unital subalgebra containing the generators."""
+    """Smallest unital subalgebra containing the generators (dense or sparse)."""
     f = a.field
     acc = Echelon(f, a.dim)
     for v in [a.unit, *generators]:
-        acc.insert(sparse(f, v) if not isinstance(v, dict) else v)
+        acc.insert(_as_sparse(f, v))
     # Re-walk pairwise products until the span is multiplicatively stable.
     stable = False
     while not stable:
@@ -373,12 +361,12 @@ def subalgebra_closure(a: Algebra, generators) -> AlgSubspace:
 
 
 def ideal_closure(a: Algebra, generators) -> AlgSubspace:
-    """Smallest two-sided ideal containing the generators."""
+    """Smallest two-sided ideal containing the generators (dense or sparse)."""
     f = a.field
     acc = Echelon(f, a.dim)
     frontier = []
     for v in generators:
-        sv = sparse(f, v) if not isinstance(v, dict) else dict(v)
+        sv = _as_sparse(f, v)
         if acc.insert(sv):
             frontier.append(sv)
     while frontier:
@@ -396,109 +384,91 @@ def ideal_closure(a: Algebra, generators) -> AlgSubspace:
 # spans and products --------------------------------------------------------
 
 
-def _image_span(a: Algebra, vectors, image) -> Subspace:
-    """Span of image(v) over sparse v in ``vectors`` (the basis of A when None)."""
+def _image_span(a: Algebra, space: Subspace | None, image) -> Subspace:
+    """Span of image(v) over the rows v of ``space`` (the basis of A when None)."""
     f = a.field
-    acc = Echelon(f, a.dim)
-    if vectors is None:
-        gens = ({k: f.one} for k in range(a.dim))
-    else:
-        gens = (sparse(f, v) for v in vectors)
-    for v in gens:
-        acc.insert(image(v))
-    return acc.to_subspace()
+    if space is None:
+        space = full_space(f, a.dim)
+    return sparse_span(f, a.dim, (image(v) for v in space.rows.values()))
 
 
-def column_span(a: Algebra, vectors, e) -> Subspace:
-    """Span of X*e for X the given vectors (the column A*e when None)."""
-    se = sparse(a.field, e)
-    return _image_span(a, vectors, lambda v: a.mul_sparse(v, se))
+def column_span(a: Algebra, space: Subspace | None, e) -> Subspace:
+    """Span of X*e for X a subspace (the column A*e when None)."""
+    se = _as_sparse(a.field, e)
+    return _image_span(a, space, lambda v: a.mul_sparse(v, se))
 
 
-def row_span(a: Algebra, e, vectors) -> Subspace:
-    """Span of e*X for X the given vectors (the row e*A when None)."""
-    se = sparse(a.field, e)
-    return _image_span(a, vectors, lambda v: a.mul_sparse(se, v))
+def row_span(a: Algebra, e, space: Subspace | None) -> Subspace:
+    """Span of e*X for X a subspace (the row e*A when None)."""
+    se = _as_sparse(a.field, e)
+    return _image_span(a, space, lambda v: a.mul_sparse(se, v))
 
 
-def corner_span(a: Algebra, e, vectors) -> Subspace:
-    """Span of e*X*e for X the given vectors (the corner eAe when None)."""
-    se = sparse(a.field, e)
-    return _image_span(a, vectors, lambda v: a.mul_sparse(se, a.mul_sparse(v, se)))
+def corner_span(a: Algebra, e, space: Subspace | None) -> Subspace:
+    """Span of e*X*e for X a subspace (the corner eAe when None)."""
+    se = _as_sparse(a.field, e)
+    return _image_span(a, space, lambda v: a.mul_sparse(se, a.mul_sparse(v, se)))
 
 
 def product_rank(a: Algebra, pairs, base: Subspace | None = None) -> tuple[int, int]:
     """Domain dimension and rank of multiplication from the sum of X (x) Y to A.
 
-    ``pairs`` yields (X, Y) lists of vectors of A, each X (x) Y of dimension
-    |X|*|Y|.  With ``base`` the rank is taken modulo that subspace, i.e.
-    dim(base + image) - dim(base).
+    ``pairs`` yields (X, Y) subspaces of A, X (x) Y of dimension
+    dim X * dim Y.  With ``base`` the rank is taken modulo that subspace,
+    i.e. dim(base + image) - dim(base).
     """
-    f = a.field
-    acc = Echelon(f, a.dim)
-    if base is not None:
-        for v in base.basis:
-            acc.insert(sparse(f, v))
+    acc = Echelon(a.field, a.dim, base)
     start = acc.dim
     domain = 0
     for xs, ys in pairs:
-        domain += len(xs) * len(ys)
-        sparse_ys = [sparse(f, y) for y in ys]
-        for x in xs:
-            sx = sparse(f, x)
-            for sy in sparse_ys:
-                prod = a.mul_sparse(sx, sy)
+        domain += xs.dim * ys.dim
+        for x in xs.rows.values():
+            for y in ys.rows.values():
+                prod = a.mul_sparse(x, y)
                 if prod:
                     acc.insert(prod)
     return domain, acc.dim - start
 
 
 class QuotientMap:
-    """Projection data for an algebra quotient A -> A/J."""
+    """Projection data for an algebra quotient A -> A/J; the quotient's basis
+    is the ambient coordinates that are not pivots of J."""
 
-    __slots__ = ("source", "target", "ideal", "_complement")
+    __slots__ = ("source", "target", "ideal", "complement", "_index")
 
-    def __init__(self, source: Algebra, target: Algebra, ideal: AlgSubspace, complement):
+    def __init__(self, source: Algebra, ideal: AlgSubspace):
         self.source = source
-        self.target = target
+        self.target = None
         self.ideal = ideal
-        self._complement = complement
+        self.complement = ideal.space.complement_coords()
+        self._index = {c: t for t, c in enumerate(self.complement)}
+
+    def project_sparse(self, vec: dict) -> dict:
+        index = self._index
+        return {index[c]: x for c, x in self.ideal.space.reduce(vec).items()}
 
     def project(self, vec) -> tuple:
-        reduced = self.ideal.space.reduce(vec)
-        return tuple(reduced[c] for c in self._complement)
-
-    def lift(self, vec) -> tuple:
+        """Dense image of a dense element."""
         f = self.source.field
-        out = [f.zero] * self.source.dim
-        for c, x in zip(self._complement, vec):
-            out[c] = x
-        return tuple(out)
+        return densify(f, self.project_sparse(sparse(f, vec)), len(self.complement))
+
+    def lift_sparse(self, vec: dict) -> dict:
+        return {self.complement[t]: x for t, x in vec.items()}
 
 
 def quotient(a: Algebra, j: AlgSubspace) -> tuple[Algebra, QuotientMap]:
     """Quotient algebra by a verified two-sided ideal, with its projection."""
     if j.closure_kind != AlgSubspace.IDEAL:
         raise AlgebraError("quotient requires a verified two-sided ideal")
-    f = a.field
-    comp = j.space.complement_coords()
-    index = {c: t for t, c in enumerate(comp)}
-    labels = [a.labels[c] for c in comp]
-
-    def project_sparse(vec: dict) -> dict:
-        dense = j.space.reduce(densify(f, vec, a.dim))
-        return {index[c]: dense[c] for c in comp if dense[c] != f.zero}
-
-    mult = []
-    for x in comp:
-        per = []
-        for y in comp:
-            prod = project_sparse(dict(a.mult[x][y]))
-            per.append(tuple(sorted(prod.items())))
-        mult.append(tuple(per))
-    unit = densify(f, project_sparse(sparse(f, a.unit)), len(comp))
-    q = Algebra(f, labels, mult, unit)
-    return q, QuotientMap(a, q, j, comp)
+    qmap = QuotientMap(a, j)
+    comp = qmap.complement
+    mult = [
+        tuple(tuple(sorted(qmap.project_sparse(dict(a.mult[x][y])).items())) for y in comp)
+        for x in comp
+    ]
+    q = Algebra(a.field, [a.labels[c] for c in comp], mult, qmap.project(a.unit))
+    qmap.target = q
+    return q, qmap
 
 
 def quotient_frame(frame: IdempotentFrame, qmap: QuotientMap) -> IdempotentFrame:
@@ -518,15 +488,16 @@ def quotient_frame(frame: IdempotentFrame, qmap: QuotientMap) -> IdempotentFrame
 
 
 class CornerMap:
-    """Inclusion data for a corner algebra eAe -> A."""
+    """Inclusion data for a corner algebra eAe -> A: the corner's basis is
+    the rows of ``space``."""
 
-    __slots__ = ("source", "corner", "idempotent", "rows")
+    __slots__ = ("source", "corner", "idempotent", "space")
 
-    def __init__(self, source: Algebra, corner: Algebra, idempotent, rows):
+    def __init__(self, source: Algebra, corner: Algebra, idempotent, space: Subspace):
         self.source = source
         self.corner = corner
         self.idempotent = tuple(idempotent)
-        self.rows = rows
+        self.space = space
 
 
 def corner(a: Algebra, e) -> tuple[Algebra, CornerMap]:
@@ -536,42 +507,50 @@ def corner(a: Algebra, e) -> tuple[Algebra, CornerMap]:
     if not a.is_idempotent(e):
         raise AlgebraError("corner requires an idempotent element")
     sub = corner_span(a, e, None)
-    rows = sub.basis
-    labels = [f"c_{a.labels[p]}" for p in sub.pivots()]
+    rows = sub.rows.values()
+    labels = [f"c_{a.labels[p]}" for p in sub.rows]
     mult = []
     for u in rows:
         per = []
         for v in rows:
-            coords = sub.coords(a.mul(u, v))
+            coords = sub.coords(a.mul_sparse(u, v))
             if coords is None:
                 raise AlgebraError("corner is not multiplicatively closed (bug)")
-            per.append(tuple((k, c) for k, c in enumerate(coords) if c != f.zero))
+            per.append(tuple(coords.items()))
         mult.append(tuple(per))
-    unit_coords = sub.coords(e)
+    unit_coords = sub.coords(sparse(f, e))
     if unit_coords is None:
         raise AlgebraError("corner does not contain its unit (bug)")
-    c = Algebra(f, labels, mult, unit_coords)
-    return c, CornerMap(a, c, e, rows)
+    c = Algebra(f, labels, mult, densify(f, unit_coords, sub.dim))
+    return c, CornerMap(a, c, e, sub)
 
 
 # radical -----------------------------------------------------------------
 
 
 def _trace_form_kernel(a: Algebra) -> Subspace:
+    """Kernel of the form (x, y) -> tr(L_xy) on the standard basis."""
     f = a.field
+    traces = []
+    for m in range(a.dim):
+        t = f.zero
+        for k in range(a.dim):
+            for idx, c in a.mult[m][k]:
+                if idx == k:
+                    t = f.add(t, c)
+        traces.append(t)
     rows = []
-    prods = [[dict(a.mult[i][j]) for j in range(a.dim)] for i in range(a.dim)]
-    traces = [a.trace_left(a.basis_vector(m)) for m in range(a.dim)]
     for i in range(a.dim):
-        row = []
+        row = {}
         for j in range(a.dim):
             t = f.zero
-            for m, c in prods[i][j].items():
-                if traces[m] != f.zero:
+            for m, c in a.mult[i][j]:
+                if traces[m]:
                     t = f.add(t, f.mul(c, traces[m]))
-            row.append(t)
+            if t:
+                row[j] = t
         rows.append(row)
-    return kernel(Matrix(f, rows, a.dim)) if a.dim else Subspace(f, 0)
+    return null_space(f, a.dim, rows)
 
 
 def _trace_power_mod(rows, exp: int, modulus: int) -> int:
@@ -648,31 +627,30 @@ def _radical_charp(a: Algebra, seed: Subspace | None = None) -> Subspace:
         return out
 
     if seed is None:
-        current, power = span(f, n, [a.basis_vector(i) for i in range(n)]), 1
+        current, power = full_space(f, n), 1
     else:
         current, power = seed, p
     # power = p^(i-1) at step i; the chain ends with the first power >= n.
     while current.dim and power // p < n:
-        rows_amb = list(current.basis)
-        s = len(rows_amb)
+        rows = list(current.rows.values())
+        s = len(rows)
         modulus = power * p
-        sparse_rows = [sparse(f, v) for v in rows_amb]
-        form = [[0] * s for _ in range(s)]
+        form = [{} for _ in range(s)]
         for r in range(s):
             for t in range(r, s):
-                prod = a.mul_sparse(sparse_rows[r], sparse_rows[t])
+                prod = a.mul_sparse(rows[r], rows[t])
                 if prod:
                     tr = _trace_power_mod(left_matrix_int(prod), power, modulus)
-                    form[r][t] = form[t][r] = (tr // power) % p
-        ker = kernel(Matrix(f, form, s))
+                    val = (tr // power) % p
+                    if val:
+                        form[r][t] = form[t][r] = val
         vecs = []
-        for combo in ker.basis:
-            vec = [f.zero] * n
-            for idx, c in enumerate(combo):
-                if c != f.zero:
-                    vec = [f.add(x, f.mul(c, y)) for x, y in zip(vec, rows_amb[idx])]
+        for combo in null_space(f, s, form).rows.values():
+            vec: dict = {}
+            for idx, c in combo.items():
+                add_scaled(f, vec, c, rows[idx])
             vecs.append(vec)
-        current = span(f, n, vecs)
+        current = sparse_span(f, n, vecs)
         power *= p
     return current
 
@@ -684,16 +662,15 @@ def _check_nilpotent(a: Algebra, sub: Subspace) -> bool:
     check stops there with False.
     """
     f = a.field
-    gens = [sparse(f, v) for v in sub.basis]
+    gens = sub.rows.values()
     power = sub
     for _ in range(a.dim + 1):
         if power.dim == 0:
             return True
         acc = Echelon(f, a.dim)
-        for u in power.basis:
-            su = sparse(f, u)
+        for u in power.rows.values():
             for v in gens:
-                prod = a.mul_sparse(su, v)
+                prod = a.mul_sparse(u, v)
                 if prod:
                     acc.insert(prod)
         nxt = acc.to_subspace()
@@ -741,7 +718,11 @@ def is_elementary(a: Algebra, frame: IdempotentFrame) -> bool:
     if a.dim - rad.dim != len(frame):
         return False
     q, qmap = quotient(a, rad)
-    return all(corner_span(q, qmap.project(e), None).dim == 1 for e in frame.idempotents)
+    f = a.field
+    return all(
+        corner_span(q, qmap.project_sparse(sparse(f, e)), None).dim == 1
+        for e in frame.idempotents
+    )
 
 
 def is_primitive_idempotent(a: Algebra, e) -> bool:
@@ -804,17 +785,12 @@ def tensor_dim_over_corner(a: Algebra, e) -> int:
     dim_m, dim_n = m_space.dim, n_space.dim
     if dim_m == 0 or dim_n == 0:
         return 0
-    m_rows = [sparse(f, v) for v in m_space.basis]
-    n_rows = [sparse(f, v) for v in n_space.basis]
-
-    def coords(space: Subspace, prod: dict) -> dict:
-        return sparse(f, space.coords(densify(f, prod, a.dim))) if prod else {}
-
+    m_rows = m_space.rows.values()
+    n_rows = n_space.rows.values()
     relations = Echelon(f, dim_m * dim_n)
-    for r in corner_span(a, e, None).basis:
-        sr = sparse(f, r)
-        xr = [coords(m_space, a.mul_sparse(x, sr)) for x in m_rows]
-        ry = [coords(n_space, a.mul_sparse(sr, y)) for y in n_rows]
+    for sr in corner_span(a, e, None).rows.values():
+        xr = [m_space.coords(a.mul_sparse(x, sr)) for x in m_rows]
+        ry = [n_space.coords(a.mul_sparse(sr, y)) for y in n_rows]
         # x r (x) y - x (x) r y for every basis pair (x, y)
         for xi, left in enumerate(xr):
             for yj, right in enumerate(ry):

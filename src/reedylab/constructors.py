@@ -26,8 +26,8 @@ from .algebra import (
     validate,
 )
 from .fields import Field
-from .linalg import Echelon, densify, span, sparse
-from .qh import peirce_blocks
+from .linalg import Echelon, add_scaled, densify, sparse, sparse_span
+from .qh import directedness
 from .reedy import ReedyStructure, verify_reedy
 
 
@@ -159,8 +159,7 @@ def build_quiver_algebra(pres: QuiverPresentation, field: Field):
     index = {c: t for t, c in enumerate(comp)}
 
     def reduce_coord_vec(vec: dict) -> dict:
-        dense = rel_sub.reduce(densify(field, vec, total))
-        return {index[c]: dense[c] for c in comp if dense[c] != field.zero}
+        return {index[c]: x for c, x in rel_sub.reduce(vec).items()}
 
     reduce_memo: dict = {}
 
@@ -317,10 +316,10 @@ def build_simplex_algebra(n: int, field: Field) -> ReedyStructure:
         [f"e{i}" for i in range(n + 1)],
         list(range(n + 1)),
     )
-    inj_vecs = [algebra.basis_vector(pos[m]) for m in basis if m.is_injective()]
-    surj_vecs = [algebra.basis_vector(pos[m]) for m in basis if m.is_surjective()]
-    aplus = AlgSubspace(algebra, span(field, algebra.dim, inj_vecs), AlgSubspace.SUBALGEBRA)
-    aminus = AlgSubspace(algebra, span(field, algebra.dim, surj_vecs), AlgSubspace.SUBALGEBRA)
+    inj_vecs = [{pos[m]: field.one} for m in basis if m.is_injective()]
+    surj_vecs = [{pos[m]: field.one} for m in basis if m.is_surjective()]
+    aplus = AlgSubspace(algebra, sparse_span(field, algebra.dim, inj_vecs), AlgSubspace.SUBALGEBRA)
+    aminus = AlgSubspace(algebra, sparse_span(field, algebra.dim, surj_vecs), AlgSubspace.SUBALGEBRA)
     if not (aplus.is_subalgebra() and aminus.is_subalgebra()):
         raise AlgebraError("directed spans are not subalgebras (unexpected)")
     structure = ReedyStructure(algebra, frame, aplus, aminus)
@@ -381,22 +380,23 @@ def build_dual_extension(aplus_alg: Algebra, plus_frame: IdempotentFrame,
         raise AlgebraError("raising factor is not elementary")
     if not is_elementary(aminus_alg, minus_frame):
         raise AlgebraError("lowering factor is not elementary")
-    blocks_plus = peirce_blocks(plus_frame)
-    blocks_minus = peirce_blocks(minus_frame)
-    for j in range(n):
-        for i in range(n):
-            if i == j:
-                if blocks_plus[(j, i)].dim != 1 or blocks_minus[(j, i)].dim != 1:
-                    raise AlgebraError("diagonal blocks must be one-dimensional")
-                continue
-            if blocks_plus[(j, i)].dim and not plus_frame.degrees[j] > plus_frame.degrees[i]:
-                raise AlgebraError("raising factor violates directedness")
-            if blocks_minus[(j, i)].dim and not minus_frame.degrees[j] < minus_frame.degrees[i]:
-                raise AlgebraError("lowering factor violates directedness")
+    reports = {
+        "raising": directedness(plus_frame, plus_frame.degrees, True),
+        "lowering": directedness(minus_frame, minus_frame.degrees, False),
+    }
+    if any(v["kind"] == "diagonal" for rep in reports.values() for v in rep["violations"]):
+        raise AlgebraError("diagonal blocks must be one-dimensional")
+    for name, rep in reports.items():
+        if not rep["ok"]:
+            raise AlgebraError(f"{name} factor violates directedness")
 
-    # Columns A+ e_l and rows e_l A-.
-    cols = [column_span(aplus_alg, None, e) for e in plus_frame.idempotents]
-    rows = [row_span(aminus_alg, e, None) for e in minus_frame.idempotents]
+    # Columns A+ e_l and rows e_l A-, with sparse frame idempotents.
+    e_plus = [sparse(f, e) for e in plus_frame.idempotents]
+    e_minus = [sparse(f, e) for e in minus_frame.idempotents]
+    cols = [column_span(aplus_alg, None, e) for e in e_plus]
+    rows = [row_span(aminus_alg, e, None) for e in e_minus]
+    col_rows = [list(c.rows.values()) for c in cols]
+    row_rows = [list(r.rows.values()) for r in rows]
 
     offsets = []
     total = 0
@@ -407,36 +407,23 @@ def build_dual_extension(aplus_alg: Algebra, plus_frame: IdempotentFrame,
     def slot(l, xi, yj):
         return offsets[l] + xi * rows[l].dim + yj
 
+    def split(rad: AlgSubspace, e: dict, v: dict, name: str):
+        """v in e X (or X e) as lam * e + a radical part: (lam, v - lam * e)."""
+        e_resid = rad.space.reduce(e)
+        if not e_resid:
+            raise AlgebraError(f"degenerate idempotent in {name} factor")
+        c = min(e_resid)
+        lam = f.div(rad.space.reduce(v).get(c, f.zero), e_resid[c])
+        rest = dict(v)
+        add_scaled(f, rest, f.neg(lam), e)
+        return lam, rest
+
     rad_plus = radical(aplus_alg)
     rad_minus = radical(aminus_alg)
-
-    def split_minus(l: int, y):
-        """y in e_l A- as (scalar along e_l, radical part)."""
-        resid = rad_minus.space.reduce(y)
-        e_resid = rad_minus.space.reduce(minus_frame.idempotents[l])
-        lam = None
-        for c, base in enumerate(e_resid):
-            if base != f.zero:
-                lam = f.div(resid[c], base)
-                break
-        if lam is None:
-            raise AlgebraError("degenerate idempotent in lowering factor")
-        rad_part = tuple(
-            f.sub(vy, f.mul(lam, ve)) for vy, ve in zip(y, minus_frame.idempotents[l])
-        )
-        return lam, rad_part
-
-    def split_plus(m: int, x):
-        resid = rad_plus.space.reduce(x)
-        e_resid = rad_plus.space.reduce(plus_frame.idempotents[m])
-        mu = None
-        for c, base in enumerate(e_resid):
-            if base != f.zero:
-                mu = f.div(resid[c], base)
-                break
-        if mu is None:
-            raise AlgebraError("degenerate idempotent in raising factor")
-        return mu
+    # x in A+ e_m contributes its scalar mu; y in e_l A- its scalar and radical part
+    mus = [[split(rad_plus, e_plus[m], x, "raising")[0] for x in col_rows[m]] for m in range(n)]
+    minus_parts = [[split(rad_minus, e_minus[l], y, "lowering") for y in row_rows[l]]
+                   for l in range(n)]
 
     labels = []
     for l in range(n):
@@ -444,102 +431,72 @@ def build_dual_extension(aplus_alg: Algebra, plus_frame: IdempotentFrame,
             for yj in range(rows[l].dim):
                 labels.append(f"t{l}_{xi}_{yj}")
 
+    def span_coords(space, prod: dict, what: str) -> dict:
+        coords = space.coords(prod)
+        if coords is None:
+            raise AlgebraError(f"{what} span not closed (unexpected)")
+        return coords
+
     mult = [[{} for _ in range(total)] for _ in range(total)]
     for l in range(n):
         for m in range(n):
-            for xi, x in enumerate(cols[l].basis):
-                for yj, y in enumerate(rows[l].basis):
-                    lam, y_rad = split_minus(l, y)
-                    for xk, xp in enumerate(cols[m].basis):
-                        mu = split_plus(m, xp)
-                        for yl, yp in enumerate(rows[m].basis):
+            for xi, x in enumerate(col_rows[l]):
+                for yj, (lam, y_rad) in enumerate(minus_parts[l]):
+                    for xk, xp in enumerate(col_rows[m]):
+                        mu = mus[m][xk]
+                        for yl, yp in enumerate(row_rows[m]):
                             acc: dict = {}
                             # mu * x (x) (y_rad * y')   [component l]
-                            if mu != f.zero and any(v != f.zero for v in y_rad):
-                                prod = aminus_alg.mul(y_rad, yp)
-                                coords = rows[l].coords(prod)
-                                if coords is None:
-                                    raise AlgebraError("row span not closed (unexpected)")
-                                for c, v in enumerate(coords):
-                                    if v != f.zero:
-                                        acc[slot(l, xi, c)] = f.mul(mu, v)
+                            if mu and y_rad:
+                                prod = aminus_alg.mul_sparse(y_rad, yp)
+                                for c, v in span_coords(rows[l], prod, "row").items():
+                                    acc[slot(l, xi, c)] = f.mul(mu, v)
                             # lam * (x * x') (x) y'    [component m]
-                            if lam != f.zero:
-                                prod = aplus_alg.mul(x, xp)
-                                coords = cols[m].coords(prod)
-                                if coords is None:
-                                    raise AlgebraError("column span not closed (unexpected)")
-                                for c, v in enumerate(coords):
-                                    if v != f.zero:
-                                        key = slot(m, c, yl)
-                                        val = f.add(acc.get(key, f.zero), f.mul(lam, v))
-                                        if val == f.zero:
-                                            acc.pop(key, None)
-                                        else:
-                                            acc[key] = val
+                            if lam:
+                                prod = aplus_alg.mul_sparse(x, xp)
+                                coords = span_coords(cols[m], prod, "column")
+                                add_scaled(f, acc, lam, {slot(m, c, yl): v for c, v in coords.items()})
                             if acc:
                                 mult[slot(l, xi, yj)][slot(m, xk, yl)] = acc
     mult_rows = tuple(
         tuple(tuple(sorted(mult[x][y].items())) for y in range(total)) for x in range(total)
     )
 
-    def embed_pair(l, pvec, mvec) -> dict:
+    def embed_pair(l, pvec: dict, mvec: dict) -> dict:
         pc = cols[l].coords(pvec)
         mc = rows[l].coords(mvec)
         if pc is None or mc is None:
             raise AlgebraError("embedding outside the component spans")
-        out = {}
-        for xi, va in enumerate(pc):
-            if va == f.zero:
-                continue
-            for yj, vb in enumerate(mc):
-                if vb != f.zero:
-                    out[slot(l, xi, yj)] = f.mul(va, vb)
-        return out
+        return {slot(l, xi, yj): f.mul(va, vb) for xi, va in pc.items() for yj, vb in mc.items()}
 
-    unit_vec = [f.zero] * total
-    for l in range(n):
-        for key, v in embed_pair(l, plus_frame.idempotents[l], minus_frame.idempotents[l]).items():
-            unit_vec[key] = f.add(unit_vec[key], v)
-    algebra = Algebra(f, labels, mult_rows, unit_vec)
+    idems = [embed_pair(i, e_plus[i], e_minus[i]) for i in range(n)]
+    unit_vec: dict = {}
+    for e in idems:
+        add_scaled(f, unit_vec, f.one, e)
+    algebra = Algebra(f, labels, mult_rows, densify(f, unit_vec, total))
     diag = validate(algebra)
     if not diag["valid"]:
         raise AlgebraError(f"dual extension failed associativity: {diag['violations'][:3]}")
+    frame = IdempotentFrame(
+        algebra, [densify(f, e, total) for e in idems], plus_frame.labels, plus_frame.degrees
+    )
 
-    idems = []
-    for i in range(n):
-        vec = [f.zero] * total
-        for key, v in embed_pair(i, plus_frame.idempotents[i], minus_frame.idempotents[i]).items():
-            vec[key] = v
-        idems.append(tuple(vec))
-    frame = IdempotentFrame(algebra, idems, plus_frame.labels, plus_frame.degrees)
-
-    def embed_plus(b) -> tuple:
-        out = [f.zero] * total
-        sb = sparse(f, b)
+    def embed(b: dict, plus: bool) -> dict:
+        """b in A+ as the sum of b e_l (x) e_l, or c in A- as the sum of e_l (x) e_l c."""
+        out: dict = {}
         for l in range(n):
-            be = aplus_alg.mul_sparse(sb, sparse(f, plus_frame.idempotents[l]))
-            if not be:
-                continue
-            dense = densify(f, be, aplus_alg.dim)
-            for key, v in embed_pair(l, dense, minus_frame.idempotents[l]).items():
-                out[key] = f.add(out[key], v)
-        return tuple(out)
+            if plus:
+                piece = aplus_alg.mul_sparse(b, e_plus[l])
+                pair = (piece, e_minus[l])
+            else:
+                piece = aminus_alg.mul_sparse(e_minus[l], b)
+                pair = (e_plus[l], piece)
+            if piece:
+                add_scaled(f, out, f.one, embed_pair(l, *pair))
+        return out
 
-    def embed_minus(c) -> tuple:
-        out = [f.zero] * total
-        sc = sparse(f, c)
-        for l in range(n):
-            ec = aminus_alg.mul_sparse(sparse(f, minus_frame.idempotents[l]), sc)
-            if not ec:
-                continue
-            dense = densify(f, ec, aminus_alg.dim)
-            for key, v in embed_pair(l, plus_frame.idempotents[l], dense).items():
-                out[key] = f.add(out[key], v)
-        return tuple(out)
-
-    plus_span = span(f, total, [embed_plus(aplus_alg.basis_vector(k)) for k in range(aplus_alg.dim)])
-    minus_span = span(f, total, [embed_minus(aminus_alg.basis_vector(k)) for k in range(aminus_alg.dim)])
+    plus_span = sparse_span(f, total, (embed({k: f.one}, True) for k in range(aplus_alg.dim)))
+    minus_span = sparse_span(f, total, (embed({k: f.one}, False) for k in range(aminus_alg.dim)))
     aplus = AlgSubspace(algebra, plus_span, AlgSubspace.SUBALGEBRA)
     aminus = AlgSubspace(algebra, minus_span, AlgSubspace.SUBALGEBRA)
     if not (aplus.is_subalgebra() and aminus.is_subalgebra()):
@@ -559,35 +516,23 @@ def build_tensor_reedy(r1: ReedyStructure, r2: ReedyStructure) -> ReedyStructure
     f = a.field
     c = tensor_algebras(a, b)
 
-    def outer(u, v) -> tuple:
-        out = [f.zero] * (a.dim * b.dim)
-        for i, x in enumerate(u):
-            if x == f.zero:
-                continue
-            for j, y in enumerate(v):
-                if y != f.zero:
-                    out[i * b.dim + j] = f.mul(x, y)
-        return tuple(out)
+    def outer(u: dict, v: dict) -> dict:
+        return {i * b.dim + j: f.mul(x, y) for i, x in u.items() for j, y in v.items()}
+
+    def outer_span(x: AlgSubspace, y: AlgSubspace) -> AlgSubspace:
+        rows = (outer(u, v) for u in x.space.rows.values() for v in y.space.rows.values())
+        return AlgSubspace(c, sparse_span(f, c.dim, rows), AlgSubspace.SUBALGEBRA)
 
     idems, labels, degrees = [], [], []
     for i in range(len(r1.frame)):
         for j in range(len(r2.frame)):
-            idems.append(outer(r1.frame.idempotents[i], r2.frame.idempotents[j]))
+            e = outer(sparse(f, r1.frame.idempotents[i]), sparse(f, r2.frame.idempotents[j]))
+            idems.append(densify(f, e, c.dim))
             labels.append(f"{r1.frame.labels[i]}*{r2.frame.labels[j]}")
             degrees.append(r1.frame.degrees[i] + r2.frame.degrees[j])
     frame = IdempotentFrame(c, idems, labels, degrees)
-    plus_span = span(
-        f, c.dim,
-        [outer(u, v) for u in r1.aplus.space.basis for v in r2.aplus.space.basis],
-    )
-    minus_span = span(
-        f, c.dim,
-        [outer(u, v) for u in r1.aminus.space.basis for v in r2.aminus.space.basis],
-    )
     structure = ReedyStructure(
-        c, frame,
-        AlgSubspace(c, plus_span, AlgSubspace.SUBALGEBRA),
-        AlgSubspace(c, minus_span, AlgSubspace.SUBALGEBRA),
+        c, frame, outer_span(r1.aplus, r2.aplus), outer_span(r1.aminus, r2.aminus)
     )
     if not verify_reedy(structure)["overall"]:
         raise AlgebraError("tensor structure does not verify (unexpected)")

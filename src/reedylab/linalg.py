@@ -1,13 +1,16 @@
-"""Exact dense linear algebra: canonical RREF, kernels and subspace arithmetic.
+"""Exact linear algebra: canonical subspaces on sparse echelon rows.
 
-Subspaces are stored by their reduced row-echelon basis, which is unique,
-so two subspaces are equal iff their basis matrices are identical.  That
-canonical form is what every higher layer uses to compare spaces and to
-emit deterministic reports.
+A subspace is held by its reduced row-echelon basis, which is unique, so
+two subspaces are equal iff their rows are.  A row is a sparse dict
+column -> nonzero scalar whose entry at its pivot (its smallest column) is
+1 and whose entries at the other pivots are 0.  ``Echelon`` is the one
+elimination engine: it builds those rows incrementally, and every span,
+kernel, sum and intersection runs on it.  ``Subspace.basis`` is a dense
+view for output only.
 
-Internally a sparse echelon accumulator is provided for incremental span
-and rank computations in large ambient spaces (relation spans of tensor
-products); its final basis is re-emitted in the same canonical form.
+``Matrix`` and ``rref`` are a dense reference implementation, kept for
+callers that hold dense matrices and as a test oracle for the sparse
+engine; nothing else in the package uses them.
 """
 
 from __future__ import annotations
@@ -60,7 +63,6 @@ def rref(m: Matrix) -> tuple[Matrix, int]:
     rows = [list(r) for r in m.rows]
     nrows, ncols = m.nrows, m.ncols
     pivot_row = 0
-    pivots = []
     for col in range(ncols):
         sel = None
         for r in range(pivot_row, nrows):
@@ -78,209 +80,137 @@ def rref(m: Matrix) -> tuple[Matrix, int]:
                 c = rows[r][col]
                 src = rows[pivot_row]
                 rows[r] = [f.sub(x, f.mul(c, y)) for x, y in zip(rows[r], src)]
-        pivots.append(col)
         pivot_row += 1
         if pivot_row == nrows:
             break
     return Matrix(f, rows, ncols), pivot_row
 
 
+def sparse(field: Field, vec) -> dict:
+    return {c: x for c, x in enumerate(vec) if x != field.zero}
+
+
+def densify(field: Field, vec: dict, n: int) -> tuple:
+    out = [field.zero] * n
+    for c, x in vec.items():
+        out[c] = x
+    return tuple(out)
+
+
+def add_scaled(f: Field, target: dict, coeff, source: dict) -> None:
+    """target += coeff * source for sparse vectors, in place, dropping
+    entries that vanish."""
+    for c, x in source.items():
+        val = f.add(target.get(c, f.zero), f.mul(coeff, x))
+        if val:
+            target[c] = val
+        else:
+            target.pop(c, None)
+
+
+def _reduce(f: Field, rows: dict, vec: dict) -> dict:
+    """Residue of a sparse vector modulo fully reduced rows (a copy).
+
+    Each row is zero at every other pivot, so one pass over the pivots the
+    vector starts with clears them all.
+    """
+    v = {c: x for c, x in vec.items() if x}
+    for c in [c for c in v if c in rows]:
+        add_scaled(f, v, f.neg(v[c]), rows[c])
+    return v
+
+
 class Subspace:
-    """A subspace of k^n held by its canonical RREF basis (no zero rows)."""
+    """A subspace of k^n held by its reduced echelon rows.
 
-    __slots__ = ("field", "ambient_dim", "basis", "_pivots", "_pivot_row")
+    ``rows`` maps each pivot, in increasing order, to its sparse row.  The
+    rows are shared, never mutated: build new spaces with ``Echelon``.
+    """
 
-    def __init__(self, field: Field, ambient_dim: int, basis=()):
+    __slots__ = ("field", "ambient_dim", "rows")
+
+    def __init__(self, field: Field, ambient_dim: int, rows: dict | None = None):
         self.field = field
         self.ambient_dim = ambient_dim
-        self.basis = tuple(tuple(v) for v in basis)
-        self._pivots = None
-        self._pivot_row = None
+        self.rows = rows if rows is not None else {}
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.rows)
+
+    @property
+    def basis(self) -> tuple:
+        """The rows as dense tuples in pivot order, built on each call (output only)."""
+        return tuple(densify(self.field, row, self.ambient_dim) for row in self.rows.values())
 
     def pivots(self) -> tuple[int, ...]:
-        if self._pivots is None:
-            f = self.field
-            piv = []
-            for row in self.basis:
-                for c, x in enumerate(row):
-                    if x != f.zero:
-                        piv.append(c)
-                        break
-            self._pivots = tuple(piv)
-            self._pivot_row = {c: row for c, row in zip(piv, self.basis)}
-        return self._pivots
+        return tuple(self.rows)
 
-    def pivot_rows(self) -> dict:
-        self.pivots()
-        return self._pivot_row
+    def reduce(self, vec: dict) -> dict:
+        """Residue of a sparse vector after eliminating this subspace's pivots."""
+        return _reduce(self.field, self.rows, vec)
 
-    def reduce(self, vec) -> tuple:
-        """Residue of ``vec`` after eliminating this subspace's pivots."""
-        f = self.field
-        rows = self.pivot_rows()
-        v = list(vec)
-        for c in self.pivots():
-            coeff = v[c]
-            if coeff != f.zero:
-                row = rows[c]
-                v = [f.sub(x, f.mul(coeff, y)) for x, y in zip(v, row)]
-        return tuple(v)
+    def contains(self, vec: dict) -> bool:
+        return not self.reduce(vec)
 
-    def contains(self, vec) -> bool:
-        f = self.field
-        return all(x == f.zero for x in self.reduce(vec))
-
-    def coords(self, vec):
-        """Coefficients of ``vec`` in the RREF basis, or None if outside."""
-        if not self.contains(vec):
+    def coords(self, vec: dict):
+        """Coefficients {row index: scalar} of a sparse vector, or None if outside."""
+        if self.reduce(vec):
             return None
-        return tuple(vec[c] for c in self.pivots())
+        return {t: vec[p] for t, p in enumerate(self.rows) if vec.get(p)}
+
+    def coords_span(self, sub: "Subspace") -> "Subspace":
+        """A subspace of this one, in coordinates on this space's rows."""
+        return sparse_span(self.field, self.dim, (self.coords(v) for v in sub.rows.values()))
 
     def complement_coords(self) -> tuple[int, ...]:
         """Ambient coordinates not used as pivots (a complement basis)."""
-        piv = set(self.pivots())
-        return tuple(c for c in range(self.ambient_dim) if c not in piv)
+        return tuple(c for c in range(self.ambient_dim) if c not in self.rows)
 
     def __eq__(self, other):
         return (
             isinstance(other, Subspace)
             and self.field == other.field
             and self.ambient_dim == other.ambient_dim
-            and self.basis == other.basis
+            and self.rows == other.rows
         )
 
     def __hash__(self):
-        return hash((self.field, self.ambient_dim, self.basis))
+        return hash((self.field, self.ambient_dim, self.pivots()))
 
     def __repr__(self):
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"
 
 
-def subspace_from_matrix(m: Matrix) -> Subspace:
-    red, rank = rref(m)
-    return Subspace(m.field, m.ncols, red.rows[:rank])
-
-
-def span(field: Field, ambient_dim: int, vectors) -> Subspace:
-    vectors = list(vectors)
-    if not vectors:
-        return Subspace(field, ambient_dim)
-    return subspace_from_matrix(Matrix(field, vectors, ambient_dim))
-
-
-def kernel(m: Matrix) -> Subspace:
-    """Right null space of ``m`` as a canonical subspace of k^ncols."""
-    f = m.field
-    red, rank = rref(m)
-    pivots = []
-    for row in red.rows[:rank]:
-        for c, x in enumerate(row):
-            if x != f.zero:
-                pivots.append(c)
-                break
-    pivot_set = set(pivots)
-    free = [c for c in range(m.ncols) if c not in pivot_set]
-    basis = []
-    for fc in free:
-        v = [f.zero] * m.ncols
-        v[fc] = f.one
-        for r, pc in enumerate(pivots):
-            v[pc] = f.neg(red.rows[r][fc])
-        basis.append(v)
-    return span(f, m.ncols, basis)
-
-
-def subspace_sum(u: Subspace, v: Subspace) -> Subspace:
-    if u.ambient_dim != v.ambient_dim or u.field != v.field:
-        raise ValueError("ambient mismatch")
-    return span(u.field, u.ambient_dim, list(u.basis) + list(v.basis))
-
-
-def subspace_intersect(u: Subspace, v: Subspace) -> Subspace:
-    """Largest common subspace, via the kernel of the stacked coefficient map."""
-    if u.ambient_dim != v.ambient_dim or u.field != v.field:
-        raise ValueError("ambient mismatch")
-    if u.dim == 0 or v.dim == 0:
-        return Subspace(u.field, u.ambient_dim)
-    f = u.field
-    # Columns: coefficients (a, b) with a*U = b*V, encoded as [U^T | -V^T].
-    cols = u.dim + v.dim
-    rows = []
-    for c in range(u.ambient_dim):
-        row = [u.basis[i][c] for i in range(u.dim)]
-        row += [f.neg(v.basis[j][c]) for j in range(v.dim)]
-        rows.append(row)
-    ker = kernel(Matrix(f, rows, cols))
-    vecs = []
-    for combo in ker.basis:
-        vec = [f.zero] * u.ambient_dim
-        for i in range(u.dim):
-            a = combo[i]
-            if a != f.zero:
-                row = u.basis[i]
-                vec = [f.add(x, f.mul(a, y)) for x, y in zip(vec, row)]
-        vecs.append(vec)
-    return span(f, u.ambient_dim, vecs)
-
-
-def contains(u: Subspace, vec) -> bool:
-    if len(vec) != u.ambient_dim:
-        raise ValueError("vector length mismatch")
-    return u.contains(vec)
-
-
 class Echelon:
     """Incremental reduced echelon basis with sparse rows.
 
-    Rows are dicts column -> nonzero scalar; pivots are the smallest
-    columns.  ``insert`` keeps the basis fully reduced, so the accumulated
-    rows convert directly into the canonical Subspace form.  Suited to the
-    very sparse spans that ideal closures and relation spans produce.
+    ``insert`` keeps every row reduced against every other pivot, so the
+    rows are at all times the canonical rows of their span.  ``start``
+    seeds the basis with (a copy of) a subspace's rows.
     """
 
     __slots__ = ("field", "ambient_dim", "rows", "_col_index")
 
-    def __init__(self, field: Field, ambient_dim: int):
+    def __init__(self, field: Field, ambient_dim: int, start: Subspace | None = None):
         self.field = field
         self.ambient_dim = ambient_dim
         self.rows: dict[int, dict] = {}
         self._col_index: dict[int, set] = {}
+        if start is not None:
+            for pivot, row in start.rows.items():
+                self.rows[pivot] = dict(row)
+                for c in row:
+                    self._col_index.setdefault(c, set()).add(pivot)
 
     @property
     def dim(self) -> int:
         return len(self.rows)
 
-    def _axpy(self, target: dict, coeff, source: dict):
-        f = self.field
-        for c, x in source.items():
-            val = f.sub(target.get(c, f.zero), f.mul(coeff, x))
-            if val == f.zero:
-                target.pop(c, None)
-            else:
-                target[c] = val
-
-    def reduce(self, vec: dict) -> dict:
-        """Eliminate existing pivots from a sparse vector (copy)."""
-        f = self.field
-        v = {c: x for c, x in vec.items() if x != f.zero}
-        while True:
-            hit = None
-            for c in v:
-                if c in self.rows:
-                    hit = c
-                    break
-            if hit is None:
-                return v
-            self._axpy(v, v[hit], self.rows[hit])
-
     def insert(self, vec: dict) -> bool:
         """Add a sparse vector to the span; True if the dimension grew."""
         f = self.field
-        v = self.reduce(vec)
+        v = _reduce(f, self.rows, vec)
         if not v:
             return False
         pivot = min(v)
@@ -294,7 +224,7 @@ class Echelon:
             if coeff is None:
                 continue
             before = set(row)
-            self._axpy(row, coeff, v)
+            add_scaled(f, row, f.neg(coeff), v)
             for c in before - set(row):
                 self._col_index[c].discard(rp)
             for c in set(row) - before:
@@ -305,23 +235,85 @@ class Echelon:
         return True
 
     def to_subspace(self) -> Subspace:
-        f = self.field
-        basis = []
-        for pivot in sorted(self.rows):
-            row = self.rows[pivot]
-            dense = [f.zero] * self.ambient_dim
-            for c, x in row.items():
-                dense[c] = x
-            basis.append(tuple(dense))
-        return Subspace(f, self.ambient_dim, basis)
+        """The span as a Subspace.  It takes the rows over: insert no more."""
+        return Subspace(self.field, self.ambient_dim, {p: self.rows[p] for p in sorted(self.rows)})
 
 
-def sparse(field: Field, vec) -> dict:
-    return {c: x for c, x in enumerate(vec) if x != field.zero}
+def sparse_span(field: Field, ambient_dim: int, rows) -> Subspace:
+    """Span of sparse vectors."""
+    acc = Echelon(field, ambient_dim)
+    for v in rows:
+        acc.insert(v)
+    return acc.to_subspace()
 
 
-def densify(field: Field, vec: dict, n: int) -> tuple:
-    out = [field.zero] * n
-    for c, x in vec.items():
-        out[c] = x
-    return tuple(out)
+def full_space(field: Field, n: int) -> Subspace:
+    return Subspace(field, n, {c: {c: field.one} for c in range(n)})
+
+
+def span(field: Field, ambient_dim: int, vectors) -> Subspace:
+    """Span of dense vectors of length ``ambient_dim``."""
+    rows = []
+    for v in vectors:
+        if len(v) != ambient_dim:
+            raise ValueError(f"vector of length {len(v)} in k^{ambient_dim}")
+        rows.append(sparse(field, [field.of(x) for x in v]))
+    return sparse_span(field, ambient_dim, rows)
+
+
+def null_space(field: Field, ncols: int, rows) -> Subspace:
+    """{x in k^ncols : r . x = 0 for every sparse row r}."""
+    ech = Echelon(field, ncols)
+    for r in rows:
+        ech.insert(r)
+    out = Echelon(field, ncols)
+    for fc in range(ncols):
+        if fc in ech.rows:
+            continue
+        # x_fc = 1, every other free coordinate 0, pivots solved from their rows
+        vec = {fc: field.one}
+        for p in ech._col_index.get(fc, ()):
+            vec[p] = field.neg(ech.rows[p][fc])
+        out.insert(vec)
+    return out.to_subspace()
+
+
+def kernel(m: Matrix) -> Subspace:
+    """Right null space of a dense matrix as a canonical subspace of k^ncols."""
+    return null_space(m.field, m.ncols, [sparse(m.field, r) for r in m.rows])
+
+
+def _check_ambient(u: Subspace, v: Subspace) -> None:
+    if u.ambient_dim != v.ambient_dim or u.field != v.field:
+        raise ValueError("ambient mismatch")
+
+
+def subspace_sum(u: Subspace, v: Subspace) -> Subspace:
+    _check_ambient(u, v)
+    acc = Echelon(u.field, u.ambient_dim, u)
+    for row in v.rows.values():
+        acc.insert(row)
+    return acc.to_subspace()
+
+
+def subspace_intersect(u: Subspace, v: Subspace) -> Subspace:
+    """Largest common subspace, by Zassenhaus: eliminate the rows (x, x) for
+    x in U and (y, 0) for y in V of k^2n; the rows with a zero first half
+    are (0, w) for w running over the canonical rows of U cap V."""
+    _check_ambient(u, v)
+    n = u.ambient_dim
+    acc = Echelon(u.field, 2 * n)
+    for x in u.rows.values():
+        acc.insert({**x, **{c + n: val for c, val in x.items()}})
+    for y in v.rows.values():
+        acc.insert(y)
+    rows = {p - n: {c - n: val for c, val in acc.rows[p].items()}
+            for p in sorted(acc.rows) if p >= n}
+    return Subspace(u.field, n, rows)
+
+
+def contains(u: Subspace, vec) -> bool:
+    """Whether a dense vector lies in ``u``."""
+    if len(vec) != u.ambient_dim:
+        raise ValueError("vector length mismatch")
+    return u.contains(sparse(u.field, vec))

@@ -18,7 +18,7 @@ from .algebra import (
     row_span,
 )
 from .fields import Field
-from .linalg import Echelon, Subspace, densify, sparse
+from .linalg import Echelon, Subspace, sparse, sparse_span
 
 
 class ModuleRep:
@@ -43,18 +43,11 @@ class ModuleRep:
 
     # actions ------------------------------------------------------------
 
-    def apply_basis(self, k: int, vec) -> tuple:
-        f = self.algebra.field
-        m = self.actions[k]
-        return tuple(f.dot(m[r], vec) for r in range(self.dim))
-
-    def action_matrix(self, x) -> tuple:
-        """Dense matrix of the action of an algebra element."""
+    def action_matrix(self, x: dict) -> tuple:
+        """Dense matrix of the action of a sparse algebra element."""
         f = self.algebra.field
         out = [[f.zero] * self.dim for _ in range(self.dim)]
-        for k, c in enumerate(x):
-            if c == f.zero:
-                continue
+        for k, c in x.items():
             mk = self.actions[k]
             for r in range(self.dim):
                 row = mk[r]
@@ -72,7 +65,7 @@ class ModuleRep:
         ident = tuple(
             tuple(f.one if r == s else f.zero for s in range(self.dim)) for r in range(self.dim)
         )
-        if self.action_matrix(a.unit) != ident:
+        if self.action_matrix(sparse(f, a.unit)) != ident:
             violations.append({"kind": "unit"})
         for i in range(a.dim):
             for j in range(a.dim):
@@ -99,12 +92,9 @@ class ModuleRep:
             return self._cache["radical_submodule"]
         f = self.algebra.field
         rad = radical(self.algebra)
-        acc = Echelon(f, self.dim)
-        for r in rad.space.basis:
-            mat = self.action_matrix(r)
-            for col in range(self.dim):
-                acc.insert({row: mat[row][col] for row in range(self.dim) if mat[row][col] != f.zero})
-        sub = acc.to_subspace()
+        sub = sparse_span(f, self.dim, (
+            col for r in rad.space.rows.values() for col in _columns(f, self.action_matrix(r))
+        ))
         self._cache["radical_submodule"] = sub
         return sub
 
@@ -112,29 +102,28 @@ class ModuleRep:
         """dim e_i * top(M) per frame index (top(M)*e_i for right modules)."""
         f = self.algebra.field
         radm = self.radical_submodule()
-        comp = radm.complement_coords()
+        index = {c: t for t, c in enumerate(radm.complement_coords())}
         out = []
         for e in frame.idempotents:
-            mat = self.action_matrix(e)
-            acc = Echelon(f, len(comp))
-            for col in range(self.dim):
-                img = [mat[row][col] for row in range(self.dim)]
-                red = radm.reduce(img)
-                acc.insert({t: red[c] for t, c in enumerate(comp) if red[c] != f.zero})
-            out.append(acc.dim)
+            mat = self.action_matrix(sparse(f, e))
+            out.append(sparse_span(f, len(index), (
+                {index[c]: x for c, x in radm.reduce(col).items()} for col in _columns(f, mat)
+            )).dim)
         return tuple(out)
 
     def comp_dim_vector(self, frame: IdempotentFrame) -> tuple[int, ...]:
         """dim e_i*M per frame index (counts composition factors when elementary)."""
         f = self.algebra.field
-        out = []
-        for e in frame.idempotents:
-            mat = self.action_matrix(e)
-            acc = Echelon(f, self.dim)
-            for col in range(self.dim):
-                acc.insert({row: mat[row][col] for row in range(self.dim) if mat[row][col] != f.zero})
-            out.append(acc.dim)
-        return tuple(out)
+        return tuple(
+            sparse_span(f, self.dim, _columns(f, self.action_matrix(sparse(f, e)))).dim
+            for e in frame.idempotents
+        )
+
+
+def _columns(f: Field, mat) -> list:
+    """The columns of a dense square matrix as sparse vectors."""
+    n = len(mat)
+    return [{r: mat[r][c] for r in range(n) if mat[r][c] != f.zero} for c in range(n)]
 
 
 def _matmul(f: Field, x, y):
@@ -169,19 +158,23 @@ def regular_module(a: Algebra, side: str = "left") -> ModuleRep:
 
 def module_from_subspace(a: Algebra, sub: Subspace, side: str = "left") -> ModuleRep:
     """Module structure on an action-stable subspace of the regular module."""
-    rows = sub.basis
+    f = a.field
     actions = []
     for k in range(a.dim):
+        bk = {k: f.one}
         cols = []
-        for v in rows:
-            img = a.mul(a.basis_vector(k), v) if side == "left" else a.mul(v, a.basis_vector(k))
-            coords = sub.coords(img)
+        for v in sub.rows.values():
+            coords = sub.coords(a.mul_sparse(bk, v) if side == "left" else a.mul_sparse(v, bk))
             if coords is None:
                 raise AlgebraError("subspace is not stable under the action")
             cols.append(coords)
-        mat = [[cols[j][r] for j in range(sub.dim)] for r in range(sub.dim)]
-        actions.append(mat)
+        actions.append(_from_columns(f, cols, sub.dim))
     return ModuleRep(a, side, sub.dim, actions)
+
+
+def _from_columns(f: Field, cols, n: int) -> list:
+    """The dense n x n matrix with the given sparse columns."""
+    return [[col.get(r, f.zero) for col in cols] for r in range(n)]
 
 
 def projective_module(a: Algebra, e, side: str = "left") -> tuple[ModuleRep, Subspace]:
@@ -194,18 +187,15 @@ def quotient_module(m: ModuleRep, sub: Subspace) -> tuple[ModuleRep, tuple[int, 
     """Quotient by an action-stable subspace; returns the complement coordinates."""
     f = m.algebra.field
     comp = sub.complement_coords()
-    d = len(comp)
+    index = {c: t for t, c in enumerate(comp)}
     actions = []
-    for k in range(m.algebra.dim):
-        cols = []
-        for c in comp:
-            basis_vec = tuple(f.one if r == c else f.zero for r in range(m.dim))
-            img = m.apply_basis(k, basis_vec)
-            red = sub.reduce(img)
-            cols.append([red[t] for t in comp])
-        mat = [[cols[j][r] for j in range(d)] for r in range(d)]
-        actions.append(mat)
-    return ModuleRep(m.algebra, m.side, d, actions), comp
+    for mk in m.actions:
+        cols = _columns(f, mk)
+        reduced = [sub.reduce(cols[c]) for c in comp]
+        actions.append(_from_columns(
+            f, [{index[t]: x for t, x in red.items()} for red in reduced], len(comp)
+        ))
+    return ModuleRep(m.algebra, m.side, len(comp), actions), comp
 
 
 def simple_module(a: Algebra, frame: IdempotentFrame, index: int, side: str = "left") -> ModuleRep:
@@ -248,9 +238,8 @@ def induce_module(a: Algebra, b_sub: AlgSubspace, m: ModuleRep) -> ModuleRep:
     dim_m = m.dim
     ambient = a.dim * dim_m
     rel = Echelon(f, ambient)
-    for bi, bvec in enumerate(rows):
+    for bi, sb in enumerate(rows):
         bmat = m.actions[bi]
-        sb = sparse(f, bvec)
         for ai in range(a.dim):
             ab = a.mul_sparse({ai: f.one}, sb)
             for mj in range(dim_m):
@@ -270,20 +259,16 @@ def induce_module(a: Algebra, b_sub: AlgSubspace, m: ModuleRep) -> ModuleRep:
                     rel.insert(vec)
     rel_sub = rel.to_subspace()
     comp = rel_sub.complement_coords()
-    d = len(comp)
+    index = {c: t for t, c in enumerate(comp)}
     actions = []
     for k in range(a.dim):
         cols = []
         for c in comp:
             ai, mj = divmod(c, dim_m)
-            img: dict = {}
-            for t, coeff in a.mult[k][ai]:
-                img[t * dim_m + mj] = coeff
-            red = rel_sub.reduce(densify(f, img, ambient))
-            cols.append([red[t] for t in comp])
-        mat = [[cols[j][r] for j in range(d)] for r in range(d)]
-        actions.append(mat)
-    return ModuleRep(a, "left", d, actions)
+            red = rel_sub.reduce({t * dim_m + mj: coeff for t, coeff in a.mult[k][ai]})
+            cols.append({index[t]: x for t, x in red.items()})
+        actions.append(_from_columns(f, cols, len(comp)))
+    return ModuleRep(a, "left", len(comp), actions)
 
 
 def is_projective_module(m: ModuleRep, frame: IdempotentFrame) -> bool:

@@ -19,13 +19,14 @@ from .algebra import (
     corner_span,
     ideal_closure,
     is_elementary,
+    product_rank,
     quotient,
     quotient_frame,
     radical,
     subalgebra_frame,
     tensor_dim_over_corner,
 )
-from .linalg import Echelon, Subspace, span, sparse
+from .linalg import Echelon, Subspace, full_space, sparse
 from .modules import (
     ModuleRep,
     induce_module,
@@ -102,17 +103,16 @@ def peirce_blocks(frame: IdempotentFrame, sub: AlgSubspace | None = None) -> dic
     f = a.field
     if sub is None:
         cache, key = frame._cache, "peirce_full"
-        vectors = [a.basis_vector(k) for k in range(a.dim)]
+        vectors = full_space(f, a.dim).rows.values()
     else:
         cache, key = sub._cache, ("peirce", frame.idempotents)
-        vectors = list(sub.space.basis)
+        vectors = sub.space.rows.values()
     if key in cache:
         return cache[key]
     n = len(frame)
     sparse_idem = [sparse(f, e) for e in frame.idempotents]
     accs = {(j, i): Echelon(f, a.dim) for j in range(n) for i in range(n)}
-    for v in vectors:
-        sv = sparse(f, v)
+    for sv in vectors:
         for j in range(n):
             left = a.mul_sparse(sparse_idem[j], sv)
             if not left:
@@ -124,6 +124,35 @@ def peirce_blocks(frame: IdempotentFrame, sub: AlgSubspace | None = None) -> dic
     blocks = {key2: acc.to_subspace() for key2, acc in accs.items()}
     cache[key] = blocks
     return blocks
+
+
+def directedness(frame: IdempotentFrame, levels, raising: bool,
+                 sub: AlgSubspace | None = None) -> dict:
+    """Directedness of the Peirce blocks of ``sub`` (of A when None).
+
+    Every diagonal block e_i X e_i must be one-dimensional, and a nonzero
+    block e_j X e_i with i != j must raise the level (level j > level i) when
+    ``raising``, lower it otherwise: Definition conditions (i) and (ii).
+    """
+    blocks = peirce_blocks(frame, sub)
+    n = len(frame)
+    diag = {}
+    violations = []
+    for i in range(n):
+        d = blocks[(i, i)].dim
+        diag[frame.labels[i]] = d
+        if d != 1:
+            violations.append({"kind": "diagonal", "at": frame.labels[i], "dim": d})
+    for j in range(n):
+        for i in range(n):
+            d = blocks[(j, i)].dim
+            if i == j or d == 0:
+                continue
+            if not (levels[j] > levels[i] if raising else levels[j] < levels[i]):
+                violations.append(
+                    {"kind": "direction", "from": frame.labels[i], "to": frame.labels[j], "dim": d}
+                )
+    return {"ok": not violations, "diagonal_dims": diag, "violations": violations}
 
 
 class LevelChain:
@@ -184,7 +213,7 @@ def heredity_ideal_check(a: Algebra, frame: IdempotentFrame, eps) -> dict:
             "tensor_bijective": True,
         }
     rad = radical(a)
-    corner_rad = corner_span(a, eps, rad.space.basis)
+    corner_rad = corner_span(a, eps, rad.space)
     corner_ss = corner_rad.dim == 0
     tens = tensor_dim_over_corner(a, eps) if corner_ss else None
     tensor_ok = tens == ideal.dim if corner_ss else False
@@ -204,16 +233,12 @@ def heredity_ideal_check(a: Algebra, frame: IdempotentFrame, eps) -> dict:
 
 def _heredity_cross_checks(a: Algebra, frame, ideal: AlgSubspace, rad: AlgSubspace) -> dict:
     f = a.field
-    acc = Echelon(f, a.dim)
-    gens = [sparse(f, v) for v in ideal.space.basis]
-    for u in gens:
-        for v in gens:
-            acc.insert(a.mul_sparse(u, v))
-    idempotent_ideal = acc.to_subspace() == ideal.space
+    gens = ideal.space.rows.values()
+    idempotent_ideal = product_rank(a, [(ideal.space, ideal.space)])[1] == ideal.dim
     jrj = Echelon(f, a.dim)
     for u in gens:
-        for r in rad.space.basis:
-            ur = a.mul_sparse(u, sparse(f, r))
+        for r in rad.space.rows.values():
+            ur = a.mul_sparse(u, r)
             if not ur:
                 continue
             for v in gens:
@@ -299,10 +324,7 @@ def standard_modules(a: Algebra, frame: IdempotentFrame, order: WeightOrder) -> 
     for i in range(len(frame)):
         proj, carrier = projective_module(a, frame.idempotents[i], "left")
         tr = trace_subspace(a, frame, order, i)
-        tr_coords = span(
-            a.field, carrier.dim, [carrier.coords(v) for v in tr.basis]
-        )
-        delta, _ = quotient_module(proj, tr_coords)
+        delta, _ = quotient_module(proj, carrier.coords_span(tr))
         radm = proj.radical_submodule()
         simple, _ = quotient_module(proj, radm)
         comp = delta.comp_dim_vector(frame)
@@ -331,20 +353,14 @@ def standard_modules(a: Algebra, frame: IdempotentFrame, order: WeightOrder) -> 
 
 
 def directed_qh_check(a: Algebra, frame: IdempotentFrame, order: WeightOrder) -> dict:
-    """Directedness patterns giving simple or projective standard modules."""
-    blocks = peirce_blocks(frame)
-    diag_ok = all(blocks[(i, i)].dim == 1 for i in range(len(frame)))
-    simple = diag_ok
-    projective = diag_ok
-    for j in range(len(frame)):
-        for i in range(len(frame)):
-            if i == j or blocks[(j, i)].dim == 0:
-                continue
-            if not order.lt(i, j):
-                simple = False
-            if not order.lt(j, i):
-                projective = False
-    return {"simple_standards": simple, "projective_standards": projective, "diag_ok": diag_ok}
+    """Directedness patterns giving simple (lowering) or projective (raising)
+    standard modules."""
+    lowering = directedness(frame, order.levels, raising=False)
+    return {
+        "simple_standards": lowering["ok"],
+        "projective_standards": directedness(frame, order.levels, raising=True)["ok"],
+        "diag_ok": all(d == 1 for d in lowering["diagonal_dims"].values()),
+    }
 
 
 def layer_quotient_module(a: Algebra, frame: IdempotentFrame, order: WeightOrder, i: int) -> ModuleRep:
@@ -357,27 +373,34 @@ def layer_quotient_module(a: Algebra, frame: IdempotentFrame, order: WeightOrder
     rank = chain.levels.index(order.levels[i])
     below = chain.ideal_below(rank)
     proj, carrier = projective_module(a, frame.idempotents[i], "left")
-    killed = column_span(a, below.space.basis, frame.idempotents[i])
-    coords = span(a.field, carrier.dim, [carrier.coords(v) for v in killed.basis])
-    module, _ = quotient_module(proj, coords)
+    killed = column_span(a, below.space, frame.idempotents[i])
+    module, _ = quotient_module(proj, carrier.coords_span(killed))
     return module
+
+
+def _elementary_candidate(frame: IdempotentFrame, b: AlgSubspace, report: dict):
+    """``b`` as an elementary algebra with the frame restricted to it, or
+    ``(None, None)`` with ``report["reason"]`` saying why not."""
+    if b.closure_kind != AlgSubspace.SUBALGEBRA:
+        report["reason"] = "candidate is not a verified subalgebra"
+    elif not all(b.contains(e) for e in frame.idempotents):
+        report["reason"] = "candidate does not contain the frame idempotents"
+    else:
+        sub_alg, sub_frame = subalgebra_frame(b, frame)
+        if sub_alg is None:
+            report["reason"] = "frame idempotents do not restrict"
+        elif not is_elementary(sub_alg, sub_frame):
+            report["reason"] = "candidate subalgebra is not elementary"
+        else:
+            return sub_alg, sub_frame
+    return None, None
 
 
 def exact_borel_check(a: Algebra, frame: IdempotentFrame, b: AlgSubspace, order: WeightOrder) -> dict:
     """Exact-Borel test: directed subalgebra, exact induction, simples -> standards."""
     report: dict = {"overall": False}
-    if b.closure_kind != AlgSubspace.SUBALGEBRA:
-        report["reason"] = "candidate is not a verified subalgebra"
-        return report
-    if not all(b.contains(e) for e in frame.idempotents):
-        report["reason"] = "candidate does not contain the frame idempotents"
-        return report
-    sub_alg, sub_frame = subalgebra_frame(b, frame)
+    sub_alg, sub_frame = _elementary_candidate(frame, b, report)
     if sub_alg is None:
-        report["reason"] = "frame idempotents do not restrict"
-        return report
-    if not is_elementary(sub_alg, sub_frame):
-        report["reason"] = "candidate subalgebra is not elementary"
         return report
     directed = directed_qh_check(sub_alg, sub_frame, order)
     report["directed_simple"] = directed["simple_standards"]
@@ -419,18 +442,8 @@ def exact_borel_check(a: Algebra, frame: IdempotentFrame, b: AlgSubspace, order:
 def delta_subalgebra_check(a: Algebra, frame: IdempotentFrame, c: AlgSubspace, order: WeightOrder) -> dict:
     """Delta-subalgebra test: standards restrict to the projectives of c."""
     report: dict = {"overall": False}
-    if c.closure_kind != AlgSubspace.SUBALGEBRA:
-        report["reason"] = "candidate is not a verified subalgebra"
-        return report
-    if not all(c.contains(e) for e in frame.idempotents):
-        report["reason"] = "candidate does not contain the frame idempotents"
-        return report
-    sub_alg, sub_frame = subalgebra_frame(c, frame)
+    sub_alg, sub_frame = _elementary_candidate(frame, c, report)
     if sub_alg is None:
-        report["reason"] = "frame idempotents do not restrict"
-        return report
-    if not is_elementary(sub_alg, sub_frame):
-        report["reason"] = "candidate subalgebra is not elementary"
         return report
     directed = directed_qh_check(sub_alg, sub_frame, order)
     report["directed_projective"] = directed["projective_standards"]

@@ -30,11 +30,12 @@ from .algebra import (
     tensor_dim_over_corner,
 )
 from .fields import Field
-from .linalg import Echelon, Matrix, Subspace, kernel, span, sparse, subspace_intersect
+from .linalg import Echelon, Subspace, densify, null_space, sparse, sparse_span, subspace_intersect
 from .qh import (
     WeightOrder,
     delta_subalgebra_check,
     directed_qh_check,
+    directedness,
     exact_borel_check,
     heredity_chain_verify,
     level_chain,
@@ -83,42 +84,13 @@ class ReedyStructure:
         )
 
 
-def _directedness(frame: IdempotentFrame, sub: AlgSubspace, raising: bool) -> dict:
-    """Definition condition (i) (raising) or (ii) (lowering) for a subalgebra."""
-    blocks = peirce_blocks(frame, sub)
-    degrees = frame.degrees
-    diag = {}
-    violations = []
-    ok = True
-    for i in range(len(frame)):
-        d = blocks[(i, i)].dim
-        diag[frame.labels[i]] = d
-        if d != 1:
-            ok = False
-            violations.append({"kind": "diagonal", "at": frame.labels[i], "dim": d})
-    for j in range(len(frame)):
-        for i in range(len(frame)):
-            if i == j:
-                continue
-            d = blocks[(j, i)].dim
-            if d == 0:
-                continue
-            good = degrees[j] > degrees[i] if raising else degrees[j] < degrees[i]
-            if not good:
-                ok = False
-                violations.append(
-                    {"kind": "direction", "from": frame.labels[i], "to": frame.labels[j], "dim": d}
-                )
-    return {"ok": ok, "diagonal_dims": diag, "violations": violations}
-
-
 def verify_reedy(r: ReedyStructure) -> dict:
     """Full check of the three decomposition conditions, with per-pair data."""
     if "verify" in r._cache:
         return r._cache["verify"]
     frame = r.frame
-    cond_plus = _directedness(frame, r.aplus, raising=True)
-    cond_minus = _directedness(frame, r.aminus, raising=False)
+    cond_plus = directedness(frame, frame.degrees, True, r.aplus)
+    cond_minus = directedness(frame, frame.degrees, False, r.aminus)
     blocks_full = peirce_blocks(frame)
     blocks_plus = peirce_blocks(frame, r.aplus)
     blocks_minus = peirce_blocks(frame, r.aminus)
@@ -128,8 +100,7 @@ def verify_reedy(r: ReedyStructure) -> dict:
     for j in range(n):
         for i in range(n):
             domain, rank = product_rank(
-                r.algebra,
-                [(blocks_plus[(j, l)].basis, blocks_minus[(l, i)].basis) for l in range(n)],
+                r.algebra, [(blocks_plus[(j, l)], blocks_minus[(l, i)]) for l in range(n)]
             )
             block_dim = blocks_full[(j, i)].dim
             ok = domain == block_dim == rank
@@ -155,8 +126,9 @@ def verify_reedy(r: ReedyStructure) -> dict:
 
 
 def _require_setup(r: ReedyStructure) -> None:
-    plus = _directedness(r.frame, r.aplus, raising=True)
-    minus = _directedness(r.frame, r.aminus, raising=False)
+    frame = r.frame
+    plus = directedness(frame, frame.degrees, True, r.aplus)
+    minus = directedness(frame, frame.degrees, False, r.aminus)
     if not (plus["ok"] and minus["ok"]):
         raise AlgebraError("directedness preconditions fail for this structure")
 
@@ -167,26 +139,28 @@ def _require_verified(r: ReedyStructure) -> None:
 
 
 def _tensor_pairs(r: ReedyStructure, indices) -> list:
-    """Bases of the column A+ e_i and the row e_i A- for each frame index."""
+    """The column A+ e_i and the row e_i A- for each frame index."""
     a = r.algebra
     pairs = []
     for i in indices:
         e = r.frame.idempotents[i]
-        pairs.append((column_span(a, r.aplus.space.basis, e).basis,
-                      row_span(a, e, r.aminus.space.basis).basis))
+        pairs.append((column_span(a, r.aplus.space, e), row_span(a, e, r.aminus.space)))
     return pairs
 
 
-def _quotient_span(sub: AlgSubspace, q_alg: Algebra, qmap, e, column: bool) -> list:
-    """Column q_alg*e or row e*q_alg of a (quotient of a) subalgebra, in A.
+def _quotient_span(sub: AlgSubspace, q_alg: Algebra, qmap, e, column: bool) -> Subspace:
+    """Column q_alg*e or row e*q_alg of a (quotient of a) subalgebra, lifted
+    into A along the complement coordinates of the quotient.
 
     ``q_alg`` is ``sub`` as an algebra, or its quotient by ``qmap``.
     """
-    e = sub.restrict_vector(e)
+    a = sub.algebra
+    e = sub.space.coords(sparse(a.field, e))
     if qmap is not None:
-        e = qmap.project(e)
+        e = qmap.project_sparse(e)
     space = column_span(q_alg, None, e) if column else row_span(q_alg, e, None)
-    return [sub.embed_vector(v if qmap is None else qmap.lift(v)) for v in space.basis]
+    lifted = (v if qmap is None else qmap.lift_sparse(v) for v in space.rows.values())
+    return sparse_span(a.field, a.dim, (sub.embed(v) for v in lifted))
 
 
 def layer_check(r: ReedyStructure) -> dict:
@@ -262,7 +236,7 @@ def reedy_heredity_bottom(r: ReedyStructure) -> dict:
     order = r.order()
     t = min(order.levels)
     idx = [i for i in range(len(r.frame)) if order.levels[i] == t]
-    lhs = sum(len(xs) * len(ys) for xs, ys in _tensor_pairs(r, idx))
+    lhs = sum(xs.dim * ys.dim for xs, ys in _tensor_pairs(r, idx))
     work = r.frame.with_degrees(order.levels)
     rhs = ideal_closure(r.algebra, [work.eps(t)]).dim
     return {"level": t, "tensor_dim": lhs, "ideal_dim": rhs, "overall": lhs == rhs}
@@ -275,19 +249,18 @@ def _build_corner_structure(r: ReedyStructure, cut: int) -> tuple[ReedyStructure
     work = r.frame.with_degrees(order.levels)
     e = work.eps_upto(cut)
     c_alg, cmap = corner(a, e)
-    carrier = span(f, a.dim, cmap.rows)
+    carrier = cmap.space
     idems, labels, degrees = [], [], []
     for i in range(len(r.frame)):
         if order.levels[i] <= cut:
-            coords = carrier.coords(r.frame.idempotents[i])
-            idems.append(coords)
+            coords = carrier.coords(sparse(f, r.frame.idempotents[i]))
+            idems.append(densify(f, coords, c_alg.dim))
             labels.append(r.frame.labels[i])
             degrees.append(r.frame.degrees[i])
     c_frame = IdempotentFrame(c_alg, idems, labels, degrees, check=False)
 
     def corner_sub(sub: AlgSubspace) -> AlgSubspace:
-        pieces = corner_span(a, e, sub.space.basis).basis
-        space = span(f, c_alg.dim, [carrier.coords(v) for v in pieces])
+        space = carrier.coords_span(corner_span(a, e, sub.space))
         return AlgSubspace(c_alg, space, AlgSubspace.SUBALGEBRA)
 
     structure = ReedyStructure(c_alg, c_frame, corner_sub(r.aplus), corner_sub(r.aminus), check=False)
@@ -314,11 +287,7 @@ def _build_quotient_structure(r: ReedyStructure, cut: int) -> tuple[ReedyStructu
     q_frame = IdempotentFrame(q_alg, idems, labels, degrees, check=False)
 
     def image_sub(sub: AlgSubspace, e_coords) -> tuple[AlgSubspace, dict]:
-        acc = Echelon(f, q_alg.dim)
-        for v in sub.space.basis:
-            img = qmap.project(v)
-            acc.insert(sparse(f, img))
-        image = acc.to_subspace()
+        image = sparse_span(f, q_alg.dim, (qmap.project_sparse(v) for v in sub.space.rows.values()))
         sub_alg, _ = sub.extracted()
         inner = ideal_closure(sub_alg, [e_coords])
         return (
@@ -358,7 +327,7 @@ def recursive_check(r: ReedyStructure, cut: int) -> dict:
     """Corner/quotient recursion at one cut, with the A = A+.A- hypothesis."""
     _require_setup(r)
     a = r.algebra
-    hypothesis = product_rank(a, [(r.aplus.space.basis, r.aminus.space.basis)])[1] == a.dim
+    hypothesis = product_rank(a, [(r.aplus.space, r.aminus.space)])[1] == a.dim
 
     corner_struct, _ = _build_corner_structure(r, cut)
     quotient_struct, qdiag = _build_quotient_structure(r, cut)
@@ -477,29 +446,19 @@ def _bimodule_bijective(r: ReedyStructure) -> dict:
 def _center_dim(a: Algebra) -> int:
     """Dimension of the centre (counts simple blocks of split semisimple algebras)."""
     f = a.field
-    if a.dim == 0:
-        return 0
     rows = []
     for k in range(a.dim):
-        for t in range(a.dim):
-            row = [f.zero] * a.dim
-            nonzero = False
-            for s in range(a.dim):
-                val = f.zero
-                for idx, c in a.mult[s][k]:
-                    if idx == t:
-                        val = f.add(val, c)
-                for idx, c in a.mult[k][s]:
-                    if idx == t:
-                        val = f.sub(val, c)
-                if val != f.zero:
-                    row[s] = val
-                    nonzero = True
-            if nonzero:
-                rows.append(row)
-    if not rows:
-        return a.dim
-    return kernel(Matrix(f, rows, a.dim)).dim
+        # coefficient of b_t in b_s b_k - b_k b_s, as rows indexed by t
+        by_t: dict = {}
+        for s in range(a.dim):
+            for idx, c in a.mult[s][k]:
+                by_t.setdefault(idx, {})
+                by_t[idx][s] = f.add(by_t[idx].get(s, f.zero), c)
+            for idx, c in a.mult[k][s]:
+                by_t.setdefault(idx, {})
+                by_t[idx][s] = f.sub(by_t[idx].get(s, f.zero), c)
+        rows.extend(by_t.values())
+    return null_space(f, a.dim, rows).dim
 
 
 # search -------------------------------------------------------------------
@@ -532,15 +491,10 @@ def _candidate_subalgebras(a: Algebra, frame: IdempotentFrame) -> list[AlgSubspa
     comp = s_space.complement_coords()
     out = []
     for rows in _all_subspaces(f, len(comp)):
-        lifted = []
+        acc = Echelon(f, a.dim, s_space)
         for row in rows:
-            vec = [f.zero] * a.dim
-            for c, x in zip(comp, row):
-                vec[c] = x
-            lifted.append(tuple(vec))
-        cand = AlgSubspace(
-            a, span(f, a.dim, list(s_space.basis) + lifted), AlgSubspace.PLAIN
-        )
+            acc.insert({c: x for c, x in zip(comp, row) if x})
+        cand = AlgSubspace(a, acc.to_subspace(), AlgSubspace.PLAIN)
         if cand.is_subalgebra():
             out.append(AlgSubspace(a, cand.space, AlgSubspace.SUBALGEBRA))
     uniq = {}
@@ -551,20 +505,6 @@ def _candidate_subalgebras(a: Algebra, frame: IdempotentFrame) -> list[AlgSubspa
 
 def _basis_key(field: Field, basis) -> tuple:
     return tuple(tuple(field.show(x) for x in row) for row in basis)
-
-
-def _directed_for(frame_blocks: dict, n: int, levels, raising: bool) -> bool:
-    for i in range(n):
-        if frame_blocks[(i, i)].dim != 1:
-            return False
-    for j in range(n):
-        for i in range(n):
-            if i == j or frame_blocks[(j, i)].dim == 0:
-                continue
-            good = levels[j] > levels[i] if raising else levels[j] < levels[i]
-            if not good:
-                return False
-    return True
 
 
 def search_reedy(a: Algebra, frame: IdempotentFrame, mode: str = "heuristic",
@@ -591,10 +531,6 @@ def search_reedy(a: Algebra, frame: IdempotentFrame, mode: str = "heuristic",
                 f"dim A - |E| = {a.dim - n} exceeds exhaustive bound {exhaustive_bound}"
             )
         candidates = _candidate_subalgebras(a, frame)
-        cand_blocks = []
-        for cand in candidates:
-            base = frame.without_degrees()
-            cand_blocks.append(peirce_blocks(base, cand))
     found = {}
     blocks_full = peirce_blocks(frame.without_degrees())
     for levels in normalized_level_functions(n, max_levels):
@@ -611,22 +547,16 @@ def search_reedy(a: Algebra, frame: IdempotentFrame, mode: str = "heuristic",
                     if blk.dim == 0:
                         continue
                     if levels[j] > levels[i]:
-                        raise_gens.extend(blk.basis)
+                        raise_gens.extend(blk.rows.values())
                     else:
-                        lower_gens.extend(blk.basis)
+                        lower_gens.extend(blk.rows.values())
             d_plus = subalgebra_closure(a, raise_gens)
             d_minus = subalgebra_closure(a, lower_gens)
             s_sub = subalgebra_closure(a, s_gens)
             pair_list = [(d_plus, d_minus), (d_plus, s_sub), (s_sub, d_minus)]
         else:
-            plus_list = [
-                cand for cand, blk in zip(candidates, cand_blocks)
-                if _directed_for(blk, n, levels, raising=True)
-            ]
-            minus_list = [
-                cand for cand, blk in zip(candidates, cand_blocks)
-                if _directed_for(blk, n, levels, raising=False)
-            ]
+            plus_list = [c for c in candidates if directedness(work, levels, True, c)["ok"]]
+            minus_list = [c for c in candidates if directedness(work, levels, False, c)["ok"]]
             pair_list = [(p, m) for p in plus_list for m in minus_list]
         for aplus, aminus in pair_list:
             try:

@@ -46,6 +46,34 @@ def natural(value, label: str) -> int:
     return value
 
 
+def scalar(field: Field, value):
+    """A decimal string "n" or "n/d" parsed into ``field``, or a FormatError."""
+    if not isinstance(value, str):
+        raise FormatError(f"scalars must be decimal strings, got {json.dumps(value)}")
+    try:
+        return field.parse(value)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise FormatError(f"{value!r} is not a scalar of {field!r} ({exc})") from exc
+
+
+def vector(field: Field, value, dim: int, where: str) -> list:
+    """A list of ``dim`` string scalars, or a FormatError naming ``where``."""
+    if not isinstance(value, list) or len(value) != dim:
+        got = f"{len(value)} entries" if isinstance(value, list) else json.dumps(value)
+        raise FormatError(f"{where} must be a list of {dim} scalars, got {got}")
+    try:
+        return [scalar(field, x) for x in value]
+    except FormatError as exc:
+        raise FormatError(f"{where}: {exc}") from None
+
+
+def index(value, dim: int) -> int:
+    """A JSON integer in [0, dim), or a FormatError."""
+    if isinstance(value, bool) or not isinstance(value, int) or not 0 <= value < dim:
+        raise FormatError(f"index must be an integer in [0, {dim}), got {json.dumps(value)}")
+    return value
+
+
 def json_object(value, key: str, values: str) -> dict:
     """A JSON object, or a FormatError naming ``key`` and what it maps to."""
     if not isinstance(value, dict):
@@ -109,40 +137,40 @@ def algebra_from_json(data: dict):
     """Parse an algebra document; returns (algebra, frame-or-None)."""
     try:
         f = field_from_json(data["field"])
-        labels = list(data["labels"])
-        dim = int(data["dim"])
+        labels = data["labels"]
+        dim = natural(data["dim"], "'dim'")
     except KeyError as exc:
         raise FormatError(f"algebra document missing field {exc}") from exc
+    if not isinstance(labels, list) or not all(isinstance(lab, str) for lab in labels):
+        raise FormatError(f"'labels' must be a list of strings, got {json.dumps(labels)}")
     if len(labels) != dim:
         raise FormatError("label count does not match dim")
-    unit = data.get("unit")
-    if not isinstance(unit, list) or len(unit) != dim:
-        raise FormatError("unit vector missing or of wrong length")
+    unit = vector(f, data.get("unit"), dim, "'unit'")
     mult = [[() for _ in range(dim)] for _ in range(dim)]
-    for row in data.get("mult", []):
+    mult_rows = data.get("mult", [])
+    if not isinstance(mult_rows, list):
+        raise FormatError(f"'mult' must be a list of rows, got {json.dumps(mult_rows)}")
+    for row in mult_rows:
+        if not (isinstance(row, list) and len(row) == 3 and isinstance(row[2], list)):
+            raise FormatError(f"bad mult row {json.dumps(row)}: expected [i, j, [[k, c], ...]]")
         try:
-            i, j, pairs = row
-        except (TypeError, ValueError) as exc:
-            raise FormatError(f"bad mult row {row!r}") from exc
-        if not (0 <= i < dim and 0 <= j < dim):
-            raise FormatError(f"mult row indices out of range: {row[:2]}")
-        entries = []
-        for k, c in pairs:
-            if not 0 <= k < dim:
-                raise FormatError(f"mult target index out of range in row ({i},{j})")
-            entries.append((int(k), f.parse(c)))
+            i, j = index(row[0], dim), index(row[1], dim)
+            entries = []
+            for pair in row[2]:
+                if not (isinstance(pair, list) and len(pair) == 2):
+                    raise FormatError(f"entry {json.dumps(pair)} is not a [k, c] pair")
+                entries.append((index(pair[0], dim), scalar(f, pair[1])))
+        except FormatError as exc:
+            raise FormatError(f"mult row {json.dumps(row[:2])}: {exc}") from None
         mult[i][j] = tuple(sorted(entries))
-    a = Algebra(f, labels, mult, [f.parse(x) for x in unit])
+    a = Algebra(f, labels, mult, unit)
     frame = None
     if "idempotents" in data:
         idem_map = json_object(data["idempotents"], "idempotents", "vectors")
         idem_labels = list(idem_map)
         idems = []
         for lab in idem_labels:
-            vec = idem_map[lab]
-            if len(vec) != dim:
-                raise FormatError(f"idempotent {lab!r} has wrong length")
-            idems.append([f.parse(x) for x in vec])
+            idems.append(vector(f, idem_map[lab], dim, f"idempotent {lab!r}"))
         degrees = None
         if "degrees" in data:
             degree_map = json_object(data["degrees"], "degrees", "natural numbers")
@@ -179,18 +207,23 @@ def reedy_to_json(r: ReedyStructure, algebra_ref: str) -> dict:
     }
 
 
-def _subspace_from_json(a: Algebra, data: dict, name: str) -> AlgSubspace:
-    f = a.field
-    if "basis" in data:
-        vectors = [[f.parse(x) for x in row] for row in data["basis"]]
-        sub = AlgSubspace(a, span(f, a.dim, vectors), AlgSubspace.PLAIN)
-        if not sub.is_subalgebra():
-            raise FormatError(f"{name}: basis does not span a unital subalgebra")
-        return AlgSubspace(a, sub.space, AlgSubspace.SUBALGEBRA)
-    if "generators" in data:
-        vectors = [[f.parse(x) for x in row] for row in data["generators"]]
+def _subspace_from_json(a: Algebra, data, name: str) -> AlgSubspace:
+    if not isinstance(data, dict):
+        raise FormatError(f"{name!r} must be an object with a 'basis' or 'generators', "
+                          f"got {json.dumps(data)}")
+    key = "basis" if "basis" in data else "generators"
+    if key not in data:
+        raise FormatError(f"{name}: need 'basis' or 'generators'")
+    rows = data[key]
+    if not isinstance(rows, list):
+        raise FormatError(f"{name}.{key} must be a list of vectors, got {json.dumps(rows)}")
+    vectors = [vector(a.field, row, a.dim, f"{name}.{key}[{r}]") for r, row in enumerate(rows)]
+    if key == "generators":
         return subalgebra_closure(a, vectors)
-    raise FormatError(f"{name}: need 'basis' or 'generators'")
+    sub = AlgSubspace(a, span(a.field, a.dim, vectors), AlgSubspace.PLAIN)
+    if not sub.is_subalgebra():
+        raise FormatError(f"{name}: basis does not span a unital subalgebra")
+    return AlgSubspace(a, sub.space, AlgSubspace.SUBALGEBRA)
 
 
 def reedy_from_json(data: dict, base_dir) -> ReedyStructure:

@@ -14,8 +14,7 @@ from math import comb
 import reedylab as rl
 from reedylab.algebra import _radical_charp
 from reedylab.linalg import Matrix, span, subspace_intersect
-from reedylab.qh import order_from_degrees, peirce_blocks
-from reedylab.reedy import _directedness
+from reedylab.qh import directedness, order_from_degrees, peirce_blocks
 
 
 @contextmanager
@@ -179,8 +178,8 @@ def test_criterion_05_theorem_41_equivalence():
 def test_criterion_06_layer_forms_agree():
     with criterion(6, 30.0, "both layer forms agree with the decomposition verdict"):
         for name, s in corpus().items():
-            plus = _directedness(s.frame, s.aplus, raising=True)
-            minus = _directedness(s.frame, s.aminus, raising=False)
+            plus = directedness(s.frame, s.frame.degrees, True, s.aplus)
+            minus = directedness(s.frame, s.frame.degrees, False, s.aminus)
             if not (plus["ok"] and minus["ok"]):
                 continue
             report = rl.layer_check(s)

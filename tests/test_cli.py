@@ -163,6 +163,65 @@ def test_non_object_degrees_in_reedy_file_exits_2(tmp_path, capsys, value):
     assert code == 2 and "'degrees' must be an object" in stderr
 
 
+def _edit_copy(tmp_path, name, edit):
+    """Copy a corpus file into tmp_path after applying edit(data) to it."""
+    data = read_json(CORPUS / name)
+    edit(data)
+    write_json(tmp_path / name, data)
+    return tmp_path / name
+
+
+def _set(path, value):
+    """An edit that replaces data[path[0]][path[1]]... with value."""
+    def edit(data):
+        for key in path[:-1]:
+            data = data[key]
+        data[path[-1]] = value
+    return edit
+
+
+# uppertri: labels x, v0, v1; mult row 0 is x * v0 = x, which no frame check reads
+MALFORMED_ALGEBRA = [
+    (["labels"], 5, "'labels' must be a list of strings"),
+    (["mult"], [[0, 0, 5]], "bad mult row [0, 0, 5]"),
+    (["mult"], [["0", 0, []]], 'mult row ["0", 0]: index must be an integer in [0, 3)'),
+    (["idempotents", "v0"], 5, "idempotent 'v0' must be a list of 3 scalars"),
+    (["mult", 0, 2, 0, 1], 0.1, "mult row [0, 1]: scalars must be decimal strings, got 0.1"),
+    (["mult", 0, 2, 0, 1], True, "mult row [0, 1]: scalars must be decimal strings, got true"),
+    (["mult", 0, 2, 0, 1], "1/0", "mult row [0, 1]: '1/0' is not a scalar of Q"),
+]
+
+
+@pytest.mark.parametrize("path, value, message", MALFORMED_ALGEBRA)
+def test_malformed_algebra_file_exits_2(tmp_path, capsys, path, value, message):
+    alg = _edit_copy(tmp_path, "uppertri.alg.json", _set(path, value))
+    code, _, stderr = run(
+        capsys, "verify", "qh", str(alg), str(CORPUS / "uppertri.order01.order.json")
+    )
+    assert code == 2 and message in stderr
+
+
+def test_integer_scalar_in_prime_field_file_exits_2(tmp_path, capsys):
+    alg = _edit_copy(tmp_path, "diamond.gf2.alg.json", _set(["mult", 0, 2, 0, 1], 1))
+    code, _, stderr = run(capsys, "search", str(alg))
+    assert code == 2 and "mult row [0, 5]: scalars must be decimal strings, got 1" in stderr
+
+
+MALFORMED_SUBSPACE = [
+    (5, "'aplus' must be an object"),
+    ({"basis": 5}, "aplus.basis must be a list of vectors"),
+    ({"basis": [["1", "0"]]}, "aplus.basis[0] must be a list of 3 scalars, got 2 entries"),
+]
+
+
+@pytest.mark.parametrize("value, message", MALFORMED_SUBSPACE)
+def test_malformed_subspace_in_reedy_file_exits_2(tmp_path, capsys, value, message):
+    shutil.copy(CORPUS / "uppertri.alg.json", tmp_path)
+    reedy = _edit_copy(tmp_path, "uppertri.as.reedy.json", _set(["aplus"], value))
+    code, _, stderr = run(capsys, "verify", "reedy", str(reedy))
+    assert code == 2 and message in stderr
+
+
 def test_construct_dualext(tmp_path, capsys):
     up = tmp_path / "up.alg.json"
     down = tmp_path / "down.alg.json"

@@ -152,6 +152,11 @@ def test_contains_length_mismatch(Q):
         rl.contains(u, (1, 0, 0))
 
 
+def test_span_rejects_wrong_length_vectors(Q):
+    with pytest.raises(ValueError):
+        span(Q, 3, [(1, 0, 0), (1, 2)])
+
+
 def test_ambient_mismatch_raises(Q):
     u = span(Q, 2, [(1, 0)])
     v = span(Q, 3, [(1, 0, 0)])

@@ -69,11 +69,11 @@ def test_induction_along_full_algebra_is_identity(uppertri):
     # projection matrix from induced coordinates (pairs) to module coordinates
     rel_dim = algebra.dim * module.dim
     comp = _recover_complement(algebra, full, module)
+    assert len(comp) == module.dim
     cols = []
     for c in comp:
         ai, mj = divmod(c, module.dim)
-        basis_vec = tuple(f.one if r == mj else f.zero for r in range(module.dim))
-        cols.append(module.apply_basis(ai, basis_vec))
+        cols.append(tuple(row[mj] for row in module.actions[ai]))  # b_ai acting on m_mj
     proj = tuple(
         tuple(cols[j][r] for j in range(len(comp))) for r in range(module.dim)
     )
@@ -85,14 +85,13 @@ def test_induction_along_full_algebra_is_identity(uppertri):
 
 def _recover_complement(algebra, b_sub, module):
     # mirror of the relation-span construction inside induce_module
-    from reedylab.linalg import Echelon, sparse
+    from reedylab.linalg import Echelon
 
     f = algebra.field
-    sub_alg, rows = b_sub.extracted()
+    sub_alg, rows = b_sub.extracted()  # the sparse rows of the subspace
     rel = Echelon(f, algebra.dim * module.dim)
-    for bi, bvec in enumerate(rows):
+    for bi, sb in enumerate(rows):
         bmat = module.actions[bi]
-        sb = sparse(f, bvec)
         for ai in range(algebra.dim):
             ab = algebra.mul_sparse({ai: f.one}, sb)
             for mj in range(module.dim):

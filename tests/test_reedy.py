@@ -16,10 +16,11 @@ def verified(structures):
 
 
 def setup_holds(structure):
-    from reedylab.reedy import _directedness
+    from reedylab.qh import directedness
 
-    plus = _directedness(structure.frame, structure.aplus, raising=True)
-    minus = _directedness(structure.frame, structure.aminus, raising=False)
+    frame = structure.frame
+    plus = directedness(frame, frame.degrees, True, structure.aplus)
+    minus = directedness(frame, frame.degrees, False, structure.aminus)
     return plus["ok"] and minus["ok"]
 
 
@@ -360,19 +361,15 @@ def test_crosscheck_on_search_results(diamond_gf2):
 def test_crosscheck_all_candidate_pairs_fail_for_impossible_order(diamond_gf2):
     """For the order where no decomposition exists, every directedness-
     compatible candidate pair yields an all-false crosscheck row."""
-    from reedylab.reedy import _candidate_subalgebras, _directed_for
+    from reedylab.qh import directedness
+    from reedylab.reedy import _candidate_subalgebras
 
     algebra, frame = diamond_gf2
     levels = (3, 2, 0, 1)
     work = frame.with_degrees(levels)
     candidates = _candidate_subalgebras(algebra, frame)
-    blocks = [peirce_blocks(frame.without_degrees(), c) for c in candidates]
-    plus_list = [
-        c for c, b in zip(candidates, blocks) if _directed_for(b, 4, levels, raising=True)
-    ]
-    minus_list = [
-        c for c, b in zip(candidates, blocks) if _directed_for(b, 4, levels, raising=False)
-    ]
+    plus_list = [c for c in candidates if directedness(work, levels, True, c)["ok"]]
+    minus_list = [c for c in candidates if directedness(work, levels, False, c)["ok"]]
     assert plus_list and minus_list
     rows = 0
     for aplus in plus_list:
