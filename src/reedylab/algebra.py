@@ -343,71 +343,73 @@ def _as_sparse(f, vec) -> dict:
 
 
 def subalgebra_closure(a: Algebra, generators) -> AlgSubspace:
-    """Smallest unital subalgebra containing the generators (dense or sparse)."""
+    """Smallest unital subalgebra containing the generators (dense or sparse):
+    the fixed point of S <- S*S from the span of the unit and the
+    generators, where S*S contains S because 1 lies in S."""
     f = a.field
-    acc = Echelon(f, a.dim)
-    for v in [a.unit, *generators]:
-        acc.insert(_as_sparse(f, v))
-    # Re-walk pairwise products until the span is multiplicatively stable.
-    stable = False
-    while not stable:
-        stable = True
-        rows = [dict(r) for r in acc.rows.values()]
-        for u in rows:
-            for v in rows:
-                if acc.insert(a.mul_sparse(u, v)):
-                    stable = False
-    return AlgSubspace(a, acc.to_subspace(), AlgSubspace.SUBALGEBRA)
+    s = sparse_span(f, a.dim, (_as_sparse(f, v) for v in [a.unit, *generators]))
+    while True:
+        nxt = product_span(a, s, s)
+        if nxt.dim == s.dim:
+            return AlgSubspace(a, s, AlgSubspace.SUBALGEBRA)
+        s = nxt
 
 
 def ideal_closure(a: Algebra, generators) -> AlgSubspace:
-    """Smallest two-sided ideal containing the generators (dense or sparse)."""
+    """Smallest two-sided ideal containing the generators (dense or sparse):
+    (A*X)*A for X their span, since A is unital."""
     f = a.field
-    acc = Echelon(f, a.dim)
-    frontier = []
-    for v in generators:
-        sv = _as_sparse(f, v)
-        if acc.insert(sv):
-            frontier.append(sv)
-    while frontier:
-        new = []
-        for r in frontier:
-            for k in range(a.dim):
-                bk = {k: f.one}
-                for prod in (a.mul_sparse(bk, r), a.mul_sparse(r, bk)):
-                    if prod and acc.insert(prod):
-                        new.append(prod)
-        frontier = new
-    return AlgSubspace(a, acc.to_subspace(), AlgSubspace.IDEAL)
+    x = sparse_span(f, a.dim, (_as_sparse(f, v) for v in generators))
+    return AlgSubspace(a, product_span(a, product_span(a, None, x), None), AlgSubspace.IDEAL)
 
 
 # spans and products --------------------------------------------------------
 
 
-def _image_span(a: Algebra, space: Subspace | None, image) -> Subspace:
-    """Span of image(v) over the rows v of ``space`` (the basis of A when None)."""
-    f = a.field
-    if space is None:
-        space = full_space(f, a.dim)
-    return sparse_span(f, a.dim, (image(v) for v in space.rows.values()))
+def _product_echelon(a: Algebra, pairs, base: Subspace | None = None):
+    """Every product x*y for x in X, y in Y and (X, Y) in ``pairs``, inserted
+    into one Echelon seeded with ``base``; returns the sum of dim X * dim Y
+    and the Echelon."""
+    acc = Echelon(a.field, a.dim, base)
+    domain = 0
+    for xs, ys in pairs:
+        domain += xs.dim * ys.dim
+        for x in xs.rows.values():
+            for y in ys.rows.values():
+                prod = a.mul_sparse(x, y)
+                if prod:
+                    acc.insert(prod)
+    return domain, acc
+
+
+def product_span(a: Algebra, xs: Subspace | None, ys: Subspace | None) -> Subspace:
+    """Span of x*y for x in X and y in Y, where None stands for A."""
+    if xs is None:
+        xs = full_space(a.field, a.dim)
+    if ys is None:
+        ys = full_space(a.field, a.dim)
+    return _product_echelon(a, [(xs, ys)])[1].to_subspace()
+
+
+def _line(a: Algebra, e) -> Subspace:
+    """The span of one element, given densely or as a sparse dict."""
+    return sparse_span(a.field, a.dim, [_as_sparse(a.field, e)])
 
 
 def column_span(a: Algebra, space: Subspace | None, e) -> Subspace:
     """Span of X*e for X a subspace (the column A*e when None)."""
-    se = _as_sparse(a.field, e)
-    return _image_span(a, space, lambda v: a.mul_sparse(v, se))
+    return product_span(a, space, _line(a, e))
 
 
 def row_span(a: Algebra, e, space: Subspace | None) -> Subspace:
     """Span of e*X for X a subspace (the row e*A when None)."""
-    se = _as_sparse(a.field, e)
-    return _image_span(a, space, lambda v: a.mul_sparse(se, v))
+    return product_span(a, _line(a, e), space)
 
 
 def corner_span(a: Algebra, e, space: Subspace | None) -> Subspace:
     """Span of e*X*e for X a subspace (the corner eAe when None)."""
-    se = _as_sparse(a.field, e)
-    return _image_span(a, space, lambda v: a.mul_sparse(se, a.mul_sparse(v, se)))
+    line = _line(a, e)
+    return product_span(a, line, product_span(a, space, line))
 
 
 def product_rank(a: Algebra, pairs, base: Subspace | None = None) -> tuple[int, int]:
@@ -417,17 +419,8 @@ def product_rank(a: Algebra, pairs, base: Subspace | None = None) -> tuple[int, 
     dim X * dim Y.  With ``base`` the rank is taken modulo that subspace,
     i.e. dim(base + image) - dim(base).
     """
-    acc = Echelon(a.field, a.dim, base)
-    start = acc.dim
-    domain = 0
-    for xs, ys in pairs:
-        domain += xs.dim * ys.dim
-        for x in xs.rows.values():
-            for y in ys.rows.values():
-                prod = a.mul_sparse(x, y)
-                if prod:
-                    acc.insert(prod)
-    return domain, acc.dim - start
+    domain, acc = _product_echelon(a, pairs, base)
+    return domain, acc.dim - (base.dim if base is not None else 0)
 
 
 class QuotientMap:
@@ -661,19 +654,11 @@ def _check_nilpotent(a: Algebra, sub: Subspace) -> bool:
     A nonzero power that repeats (J^(k+1) = J^k) repeats forever, so the
     check stops there with False.
     """
-    f = a.field
-    gens = sub.rows.values()
     power = sub
     for _ in range(a.dim + 1):
         if power.dim == 0:
             return True
-        acc = Echelon(f, a.dim)
-        for u in power.rows.values():
-            for v in gens:
-                prod = a.mul_sparse(u, v)
-                if prod:
-                    acc.insert(prod)
-        nxt = acc.to_subspace()
+        nxt = product_span(a, power, sub)
         if nxt == power:
             return False
         power = nxt

@@ -20,6 +20,7 @@ from .algebra import (
     ideal_closure,
     is_elementary,
     product_rank,
+    product_span,
     quotient,
     quotient_frame,
     radical,
@@ -74,10 +75,6 @@ class WeightOrder:
 
     def leq(self, i: int, j: int) -> bool:
         return i == j or self.lt(i, j)
-
-    def normalized(self) -> "WeightOrder":
-        ranks = {d: r for r, d in enumerate(sorted(set(self.levels)))}
-        return WeightOrder(self.labels, tuple(ranks[d] for d in self.levels))
 
     def to_json(self) -> dict:
         return {"levels": {lab: lev for lab, lev in zip(self.labels, self.levels)}}
@@ -232,17 +229,8 @@ def heredity_ideal_check(a: Algebra, frame: IdempotentFrame, eps) -> dict:
 
 
 def _heredity_cross_checks(a: Algebra, frame, ideal: AlgSubspace, rad: AlgSubspace) -> dict:
-    f = a.field
-    gens = ideal.space.rows.values()
     idempotent_ideal = product_rank(a, [(ideal.space, ideal.space)])[1] == ideal.dim
-    jrj = Echelon(f, a.dim)
-    for u in gens:
-        for r in rad.space.rows.values():
-            ur = a.mul_sparse(u, r)
-            if not ur:
-                continue
-            for v in gens:
-                jrj.insert(a.mul_sparse(ur, v))
+    jrj = product_span(a, product_span(a, ideal.space, rad.space), ideal.space)
     from .modules import module_from_subspace  # local import to avoid cycle at load
 
     proj = is_projective_module(module_from_subspace(a, ideal.space, "left"), frame)
@@ -290,7 +278,7 @@ class StandardFamily:
     """Projectives, standard modules and simples over an elementary algebra."""
 
     __slots__ = ("algebra", "frame", "order", "projectives", "standards", "simples",
-                 "trace_dims", "comp_vectors", "top_vectors", "factor_bound_ok")
+                 "comp_vectors", "top_vectors", "factor_bound_ok")
 
     def __init__(self, **kw):
         for name in self.__slots__:
@@ -298,28 +286,19 @@ class StandardFamily:
 
 
 def trace_subspace(a: Algebra, frame: IdempotentFrame, order: WeightOrder, i: int) -> Subspace:
-    """Sum over weights j not below-or-equal i of A e_j A e_i, inside A e_i."""
-    f = a.field
-    acc = Echelon(f, a.dim)
-    ei = sparse(f, frame.idempotents[i])
-    for j in range(len(frame)):
-        if order.leq(j, i):
-            continue
-        ej = sparse(f, frame.idempotents[j])
-        for k in range(a.dim):
-            mid = a.mul_sparse(ej, a.mul_sparse({k: f.one}, ei))
-            if not mid:
-                continue
-            for t in range(a.dim):
-                acc.insert(a.mul_sparse({t: f.one}, mid))
-    return acc.to_subspace()
+    """Sum over weights j not below-or-equal i of A e_j A e_i, inside A e_i.
+
+    The sum of the ideals A e_j A is the ideal of their generators, so this
+    is one column of one ideal closure."""
+    gens = [e for j, e in enumerate(frame.idempotents) if not order.leq(j, i)]
+    return column_span(a, ideal_closure(a, gens).space, frame.idempotents[i])
 
 
 def standard_modules(a: Algebra, frame: IdempotentFrame, order: WeightOrder) -> StandardFamily:
     if not is_elementary(a, frame):
         raise AlgebraError("standard modules via frames require an elementary algebra")
     projectives, standards, simples = [], [], []
-    trace_dims, comp_vectors, top_vectors = [], [], []
+    comp_vectors, top_vectors = [], []
     bound_ok = True
     for i in range(len(frame)):
         proj, carrier = projective_module(a, frame.idempotents[i], "left")
@@ -335,7 +314,6 @@ def standard_modules(a: Algebra, frame: IdempotentFrame, order: WeightOrder) -> 
         projectives.append(proj)
         standards.append(delta)
         simples.append(simple)
-        trace_dims.append(tr.dim)
         comp_vectors.append(comp)
         top_vectors.append(top)
     return StandardFamily(
@@ -345,7 +323,6 @@ def standard_modules(a: Algebra, frame: IdempotentFrame, order: WeightOrder) -> 
         projectives=tuple(projectives),
         standards=tuple(standards),
         simples=tuple(simples),
-        trace_dims=tuple(trace_dims),
         comp_vectors=tuple(comp_vectors),
         top_vectors=tuple(top_vectors),
         factor_bound_ok=bound_ok,

@@ -334,11 +334,10 @@ def recursive_check(r: ReedyStructure, cut: int) -> dict:
     corner_ok = verify_reedy(corner_struct)["overall"]
     quotient_ok = verify_reedy(quotient_struct)["overall"]
     order = r.order()
-    work = r.frame.with_degrees(order.levels)
-    e = work.eps_upto(cut)
-    aea = ideal_closure(a, [e])
+    e = r.frame.with_degrees(order.levels).eps_upto(cut)
+    # A e A is the ideal the quotient structure divides out.
     tens = tensor_dim_over_corner(a, e)
-    mult_ok = tens == aea.dim
+    mult_ok = tens == a.dim - qdiag["quotient_dim"]
     triple = (corner_ok, quotient_ok, mult_ok)
     overall = verify_reedy(r)["overall"]
     report = {

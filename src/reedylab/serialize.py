@@ -67,6 +67,13 @@ def vector(field: Field, value, dim: int, where: str) -> list:
         raise FormatError(f"{where}: {exc}") from None
 
 
+def strings(value, what: str) -> list:
+    """A JSON list of strings, or a FormatError naming ``what``."""
+    if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
+        raise FormatError(f"{what} must be a list of strings, got {json.dumps(value)}")
+    return value
+
+
 def index(value, dim: int) -> int:
     """A JSON integer in [0, dim), or a FormatError."""
     if isinstance(value, bool) or not isinstance(value, int) or not 0 <= value < dim:
@@ -95,7 +102,7 @@ def field_from_json(data) -> Field:
     if data["kind"] == "Q":
         return field_of("Q")
     if data["kind"] == "GF":
-        return field_of("GF", int(data.get("p", 0)))
+        return field_of("GF", natural(data.get("p"), "field 'p'"))
     raise FormatError(f"unknown field kind {data['kind']!r}")
 
 
@@ -137,12 +144,10 @@ def algebra_from_json(data: dict):
     """Parse an algebra document; returns (algebra, frame-or-None)."""
     try:
         f = field_from_json(data["field"])
-        labels = data["labels"]
+        labels = strings(data["labels"], "'labels'")
         dim = natural(data["dim"], "'dim'")
     except KeyError as exc:
         raise FormatError(f"algebra document missing field {exc}") from exc
-    if not isinstance(labels, list) or not all(isinstance(lab, str) for lab in labels):
-        raise FormatError(f"'labels' must be a list of strings, got {json.dumps(labels)}")
     if len(labels) != dim:
         raise FormatError("label count does not match dim")
     unit = vector(f, data.get("unit"), dim, "'unit'")
@@ -283,21 +288,36 @@ def quiver_from_json(data: dict) -> QuiverPresentation:
     for key in ("vertices", "arrows"):
         if key not in data:
             raise FormatError(f"quiver document missing {key!r}")
+    vertices = strings(data["vertices"], "'vertices'")
+    arrows = data["arrows"]
+    if not isinstance(arrows, list):
+        raise FormatError(f"'arrows' must be a list of arrows, got {json.dumps(arrows)}")
+    for arrow in arrows:
+        if not (isinstance(arrow, list) and len(arrow) == 3
+                and all(isinstance(x, str) for x in arrow)):
+            raise FormatError(f"arrow {json.dumps(arrow)} is not [source, target, label] strings")
+    rel_docs = data.get("relations", [])
+    if not isinstance(rel_docs, list):
+        raise FormatError(f"'relations' must be a list of relations, got {json.dumps(rel_docs)}")
     relations = []
-    for ridx, rel in enumerate(data.get("relations", [])):
+    for ridx, rel in enumerate(rel_docs):
+        if not isinstance(rel, list):
+            raise FormatError(f"relation {ridx} must be a list of terms, got {json.dumps(rel)}")
         terms = []
         for term in rel:
-            if "coeff" not in term or "path" not in term:
+            if not isinstance(term, dict) or "coeff" not in term or "path" not in term:
                 raise FormatError(f"relation {ridx}: terms need 'coeff' and 'path'")
-            terms.append((term["coeff"], tuple(term["path"])))
+            try:
+                # The field comes with the build, so only the syntax is checked here.
+                scalar(field_of("Q"), term["coeff"])
+                path = strings(term["path"], "'path'")
+            except FormatError as exc:
+                raise FormatError(f"relation {ridx}: {exc}") from None
+            terms.append((term["coeff"], tuple(path)))
         relations.append(terms)
+    bound = natural(data.get("nilpotency_bound", 1), "'nilpotency_bound'")
     try:
-        return QuiverPresentation(
-            data["vertices"],
-            data["arrows"],
-            relations,
-            data.get("nilpotency_bound", 1),
-        )
+        return QuiverPresentation(vertices, arrows, relations, bound)
     except AlgebraError as exc:
         raise FormatError(str(exc)) from exc
 

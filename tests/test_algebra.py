@@ -6,7 +6,13 @@ import pytest
 
 import reedylab as rl
 import reedylab.algebra as algebra_module
-from reedylab.algebra import AlgebraError, _check_nilpotent, _radical_charp, product_rank
+from reedylab.algebra import (
+    AlgebraError,
+    _check_nilpotent,
+    _radical_charp,
+    product_rank,
+    product_span,
+)
 from reedylab.corpus import default_corpus_dir
 from reedylab.linalg import Matrix, rref, span, sparse
 from reedylab.qh import peirce_blocks
@@ -121,34 +127,40 @@ def dense_ideal(algebra, space):
     )
 
 
+def random_vector(algebra, rng):
+    """A dense element with one to three seeded random coordinates."""
+    f = algebra.field
+    vec = [f.zero] * algebra.dim
+    for c in rng.sample(range(algebra.dim), rng.randint(1, 3)):
+        vec[c] = f.random(rng)
+    return vec
+
+
 def random_subspaces(algebra, frame, rng, count=24):
     """Seeded sparse random spans, plus closures and the span of the frame."""
     f = algebra.field
     n = algebra.dim
-
-    def random_vector():
-        vec = [f.zero] * n
-        for c in rng.sample(range(n), rng.randint(1, 3)):
-            vec[c] = f.random(rng)
-        return vec
-
     spaces = [frame.semisimple_span()]
     for _ in range(count):
-        gens = [random_vector() for _ in range(rng.randint(1, 3))]
+        gens = [random_vector(algebra, rng) for _ in range(rng.randint(1, 3))]
         spaces.append(span(f, n, gens))
         spaces.append(rl.ideal_closure(algebra, gens[:1]).space)
         spaces.append(rl.subalgebra_closure(algebra, gens[:1]).space)
     return spaces
 
 
+def small_algebra(name, field):
+    """diamond or simplex1 over ``field``, with its frame."""
+    if name == "diamond":
+        return rl.build_quiver_algebra(rl.diamond_presentation(), field)
+    structure = rl.build_simplex_algebra(1, field)
+    return structure.algebra, structure.frame
+
+
 @pytest.mark.parametrize("name", ["diamond", "simplex1"])
 @pytest.mark.parametrize("field", [rl.rationals(), rl.prime_field(3)], ids=["Q", "GF3"])
 def test_sparse_membership_tests_match_dense_brute_force(name, field):
-    if name == "diamond":
-        algebra, frame = rl.build_quiver_algebra(rl.diamond_presentation(), field)
-    else:
-        structure = rl.build_simplex_algebra(1, field)
-        algebra, frame = structure.algebra, structure.frame
+    algebra, frame = small_algebra(name, field)
     rng = random.Random(f"{name}-{field.characteristic}")
     outcomes = {"ideal": set(), "closed": set()}
     for space in random_subspaces(algebra, frame, rng):
@@ -565,3 +577,76 @@ def test_product_rank_matches_oracle(name, simplex2, diamond, GF3):
                          - _oracle_rank(f, base_rows, a.dim))
         expected_domain = sum(xs.dim * ys.dim for xs, ys in pairs)
         assert product_rank(a, pairs, base) == (expected_domain, expected_rank)
+
+
+# --- product_span and the closures built on it ----------------------------------
+
+SMALL_FIELDS = [rl.rationals(), rl.prime_field(2), rl.prime_field(3)]
+
+
+def _dense_span(field, rows, n):
+    """Canonical rows of a span by the dense reference elimination."""
+    if not rows:
+        return ()
+    reduced, rank = rl.rref(rl.Matrix(field, rows, n))
+    return reduced.rows[:rank]
+
+
+def _random_generators(algebra, rng):
+    """Two to four seeded random elements, not all idempotent."""
+    while True:
+        gens = [random_vector(algebra, rng) for _ in range(rng.randint(2, 4))]
+        if not all(algebra.is_idempotent(g) for g in gens):
+            return gens
+
+
+@pytest.mark.parametrize("name", ["diamond", "simplex1"])
+@pytest.mark.parametrize("field", SMALL_FIELDS, ids=["Q", "GF2", "GF3"])
+def test_product_span_and_ideal_closure_match_dense_brute_force(name, field):
+    algebra, _ = small_algebra(name, field)
+    f, n = field, algebra.dim
+    units = [algebra.basis_vector(k) for k in range(n)]
+    rng = random.Random(f"product-span-{name}-{field.characteristic}")
+    ideal_dims = set()
+    for _ in range(8):
+        xs = _random_generators(algebra, rng)
+        ys = _random_generators(algebra, rng)
+        x, y = span(f, n, xs), span(f, n, ys)
+        assert product_span(algebra, x, y).basis == _dense_span(
+            f, [algebra.mul(u, v) for u in xs for v in ys], n)
+        assert product_span(algebra, None, x).basis == _dense_span(
+            f, [algebra.mul(b, u) for b in units for u in xs], n)
+        assert product_span(algebra, x, None).basis == _dense_span(
+            f, [algebra.mul(u, b) for u in xs for b in units], n)
+        ideal = rl.ideal_closure(algebra, xs)
+        assert ideal.closure_kind == rl.AlgSubspace.IDEAL
+        assert ideal.space.basis == _dense_span(
+            f, [algebra.mul(algebra.mul(b, u), c) for b in units for u in xs for c in units], n)
+        ideal_dims.add(ideal.dim)
+    assert any(0 < d < n for d in ideal_dims)
+
+
+def _dense_subalgebra_closure(algebra, gens):
+    """Fixed point of S <- S + S*S from the unit and the generators, densely."""
+    f, n = algebra.field, algebra.dim
+    rows = _dense_span(f, [algebra.unit, *gens], n)
+    while True:
+        grown = _dense_span(f, [*rows, *(algebra.mul(u, v) for u in rows for v in rows)], n)
+        if grown == rows:
+            return rows
+        rows = grown
+
+
+@pytest.mark.parametrize("name", ["diamond", "simplex1"])
+@pytest.mark.parametrize("field", SMALL_FIELDS, ids=["Q", "GF2", "GF3"])
+def test_subalgebra_closure_matches_dense_fixed_point(name, field):
+    algebra, _ = small_algebra(name, field)
+    rng = random.Random(f"subalgebra-{name}-{field.characteristic}")
+    dims = set()
+    for _ in range(8):
+        gens = _random_generators(algebra, rng)[:rng.randint(1, 2)]
+        closure = rl.subalgebra_closure(algebra, gens)
+        assert closure.closure_kind == rl.AlgSubspace.SUBALGEBRA
+        assert closure.space.basis == _dense_subalgebra_closure(algebra, gens)
+        dims.add(closure.dim)
+    assert any(1 < d < algebra.dim for d in dims)

@@ -207,6 +207,31 @@ def test_integer_scalar_in_prime_field_file_exits_2(tmp_path, capsys):
     assert code == 2 and "mult row [0, 5]: scalars must be decimal strings, got 1" in stderr
 
 
+MALFORMED_QUIVER = [
+    (["vertices"], 5, "'vertices' must be a list of strings, got 5"),
+    (["arrows"], 5, "'arrows' must be a list of arrows, got 5"),
+    (["relations"], 5, "'relations' must be a list of relations, got 5"),
+    (["relations", 0, 0, "coeff"], 0.5, "relation 0: scalars must be decimal strings, got 0.5"),
+    (["nilpotency_bound"], "2", "'nilpotency_bound' must be a natural number, got \"2\""),
+    (["nilpotency_bound"], 1.5, "'nilpotency_bound' must be a natural number, got 1.5"),
+    (["arrows", 0], ["a", "b"], 'arrow ["a", "b"] is not [source, target, label] strings'),
+]
+
+
+@pytest.mark.parametrize("path, value, message", MALFORMED_QUIVER)
+def test_malformed_quiver_file_exits_2(tmp_path, capsys, path, value, message):
+    quiver = _edit_copy(tmp_path, "diamond.quiver.json", _set(path, value))
+    code, _, stderr = run(capsys, "build", str(quiver), "-o", str(tmp_path / "out.alg.json"))
+    assert code == 2 and message in stderr
+
+
+@pytest.mark.parametrize("p", [7.9, "2", [2]])
+def test_non_natural_field_characteristic_exits_2(tmp_path, capsys, p):
+    alg = _edit_copy(tmp_path, "diamond.gf2.alg.json", _set(["field", "p"], p))
+    code, _, stderr = run(capsys, "search", str(alg))
+    assert code == 2 and "field 'p' must be a natural number" in stderr
+
+
 MALFORMED_SUBSPACE = [
     (5, "'aplus' must be an object"),
     ({"basis": 5}, "aplus.basis must be a list of vectors"),

@@ -133,6 +133,33 @@ def test_standard_modules_diamond(diamond):
         assert fam.standards[i].dim == fam.projectives[i].dim - tr.dim
 
 
+@pytest.mark.parametrize("name", ["diamond", "simplex2"])
+def test_trace_subspace_matches_explicit_sum(name, diamond, simplex2):
+    """trace_subspace against the span of b_t e_j b_k e_i over every j not <= i."""
+    if name == "diamond":
+        algebra, frame = diamond
+        order = WeightOrder(frame.labels, (2, 1, 1, 0))
+    else:
+        algebra, frame = simplex2.algebra, simplex2.frame
+        order = order_from_degrees(frame)
+    f, n = algebra.field, algebra.dim
+    units = [algebra.basis_vector(k) for k in range(n)]
+    dims = []
+    for i, ei in enumerate(frame.idempotents):
+        rows = [
+            algebra.mul(bt, algebra.mul(ej, mid))
+            for j, ej in enumerate(frame.idempotents)
+            if not order.leq(j, i)
+            for mid in (algebra.mul(bk, ei) for bk in units)
+            for bt in units
+        ]
+        expected = rl.rref(rl.Matrix(f, rows, n))[0].rows if rows else ()
+        tr = trace_subspace(algebra, frame, order, i)
+        assert tr.basis == tuple(r for r in expected if any(r))
+        dims.append(tr.dim)
+    assert 0 in dims and any(dims)
+
+
 def test_standard_modules_semisimple(Q):
     s, frame = rl.build_quiver_algebra(rl.QuiverPresentation(["p", "q"], [], [], 1), Q)
     work = frame.with_degrees([0, 0])
