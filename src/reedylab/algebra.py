@@ -197,20 +197,16 @@ class IdempotentFrame:
 
     def eps(self, level: int) -> tuple:
         """Sum of the idempotents of the given degree (zero if none)."""
-        a = self.algebra
-        f = a.field
-        total = [f.zero] * a.dim
-        for e, d in zip(self.idempotents, self.degrees):
-            if d == level:
-                total = [f.add(x, y) for x, y in zip(total, e)]
-        return tuple(total)
+        return self._degree_sum(lambda d: d == level)
 
     def eps_upto(self, level: int) -> tuple:
-        a = self.algebra
-        f = a.field
-        total = [f.zero] * a.dim
+        return self._degree_sum(lambda d: d <= level)
+
+    def _degree_sum(self, keep) -> tuple:
+        f = self.algebra.field
+        total = [f.zero] * self.algebra.dim
         for e, d in zip(self.idempotents, self.degrees):
-            if d <= level:
+            if keep(d):
                 total = [f.add(x, y) for x, y in zip(total, e)]
         return tuple(total)
 

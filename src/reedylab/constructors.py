@@ -93,6 +93,18 @@ def _enumerate_paths(pres: QuiverPresentation, max_len: int):
     return by_len, arrow_map
 
 
+def _coefficient(field: Field, coeff, ridx: int):
+    """A relation coefficient (a decimal string or a number) in ``field``."""
+    try:
+        return field.parse(coeff) if isinstance(coeff, str) else field.of(coeff)
+    except (ValueError, ZeroDivisionError) as exc:
+        from .serialize import FormatError  # serialize imports this module
+
+        raise FormatError(
+            f"relation {ridx}: coefficient {coeff!r} is not a scalar of {field!r} ({exc})"
+        ) from None
+
+
 def build_quiver_algebra(pres: QuiverPresentation, field: Field):
     """Path algebra modulo relations, truncated at the nilpotency bound.
 
@@ -110,14 +122,11 @@ def build_quiver_algebra(pres: QuiverPresentation, field: Field):
     total = len(ordered)
     rel_space = Echelon(field, total)
 
-    def path_endpoints(path):
-        if not path:
-            raise AlgebraError("internal: empty relation path")
-        return arrow_map[path[0]][0], arrow_map[path[-1]][1]
-
     all_paths = [p for length in range(bound + 2) for p in by_len[length]]
     for ridx, rel in enumerate(pres.relations):
-        src, tgt = path_endpoints(rel[0][1])
+        rel = [(_coefficient(field, coeff, ridx), path) for coeff, path in rel]
+        first = rel[0][1]  # every path of a relation has these endpoints
+        src, tgt = arrow_map[first[0]][0], arrow_map[first[-1]][1]
         min_len = min(len(path) for _, path in rel)
         max_len = max(len(path) for _, path in rel)
         for x_src, x_tgt, x_labs in all_paths:
@@ -140,7 +149,7 @@ def build_quiver_algebra(pres: QuiverPresentation, field: Field):
                 for coeff, path in rel:
                     key = (y_src, x_tgt, y_labs + path + x_labs)
                     c = coord[key]
-                    val = field.add(vec.get(c, field.zero), field.parse(str(coeff)) if isinstance(coeff, str) else field.of(coeff))
+                    val = field.add(vec.get(c, field.zero), coeff)
                     if val == field.zero:
                         vec.pop(c, None)
                     else:

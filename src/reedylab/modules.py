@@ -1,8 +1,10 @@
-"""Finite-dimensional modules over structure-constant algebras.
+"""Finite-dimensional modules as subquotients of an algebra.
 
-A module is stored by one dense action matrix per algebra basis element;
-matrices act on coordinate columns, so for a left module act(x*y) =
-act(x) @ act(y) and for a right module the composition order swaps.
+Every module here is U/K for subspaces K <= U of an ambient algebra A that
+are stable under multiplication, from the module's side, by an acting
+algebra X: A itself, or a verified subalgebra of A after restriction.
+Every invariant is the dimension of a span of products, so no action
+matrix is ever formed.
 """
 
 from __future__ import annotations
@@ -14,261 +16,157 @@ from .algebra import (
     IdempotentFrame,
     column_span,
     is_elementary,
+    product_rank,
+    product_span,
     radical,
     row_span,
 )
-from .fields import Field
-from .linalg import Echelon, Subspace, sparse, sparse_span
+from .linalg import Subspace, full_space, sparse, sparse_span, subspace_sum
 
 
 class ModuleRep:
-    __slots__ = ("algebra", "side", "dim", "actions", "_cache")
+    """The subquotient ``carrier / killed`` of ``ambient`` as a left (or
+    right) module.
 
-    def __init__(self, algebra: Algebra, side: str, dim: int, actions):
+    ``acting`` is the verified subalgebra X of ``ambient`` that acts, None
+    for the whole algebra; ``algebra`` is X as a standalone algebra, and the
+    frames passed to the invariants live on it.  ``idempotent`` is a sparse
+    idempotent e with carrier = X*e (e*X for right modules), or None when
+    the carrier is not known to be of that form.
+    """
+
+    __slots__ = ("ambient", "acting", "side", "carrier", "killed", "idempotent", "_cache")
+
+    def __init__(self, ambient: Algebra, side: str, carrier: Subspace,
+                 killed: Subspace | None = None, acting: AlgSubspace | None = None,
+                 idempotent: dict | None = None):
         if side not in ("left", "right"):
             raise ValueError("side must be 'left' or 'right'")
-        self.algebra = algebra
+        self.ambient = ambient
         self.side = side
-        self.dim = dim
-        self.actions = tuple(tuple(tuple(row) for row in m) for m in actions)
-        if len(self.actions) != algebra.dim:
-            raise ValueError("need one action matrix per algebra basis element")
-        for m in self.actions:
-            if len(m) != dim or any(len(r) != dim for r in m):
-                raise ValueError("action matrix shape mismatch")
+        self.carrier = carrier
+        self.killed = killed if killed is not None else Subspace(ambient.field, ambient.dim)
+        self.acting = acting
+        self.idempotent = idempotent
         self._cache = {}
 
     def __repr__(self):
         return f"ModuleRep({self.side}, dim={self.dim} over dim-{self.algebra.dim} algebra)"
 
-    # actions ------------------------------------------------------------
+    @property
+    def algebra(self) -> Algebra:
+        return self.ambient if self.acting is None else self.acting.extracted()[0]
 
-    def action_matrix(self, x: dict) -> tuple:
-        """Dense matrix of the action of a sparse algebra element."""
-        f = self.algebra.field
-        out = [[f.zero] * self.dim for _ in range(self.dim)]
-        for k, c in x.items():
-            mk = self.actions[k]
-            for r in range(self.dim):
-                row = mk[r]
-                outr = out[r]
-                for s in range(self.dim):
-                    if row[s] != f.zero:
-                        outr[s] = f.add(outr[s], f.mul(c, row[s]))
-        return tuple(tuple(r) for r in out)
+    @property
+    def dim(self) -> int:
+        return self.carrier.dim - self.killed.dim
 
-    def validate(self) -> dict:
-        """Check the unit law and compatibility with structure constants."""
-        a = self.algebra
-        f = a.field
-        violations = []
-        ident = tuple(
-            tuple(f.one if r == s else f.zero for s in range(self.dim)) for r in range(self.dim)
-        )
-        if self.action_matrix(sparse(f, a.unit)) != ident:
-            violations.append({"kind": "unit"})
-        for i in range(a.dim):
-            for j in range(a.dim):
-                if self.side == "left":
-                    comp = _matmul(f, self.actions[i], self.actions[j])
-                else:
-                    comp = _matmul(f, self.actions[j], self.actions[i])
-                expected = [[f.zero] * self.dim for _ in range(self.dim)]
-                for k, c in a.mult[i][j]:
-                    mk = self.actions[k]
-                    for r in range(self.dim):
-                        for s in range(self.dim):
-                            if mk[r][s] != f.zero:
-                                expected[r][s] = f.add(expected[r][s], f.mul(c, mk[r][s]))
-                if comp != tuple(tuple(r) for r in expected):
-                    violations.append({"kind": "action", "pair": (i, j)})
-        return {"valid": not violations, "violations": violations}
+    def _acting_on_carrier(self, xs: Subspace) -> tuple:
+        """The pair whose products span X*U (U*X for right modules)."""
+        return (xs, self.carrier) if self.side == "left" else (self.carrier, xs)
 
-    # derived structures ---------------------------------------------------
+    def _rank_modulo(self, e, base: Subspace) -> int:
+        """dim(e*U + base) - dim(base) for a frame idempotent e (U*e on the right)."""
+        a = self.ambient
+        e = sparse(a.field, e)
+        line = sparse_span(a.field, a.dim, [e if self.acting is None else self.acting.embed(e)])
+        return product_rank(a, [self._acting_on_carrier(line)], base)[1]
 
     def radical_submodule(self) -> Subspace:
-        """rad(A)*M (or M*rad(A) for right modules) inside module coordinates."""
-        if "radical_submodule" in self._cache:
-            return self._cache["radical_submodule"]
-        f = self.algebra.field
-        rad = radical(self.algebra)
-        sub = sparse_span(f, self.dim, (
-            col for r in rad.space.rows.values() for col in _columns(f, self.action_matrix(r))
-        ))
-        self._cache["radical_submodule"] = sub
-        return sub
+        """rad(X)*U + K (U*rad(X) + K for right modules), whose quotient of
+        the module is its top."""
+        if "radical_submodule" not in self._cache:
+            a = self.ambient
+            rad = radical(self.algebra).space
+            if self.acting is not None:
+                lifted = (self.acting.embed(r) for r in rad.rows.values())
+                rad = sparse_span(a.field, a.dim, lifted)
+            self._cache["radical_submodule"] = subspace_sum(
+                product_span(a, *self._acting_on_carrier(rad)), self.killed
+            )
+        return self._cache["radical_submodule"]
 
     def top_multiplicities(self, frame: IdempotentFrame) -> tuple[int, ...]:
         """dim e_i * top(M) per frame index (top(M)*e_i for right modules)."""
-        f = self.algebra.field
         radm = self.radical_submodule()
-        index = {c: t for t, c in enumerate(radm.complement_coords())}
-        out = []
-        for e in frame.idempotents:
-            mat = self.action_matrix(sparse(f, e))
-            out.append(sparse_span(f, len(index), (
-                {index[c]: x for c, x in radm.reduce(col).items()} for col in _columns(f, mat)
-            )).dim)
-        return tuple(out)
+        return tuple(self._rank_modulo(e, radm) for e in frame.idempotents)
 
     def comp_dim_vector(self, frame: IdempotentFrame) -> tuple[int, ...]:
         """dim e_i*M per frame index (counts composition factors when elementary)."""
-        f = self.algebra.field
-        return tuple(
-            sparse_span(f, self.dim, _columns(f, self.action_matrix(sparse(f, e)))).dim
-            for e in frame.idempotents
-        )
-
-
-def _columns(f: Field, mat) -> list:
-    """The columns of a dense square matrix as sparse vectors."""
-    n = len(mat)
-    return [{r: mat[r][c] for r in range(n) if mat[r][c] != f.zero} for c in range(n)]
-
-
-def _matmul(f: Field, x, y):
-    n = len(x)
-    out = [[f.zero] * n for _ in range(n)]
-    for r in range(n):
-        xr = x[r]
-        outr = out[r]
-        for m in range(n):
-            c = xr[m]
-            if c == f.zero:
-                continue
-            ym = y[m]
-            for s in range(n):
-                if ym[s] != f.zero:
-                    outr[s] = f.add(outr[s], f.mul(c, ym[s]))
-    return tuple(tuple(r) for r in out)
+        return tuple(self._rank_modulo(e, self.killed) for e in frame.idempotents)
 
 
 def regular_module(a: Algebra, side: str = "left") -> ModuleRep:
-    f = a.field
-    actions = []
-    for k in range(a.dim):
-        mat = [[f.zero] * a.dim for _ in range(a.dim)]
-        for j in range(a.dim):
-            pairs = a.mult[k][j] if side == "left" else a.mult[j][k]
-            for t, c in pairs:
-                mat[t][j] = f.add(mat[t][j], c)
-        actions.append(mat)
-    return ModuleRep(a, side, a.dim, actions)
+    return ModuleRep(a, side, full_space(a.field, a.dim), idempotent=sparse(a.field, a.unit))
 
 
 def module_from_subspace(a: Algebra, sub: Subspace, side: str = "left") -> ModuleRep:
-    """Module structure on an action-stable subspace of the regular module."""
-    f = a.field
-    actions = []
-    for k in range(a.dim):
-        bk = {k: f.one}
-        cols = []
-        for v in sub.rows.values():
-            coords = sub.coords(a.mul_sparse(bk, v) if side == "left" else a.mul_sparse(v, bk))
-            if coords is None:
-                raise AlgebraError("subspace is not stable under the action")
-            cols.append(coords)
-        actions.append(_from_columns(f, cols, sub.dim))
-    return ModuleRep(a, side, sub.dim, actions)
+    """Module structure on an action-stable subspace of the regular module.
+
+    A*U contains U because A is unital, so U is stable iff A*U = U."""
+    if (product_span(a, None, sub) if side == "left" else product_span(a, sub, None)) != sub:
+        raise AlgebraError("subspace is not stable under the action")
+    return ModuleRep(a, side, sub)
 
 
-def _from_columns(f: Field, cols, n: int) -> list:
-    """The dense n x n matrix with the given sparse columns."""
-    return [[col.get(r, f.zero) for col in cols] for r in range(n)]
+def projective_module(a: Algebra, e, side: str = "left") -> ModuleRep:
+    """The cyclic projective Ae (left) or eA (right) of a dense idempotent e."""
+    carrier = column_span(a, None, e) if side == "left" else row_span(a, e, None)
+    return ModuleRep(a, side, carrier, idempotent=sparse(a.field, e))
 
 
-def projective_module(a: Algebra, e, side: str = "left") -> tuple[ModuleRep, Subspace]:
-    """The cyclic projective Ae (left) or eA (right) with its carrier subspace."""
-    sub = column_span(a, None, e) if side == "left" else row_span(a, e, None)
-    return module_from_subspace(a, sub, side), sub
-
-
-def quotient_module(m: ModuleRep, sub: Subspace) -> tuple[ModuleRep, tuple[int, ...]]:
-    """Quotient by an action-stable subspace; returns the complement coordinates."""
-    f = m.algebra.field
-    comp = sub.complement_coords()
-    index = {c: t for t, c in enumerate(comp)}
-    actions = []
-    for mk in m.actions:
-        cols = _columns(f, mk)
-        reduced = [sub.reduce(cols[c]) for c in comp]
-        actions.append(_from_columns(
-            f, [{index[t]: x for t, x in red.items()} for red in reduced], len(comp)
-        ))
-    return ModuleRep(m.algebra, m.side, len(comp), actions), comp
+def quotient_module(m: ModuleRep, sub: Subspace) -> ModuleRep:
+    """M/N for the submodule N = (sub + K)/K, ``sub`` a subspace of the carrier."""
+    if any(m.carrier.reduce(v) for v in sub.rows.values()):
+        raise AlgebraError("quotient by a subspace outside the module")
+    return ModuleRep(m.ambient, m.side, m.carrier, subspace_sum(m.killed, sub),
+                     m.acting, m.idempotent)
 
 
 def simple_module(a: Algebra, frame: IdempotentFrame, index: int, side: str = "left") -> ModuleRep:
     """The simple top of the cyclic projective at a frame idempotent.
 
     Requires the algebra to be elementary with respect to the frame, so the
-    result is one-dimensional with scalar actions.
+    result is one-dimensional.
     """
     if not is_elementary(a, frame):
         raise AlgebraError("simple modules via frames need an elementary algebra")
-    proj, _ = projective_module(a, frame.idempotents[index], side)
-    radm = proj.radical_submodule()
-    simple, _ = quotient_module(proj, radm)
+    proj = projective_module(a, frame.idempotents[index], side)
+    simple = quotient_module(proj, proj.radical_submodule())
     if simple.dim != 1:
         raise AlgebraError("top of the cyclic projective is not one-dimensional")
     return simple
 
 
 def restrict_module(m: ModuleRep, b_sub: AlgSubspace) -> ModuleRep:
-    """Restriction along the inclusion of a verified subalgebra."""
-    sub_alg, rows = b_sub.extracted()
-    actions = [m.action_matrix(v) for v in rows]
-    return ModuleRep(sub_alg, m.side, m.dim, actions)
+    """Restriction along the inclusion of a verified subalgebra: the same
+    subquotient, acted on by the subalgebra only."""
+    if m.acting is not None or b_sub.algebra.dim != m.ambient.dim:
+        raise AlgebraError("restriction needs a subalgebra of the module's algebra")
+    b_sub.extracted()  # raises unless the subalgebra is verified
+    return ModuleRep(m.ambient, m.side, m.carrier, m.killed, b_sub)
 
 
 def induce_module(a: Algebra, b_sub: AlgSubspace, m: ModuleRep) -> ModuleRep:
-    """A (x)_B M for a verified subalgebra B and a left B-module M.
+    """A (x)_B M for a verified subalgebra B and a left B-module M = Be/K.
 
-    Computed as the quotient of A (x)_k M by the span of the balancing
-    relations ab (x) m - a (x) bm.
+    A (x)_B Be is Ae, and A (x)_B - is right exact, so A (x)_B (Be/K) is
+    Ae / A*K.  Modules not of the form Be/K are refused.
     """
     if b_sub.closure_kind != AlgSubspace.SUBALGEBRA:
         raise AlgebraError("induction requires a verified subalgebra")
     if m.side != "left":
         raise AlgebraError("induction is implemented for left modules")
-    sub_alg, rows = b_sub.extracted()
+    sub_alg, _ = b_sub.extracted()
     if m.algebra is not sub_alg and m.algebra.dim != sub_alg.dim:
         raise AlgebraError("module is not over the extracted subalgebra")
+    if m.acting is not None or m.idempotent is None:
+        raise AlgebraError("induction needs a quotient Be/K of a projective of the subalgebra")
     f = a.field
-    dim_m = m.dim
-    ambient = a.dim * dim_m
-    rel = Echelon(f, ambient)
-    for bi, sb in enumerate(rows):
-        bmat = m.actions[bi]
-        for ai in range(a.dim):
-            ab = a.mul_sparse({ai: f.one}, sb)
-            for mj in range(dim_m):
-                vec: dict = {}
-                for c, x in ab.items():
-                    vec[c * dim_m + mj] = x
-                for r in range(dim_m):
-                    coeff = bmat[r][mj]
-                    if coeff != f.zero:
-                        key = ai * dim_m + r
-                        val = f.sub(vec.get(key, f.zero), coeff)
-                        if val == f.zero:
-                            vec.pop(key, None)
-                        else:
-                            vec[key] = val
-                if vec:
-                    rel.insert(vec)
-    rel_sub = rel.to_subspace()
-    comp = rel_sub.complement_coords()
-    index = {c: t for t, c in enumerate(comp)}
-    actions = []
-    for k in range(a.dim):
-        cols = []
-        for c in comp:
-            ai, mj = divmod(c, dim_m)
-            red = rel_sub.reduce({t * dim_m + mj: coeff for t, coeff in a.mult[k][ai]})
-            cols.append({index[t]: x for t, x in red.items()})
-        actions.append(_from_columns(f, cols, len(comp)))
-    return ModuleRep(a, "left", len(comp), actions)
+    e = b_sub.embed(m.idempotent)
+    killed = sparse_span(f, a.dim, (b_sub.embed(v) for v in m.killed.rows.values()))
+    return ModuleRep(a, "left", column_span(a, None, e), product_span(a, None, killed),
+                     idempotent=e)
 
 
 def is_projective_module(m: ModuleRep, frame: IdempotentFrame) -> bool:
@@ -277,10 +175,8 @@ def is_projective_module(m: ModuleRep, frame: IdempotentFrame) -> bool:
     if not is_elementary(a, frame):
         raise AlgebraError("projectivity test supported for elementary algebras only")
     tops = m.top_multiplicities(frame)
-    total = 0
-    for i, mult in enumerate(tops):
-        if mult == 0:
-            continue
-        _, carrier = projective_module(a, frame.idempotents[i], m.side)
-        total += mult * carrier.dim
+    total = sum(
+        mult * projective_module(a, frame.idempotents[i], m.side).dim
+        for i, mult in enumerate(tops) if mult
+    )
     return total == m.dim

@@ -32,6 +32,7 @@ from .modules import (
     ModuleRep,
     induce_module,
     is_projective_module,
+    module_from_subspace,
     projective_module,
     quotient_module,
     regular_module,
@@ -155,21 +156,13 @@ def directedness(frame: IdempotentFrame, levels, raising: bool,
 class LevelChain:
     """Cached data of the candidate chain 0 <= J_0 <= J_1 <= ... <= A."""
 
-    __slots__ = ("algebra", "frame", "order", "levels", "ideals", "quotients")
+    __slots__ = ("frame", "levels", "ideals", "quotients")
 
-    def __init__(self, algebra, frame, order, levels, ideals, quotients):
-        self.algebra = algebra
+    def __init__(self, frame, levels, ideals, quotients):
         self.frame = frame
-        self.order = order
         self.levels = levels
         self.ideals = ideals
         self.quotients = quotients
-
-    def ideal_below(self, level_rank: int) -> AlgSubspace:
-        """J_{l-1} for the level of given rank (zero subspace for rank 0)."""
-        if level_rank == 0:
-            return AlgSubspace(self.algebra, Subspace(self.algebra.field, self.algebra.dim))
-        return self.ideals[level_rank - 1]
 
 
 def level_chain(a: Algebra, frame: IdempotentFrame, order: WeightOrder) -> LevelChain:
@@ -182,15 +175,23 @@ def level_chain(a: Algebra, frame: IdempotentFrame, order: WeightOrder) -> Level
     quotients = []
     current = a
     cur_frame = work
-    for rank, lev in enumerate(levels):
-        ideals.append(ideal_closure(a, [work.eps_upto(lev)]))
-        eps_here = cur_frame.eps(lev) if cur_frame.degrees is not None else None
-        layer_ideal = ideal_closure(current, [eps_here])
+    below = Subspace(a.field, a.dim)
+    for lev in levels:
+        # J_l is J_(l-1) plus the layer ideal of A/J_(l-1), lifted to A.
+        layer_ideal = ideal_closure(current, [cur_frame.eps(lev)])
+        lifted = layer_ideal.space.rows.values()
+        for _, _, _, _, qmap, _ in reversed(quotients):
+            lifted = [qmap.lift_sparse(v) for v in lifted]
+        acc = Echelon(a.field, a.dim, below)
+        for v in lifted:
+            acc.insert(v)
+        below = acc.to_subspace()
+        ideals.append(AlgSubspace(a, below, AlgSubspace.IDEAL))
         q, qmap = quotient(current, layer_ideal)
         q_frame = quotient_frame(cur_frame, qmap)
         quotients.append((current, cur_frame, layer_ideal, q, qmap, q_frame))
         current, cur_frame = q, q_frame
-    chain = LevelChain(a, work, order, levels, tuple(ideals), tuple(quotients))
+    chain = LevelChain(work, levels, tuple(ideals), tuple(quotients))
     a._cache[key] = chain
     return chain
 
@@ -231,8 +232,6 @@ def heredity_ideal_check(a: Algebra, frame: IdempotentFrame, eps) -> dict:
 def _heredity_cross_checks(a: Algebra, frame, ideal: AlgSubspace, rad: AlgSubspace) -> dict:
     idempotent_ideal = product_rank(a, [(ideal.space, ideal.space)])[1] == ideal.dim
     jrj = product_span(a, product_span(a, ideal.space, rad.space), ideal.space)
-    from .modules import module_from_subspace  # local import to avoid cycle at load
-
     proj = is_projective_module(module_from_subspace(a, ideal.space, "left"), frame)
     return {
         "idempotent_ideal": idempotent_ideal,
@@ -297,35 +296,28 @@ def trace_subspace(a: Algebra, frame: IdempotentFrame, order: WeightOrder, i: in
 def standard_modules(a: Algebra, frame: IdempotentFrame, order: WeightOrder) -> StandardFamily:
     if not is_elementary(a, frame):
         raise AlgebraError("standard modules via frames require an elementary algebra")
-    projectives, standards, simples = [], [], []
-    comp_vectors, top_vectors = [], []
-    bound_ok = True
-    for i in range(len(frame)):
-        proj, carrier = projective_module(a, frame.idempotents[i], "left")
-        tr = trace_subspace(a, frame, order, i)
-        delta, _ = quotient_module(proj, carrier.coords_span(tr))
-        radm = proj.radical_submodule()
-        simple, _ = quotient_module(proj, radm)
-        comp = delta.comp_dim_vector(frame)
-        top = delta.top_multiplicities(frame)
-        for j in range(len(frame)):
-            if not order.leq(j, i) and comp[j] != 0:
-                bound_ok = False
-        projectives.append(proj)
-        standards.append(delta)
-        simples.append(simple)
-        comp_vectors.append(comp)
-        top_vectors.append(top)
+    projectives = tuple(projective_module(a, e, "left") for e in frame.idempotents)
+    standards = tuple(
+        quotient_module(proj, trace_subspace(a, frame, order, i))
+        for i, proj in enumerate(projectives)
+    )
+    comp_vectors = tuple(delta.comp_dim_vector(frame) for delta in standards)
     return StandardFamily(
         algebra=a,
         frame=frame,
         order=order,
-        projectives=tuple(projectives),
-        standards=tuple(standards),
-        simples=tuple(simples),
-        comp_vectors=tuple(comp_vectors),
-        top_vectors=tuple(top_vectors),
-        factor_bound_ok=bound_ok,
+        projectives=projectives,
+        standards=standards,
+        simples=tuple(quotient_module(proj, proj.radical_submodule()) for proj in projectives),
+        comp_vectors=comp_vectors,
+        top_vectors=tuple(delta.top_multiplicities(frame) for delta in standards),
+        # no composition factor of Delta(i) above i
+        factor_bound_ok=all(
+            comp[j] == 0
+            for i, comp in enumerate(comp_vectors)
+            for j in range(len(frame))
+            if not order.leq(j, i)
+        ),
     )
 
 
@@ -348,11 +340,11 @@ def layer_quotient_module(a: Algebra, frame: IdempotentFrame, order: WeightOrder
     """
     chain = level_chain(a, frame, order)
     rank = chain.levels.index(order.levels[i])
-    below = chain.ideal_below(rank)
-    proj, carrier = projective_module(a, frame.idempotents[i], "left")
-    killed = column_span(a, below.space, frame.idempotents[i])
-    module, _ = quotient_module(proj, carrier.coords_span(killed))
-    return module
+    e = frame.idempotents[i]
+    proj = projective_module(a, e, "left")
+    if rank == 0:
+        return proj
+    return quotient_module(proj, column_span(a, chain.ideals[rank - 1].space, e))
 
 
 def _elementary_candidate(frame: IdempotentFrame, b: AlgSubspace, report: dict):
@@ -373,8 +365,29 @@ def _elementary_candidate(frame: IdempotentFrame, b: AlgSubspace, report: dict):
     return None, None
 
 
+def _standards(a: Algebra, frame: IdempotentFrame, order: WeightOrder) -> tuple:
+    """The standard modules, or the layer quotients when A is not elementary."""
+    if is_elementary(a, frame):
+        return standard_modules(a, frame, order).standards
+    return tuple(layer_quotient_module(a, frame, order, i) for i in range(len(frame)))
+
+
+def _same_invariants(m: ModuleRep, n: ModuleRep, frame: IdempotentFrame) -> bool:
+    """Equal dimension, composition dimension vector and top."""
+    return (
+        m.dim == n.dim
+        and m.comp_dim_vector(frame) == n.comp_dim_vector(frame)
+        and m.top_multiplicities(frame) == n.top_multiplicities(frame)
+    )
+
+
 def exact_borel_check(a: Algebra, frame: IdempotentFrame, b: AlgSubspace, order: WeightOrder) -> dict:
-    """Exact-Borel test: directed subalgebra, exact induction, simples -> standards."""
+    """Exact-Borel test: directed subalgebra, exact induction, simples -> standards.
+
+    The per-weight ``match`` compares the invariants of A (x)_B L(i) and of
+    the standard module (dimension, composition vector, top); it is not an
+    isomorphism test.
+    """
     report: dict = {"overall": False}
     sub_alg, sub_frame = _elementary_candidate(frame, b, report)
     if sub_alg is None:
@@ -383,22 +396,11 @@ def exact_borel_check(a: Algebra, frame: IdempotentFrame, b: AlgSubspace, order:
     report["directed_simple"] = directed["simple_standards"]
     right_reg = restrict_module(regular_module(a, "right"), b)
     report["right_projective"] = is_projective_module(right_reg, sub_frame)
-    use_standards = is_elementary(a, frame)
-    family = standard_modules(a, frame, order) if use_standards else None
     induced_match = True
     per_weight = []
-    for i in range(len(frame)):
-        simple = simple_module(sub_alg, sub_frame, i, "left")
-        induced = induce_module(a, b, simple)
-        if use_standards:
-            target = family.standards[i]
-        else:
-            target = layer_quotient_module(a, frame, order, i)
-        same = (
-            induced.dim == target.dim
-            and induced.comp_dim_vector(frame) == target.comp_dim_vector(frame)
-            and induced.top_multiplicities(frame) == target.top_multiplicities(frame)
-        )
+    for i, target in enumerate(_standards(a, frame, order)):
+        induced = induce_module(a, b, simple_module(sub_alg, sub_frame, i, "left"))
+        same = _same_invariants(induced, target, frame)
         induced_match = induced_match and same
         per_weight.append(
             {
@@ -417,31 +419,26 @@ def exact_borel_check(a: Algebra, frame: IdempotentFrame, b: AlgSubspace, order:
 
 
 def delta_subalgebra_check(a: Algebra, frame: IdempotentFrame, c: AlgSubspace, order: WeightOrder) -> dict:
-    """Delta-subalgebra test: standards restrict to the projectives of c."""
+    """Delta-subalgebra test: standards restrict to the projectives of c.
+
+    When ``restrictions_projective`` holds, the per-weight top match already
+    decides the isomorphism with the projective of c at that weight, since a
+    projective module is determined by its top.
+    """
     report: dict = {"overall": False}
     sub_alg, sub_frame = _elementary_candidate(frame, c, report)
     if sub_alg is None:
         return report
     directed = directed_qh_check(sub_alg, sub_frame, order)
     report["directed_projective"] = directed["projective_standards"]
-    use_standards = is_elementary(a, frame)
-    family = standard_modules(a, frame, order) if use_standards else None
     all_proj = True
     all_match = True
     per_weight = []
-    for i in range(len(frame)):
-        if use_standards:
-            delta = family.standards[i]
-        else:
-            delta = layer_quotient_module(a, frame, order, i)
+    for i, delta in enumerate(_standards(a, frame, order)):
         restricted = restrict_module(delta, c)
         proj_ok = is_projective_module(restricted, sub_frame)
-        proj_c, _ = projective_module(sub_alg, sub_frame.idempotents[i], "left")
-        same = (
-            restricted.dim == proj_c.dim
-            and restricted.comp_dim_vector(sub_frame) == proj_c.comp_dim_vector(sub_frame)
-            and restricted.top_multiplicities(sub_frame) == proj_c.top_multiplicities(sub_frame)
-        )
+        proj_c = projective_module(sub_alg, sub_frame.idempotents[i], "left")
+        same = _same_invariants(restricted, proj_c, sub_frame)
         all_proj = all_proj and proj_ok
         all_match = all_match and same
         per_weight.append(

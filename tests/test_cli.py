@@ -1,7 +1,10 @@
 """CLI contract: subcommands, exit codes, deterministic reports."""
 
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -225,6 +228,16 @@ def test_malformed_quiver_file_exits_2(tmp_path, capsys, path, value, message):
     assert code == 2 and message in stderr
 
 
+@pytest.mark.parametrize("coeff", ["1/2", "0.5"])
+def test_coefficient_outside_the_field_exits_2(tmp_path, capsys, coeff):
+    quiver = _edit_copy(tmp_path, "diamond.quiver.json", _set(["relations", 0, 0, "coeff"], coeff))
+    code, _, stderr = run(
+        capsys, "build", str(quiver), "--field", "GF:2", "-o", str(tmp_path / "out.alg.json")
+    )
+    assert code == 2
+    assert f"relation 0: coefficient {coeff!r} is not a scalar of GF(2)" in stderr
+
+
 @pytest.mark.parametrize("p", [7.9, "2", [2]])
 def test_non_natural_field_characteristic_exits_2(tmp_path, capsys, p):
     alg = _edit_copy(tmp_path, "diamond.gf2.alg.json", _set(["field", "p"], p))
@@ -390,3 +403,21 @@ def test_corpus_empty_dir_exits_2(tmp_path, capsys):
 def test_missing_file_exits_2(capsys):
     code, _, stderr = run(capsys, "verify", "reedy", "/nonexistent/x.reedy.json")
     assert code == 2
+
+
+def test_verifies_without_numpy_and_sympy():
+    """The package has no runtime dependencies: with numpy and sympy made
+    unimportable it still imports and verifies Theorem 4.1 on simplex1."""
+    script = (
+        "import sys\n"
+        "sys.modules['numpy'] = sys.modules['sympy'] = None\n"
+        "from reedylab.cli import main\n"
+        f"raise SystemExit(main(['verify', 'theorem41', {str(CORPUS / 'simplex1.reedy.json')!r}]))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["agree"] is True

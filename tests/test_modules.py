@@ -1,40 +1,51 @@
-"""Module representations: axioms, induction, restriction, projectivity."""
+"""Modules as subquotients: invariants, induction, restriction, projectivity,
+and agreement with the dense action-matrix oracle."""
 
 import pytest
 
+import dense_modules as dense
 import reedylab as rl
-from reedylab.algebra import AlgebraError
-from reedylab.modules import (
-    _matmul,
-    projective_module,
-    quotient_module,
-    regular_module,
-)
+from reedylab.algebra import AlgebraError, subalgebra_frame
+from reedylab.linalg import densify
+from reedylab.modules import projective_module, quotient_module, regular_module
+from reedylab.qh import layer_quotient_module, level_chain, order_from_degrees, trace_subspace
 
 
-def test_regular_modules_satisfy_axioms(diamond, uppertri):
-    for algebra, _ in (diamond, uppertri):
+def test_regular_module_invariants(diamond, uppertri):
+    algebra, frame = diamond
+    # e_j A is spanned by the paths ending at j, A e_j by those starting there
+    assert regular_module(algebra, "left").comp_dim_vector(frame) == (1, 2, 2, 4)
+    assert regular_module(algebra, "right").comp_dim_vector(frame) == (4, 2, 2, 1)
+    for algebra, frame in (diamond, uppertri):
         for side in ("left", "right"):
-            assert regular_module(algebra, side).validate()["valid"]
+            module = regular_module(algebra, side)
+            assert module.dim == algebra.dim
+            assert module.top_multiplicities(frame) == (1,) * len(frame)
+            assert rl.is_projective_module(module, frame)
+            oracle = dense.regular(algebra, side)
+            assert dense.invariants(module, frame) == dense.invariants(oracle, frame)
 
 
 def test_projective_column_modules(diamond):
     algebra, frame = diamond
     dims = []
-    for e in frame.idempotents:
-        module, carrier = projective_module(algebra, e, "left")
-        assert module.validate()["valid"]
-        dims.append(carrier.dim)
-    assert dims == [4, 2, 2, 1]  # paths out of a, b, c, d
+    for side in ("left", "right"):
+        for e in frame.idempotents:
+            module = projective_module(algebra, e, side)
+            oracle, carrier = dense.projective(algebra, e, side)
+            assert module.carrier == carrier
+            assert dense.invariants(module, frame) == dense.invariants(oracle, frame)
+            dims.append(module.dim)
+    assert dims == [4, 2, 2, 1, 1, 2, 2, 4]  # paths out of, then into, a, b, c, d
 
 
 def test_quotient_module_by_radical(diamond):
     algebra, frame = diamond
-    module, _ = projective_module(algebra, frame.idempotents[0], "left")
+    module = projective_module(algebra, frame.idempotents[0], "left")
     radm = module.radical_submodule()
-    top, _ = quotient_module(module, radm)
-    assert top.validate()["valid"]
+    top = quotient_module(module, radm)
     assert top.dim == 1
+    assert top.comp_dim_vector(frame) == top.top_multiplicities(frame) == (1, 0, 0, 0)
     assert module.comp_dim_vector(frame) == (1, 1, 1, 1)
     assert module.top_multiplicities(frame) == (1, 0, 0, 0)
 
@@ -57,59 +68,24 @@ def test_simple_module_requires_elementary(simplex1):
 # --- induction ------------------------------------------------------------
 
 
-def test_induction_along_full_algebra_is_identity(uppertri):
-    algebra, frame = uppertri
-    full = rl.full_subalgebra(algebra)
-    module, _ = projective_module(algebra, frame.idempotents[0], "left")
-    induced = rl.induce_module(algebra, full, module)
-    assert induced.dim == module.dim
-    # canonical isomorphism a (x) m -> am intertwines the actions
-    f = algebra.field
-    sub_alg, rows = full.extracted()
-    # projection matrix from induced coordinates (pairs) to module coordinates
-    rel_dim = algebra.dim * module.dim
-    comp = _recover_complement(algebra, full, module)
-    assert len(comp) == module.dim
-    cols = []
-    for c in comp:
-        ai, mj = divmod(c, module.dim)
-        cols.append(tuple(row[mj] for row in module.actions[ai]))  # b_ai acting on m_mj
-    proj = tuple(
-        tuple(cols[j][r] for j in range(len(comp))) for r in range(module.dim)
-    )
-    for k in range(algebra.dim):
-        lhs = _matmul(f, proj, induced.actions[k]) if module.dim == len(comp) else None
-        rhs = _matmul(f, module.actions[k], proj) if module.dim == len(comp) else None
-        assert lhs == rhs
+def test_induction_along_full_algebra_is_identity(uppertri, diamond):
+    # A (x)_A (Ae/K) = Ae/AK = Ae/K: the same subquotient of A
+    for algebra, frame in (uppertri, diamond):
+        full = rl.full_subalgebra(algebra)
+        for e in frame.idempotents:
+            module = projective_module(algebra, e, "left")
+            for m in (module, quotient_module(module, module.radical_submodule())):
+                induced = rl.induce_module(algebra, full, m)
+                assert (induced.carrier, induced.killed) == (m.carrier, m.killed)
+                oracle = dense.induce(algebra, full, _dense_copy(m))
+                assert dense.invariants(induced, frame) == dense.invariants(oracle, frame)
 
 
-def _recover_complement(algebra, b_sub, module):
-    # mirror of the relation-span construction inside induce_module
-    from reedylab.linalg import Echelon
-
-    f = algebra.field
-    sub_alg, rows = b_sub.extracted()  # the sparse rows of the subspace
-    rel = Echelon(f, algebra.dim * module.dim)
-    for bi, sb in enumerate(rows):
-        bmat = module.actions[bi]
-        for ai in range(algebra.dim):
-            ab = algebra.mul_sparse({ai: f.one}, sb)
-            for mj in range(module.dim):
-                vec = {}
-                for c, x in ab.items():
-                    vec[c * module.dim + mj] = x
-                for r in range(module.dim):
-                    coeff = bmat[r][mj]
-                    if coeff != f.zero:
-                        key = ai * module.dim + r
-                        val = f.sub(vec.get(key, f.zero), coeff)
-                        if val == f.zero:
-                            vec.pop(key, None)
-                        else:
-                            vec[key] = val
-                if vec:
-                    rel.insert(vec)
-    return rel.to_subspace().complement_coords()
+def _dense_copy(m):
+    """The dense oracle's version of a quotient of a projective module."""
+    a = m.ambient
+    dproj, carrier = dense.projective(a, densify(a.field, m.idempotent, a.dim), m.side)
+    return dense.quotient(dproj, carrier.coords_span(m.killed))
 
 
 def test_induction_from_diagonal_subalgebra(uppertri):
@@ -124,8 +100,7 @@ def test_induction_from_diagonal_subalgebra(uppertri):
     simple = rl.simple_module(sub_alg, sub_frame, i)
     induced = rl.induce_module(algebra, diag, simple)
     assert induced.dim == 1
-    _, carrier = projective_module(algebra, frame.idempotents[i], "left")
-    assert carrier.dim == 1
+    assert projective_module(algebra, frame.idempotents[i], "left").dim == 1
 
 
 def test_induction_from_vertex_span_gives_projectives(diamond):
@@ -138,7 +113,7 @@ def test_induction_from_vertex_span_gives_projectives(diamond):
     i = frame.index_of("a")
     induced = rl.induce_module(algebra, s, rl.simple_module(sub_alg, sub_frame, i))
     assert induced.dim == 4
-    assert induced.validate()["valid"]
+    assert induced.carrier == projective_module(algebra, frame.idempotents[i], "left").carrier
     assert induced.comp_dim_vector(frame) == (1, 1, 1, 1)
 
 
@@ -152,7 +127,7 @@ def test_induction_blockwise_formula_over_semisimple(diamond):
     )
     reg = regular_module(sub_alg, "left")
     induced = rl.induce_module(algebra, s, reg)
-    proj_dims = [projective_module(algebra, e, "left")[1].dim for e in frame.idempotents]
+    proj_dims = [projective_module(algebra, e, "left").dim for e in frame.idempotents]
     block_dims = reg.comp_dim_vector(sub_frame)
     assert induced.dim == sum(p * b for p, b in zip(proj_dims, block_dims))
 
@@ -160,7 +135,7 @@ def test_induction_blockwise_formula_over_semisimple(diamond):
 def test_induction_requires_subalgebra_flag(diamond):
     algebra, frame = diamond
     not_sub = rl.plain_subspace(algebra, [frame.idempotents[0]])
-    module, _ = projective_module(algebra, frame.idempotents[0], "left")
+    module = projective_module(algebra, frame.idempotents[0], "left")
     with pytest.raises(AlgebraError):
         rl.induce_module(algebra, not_sub, module)
 
@@ -171,7 +146,7 @@ def test_induction_requires_subalgebra_flag(diamond):
 def test_projectives_are_projective(diamond):
     algebra, frame = diamond
     for e in frame.idempotents:
-        module, _ = projective_module(algebra, e, "left")
+        module = projective_module(algebra, e, "left")
         assert rl.is_projective_module(module, frame)
 
 
@@ -202,3 +177,87 @@ def test_projectivity_requires_elementary(simplex1):
     module = regular_module(simplex1.algebra, "left")
     with pytest.raises(AlgebraError):
         rl.is_projective_module(module, simplex1.frame)
+
+
+def test_induction_refuses_carriers_other_than_be(diamond):
+    algebra, frame = diamond
+    full = rl.full_subalgebra(algebra)
+    s = rl.subalgebra_closure(algebra, list(frame.idempotents))
+    rad_module = rl.module_from_subspace(algebra, rl.radical(algebra).space, "left")
+    restricted = rl.restrict_module(projective_module(algebra, frame.idempotents[0]), s)
+    for sub, module in ((full, rad_module), (s, restricted)):
+        with pytest.raises(AlgebraError, match="quotient Be/K"):
+            rl.induce_module(algebra, sub, module)
+
+
+def test_submodule_checks(diamond):
+    algebra, frame = diamond
+    e_a, e_d = frame.idempotents[0], frame.idempotents[3]
+    with pytest.raises(AlgebraError, match="not stable"):
+        rl.module_from_subspace(algebra, rl.span(algebra.field, algebra.dim, [e_a]), "left")
+    proj_d = projective_module(algebra, e_d, "left")
+    with pytest.raises(AlgebraError, match="outside the module"):
+        quotient_module(proj_d, rl.span(algebra.field, algebra.dim, [e_a]))
+
+
+# --- the dense oracle on the modules of Theorem 4.1 (iii) -----------------------
+
+
+def _compare(new, old, frame):
+    assert dense.invariants(new, frame) == dense.invariants(old, frame)
+
+
+def test_subquotients_match_dense_oracle(corpus_structures):
+    """Every Borel, Delta, A_B and heredity-ideal module that the checks
+    build agrees with the action-matrix construction in dim, comp and top."""
+    visited, restricted_to = [], set()
+    for name, r in corpus_structures.items():
+        a, frame = r.algebra, r.frame
+        if a.dim >= 40:
+            continue
+        visited.append(name)
+        order = order_from_degrees(frame)
+        for current, cur_frame, layer_ideal, _, _, _ in level_chain(a, frame, order).quotients:
+            _compare(rl.module_from_subspace(current, layer_ideal.space),
+                     dense.from_subspace(current, layer_ideal.space), cur_frame)
+        # standard modules (layer quotients when A is not elementary)
+        elementary = rl.is_elementary(a, frame)
+        deltas = []
+        for i, e in enumerate(frame.idempotents):
+            if elementary:
+                new = quotient_module(projective_module(a, e), trace_subspace(a, frame, order, i))
+            else:
+                new = layer_quotient_module(a, frame, order, i)
+            dproj, carrier = dense.projective(a, e)
+            old = dense.quotient(dproj, carrier.coords_span(new.killed))
+            _compare(new, old, frame)
+            deltas.append((new, old))
+        borel = _elementary_restriction(r.aminus, frame)
+        if borel is not None:
+            restricted_to.add(("borel", name))
+            sub_alg, sub_frame = borel
+            _compare(rl.restrict_module(regular_module(a, "right"), r.aminus),
+                     dense.restrict(dense.regular(a, "right"), r.aminus), sub_frame)
+            for i, e in enumerate(sub_frame.idempotents):
+                simple = rl.simple_module(sub_alg, sub_frame, i)
+                dproj, _ = dense.projective(sub_alg, e)
+                old_simple = dense.quotient(dproj, dproj.radical_submodule())
+                _compare(simple, old_simple, sub_frame)
+                _compare(rl.induce_module(a, r.aminus, simple),
+                         dense.induce(a, r.aminus, old_simple), frame)
+        delta_sub = _elementary_restriction(r.aplus, frame)
+        if delta_sub is not None:
+            restricted_to.add(("delta", name))
+            sub_alg, sub_frame = delta_sub
+            for e, (new, old) in zip(sub_frame.idempotents, deltas):
+                _compare(rl.restrict_module(new, r.aplus), dense.restrict(old, r.aplus), sub_frame)
+                _compare(projective_module(sub_alg, e), dense.projective(sub_alg, e)[0], sub_frame)
+    # every small corpus structure has elementary A+ and A- with the frame
+    assert restricted_to == {(kind, name) for name in visited for kind in ("borel", "delta")}
+
+
+def _elementary_restriction(b, frame):
+    if not all(b.contains(e) for e in frame.idempotents):
+        return None
+    sub_alg, sub_frame = subalgebra_frame(b, frame)
+    return (sub_alg, sub_frame) if rl.is_elementary(sub_alg, sub_frame) else None

@@ -7,6 +7,7 @@ from reedylab.algebra import AlgebraError
 from reedylab.qh import (
     WeightOrder,
     layer_quotient_module,
+    level_chain,
     normalized_level_functions,
     order_from_degrees,
     trace_subspace,
@@ -100,6 +101,17 @@ def test_chain_dims_sum_to_algebra(diamond):
     report = rl.heredity_chain_verify(algebra, frame.with_degrees([1, 2, 3, 4]))
     assert report["overall"]
     assert sum(l["layer_dim"] for l in report["layers"]) == algebra.dim
+
+
+def test_chain_ideals_are_the_ideals_of_the_levels_below(corpus_structures):
+    """J_l, built as J_(l-1) plus a lifted layer ideal, is A*eps_(<=l)*A."""
+    for name, structure in corpus_structures.items():
+        a, frame = structure.algebra, structure.frame
+        chain = level_chain(a, frame, order_from_degrees(frame))
+        for lev, ideal in zip(chain.levels, chain.ideals):
+            assert ideal.closure_kind == rl.AlgSubspace.IDEAL, name
+            assert ideal.space == rl.ideal_closure(a, [chain.frame.eps_upto(lev)]).space, name
+        assert chain.ideals[-1].dim == a.dim, name
 
 
 def test_chain_trivial_frame(Q):
