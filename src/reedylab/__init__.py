@@ -38,7 +38,6 @@ from .qh import (
     StandardFamily,
     WeightOrder,
     delta_subalgebra_check,
-    directed_qh_check,
     exact_borel_check,
     heredity_chain_verify,
     heredity_ideal_check,

@@ -210,6 +210,14 @@ class IdempotentFrame:
                 total = [f.add(x, y) for x, y in zip(total, e)]
         return tuple(total)
 
+    def lines(self) -> tuple:
+        """Each idempotent's span as a sparse Subspace (zero for a zero
+        idempotent), built once per frame."""
+        if "lines" not in self._cache:
+            f, n = self.algebra.field, self.algebra.dim
+            self._cache["lines"] = tuple(sparse_span(f, n, [sparse(f, e)]) for e in self.idempotents)
+        return self._cache["lines"]
+
     def semisimple_span(self) -> Subspace:
         key = "S"
         if key not in self._cache:
@@ -292,37 +300,13 @@ class AlgSubspace:
                     raise AlgebraError("subalgebra flag is wrong: not closed")
                 per.append(tuple(coords.items()))
             mult.append(tuple(per))
-        unit_coords = self.restrict_vector(a.unit)
+        unit_coords = self.space.coords(sparse(f, a.unit))
         if unit_coords is None:
             raise AlgebraError("subalgebra flag is wrong: unit missing")
-        sub = Algebra(f, labels, mult, unit_coords)
+        sub = Algebra(f, labels, mult, densify(f, unit_coords, self.dim))
         self._cache["extracted"] = (sub, rows)
         return sub, rows
 
-    def restrict_vector(self, vec):
-        """Dense coordinates of a dense element on the rows, or None if outside."""
-        f = self.algebra.field
-        coords = self.space.coords(sparse(f, vec))
-        return None if coords is None else densify(f, coords, self.dim)
-
-    def embed(self, coords: dict) -> dict:
-        """The sparse element with the given coordinates on the rows."""
-        f = self.algebra.field
-        out: dict = {}
-        rows = tuple(self.space.rows.values())
-        for t, c in coords.items():
-            add_scaled(f, out, c, rows[t])
-        return out
-
-
-def subalgebra_frame(b: AlgSubspace, frame: IdempotentFrame):
-    """A verified subalgebra as an algebra, with the ambient frame restricted
-    to it; ``(None, None)`` when a frame idempotent lies outside it."""
-    sub_alg, _ = b.extracted()
-    idems = [b.restrict_vector(e) for e in frame.idempotents]
-    if any(coords is None for coords in idems):
-        return None, None
-    return sub_alg, IdempotentFrame(sub_alg, idems, frame.labels, frame.degrees, check=False)
 
 
 def plain_subspace(a: Algebra, vectors) -> AlgSubspace:
@@ -387,25 +371,32 @@ def product_span(a: Algebra, xs: Subspace | None, ys: Subspace | None) -> Subspa
     return _product_echelon(a, [(xs, ys)])[1].to_subspace()
 
 
-def _line(a: Algebra, e) -> Subspace:
-    """The span of one element, given densely or as a sparse dict."""
+def element_line(a: Algebra, e) -> Subspace:
+    """The span of one element, given densely, as a sparse dict or as a line."""
+    if isinstance(e, Subspace):
+        return e
     return sparse_span(a.field, a.dim, [_as_sparse(a.field, e)])
 
 
 def column_span(a: Algebra, space: Subspace | None, e) -> Subspace:
     """Span of X*e for X a subspace (the column A*e when None)."""
-    return product_span(a, space, _line(a, e))
+    return product_span(a, space, element_line(a, e))
 
 
 def row_span(a: Algebra, e, space: Subspace | None) -> Subspace:
     """Span of e*X for X a subspace (the row e*A when None)."""
-    return product_span(a, _line(a, e), space)
+    return product_span(a, element_line(a, e), space)
 
 
 def corner_span(a: Algebra, e, space: Subspace | None) -> Subspace:
     """Span of e*X*e for X a subspace (the corner eAe when None)."""
-    line = _line(a, e)
+    line = element_line(a, e)
     return product_span(a, line, product_span(a, space, line))
+
+
+def two_sided_span(a: Algebra, e, space: Subspace | None) -> Subspace:
+    """Span of X*e*X for X a subspace (the ideal AeA when None)."""
+    return product_span(a, column_span(a, space, e), space)
 
 
 def product_rank(a: Algebra, pairs, base: Subspace | None = None) -> tuple[int, int]:
@@ -633,15 +624,18 @@ def _radical_charp(a: Algebra, seed: Subspace | None = None) -> Subspace:
                     val = (tr // power) % p
                     if val:
                         form[r][t] = form[t][r] = val
-        vecs = []
-        for combo in null_space(f, s, form).rows.values():
-            vec: dict = {}
-            for idx, c in combo.items():
-                add_scaled(f, vec, c, rows[idx])
-            vecs.append(vec)
-        current = sparse_span(f, n, vecs)
+        combos = null_space(f, s, form).rows.values()
+        current = sparse_span(f, n, (_combination(f, combo, rows) for combo in combos))
         power *= p
     return current
+
+
+def _combination(f, coords: dict, rows) -> dict:
+    """The sparse vector sum of c * rows[t] over the coefficients {t: c}."""
+    vec: dict = {}
+    for t, c in coords.items():
+        add_scaled(f, vec, c, rows[t])
+    return vec
 
 
 def _check_nilpotent(a: Algebra, sub: Subspace) -> bool:
@@ -693,16 +687,34 @@ def radical_generic(a: Algebra) -> Subspace:
     return _radical_charp(a, k)
 
 
-def is_elementary(a: Algebra, frame: IdempotentFrame) -> bool:
-    """Whether A/rad(A) is a product of copies of k split by the frame."""
-    rad = radical(a)
-    if a.dim - rad.dim != len(frame):
+def radical_space(a: Algebra, sub: AlgSubspace | None = None) -> Subspace:
+    """rad(X) as a subspace of A, for X = A or a verified subalgebra ``sub``:
+    rad(B) is the radical of B extracted as an algebra, embedded back along
+    B's rows and cached on ``sub``."""
+    if sub is None:
+        return radical(a).space
+    if "radical" not in sub._cache:
+        sub_alg, rows = sub.extracted()
+        coords = radical(sub_alg).space.rows.values()
+        sub._cache["radical"] = sparse_span(
+            a.field, a.dim, (_combination(a.field, c, rows) for c in coords)
+        )
+    return sub._cache["radical"]
+
+
+def is_elementary(a: Algebra, frame: IdempotentFrame, sub: AlgSubspace | None = None) -> bool:
+    """Whether X = A (or the verified subalgebra ``sub``) is elementary for
+    the frame: every frame idempotent lies in X, dim X - dim rad X = |E|, and
+    dim e_i X e_i - dim e_i rad(X) e_i = 1, the corner of X/rad(X) at e_i."""
+    space = None if sub is None else sub.space
+    lines = frame.lines()
+    if space is not None and not all(space.contains(v) for line in lines for v in line.rows.values()):
         return False
-    q, qmap = quotient(a, rad)
-    f = a.field
+    rad = radical_space(a, sub)
+    if (a.dim if sub is None else sub.dim) - rad.dim != len(frame):
+        return False
     return all(
-        corner_span(q, qmap.project_sparse(sparse(f, e)), None).dim == 1
-        for e in frame.idempotents
+        corner_span(a, line, space).dim - corner_span(a, line, rad).dim == 1 for line in lines
     )
 
 

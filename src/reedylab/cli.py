@@ -172,6 +172,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_search(args) -> int:
+    if args.max_levels is not None and args.max_levels < 1:
+        raise FormatError(f"--max-levels must be at least 1, got {args.max_levels}")
     algebra, frame = load_algebra(args.algebra)
     if frame is None:
         raise FormatError("algebra file carries no idempotent frame")

@@ -2,9 +2,10 @@
 
 Every module here is U/K for subspaces K <= U of an ambient algebra A that
 are stable under multiplication, from the module's side, by an acting
-algebra X: A itself, or a verified subalgebra of A after restriction.
-Every invariant is the dimension of a span of products, so no action
-matrix is ever formed.
+algebra X: A itself, or a verified subalgebra B of A.  A module over B is
+a subquotient of A acted on by B (B*e, its simple top, a restriction), so
+the frames passed to the invariants are always A's frames.  Every invariant
+is the dimension of a span of products, so no action matrix is ever formed.
 """
 
 from __future__ import annotations
@@ -15,13 +16,14 @@ from .algebra import (
     AlgSubspace,
     IdempotentFrame,
     column_span,
+    element_line,
     is_elementary,
     product_rank,
     product_span,
-    radical,
+    radical_space,
     row_span,
 )
-from .linalg import Subspace, full_space, sparse, sparse_span, subspace_sum
+from .linalg import Subspace, full_space, subspace_sum
 
 
 class ModuleRep:
@@ -29,17 +31,17 @@ class ModuleRep:
     right) module.
 
     ``acting`` is the verified subalgebra X of ``ambient`` that acts, None
-    for the whole algebra; ``algebra`` is X as a standalone algebra, and the
-    frames passed to the invariants live on it.  ``idempotent`` is a sparse
-    idempotent e with carrier = X*e (e*X for right modules), or None when
-    the carrier is not known to be of that form.
+    for the whole algebra; the frames passed to the invariants are frames of
+    ``ambient``.  ``line`` is the span of an idempotent e with carrier = X*e
+    (e*X for right modules), or None when the carrier is not known to be of
+    that form.
     """
 
-    __slots__ = ("ambient", "acting", "side", "carrier", "killed", "idempotent", "_cache")
+    __slots__ = ("ambient", "acting", "side", "carrier", "killed", "line", "_cache")
 
     def __init__(self, ambient: Algebra, side: str, carrier: Subspace,
                  killed: Subspace | None = None, acting: AlgSubspace | None = None,
-                 idempotent: dict | None = None):
+                 line: Subspace | None = None):
         if side not in ("left", "right"):
             raise ValueError("side must be 'left' or 'right'")
         self.ambient = ambient
@@ -47,15 +49,11 @@ class ModuleRep:
         self.carrier = carrier
         self.killed = killed if killed is not None else Subspace(ambient.field, ambient.dim)
         self.acting = acting
-        self.idempotent = idempotent
+        self.line = line
         self._cache = {}
 
     def __repr__(self):
-        return f"ModuleRep({self.side}, dim={self.dim} over dim-{self.algebra.dim} algebra)"
-
-    @property
-    def algebra(self) -> Algebra:
-        return self.ambient if self.acting is None else self.acting.extracted()[0]
+        return f"ModuleRep({self.side}, dim={self.dim} over dim-{(self.acting or self.ambient).dim} algebra)"
 
     @property
     def dim(self) -> int:
@@ -65,39 +63,33 @@ class ModuleRep:
         """The pair whose products span X*U (U*X for right modules)."""
         return (xs, self.carrier) if self.side == "left" else (self.carrier, xs)
 
-    def _rank_modulo(self, e, base: Subspace) -> int:
-        """dim(e*U + base) - dim(base) for a frame idempotent e (U*e on the right)."""
-        a = self.ambient
-        e = sparse(a.field, e)
-        line = sparse_span(a.field, a.dim, [e if self.acting is None else self.acting.embed(e)])
-        return product_rank(a, [self._acting_on_carrier(line)], base)[1]
+    def _rank_modulo(self, line: Subspace, base: Subspace) -> int:
+        """dim(e*U + base) - dim(base) for the line of a frame idempotent e
+        (U*e on the right)."""
+        return product_rank(self.ambient, [self._acting_on_carrier(line)], base)[1]
 
     def radical_submodule(self) -> Subspace:
         """rad(X)*U + K (U*rad(X) + K for right modules), whose quotient of
         the module is its top."""
         if "radical_submodule" not in self._cache:
-            a = self.ambient
-            rad = radical(self.algebra).space
-            if self.acting is not None:
-                lifted = (self.acting.embed(r) for r in rad.rows.values())
-                rad = sparse_span(a.field, a.dim, lifted)
+            rad = radical_space(self.ambient, self.acting)
             self._cache["radical_submodule"] = subspace_sum(
-                product_span(a, *self._acting_on_carrier(rad)), self.killed
+                product_span(self.ambient, *self._acting_on_carrier(rad)), self.killed
             )
         return self._cache["radical_submodule"]
 
     def top_multiplicities(self, frame: IdempotentFrame) -> tuple[int, ...]:
         """dim e_i * top(M) per frame index (top(M)*e_i for right modules)."""
         radm = self.radical_submodule()
-        return tuple(self._rank_modulo(e, radm) for e in frame.idempotents)
+        return tuple(self._rank_modulo(line, radm) for line in frame.lines())
 
     def comp_dim_vector(self, frame: IdempotentFrame) -> tuple[int, ...]:
         """dim e_i*M per frame index (counts composition factors when elementary)."""
-        return tuple(self._rank_modulo(e, self.killed) for e in frame.idempotents)
+        return tuple(self._rank_modulo(line, self.killed) for line in frame.lines())
 
 
 def regular_module(a: Algebra, side: str = "left") -> ModuleRep:
-    return ModuleRep(a, side, full_space(a.field, a.dim), idempotent=sparse(a.field, a.unit))
+    return ModuleRep(a, side, full_space(a.field, a.dim), line=element_line(a, a.unit))
 
 
 def module_from_subspace(a: Algebra, sub: Subspace, side: str = "left") -> ModuleRep:
@@ -109,10 +101,13 @@ def module_from_subspace(a: Algebra, sub: Subspace, side: str = "left") -> Modul
     return ModuleRep(a, side, sub)
 
 
-def projective_module(a: Algebra, e, side: str = "left") -> ModuleRep:
-    """The cyclic projective Ae (left) or eA (right) of a dense idempotent e."""
-    carrier = column_span(a, None, e) if side == "left" else row_span(a, e, None)
-    return ModuleRep(a, side, carrier, idempotent=sparse(a.field, e))
+def projective_module(a: Algebra, e, side: str = "left", sub: AlgSubspace | None = None) -> ModuleRep:
+    """The cyclic projective Xe (left) or eX (right) of an idempotent e (dense,
+    sparse or its line) of X = A or the verified subalgebra ``sub``."""
+    line = element_line(a, e)
+    space = None if sub is None else sub.space
+    carrier = column_span(a, space, line) if side == "left" else row_span(a, line, space)
+    return ModuleRep(a, side, carrier, acting=sub, line=line)
 
 
 def quotient_module(m: ModuleRep, sub: Subspace) -> ModuleRep:
@@ -120,18 +115,20 @@ def quotient_module(m: ModuleRep, sub: Subspace) -> ModuleRep:
     if any(m.carrier.reduce(v) for v in sub.rows.values()):
         raise AlgebraError("quotient by a subspace outside the module")
     return ModuleRep(m.ambient, m.side, m.carrier, subspace_sum(m.killed, sub),
-                     m.acting, m.idempotent)
+                     m.acting, m.line)
 
 
-def simple_module(a: Algebra, frame: IdempotentFrame, index: int, side: str = "left") -> ModuleRep:
-    """The simple top of the cyclic projective at a frame idempotent.
+def simple_module(a: Algebra, frame: IdempotentFrame, index: int, side: str = "left",
+                  sub: AlgSubspace | None = None) -> ModuleRep:
+    """The simple top of the cyclic projective at a frame idempotent, over
+    X = A or the verified subalgebra ``sub``.
 
-    Requires the algebra to be elementary with respect to the frame, so the
-    result is one-dimensional.
+    Requires X to be elementary with respect to the frame, so the result is
+    one-dimensional.
     """
-    if not is_elementary(a, frame):
+    if not is_elementary(a, frame, sub):
         raise AlgebraError("simple modules via frames need an elementary algebra")
-    proj = projective_module(a, frame.idempotents[index], side)
+    proj = projective_module(a, frame.lines()[index], side, sub)
     simple = quotient_module(proj, proj.radical_submodule())
     if simple.dim != 1:
         raise AlgebraError("top of the cyclic projective is not one-dimensional")
@@ -141,9 +138,9 @@ def simple_module(a: Algebra, frame: IdempotentFrame, index: int, side: str = "l
 def restrict_module(m: ModuleRep, b_sub: AlgSubspace) -> ModuleRep:
     """Restriction along the inclusion of a verified subalgebra: the same
     subquotient, acted on by the subalgebra only."""
-    if m.acting is not None or b_sub.algebra.dim != m.ambient.dim:
-        raise AlgebraError("restriction needs a subalgebra of the module's algebra")
-    b_sub.extracted()  # raises unless the subalgebra is verified
+    if (m.acting is not None or b_sub.algebra.dim != m.ambient.dim
+            or b_sub.closure_kind != AlgSubspace.SUBALGEBRA):
+        raise AlgebraError("restriction needs a verified subalgebra of the module's algebra")
     return ModuleRep(m.ambient, m.side, m.carrier, m.killed, b_sub)
 
 
@@ -157,26 +154,20 @@ def induce_module(a: Algebra, b_sub: AlgSubspace, m: ModuleRep) -> ModuleRep:
         raise AlgebraError("induction requires a verified subalgebra")
     if m.side != "left":
         raise AlgebraError("induction is implemented for left modules")
-    sub_alg, _ = b_sub.extracted()
-    if m.algebra is not sub_alg and m.algebra.dim != sub_alg.dim:
-        raise AlgebraError("module is not over the extracted subalgebra")
-    if m.acting is not None or m.idempotent is None:
+    if (m.ambient is not a or m.acting not in (None, b_sub) or m.line is None
+            or m.carrier != column_span(a, b_sub.space, m.line)):
         raise AlgebraError("induction needs a quotient Be/K of a projective of the subalgebra")
-    f = a.field
-    e = b_sub.embed(m.idempotent)
-    killed = sparse_span(f, a.dim, (b_sub.embed(v) for v in m.killed.rows.values()))
-    return ModuleRep(a, "left", column_span(a, None, e), product_span(a, None, killed),
-                     idempotent=e)
+    return ModuleRep(a, "left", column_span(a, None, m.line), product_span(a, None, m.killed),
+                     line=m.line)
 
 
 def is_projective_module(m: ModuleRep, frame: IdempotentFrame) -> bool:
-    """Projective-cover dimension test over an elementary algebra."""
-    a = m.algebra
-    if not is_elementary(a, frame):
+    """Projective-cover dimension test over an elementary acting algebra."""
+    if not is_elementary(m.ambient, frame, m.acting):
         raise AlgebraError("projectivity test supported for elementary algebras only")
     tops = m.top_multiplicities(frame)
     total = sum(
-        mult * projective_module(a, frame.idempotents[i], m.side).dim
+        mult * projective_module(m.ambient, frame.lines()[i], m.side, m.acting).dim
         for i, mult in enumerate(tops) if mult
     )
     return total == m.dim

@@ -24,10 +24,10 @@ from .algebra import (
     quotient,
     quotient_frame,
     radical,
-    subalgebra_frame,
+    row_span,
     tensor_dim_over_corner,
 )
-from .linalg import Echelon, Subspace, full_space, sparse
+from .linalg import Echelon, Subspace
 from .modules import (
     ModuleRep,
     induce_module,
@@ -96,32 +96,18 @@ def order_from_degrees(frame: IdempotentFrame) -> WeightOrder:
 
 
 def peirce_blocks(frame: IdempotentFrame, sub: AlgSubspace | None = None) -> dict:
-    """All blocks e_j X e_i of the algebra or of a subspace, cached."""
-    a = frame.algebra
-    f = a.field
+    """All blocks e_j X e_i of the algebra or of a subspace, cached: the
+    columns (e_j X) e_i of the rows e_j X."""
     if sub is None:
-        cache, key = frame._cache, "peirce_full"
-        vectors = full_space(f, a.dim).rows.values()
+        cache, key, space = frame._cache, "peirce_full", None
     else:
-        cache, key = sub._cache, ("peirce", frame.idempotents)
-        vectors = sub.space.rows.values()
-    if key in cache:
-        return cache[key]
-    n = len(frame)
-    sparse_idem = [sparse(f, e) for e in frame.idempotents]
-    accs = {(j, i): Echelon(f, a.dim) for j in range(n) for i in range(n)}
-    for sv in vectors:
-        for j in range(n):
-            left = a.mul_sparse(sparse_idem[j], sv)
-            if not left:
-                continue
-            for i in range(n):
-                piece = a.mul_sparse(left, sparse_idem[i])
-                if piece:
-                    accs[(j, i)].insert(piece)
-    blocks = {key2: acc.to_subspace() for key2, acc in accs.items()}
-    cache[key] = blocks
-    return blocks
+        cache, key, space = sub._cache, ("peirce", frame.idempotents), sub.space
+    if key not in cache:
+        a, lines = frame.algebra, frame.lines()
+        rows = [row_span(a, line, space) for line in lines]
+        cache[key] = {(j, i): column_span(a, rows[j], line)
+                      for j in range(len(lines)) for i, line in enumerate(lines)}
+    return cache[key]
 
 
 def directedness(frame: IdempotentFrame, levels, raising: bool,
@@ -201,7 +187,11 @@ def heredity_ideal_check(a: Algebra, frame: IdempotentFrame, eps) -> dict:
     eps = tuple(eps)
     if not a.is_idempotent(eps):
         raise AlgebraError("heredity_ideal_check requires an idempotent")
-    ideal = ideal_closure(a, [eps])
+    return _heredity_report(a, frame, eps, ideal_closure(a, [eps]))
+
+
+def _heredity_report(a: Algebra, frame: IdempotentFrame, eps, ideal: AlgSubspace) -> dict:
+    """``heredity_ideal_check`` for an idempotent eps and its ideal A*eps*A."""
     if ideal.dim == 0:
         return {
             "overall": True,
@@ -250,9 +240,8 @@ def heredity_chain_verify(a: Algebra, frame: IdempotentFrame, order: WeightOrder
     ok = True
     prev_dim = 0
     for rank, lev in enumerate(chain.levels):
-        current, cur_frame, layer_ideal, q, _, _ = chain.quotients[rank]
-        eps_here = cur_frame.eps(lev)
-        verdict = heredity_ideal_check(current, cur_frame, eps_here)
+        current, cur_frame, layer_ideal, _, _, _ = chain.quotients[rank]
+        verdict = _heredity_report(current, cur_frame, cur_frame.eps(lev), layer_ideal)
         total_dim = chain.ideals[rank].dim
         strictly_up = total_dim > prev_dim
         layers.append(
@@ -321,17 +310,6 @@ def standard_modules(a: Algebra, frame: IdempotentFrame, order: WeightOrder) -> 
     )
 
 
-def directed_qh_check(a: Algebra, frame: IdempotentFrame, order: WeightOrder) -> dict:
-    """Directedness patterns giving simple (lowering) or projective (raising)
-    standard modules."""
-    lowering = directedness(frame, order.levels, raising=False)
-    return {
-        "simple_standards": lowering["ok"],
-        "projective_standards": directedness(frame, order.levels, raising=True)["ok"],
-        "diag_ok": all(d == 1 for d in lowering["diagonal_dims"].values()),
-    }
-
-
 def layer_quotient_module(a: Algebra, frame: IdempotentFrame, order: WeightOrder, i: int) -> ModuleRep:
     """The module A e_i / J_{l-1} e_i for l the level of weight i.
 
@@ -347,29 +325,30 @@ def layer_quotient_module(a: Algebra, frame: IdempotentFrame, order: WeightOrder
     return quotient_module(proj, column_span(a, chain.ideals[rank - 1].space, e))
 
 
-def _elementary_candidate(frame: IdempotentFrame, b: AlgSubspace, report: dict):
-    """``b`` as an elementary algebra with the frame restricted to it, or
-    ``(None, None)`` with ``report["reason"]`` saying why not."""
+def _elementary_candidate(a: Algebra, frame: IdempotentFrame, b: AlgSubspace, report: dict) -> bool:
+    """Whether ``b`` is an elementary subalgebra for the frame; when not,
+    ``report["reason"]`` says why."""
     if b.closure_kind != AlgSubspace.SUBALGEBRA:
         report["reason"] = "candidate is not a verified subalgebra"
     elif not all(b.contains(e) for e in frame.idempotents):
         report["reason"] = "candidate does not contain the frame idempotents"
+    elif not is_elementary(a, frame, b):
+        report["reason"] = "candidate subalgebra is not elementary"
     else:
-        sub_alg, sub_frame = subalgebra_frame(b, frame)
-        if sub_alg is None:
-            report["reason"] = "frame idempotents do not restrict"
-        elif not is_elementary(sub_alg, sub_frame):
-            report["reason"] = "candidate subalgebra is not elementary"
-        else:
-            return sub_alg, sub_frame
-    return None, None
+        return True
+    return False
 
 
 def _standards(a: Algebra, frame: IdempotentFrame, order: WeightOrder) -> tuple:
-    """The standard modules, or the layer quotients when A is not elementary."""
-    if is_elementary(a, frame):
-        return standard_modules(a, frame, order).standards
-    return tuple(layer_quotient_module(a, frame, order, i) for i in range(len(frame)))
+    """The standard modules, or the layer quotients when A is not elementary;
+    cached on A like the level chain."""
+    key = ("standards", frame.idempotents, order.levels)
+    if key not in a._cache:
+        if is_elementary(a, frame):
+            a._cache[key] = standard_modules(a, frame, order).standards
+        else:
+            a._cache[key] = tuple(layer_quotient_module(a, frame, order, i) for i in range(len(frame)))
+    return a._cache[key]
 
 
 def _same_invariants(m: ModuleRep, n: ModuleRep, frame: IdempotentFrame) -> bool:
@@ -389,17 +368,16 @@ def exact_borel_check(a: Algebra, frame: IdempotentFrame, b: AlgSubspace, order:
     isomorphism test.
     """
     report: dict = {"overall": False}
-    sub_alg, sub_frame = _elementary_candidate(frame, b, report)
-    if sub_alg is None:
+    if not _elementary_candidate(a, frame, b, report):
         return report
-    directed = directed_qh_check(sub_alg, sub_frame, order)
-    report["directed_simple"] = directed["simple_standards"]
+    directed = directedness(frame, order.levels, False, b)["ok"]
+    report["directed_simple"] = directed
     right_reg = restrict_module(regular_module(a, "right"), b)
-    report["right_projective"] = is_projective_module(right_reg, sub_frame)
+    report["right_projective"] = is_projective_module(right_reg, frame)
     induced_match = True
     per_weight = []
     for i, target in enumerate(_standards(a, frame, order)):
-        induced = induce_module(a, b, simple_module(sub_alg, sub_frame, i, "left"))
+        induced = induce_module(a, b, simple_module(a, frame, i, "left", b))
         same = _same_invariants(induced, target, frame)
         induced_match = induced_match and same
         per_weight.append(
@@ -412,9 +390,7 @@ def exact_borel_check(a: Algebra, frame: IdempotentFrame, b: AlgSubspace, order:
         )
     report["induced_are_standards"] = induced_match
     report["weights"] = per_weight
-    report["overall"] = (
-        directed["simple_standards"] and report["right_projective"] and induced_match
-    )
+    report["overall"] = directed and report["right_projective"] and induced_match
     return report
 
 
@@ -426,19 +402,18 @@ def delta_subalgebra_check(a: Algebra, frame: IdempotentFrame, c: AlgSubspace, o
     projective module is determined by its top.
     """
     report: dict = {"overall": False}
-    sub_alg, sub_frame = _elementary_candidate(frame, c, report)
-    if sub_alg is None:
+    if not _elementary_candidate(a, frame, c, report):
         return report
-    directed = directed_qh_check(sub_alg, sub_frame, order)
-    report["directed_projective"] = directed["projective_standards"]
+    directed = directedness(frame, order.levels, True, c)["ok"]
+    report["directed_projective"] = directed
     all_proj = True
     all_match = True
     per_weight = []
     for i, delta in enumerate(_standards(a, frame, order)):
         restricted = restrict_module(delta, c)
-        proj_ok = is_projective_module(restricted, sub_frame)
-        proj_c = projective_module(sub_alg, sub_frame.idempotents[i], "left")
-        same = _same_invariants(restricted, proj_c, sub_frame)
+        proj_ok = is_projective_module(restricted, frame)
+        proj_c = projective_module(a, frame.lines()[i], "left", c)
+        same = _same_invariants(restricted, proj_c, frame)
         all_proj = all_proj and proj_ok
         all_match = all_match and same
         per_weight.append(
@@ -453,7 +428,7 @@ def delta_subalgebra_check(a: Algebra, frame: IdempotentFrame, c: AlgSubspace, o
     report["restrictions_projective"] = all_proj
     report["restrictions_are_projectives"] = all_match
     report["weights"] = per_weight
-    report["overall"] = directed["projective_standards"] and all_proj and all_match
+    report["overall"] = directed and all_proj and all_match
     return report
 
 

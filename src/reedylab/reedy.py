@@ -26,15 +26,14 @@ from .algebra import (
     radical,
     row_span,
     subalgebra_closure,
-    subalgebra_frame,
     tensor_dim_over_corner,
+    two_sided_span,
 )
 from .fields import Field
 from .linalg import Echelon, Subspace, densify, null_space, sparse, sparse_span, subspace_intersect
 from .qh import (
     WeightOrder,
     delta_subalgebra_check,
-    directed_qh_check,
     directedness,
     exact_borel_check,
     heredity_chain_verify,
@@ -126,10 +125,8 @@ def verify_reedy(r: ReedyStructure) -> dict:
 
 
 def _require_setup(r: ReedyStructure) -> None:
-    frame = r.frame
-    plus = directedness(frame, frame.degrees, True, r.aplus)
-    minus = directedness(frame, frame.degrees, False, r.aminus)
-    if not (plus["ok"] and minus["ok"]):
+    report = verify_reedy(r)
+    if not (report["cond_plus"]["ok"] and report["cond_minus"]["ok"]):
         raise AlgebraError("directedness preconditions fail for this structure")
 
 
@@ -143,24 +140,15 @@ def _tensor_pairs(r: ReedyStructure, indices) -> list:
     a = r.algebra
     pairs = []
     for i in indices:
-        e = r.frame.idempotents[i]
+        e = r.frame.lines()[i]
         pairs.append((column_span(a, r.aplus.space, e), row_span(a, e, r.aminus.space)))
     return pairs
 
 
-def _quotient_span(sub: AlgSubspace, q_alg: Algebra, qmap, e, column: bool) -> Subspace:
-    """Column q_alg*e or row e*q_alg of a (quotient of a) subalgebra, lifted
-    into A along the complement coordinates of the quotient.
-
-    ``q_alg`` is ``sub`` as an algebra, or its quotient by ``qmap``.
-    """
-    a = sub.algebra
-    e = sub.space.coords(sparse(a.field, e))
-    if qmap is not None:
-        e = qmap.project_sparse(e)
-    space = column_span(q_alg, None, e) if column else row_span(q_alg, e, None)
-    lifted = (v if qmap is None else qmap.lift_sparse(v) for v in space.rows.values())
-    return sparse_span(a.field, a.dim, (sub.embed(v) for v in lifted))
+def _modulo(u: Subspace, w: Subspace) -> Subspace:
+    """Representatives of U/W for W <= U: the residues of U's rows modulo W,
+    a complement of W in U."""
+    return sparse_span(u.field, u.ambient_dim, (w.reduce(v) for v in u.rows.values()))
 
 
 def layer_check(r: ReedyStructure) -> dict:
@@ -168,14 +156,15 @@ def layer_check(r: ReedyStructure) -> dict:
 
     Level l compares dim J_l/J_{l-1} against the blockwise tensor data,
     once with the columns A+e_i and rows e_iA- taken in A and once with
-    their images in the quotient subalgebras modulo the previous levels.
+    their images in A+/K+ and A-/K-, for K = X*eps_(<l)*X in X = A+ or A-,
+    represented in A.  K lies in J_{l-1}, so the rank modulo J_{l-1} does
+    not depend on the representatives.
     """
     _require_setup(r)
     a = r.algebra
     frame = r.frame
     order = r.order()
     chain = level_chain(a, frame, order)
-    subs = ((r.aplus, r.aplus.extracted()[0]), (r.aminus, r.aminus.extracted()[0]))
 
     levels_report = []
     all_ok = True
@@ -186,24 +175,24 @@ def layer_check(r: ReedyStructure) -> dict:
         idx_here = [i for i in range(len(frame)) if order.levels[i] == lev]
 
         # direct form: A+ e_i (x) e_i A- -> J_l / J_{l-1}
-        domain3, rank3 = product_rank(a, _tensor_pairs(r, idx_here), prev)
+        direct = _tensor_pairs(r, idx_here)
+        domain3, rank3 = product_rank(a, direct, prev)
         ok3 = domain3 == layer_dim == rank3
 
-        # quotient form: (A+/A+ e A+) e_i (x) e_i (A-/A- e A-) -> J_l / J_{l-1}
+        # quotient form: (A+/K+) e_i (x) e_i (A-/K-) -> J_l / J_{l-1}
         if rank == 0:
-            plus, minus = [(sub, sub_alg, None) for sub, sub_alg in subs]
+            domain2, rank2 = domain3, rank3
         else:
             eps_prev = chain.frame.eps_upto(chain.levels[rank - 1])
-            plus, minus = [
-                (sub, *quotient(sub_alg, ideal_closure(sub_alg, [sub.restrict_vector(eps_prev)])))
-                for sub, sub_alg in subs
+            k_plus = two_sided_span(a, eps_prev, r.aplus.space)
+            k_minus = two_sided_span(a, eps_prev, r.aminus.space)
+            lines = frame.lines()
+            pairs = [
+                (_modulo(col, column_span(a, k_plus, lines[i])),
+                 _modulo(row, row_span(a, lines[i], k_minus)))
+                for (col, row), i in zip(direct, idx_here)
             ]
-        pairs = []
-        for i in idx_here:
-            e = frame.idempotents[i]
-            pairs.append((_quotient_span(*plus, e, column=True),
-                          _quotient_span(*minus, e, column=False)))
-        domain2, rank2 = product_rank(a, pairs, prev)
+            domain2, rank2 = product_rank(a, pairs, prev)
         ok2 = domain2 == layer_dim == rank2
 
         levels_report.append(
@@ -286,18 +275,17 @@ def _build_quotient_structure(r: ReedyStructure, cut: int) -> tuple[ReedyStructu
             degrees.append(work.degrees[idx])
     q_frame = IdempotentFrame(q_alg, idems, labels, degrees, check=False)
 
-    def image_sub(sub: AlgSubspace, e_coords) -> tuple[AlgSubspace, dict]:
+    def image_sub(sub: AlgSubspace) -> tuple[AlgSubspace, dict]:
         image = sparse_span(f, q_alg.dim, (qmap.project_sparse(v) for v in sub.space.rows.values()))
-        sub_alg, _ = sub.extracted()
-        inner = ideal_closure(sub_alg, [e_coords])
+        inner_quotient_dim = sub.dim - two_sided_span(a, e, sub.space).dim
         return (
             AlgSubspace(q_alg, image, AlgSubspace.SUBALGEBRA),
-            {"image_dim": image.dim, "inner_quotient_dim": sub_alg.dim - inner.dim,
-             "injective": image.dim == sub_alg.dim - inner.dim},
+            {"image_dim": image.dim, "inner_quotient_dim": inner_quotient_dim,
+             "injective": image.dim == inner_quotient_dim},
         )
 
-    plus_img, plus_diag = image_sub(r.aplus, r.aplus.restrict_vector(e))
-    minus_img, minus_diag = image_sub(r.aminus, r.aminus.restrict_vector(e))
+    plus_img, plus_diag = image_sub(r.aplus)
+    minus_img, minus_diag = image_sub(r.aminus)
     structure = ReedyStructure(q_alg, q_frame, plus_img, minus_img, check=False)
     diag = {"quotient_dim": q_alg.dim, "cut": cut, "aplus": plus_diag, "aminus": minus_diag}
     return structure, diag
@@ -366,26 +354,18 @@ def characterization_crosscheck(r: ReedyStructure) -> dict:
     # Route (ii): elementary subalgebras, S maximal semisimple, C (x)_S B = A.
     detail_ii: dict = {}
     try:
-        plus_alg, plus_frame = subalgebra_frame(r.aplus, frame)
-        minus_alg, minus_frame = subalgebra_frame(r.aminus, frame)
-        elem = (
-            plus_alg is not None
-            and minus_alg is not None
-            and is_elementary(plus_alg, plus_frame)
-            and is_elementary(minus_alg, minus_frame)
-        )
+        elem = is_elementary(a, frame, r.aplus) and is_elementary(a, frame, r.aminus)
         detail_ii["subalgebras_elementary"] = elem
         inter = subspace_intersect(r.aplus.space, r.aminus.space)
         s_ok = inter == frame.semisimple_span() and inter.dim == len(frame)
         detail_ii["intersection_is_S"] = s_ok
         bij = _bimodule_bijective(r)
         detail_ii.update(bij)
-        if elem:
-            d_plus = directed_qh_check(plus_alg, plus_frame, order)
-            d_minus = directed_qh_check(minus_alg, minus_frame, order)
-            directed_pair = d_plus["projective_standards"] and d_minus["simple_standards"]
-        else:
-            directed_pair = False
+        directed_pair = (
+            elem
+            and directedness(frame, order.levels, True, r.aplus)["ok"]
+            and directedness(frame, order.levels, False, r.aminus)["ok"]
+        )
         detail_ii["directed_pair"] = directed_pair
         route_ii = elem and s_ok and bij["bijective"] and directed_pair
     except AlgebraError as exc:

@@ -107,12 +107,13 @@ def field_from_json(data) -> Field:
 
 
 def parse_field_flag(text: str) -> Field:
-    """Parse a --field flag value: Q or GF:p."""
+    """Parse a --field flag value: Q or GF:p for a natural number p."""
     if text == "Q":
         return field_of("Q")
-    if text.startswith("GF:"):
-        return field_of("GF", int(text.split(":", 1)[1]))
-    raise FormatError(f"bad field flag {text!r} (use Q or GF:p)")
+    p = text[len("GF:"):] if text.startswith("GF:") else ""
+    if not p.isdecimal():
+        raise FormatError(f"bad --field value {text!r} (use Q or GF:p)")
+    return field_of("GF", int(p))
 
 
 def algebra_to_json(a: Algebra, frame: IdempotentFrame | None = None) -> dict:

@@ -7,8 +7,8 @@ balanced tensor product A (x)_k M modulo the relations ab (x) m - a (x) bm.
 Matrices act on coordinate columns.
 """
 
-from reedylab.algebra import column_span, radical, row_span
-from reedylab.linalg import Echelon, sparse, sparse_span
+from reedylab.algebra import IdempotentFrame, column_span, radical, row_span
+from reedylab.linalg import Echelon, densify, sparse, sparse_span
 
 
 class DenseModule:
@@ -111,6 +111,18 @@ def quotient(m, sub):
             {index[t]: x for t, x in sub.reduce(cols[c]).items()} for c in comp
         ], len(comp)))
     return DenseModule(m.algebra, m.side, len(comp), actions)
+
+
+def subalgebra_with_frame(b_sub, frame):
+    """A verified subalgebra B extracted as an algebra, with the frame's
+    idempotents in B's coordinates; None when one lies outside B."""
+    f = b_sub.algebra.field
+    sub_alg, _ = b_sub.extracted()
+    coords = [b_sub.space.coords(sparse(f, e)) for e in frame.idempotents]
+    if any(c is None for c in coords):
+        return None
+    idems = [densify(f, c, b_sub.dim) for c in coords]
+    return sub_alg, IdempotentFrame(sub_alg, idems, frame.labels, frame.degrees)
 
 
 def restrict(m, b_sub):

@@ -12,6 +12,7 @@ from itertools import combinations_with_replacement
 from math import comb
 
 import reedylab as rl
+from dense_modules import subalgebra_with_frame
 from reedylab.algebra import _radical_charp
 from reedylab.linalg import Matrix, span, subspace_intersect
 from reedylab.qh import directedness, order_from_degrees, peirce_blocks
@@ -217,11 +218,10 @@ def test_criterion_09_directed_factor_properties():
             frame = s.frame
             n = len(frame)
             for sub in (s.aplus, s.aminus):
-                sub_alg, _ = sub.extracted()
-                idems = [sub.restrict_vector(e) for e in frame.idempotents]
-                sub_frame = rl.IdempotentFrame(sub_alg, idems, frame.labels)
+                assert rl.is_elementary(s.algebra, frame, sub), name
+                sub_alg, sub_frame = subalgebra_with_frame(sub, frame)
                 assert rl.is_elementary(sub_alg, sub_frame), name
-                for e in idems:
+                for e in sub_frame.idempotents:
                     assert rl.is_primitive_idempotent(sub_alg, e), name
             inter = subspace_intersect(s.aplus.space, s.aminus.space)
             assert inter == frame.semisimple_span() and inter.dim == n, name

@@ -6,10 +6,12 @@ import pytest
 
 import reedylab as rl
 import reedylab.algebra as algebra_module
+from dense_modules import subalgebra_with_frame
 from reedylab.algebra import (
     AlgebraError,
     _check_nilpotent,
     _radical_charp,
+    corner_span,
     product_rank,
     product_span,
 )
@@ -446,6 +448,40 @@ def test_is_elementary(diamond, m2q, simplex1, Q):
     kk, kk_frame = rl.build_quiver_algebra(rl.QuiverPresentation(["p", "q"], [], [], 1), Q)
     assert rl.is_elementary(kk, kk_frame)
     assert not rl.is_elementary(simplex1.algebra, simplex1.frame)
+
+
+def _elementary_by_quotient(a, frame):
+    """The definition through A/rad(A): |E| dimensions, and a one-dimensional
+    corner at the image of every frame idempotent."""
+    rad = rl.radical(a)
+    if a.dim - rad.dim != len(frame):
+        return False
+    q, qmap = rl.quotient(a, rad)
+    return all(corner_span(q, qmap.project(e), None).dim == 1 for e in frame.idempotents)
+
+
+def test_is_elementary_matches_quotient_definition(corpus_structures, m2q, simplex1):
+    """On A and its subalgebras, with A's frame, against the definition on
+    the subalgebra extracted as an algebra (False when E does not lie in it)."""
+    m2, diag = m2q
+    cases = [(r.algebra, r.frame) for r in corpus_structures.values()]
+    cases += [(m2, diag), (simplex1.algebra, simplex1.frame)]
+    seen = set()
+    for a, frame in cases:
+        subs = [None, rl.full_subalgebra(a), rl.subalgebra_closure(a, [a.unit])]
+        subs.append(rl.subalgebra_closure(a, list(frame.idempotents)))
+        for r in corpus_structures.values():
+            if r.algebra is a:
+                subs += [r.aplus, r.aminus]
+        for sub in subs:
+            if sub is None:
+                expected = _elementary_by_quotient(a, frame)
+            else:
+                extracted = subalgebra_with_frame(sub, frame)
+                expected = extracted is not None and _elementary_by_quotient(*extracted)
+            assert rl.is_elementary(a, frame, sub) == expected, (a, sub)
+            seen.add(expected)
+    assert seen == {True, False}
 
 
 def test_primitive_idempotents(diamond, m2q):

@@ -245,6 +245,23 @@ def test_non_natural_field_characteristic_exits_2(tmp_path, capsys, p):
     assert code == 2 and "field 'p' must be a natural number" in stderr
 
 
+@pytest.mark.parametrize("flag", ["GF:x", "GF:2.5", "GF:"])
+def test_malformed_field_flag_exits_2(tmp_path, capsys, flag):
+    code, _, stderr = run(
+        capsys, "construct", "matrix", "--n", "2", "--field", flag, "-o", str(tmp_path / "m")
+    )
+    assert code == 2 and f"bad --field value {flag!r}" in stderr
+
+
+@pytest.mark.parametrize("bound", ["0", "-1"])
+def test_nonpositive_max_levels_exits_2(capsys, bound):
+    code, stdout, stderr = run(
+        capsys, "search", str(CORPUS / "diamond.alg.json"), "--max-levels", bound
+    )
+    assert code == 2 and stdout == ""
+    assert f"--max-levels must be at least 1, got {bound}" in stderr
+
+
 MALFORMED_SUBSPACE = [
     (5, "'aplus' must be an object"),
     ({"basis": 5}, "aplus.basis must be a list of vectors"),

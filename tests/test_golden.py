@@ -7,7 +7,10 @@
   below dimension 40);
 - ``layer_check``, ``reedy_heredity_bottom``, ``recursive_check`` at every
   cut and ``characterization_crosscheck`` for every bundled Reedy file (the
-  last two only below dimension 40).
+  last two only below dimension 40);
+- the full ``exact_borel_check`` and ``delta_subalgebra_check`` reports for
+  every bundled Reedy file below dimension 40, with A+ and A- as given
+  (Borel on A-, Delta on A+) and swapped.
 
 Dimension 40 keeps the suite fast: it leaves out the tensor examples.
 
@@ -27,7 +30,7 @@ from pathlib import Path
 from reedylab import AlgebraError, serialize
 from reedylab.cli import main
 from reedylab.corpus import default_corpus_dir
-from reedylab.qh import heredity_chain_verify
+from reedylab.qh import delta_subalgebra_check, exact_borel_check, heredity_chain_verify
 from reedylab.reedy import (
     characterization_crosscheck,
     layer_check,
@@ -90,6 +93,17 @@ def _structure_report(path: Path) -> str:
     return serialize.dumps(report)
 
 
+def _borel_delta_report(r) -> str:
+    a, frame, order = r.algebra, r.frame, r.order()
+    report = {}
+    for name, borel, delta in (("given", r.aminus, r.aplus), ("swapped", r.aplus, r.aminus)):
+        report[name] = {
+            "exact_borel": _or_error(exact_borel_check, a, frame, borel, order),
+            "delta_subalgebra": _or_error(delta_subalgebra_check, a, frame, delta, order),
+        }
+    return serialize.dumps(report)
+
+
 def golden_reports() -> dict[str, str]:
     """File name under tests/golden/ -> canonical report text."""
     out = {}
@@ -100,7 +114,11 @@ def golden_reports() -> dict[str, str]:
         if "idempotents" in data and data["dim"] < SMALL_DIM:
             out[f"search.{path.name[:-len('.alg.json')]}.json"] = _search(path.name, "heuristic")
     for path in sorted(CORPUS.glob("*.reedy.json")):
-        out[f"structure.{path.name[:-len('.reedy.json')]}.json"] = _structure_report(path)
+        stem = path.name[:-len('.reedy.json')]
+        out[f"structure.{stem}.json"] = _structure_report(path)
+        r = serialize.load_reedy(path)
+        if r.algebra.dim < SMALL_DIM:
+            out[f"borel_delta.{stem}.json"] = _borel_delta_report(r)
     return out
 
 

@@ -5,8 +5,7 @@ import pytest
 
 import dense_modules as dense
 import reedylab as rl
-from reedylab.algebra import AlgebraError, subalgebra_frame
-from reedylab.linalg import densify
+from reedylab.algebra import AlgebraError
 from reedylab.modules import projective_module, quotient_module, regular_module
 from reedylab.qh import layer_quotient_module, level_chain, order_from_degrees, trace_subspace
 
@@ -83,21 +82,17 @@ def test_induction_along_full_algebra_is_identity(uppertri, diamond):
 
 def _dense_copy(m):
     """The dense oracle's version of a quotient of a projective module."""
-    a = m.ambient
-    dproj, carrier = dense.projective(a, densify(a.field, m.idempotent, a.dim), m.side)
+    dproj, carrier = dense.projective(m.ambient, m.line, m.side)
     return dense.quotient(dproj, carrier.coords_span(m.killed))
 
 
 def test_induction_from_diagonal_subalgebra(uppertri):
     algebra, frame = uppertri
     diag = rl.subalgebra_closure(algebra, list(frame.idempotents))
-    sub_alg, _ = diag.extracted()
-    sub_frame = rl.IdempotentFrame(
-        sub_alg, [diag.restrict_vector(e) for e in frame.idempotents], frame.labels
-    )
     # v1 is the matrix-unit E11 vertex: its column A*e_v1 is one-dimensional
     i = frame.index_of("v1")
-    simple = rl.simple_module(sub_alg, sub_frame, i)
+    simple = rl.simple_module(algebra, frame, i, sub=diag)
+    assert (simple.acting, simple.dim) == (diag, 1)
     induced = rl.induce_module(algebra, diag, simple)
     assert induced.dim == 1
     assert projective_module(algebra, frame.idempotents[i], "left").dim == 1
@@ -106,12 +101,8 @@ def test_induction_from_diagonal_subalgebra(uppertri):
 def test_induction_from_vertex_span_gives_projectives(diamond):
     algebra, frame = diamond
     s = rl.subalgebra_closure(algebra, list(frame.idempotents))
-    sub_alg, _ = s.extracted()
-    sub_frame = rl.IdempotentFrame(
-        sub_alg, [s.restrict_vector(e) for e in frame.idempotents], frame.labels
-    )
     i = frame.index_of("a")
-    induced = rl.induce_module(algebra, s, rl.simple_module(sub_alg, sub_frame, i))
+    induced = rl.induce_module(algebra, s, rl.simple_module(algebra, frame, i, sub=s))
     assert induced.dim == 4
     assert induced.carrier == projective_module(algebra, frame.idempotents[i], "left").carrier
     assert induced.comp_dim_vector(frame) == (1, 1, 1, 1)
@@ -121,14 +112,11 @@ def test_induction_blockwise_formula_over_semisimple(diamond):
     # dim(A (x)_S M) = sum_i dim(Ae_i) * dim(e_i M) for S the vertex span
     algebra, frame = diamond
     s = rl.subalgebra_closure(algebra, list(frame.idempotents))
-    sub_alg, _ = s.extracted()
-    sub_frame = rl.IdempotentFrame(
-        sub_alg, [s.restrict_vector(e) for e in frame.idempotents], frame.labels
-    )
-    reg = regular_module(sub_alg, "left")
+    reg = projective_module(algebra, algebra.unit, "left", sub=s)  # S as a left S-module
+    assert reg.carrier == s.space
     induced = rl.induce_module(algebra, s, reg)
     proj_dims = [projective_module(algebra, e, "left").dim for e in frame.idempotents]
-    block_dims = reg.comp_dim_vector(sub_frame)
+    block_dims = reg.comp_dim_vector(frame)
     assert induced.dim == sum(p * b for p, b in zip(proj_dims, block_dims))
 
 
@@ -161,16 +149,12 @@ def test_simple_at_sink_not_projective(diamond):
 def test_everything_projective_over_semisimple(uppertri):
     algebra, frame = uppertri
     diag = rl.subalgebra_closure(algebra, list(frame.idempotents))
-    sub_alg, _ = diag.extracted()
-    sub_frame = rl.IdempotentFrame(
-        sub_alg, [diag.restrict_vector(e) for e in frame.idempotents], frame.labels
-    )
     # the radical column rad(P) restricted to the diagonal subalgebra
     rad = rl.radical(algebra)
     module = rl.restrict_module(
         rl.module_from_subspace(algebra, rad.space, "left"), diag
     )
-    assert rl.is_projective_module(module, sub_frame)
+    assert rl.is_projective_module(module, frame)
 
 
 def test_projectivity_requires_elementary(simplex1):
@@ -203,13 +187,18 @@ def test_submodule_checks(diamond):
 # --- the dense oracle on the modules of Theorem 4.1 (iii) -----------------------
 
 
-def _compare(new, old, frame):
-    assert dense.invariants(new, frame) == dense.invariants(old, frame)
+def _compare(new, old, frame, old_frame=None):
+    """Equal invariants; ``old_frame`` is the frame of an oracle module over
+    an extracted subalgebra, whose idempotents are those of ``frame``."""
+    assert dense.invariants(new, frame) == dense.invariants(old, old_frame or frame)
 
 
 def test_subquotients_match_dense_oracle(corpus_structures):
     """Every Borel, Delta, A_B and heredity-ideal module that the checks
-    build agrees with the action-matrix construction in dim, comp and top."""
+    build agrees with the action-matrix construction in dim, comp and top.
+
+    Modules over B = A+ or A- live in A with acting=B and take A's frame;
+    the oracle builds them over B extracted as an algebra."""
     visited, restricted_to = [], set()
     for name, r in corpus_structures.items():
         a, frame = r.algebra, r.frame
@@ -232,32 +221,25 @@ def test_subquotients_match_dense_oracle(corpus_structures):
             old = dense.quotient(dproj, carrier.coords_span(new.killed))
             _compare(new, old, frame)
             deltas.append((new, old))
-        borel = _elementary_restriction(r.aminus, frame)
-        if borel is not None:
-            restricted_to.add(("borel", name))
-            sub_alg, sub_frame = borel
-            _compare(rl.restrict_module(regular_module(a, "right"), r.aminus),
-                     dense.restrict(dense.regular(a, "right"), r.aminus), sub_frame)
+        for kind, b in (("borel", r.aminus), ("delta", r.aplus)):
+            if not rl.is_elementary(a, frame, b):
+                continue
+            restricted_to.add((kind, name))
+            sub_alg, sub_frame = dense.subalgebra_with_frame(b, frame)
+            # A_B, the right regular module restricted to B
+            _compare(rl.restrict_module(regular_module(a, "right"), b),
+                     dense.restrict(dense.regular(a, "right"), b), frame, sub_frame)
             for i, e in enumerate(sub_frame.idempotents):
-                simple = rl.simple_module(sub_alg, sub_frame, i)
+                for side in ("left", "right"):
+                    _compare(projective_module(a, frame.idempotents[i], side, b),
+                             dense.projective(sub_alg, e, side)[0], frame, sub_frame)
+                simple = rl.simple_module(a, frame, i, "left", b)
+                assert simple.acting is b
                 dproj, _ = dense.projective(sub_alg, e)
                 old_simple = dense.quotient(dproj, dproj.radical_submodule())
-                _compare(simple, old_simple, sub_frame)
-                _compare(rl.induce_module(a, r.aminus, simple),
-                         dense.induce(a, r.aminus, old_simple), frame)
-        delta_sub = _elementary_restriction(r.aplus, frame)
-        if delta_sub is not None:
-            restricted_to.add(("delta", name))
-            sub_alg, sub_frame = delta_sub
-            for e, (new, old) in zip(sub_frame.idempotents, deltas):
-                _compare(rl.restrict_module(new, r.aplus), dense.restrict(old, r.aplus), sub_frame)
-                _compare(projective_module(sub_alg, e), dense.projective(sub_alg, e)[0], sub_frame)
+                _compare(simple, old_simple, frame, sub_frame)
+                _compare(rl.induce_module(a, b, simple), dense.induce(a, b, old_simple), frame)
+                new, old = deltas[i]
+                _compare(rl.restrict_module(new, b), dense.restrict(old, b), frame, sub_frame)
     # every small corpus structure has elementary A+ and A- with the frame
     assert restricted_to == {(kind, name) for name in visited for kind in ("borel", "delta")}
-
-
-def _elementary_restriction(b, frame):
-    if not all(b.contains(e) for e in frame.idempotents):
-        return None
-    sub_alg, sub_frame = subalgebra_frame(b, frame)
-    return (sub_alg, sub_frame) if rl.is_elementary(sub_alg, sub_frame) else None

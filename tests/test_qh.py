@@ -3,9 +3,11 @@
 import pytest
 
 import reedylab as rl
+from dense_modules import subalgebra_with_frame
 from reedylab.algebra import AlgebraError
 from reedylab.qh import (
     WeightOrder,
+    directedness,
     layer_quotient_module,
     level_chain,
     normalized_level_functions,
@@ -16,12 +18,6 @@ from reedylab.qh import (
 
 def vertex_span(algebra, frame):
     return rl.subalgebra_closure(algebra, list(frame.idempotents))
-
-
-def extract_with_frame(sub, frame):
-    sub_alg, _ = sub.extracted()
-    idems = [sub.restrict_vector(e) for e in frame.idempotents]
-    return sub_alg, rl.IdempotentFrame(sub_alg, idems, frame.labels, frame.degrees)
 
 
 # --- weight orders -----------------------------------------------------------
@@ -212,22 +208,22 @@ def test_standard_factor_bound_vanishing(diamond):
 
 
 def test_directed_qh_on_simplex_factors(simplex1):
-    algebra, frame = simplex1.algebra, simplex1.frame
-    order = order_from_degrees(frame)
-    minus_alg, minus_frame = extract_with_frame(simplex1.aminus, frame)
-    verdict = rl.directed_qh_check(minus_alg, minus_frame, order)
-    assert verdict["simple_standards"] and not verdict["projective_standards"]
-    plus_alg, plus_frame = extract_with_frame(simplex1.aplus, frame)
-    verdict = rl.directed_qh_check(plus_alg, plus_frame, order)
-    assert verdict["projective_standards"] and not verdict["simple_standards"]
+    # A- lowers the level (simple standards), A+ raises it (projective ones)
+    frame = simplex1.frame
+    levels = order_from_degrees(frame).levels
+    assert directedness(frame, levels, False, simplex1.aminus)["ok"]
+    assert not directedness(frame, levels, True, simplex1.aminus)["ok"]
+    assert directedness(frame, levels, True, simplex1.aplus)["ok"]
+    assert not directedness(frame, levels, False, simplex1.aplus)["ok"]
 
 
 def test_directed_qh_matrix_unit_frame(m2q):
     m2, _ = m2q
     frame = rl.IdempotentFrame(m2, [m2.unit], ["one"], [0])
-    verdict = rl.directed_qh_check(m2, frame, order_from_degrees(frame))
-    assert not verdict["simple_standards"] and not verdict["projective_standards"]
-    assert not verdict["diag_ok"]
+    for raising in (False, True):
+        verdict = directedness(frame, (0,), raising)
+        assert not verdict["ok"]
+        assert verdict["diagonal_dims"] == {"one": 4}
 
 
 def test_simple_standards_imply_valid_chain(corpus_structures):
@@ -236,9 +232,8 @@ def test_simple_standards_imply_valid_chain(corpus_structures):
         frame = structure.frame
         order = order_from_degrees(frame)
         for sub in (structure.aminus, structure.aplus):
-            sub_alg, sub_frame = extract_with_frame(sub, frame)
-            verdict = rl.directed_qh_check(sub_alg, sub_frame, order)
-            if verdict["simple_standards"]:
+            if directedness(frame, order.levels, False, sub)["ok"]:
+                sub_alg, sub_frame = subalgebra_with_frame(sub, frame)
                 report = rl.heredity_chain_verify(sub_alg, sub_frame, order)
                 assert report["overall"], name
 

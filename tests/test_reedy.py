@@ -3,6 +3,7 @@
 import pytest
 
 import reedylab as rl
+from dense_modules import subalgebra_with_frame
 from reedylab.algebra import AlgebraError
 from reedylab.linalg import subspace_intersect
 from reedylab.qh import order_from_degrees, peirce_blocks
@@ -71,11 +72,10 @@ def test_simplex_structures_verify(simplex1, simplex2, simplex3):
 def test_directed_factors_elementary_with_primitive_frame(corpus_structures):
     for name, s in verified(corpus_structures).items():
         for sub in (s.aplus, s.aminus):
-            sub_alg, rows = sub.extracted()
-            idems = [sub.restrict_vector(e) for e in s.frame.idempotents]
-            sub_frame = rl.IdempotentFrame(sub_alg, idems, s.frame.labels)
+            assert rl.is_elementary(s.algebra, s.frame, sub), name
+            sub_alg, sub_frame = subalgebra_with_frame(sub, s.frame)
             assert rl.is_elementary(sub_alg, sub_frame), name
-            for e in idems:
+            for e in sub_frame.idempotents:
                 assert rl.is_primitive_idempotent(sub_alg, e), name
 
 
