@@ -19,6 +19,7 @@ from .linalg import (
     add_scaled,
     densify,
     full_space,
+    modulo,
     null_space,
     span,
     sparse,
@@ -288,25 +289,30 @@ class AlgSubspace:
         if self.closure_kind != AlgSubspace.SUBALGEBRA:
             raise AlgebraError("extraction needs a verified subalgebra")
         a = self.algebra
-        f = a.field
-        rows = tuple(self.space.rows.values())
         labels = [f"s{i}_{a.labels[p]}" for i, p in enumerate(self.space.rows)]
-        mult = []
-        for u in rows:
-            per = []
-            for v in rows:
-                coords = self.space.coords(a.mul_sparse(u, v))
-                if coords is None:
-                    raise AlgebraError("subalgebra flag is wrong: not closed")
-                per.append(tuple(coords.items()))
-            mult.append(tuple(per))
-        unit_coords = self.space.coords(sparse(f, a.unit))
-        if unit_coords is None:
-            raise AlgebraError("subalgebra flag is wrong: unit missing")
-        sub = Algebra(f, labels, mult, densify(f, unit_coords, self.dim))
-        self._cache["extracted"] = (sub, rows)
-        return sub, rows
+        sub = _on_rows(a, self.space, a.unit, labels)
+        self._cache["extracted"] = (sub, tuple(self.space.rows.values()))
+        return self._cache["extracted"]
 
+
+def _on_rows(a: Algebra, space: Subspace, unit, labels) -> Algebra:
+    """A multiplicatively closed ``space`` that contains the dense element
+    ``unit``, as an algebra with that unit on the basis of its rows: the
+    structure constants are the coordinates of the row products."""
+    rows = space.rows.values()
+    mult = []
+    for u in rows:
+        per = []
+        for v in rows:
+            coords = space.coords(a.mul_sparse(u, v))
+            if coords is None:
+                raise AlgebraError("subspace is not multiplicatively closed")
+            per.append(tuple(coords.items()))
+        mult.append(tuple(per))
+    unit_coords = space.coords(sparse(a.field, unit))
+    if unit_coords is None:
+        raise AlgebraError("subspace does not contain the unit")
+    return Algebra(a.field, labels, mult, densify(a.field, unit_coords, space.dim))
 
 
 def plain_subspace(a: Algebra, vectors) -> AlgSubspace:
@@ -347,28 +353,34 @@ def ideal_closure(a: Algebra, generators) -> AlgSubspace:
 
 
 def _product_echelon(a: Algebra, pairs, base: Subspace | None = None):
-    """Every product x*y for x in X, y in Y and (X, Y) in ``pairs``, inserted
-    into one Echelon seeded with ``base``; returns the sum of dim X * dim Y
-    and the Echelon."""
-    acc = Echelon(a.field, a.dim, base)
+    """Every product x*y for x in X, y in Y and (X, Y) in ``pairs``, reduced
+    modulo ``base`` and inserted into one Echelon; returns the sum of
+    dim X * dim Y and the Echelon, whose rows are the residue rows of the
+    products modulo ``base``."""
+    acc = Echelon(a.field, a.dim)
     domain = 0
     for xs, ys in pairs:
         domain += xs.dim * ys.dim
         for x in xs.rows.values():
             for y in ys.rows.values():
                 prod = a.mul_sparse(x, y)
+                if prod and base is not None:
+                    prod = base.reduce(prod)
                 if prod:
                     acc.insert(prod)
     return domain, acc
 
 
-def product_span(a: Algebra, xs: Subspace | None, ys: Subspace | None) -> Subspace:
-    """Span of x*y for x in X and y in Y, where None stands for A."""
+def product_span(a: Algebra, xs: Subspace | None, ys: Subspace | None,
+                 base: Subspace | None = None) -> Subspace:
+    """Span of x*y for x in X and y in Y, where None stands for A; with
+    ``base`` = J an ideal, the residue rows of X*Y modulo J, and X and Y may
+    be residue rows too (None is then A/J), since J*A and A*J lie in J."""
     if xs is None:
-        xs = full_space(a.field, a.dim)
+        xs = full_space(a.field, a.dim, base)
     if ys is None:
-        ys = full_space(a.field, a.dim)
-    return _product_echelon(a, [(xs, ys)])[1].to_subspace()
+        ys = full_space(a.field, a.dim, base)
+    return _product_echelon(a, [(xs, ys)], base)[1].to_subspace()
 
 
 def element_line(a: Algebra, e) -> Subspace:
@@ -388,10 +400,11 @@ def row_span(a: Algebra, e, space: Subspace | None) -> Subspace:
     return product_span(a, element_line(a, e), space)
 
 
-def corner_span(a: Algebra, e, space: Subspace | None) -> Subspace:
-    """Span of e*X*e for X a subspace (the corner eAe when None)."""
+def corner_span(a: Algebra, e, space: Subspace | None, base: Subspace | None = None) -> Subspace:
+    """Span of e*X*e for X a subspace (the corner eAe when None), modulo
+    the ideal ``base`` when given."""
     line = element_line(a, e)
-    return product_span(a, line, product_span(a, space, line))
+    return product_span(a, line, product_span(a, space, line, base), base)
 
 
 def two_sided_span(a: Algebra, e, space: Subspace | None) -> Subspace:
@@ -407,7 +420,7 @@ def product_rank(a: Algebra, pairs, base: Subspace | None = None) -> tuple[int, 
     i.e. dim(base + image) - dim(base).
     """
     domain, acc = _product_echelon(a, pairs, base)
-    return domain, acc.dim - (base.dim if base is not None else 0)
+    return domain, acc.dim
 
 
 class QuotientMap:
@@ -432,12 +445,10 @@ class QuotientMap:
         f = self.source.field
         return densify(f, self.project_sparse(sparse(f, vec)), len(self.complement))
 
-    def lift_sparse(self, vec: dict) -> dict:
-        return {self.complement[t]: x for t, x in vec.items()}
-
 
 def quotient(a: Algebra, j: AlgSubspace) -> tuple[Algebra, QuotientMap]:
-    """Quotient algebra by a verified two-sided ideal, with its projection."""
+    """Quotient algebra by a verified two-sided ideal, with its projection;
+    the checks hold A/J as residue rows modulo J instead (``product_span``)."""
     if j.closure_kind != AlgSubspace.IDEAL:
         raise AlgebraError("quotient requires a verified two-sided ideal")
     qmap = QuotientMap(a, j)
@@ -467,42 +478,14 @@ def quotient_frame(frame: IdempotentFrame, qmap: QuotientMap) -> IdempotentFrame
     )
 
 
-class CornerMap:
-    """Inclusion data for a corner algebra eAe -> A: the corner's basis is
-    the rows of ``space``."""
-
-    __slots__ = ("source", "corner", "idempotent", "space")
-
-    def __init__(self, source: Algebra, corner: Algebra, idempotent, space: Subspace):
-        self.source = source
-        self.corner = corner
-        self.idempotent = tuple(idempotent)
-        self.space = space
-
-
-def corner(a: Algebra, e) -> tuple[Algebra, CornerMap]:
-    """The corner algebra eAe with unit e and its embedding into A."""
-    f = a.field
+def corner(a: Algebra, e) -> tuple[Algebra, Subspace]:
+    """The corner algebra eAe with unit e, and eAe in A, whose rows are the
+    corner's basis."""
     e = tuple(e)
     if not a.is_idempotent(e):
         raise AlgebraError("corner requires an idempotent element")
     sub = corner_span(a, e, None)
-    rows = sub.rows.values()
-    labels = [f"c_{a.labels[p]}" for p in sub.rows]
-    mult = []
-    for u in rows:
-        per = []
-        for v in rows:
-            coords = sub.coords(a.mul_sparse(u, v))
-            if coords is None:
-                raise AlgebraError("corner is not multiplicatively closed (bug)")
-            per.append(tuple(coords.items()))
-        mult.append(tuple(per))
-    unit_coords = sub.coords(sparse(f, e))
-    if unit_coords is None:
-        raise AlgebraError("corner does not contain its unit (bug)")
-    c = Algebra(f, labels, mult, densify(f, unit_coords, sub.dim))
-    return c, CornerMap(a, c, e, sub)
+    return _on_rows(a, sub, e, [f"c_{a.labels[p]}" for p in sub.rows]), sub
 
 
 # radical -----------------------------------------------------------------
@@ -702,27 +685,37 @@ def radical_space(a: Algebra, sub: AlgSubspace | None = None) -> Subspace:
     return sub._cache["radical"]
 
 
-def is_elementary(a: Algebra, frame: IdempotentFrame, sub: AlgSubspace | None = None) -> bool:
+def is_elementary(a: Algebra, frame: IdempotentFrame, sub: AlgSubspace | None = None,
+                  below: Subspace | None = None) -> bool:
     """Whether X = A (or the verified subalgebra ``sub``) is elementary for
     the frame: every frame idempotent lies in X, dim X - dim rad X = |E|, and
-    dim e_i X e_i - dim e_i rad(X) e_i = 1, the corner of X/rad(X) at e_i."""
-    space = None if sub is None else sub.space
-    lines = frame.lines()
-    if space is not None and not all(space.contains(v) for line in lines for v in line.rows.values()):
-        return False
-    rad = radical_space(a, sub)
-    if (a.dim if sub is None else sub.dim) - rad.dim != len(frame):
-        return False
-    return all(
-        corner_span(a, line, space).dim - corner_span(a, line, rad).dim == 1 for line in lines
-    )
+    dim e_i X e_i - dim e_i rad(X) e_i = 1, the corner of X/rad(X) at e_i.
+    With ``below`` = J, X is A/J in residue rows modulo J: rad(A/J) is
+    (rad A + J)/J and the frame idempotents in J, which vanish, are skipped.
+    Verdicts without J are cached on X per frame."""
+    cache = {} if below is not None else a._cache if sub is None else sub._cache
+    key = ("elementary", frame.idempotents)
+    if key not in cache:
+        lines, space = frame.lines(), None if sub is None else sub.space
+        if below is not None:
+            space = full_space(a.field, a.dim, below)
+            lines = [line for line in lines if not all(map(below.contains, line.rows.values()))]
+        ok = sub is None or all(space.contains(v) for line in lines for v in line.rows.values())
+        if ok:
+            rad = modulo(radical_space(a, sub), below)
+            ok = (a.dim if space is None else space.dim) - rad.dim == len(lines) and all(
+                corner_span(a, line, space, below).dim - corner_span(a, line, rad, below).dim == 1
+                for line in lines)
+        cache[key] = ok
+    return cache[key]
 
 
 def is_primitive_idempotent(a: Algebra, e) -> bool:
-    """Local corner test: e is primitive iff eAe has a 1-dim semisimple quotient."""
-    c, _ = corner(a, e)
-    rad = radical(c)
-    return c.dim - rad.dim == 1
+    """Local corner test: e is primitive iff eAe/rad(eAe) is one-dimensional,
+    where rad(eAe) = e*rad(A)*e."""
+    if not a.is_idempotent(tuple(e)):
+        raise AlgebraError("is_primitive_idempotent requires an idempotent element")
+    return corner_span(a, e, None).dim - corner_span(a, e, radical(a).space).dim == 1
 
 
 def tensor_algebras(a: Algebra, b: Algebra) -> Algebra:
@@ -767,23 +760,30 @@ def tensor_algebras(a: Algebra, b: Algebra) -> Algebra:
     return Algebra(f, labels, mult, unit)
 
 
-def tensor_dim_over_corner(a: Algebra, e) -> int:
-    """dim of Ae (x)_{eAe} eA, via the rank of the balancing relations."""
+def tensor_dim_over_corner(a: Algebra, e, below: Subspace | None = None) -> int:
+    """dim of Ae (x)_{eAe} eA, via the rank of the balancing relations.
+
+    With ``below`` = J, an ideal of A, the algebra is A/J: M, N and the
+    corner are residue rows modulo J, and a product is read in their
+    coordinates after reduction modulo J."""
     f = a.field
     e = tuple(e)
     if not a.is_idempotent(e):
         raise AlgebraError("tensor_dim_over_corner requires an idempotent")
-    m_space = column_span(a, None, e)
-    n_space = row_span(a, e, None)
+    if below is None:
+        below = Subspace(f, a.dim)
+    line = element_line(a, e)
+    m_space = product_span(a, None, line, below)
+    n_space = product_span(a, line, None, below)
     dim_m, dim_n = m_space.dim, n_space.dim
     if dim_m == 0 or dim_n == 0:
         return 0
     m_rows = m_space.rows.values()
     n_rows = n_space.rows.values()
     relations = Echelon(f, dim_m * dim_n)
-    for sr in corner_span(a, e, None).rows.values():
-        xr = [m_space.coords(a.mul_sparse(x, sr)) for x in m_rows]
-        ry = [n_space.coords(a.mul_sparse(sr, y)) for y in n_rows]
+    for sr in product_span(a, line, m_space, below).rows.values():
+        xr = [m_space.coords(below.reduce(a.mul_sparse(x, sr))) for x in m_rows]
+        ry = [n_space.coords(below.reduce(a.mul_sparse(sr, y))) for y in n_rows]
         # x r (x) y - x (x) r y for every basis pair (x, y)
         for xi, left in enumerate(xr):
             for yj, right in enumerate(ry):

@@ -247,8 +247,11 @@ def sparse_span(field: Field, ambient_dim: int, rows) -> Subspace:
     return acc.to_subspace()
 
 
-def full_space(field: Field, n: int) -> Subspace:
-    return Subspace(field, n, {c: {c: field.one} for c in range(n)})
+def full_space(field: Field, n: int, base: Subspace | None = None) -> Subspace:
+    """k^n, or its residue rows modulo ``base``: the unit rows at the
+    coordinates that are not pivots of ``base``."""
+    skip = base.rows if base is not None else ()
+    return Subspace(field, n, {c: {c: field.one} for c in range(n) if c not in skip})
 
 
 def span(field: Field, ambient_dim: int, vectors) -> Subspace:
@@ -294,6 +297,15 @@ def subspace_sum(u: Subspace, v: Subspace) -> Subspace:
     for row in v.rows.values():
         acc.insert(row)
     return acc.to_subspace()
+
+
+def modulo(u: Subspace, base: Subspace | None) -> Subspace:
+    """The residue rows of U modulo ``base`` (U when None): the canonical
+    rows, zero at the pivots of ``base``, of the span that holds
+    (U + base)/base in the ambient coordinates."""
+    if base is None or not base.rows:
+        return u
+    return sparse_span(u.field, u.ambient_dim, (base.reduce(v) for v in u.rows.values()))
 
 
 def subspace_intersect(u: Subspace, v: Subspace) -> Subspace:

@@ -23,7 +23,7 @@ from .algebra import (
     radical_space,
     row_span,
 )
-from .linalg import Subspace, full_space, subspace_sum
+from .linalg import Subspace, full_space, modulo, subspace_sum
 
 
 class ModuleRep:
@@ -60,8 +60,12 @@ class ModuleRep:
         return self.carrier.dim - self.killed.dim
 
     def _acting_on_carrier(self, xs: Subspace) -> tuple:
-        """The pair whose products span X*U (U*X for right modules)."""
-        return (xs, self.carrier) if self.side == "left" else (self.carrier, xs)
+        """The pair whose products span X*U (U*X for right modules) modulo
+        K, with U held by its residue rows modulo K since X*K lies in K."""
+        if "residue" not in self._cache:
+            self._cache["residue"] = modulo(self.carrier, self.killed)
+        rows = self._cache["residue"]
+        return (xs, rows) if self.side == "left" else (rows, xs)
 
     def _rank_modulo(self, line: Subspace, base: Subspace) -> int:
         """dim(e*U + base) - dim(base) for the line of a frame idempotent e
@@ -74,7 +78,7 @@ class ModuleRep:
         if "radical_submodule" not in self._cache:
             rad = radical_space(self.ambient, self.acting)
             self._cache["radical_submodule"] = subspace_sum(
-                product_span(self.ambient, *self._acting_on_carrier(rad)), self.killed
+                self.killed, product_span(self.ambient, *self._acting_on_carrier(rad), self.killed)
             )
         return self._cache["radical_submodule"]
 

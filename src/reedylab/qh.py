@@ -9,6 +9,7 @@ weights are incomparable.
 from __future__ import annotations
 
 from itertools import product as iter_product
+from typing import NamedTuple
 
 from .algebra import (
     Algebra,
@@ -17,22 +18,19 @@ from .algebra import (
     IdempotentFrame,
     column_span,
     corner_span,
+    element_line,
     ideal_closure,
     is_elementary,
-    product_rank,
     product_span,
-    quotient,
-    quotient_frame,
     radical,
     row_span,
     tensor_dim_over_corner,
 )
-from .linalg import Echelon, Subspace
+from .linalg import Subspace, modulo, subspace_sum
 from .modules import (
     ModuleRep,
     induce_module,
     is_projective_module,
-    module_from_subspace,
     projective_module,
     quotient_module,
     regular_module,
@@ -139,16 +137,14 @@ def directedness(frame: IdempotentFrame, levels, raising: bool,
     return {"ok": not violations, "diagonal_dims": diag, "violations": violations}
 
 
-class LevelChain:
-    """Cached data of the candidate chain 0 <= J_0 <= J_1 <= ... <= A."""
+class LevelChain(NamedTuple):
+    """Cached data of the candidate chain 0 <= J_0 <= J_1 <= ... <= A: the
+    ideals J_l of A and, per level, the residue rows of J_l modulo J_(l-1)."""
 
-    __slots__ = ("frame", "levels", "ideals", "quotients")
-
-    def __init__(self, frame, levels, ideals, quotients):
-        self.frame = frame
-        self.levels = levels
-        self.ideals = ideals
-        self.quotients = quotients
+    frame: IdempotentFrame
+    levels: tuple
+    ideals: tuple
+    layers: tuple
 
 
 def level_chain(a: Algebra, frame: IdempotentFrame, order: WeightOrder) -> LevelChain:
@@ -157,27 +153,16 @@ def level_chain(a: Algebra, frame: IdempotentFrame, order: WeightOrder) -> Level
         return a._cache[key]
     levels = tuple(sorted(set(order.levels)))
     work = frame.with_degrees(order.levels)
-    ideals = []
-    quotients = []
-    current = a
-    cur_frame = work
+    ideals, layers = [], []
     below = Subspace(a.field, a.dim)
     for lev in levels:
-        # J_l is J_(l-1) plus the layer ideal of A/J_(l-1), lifted to A.
-        layer_ideal = ideal_closure(current, [cur_frame.eps(lev)])
-        lifted = layer_ideal.space.rows.values()
-        for _, _, _, _, qmap, _ in reversed(quotients):
-            lifted = [qmap.lift_sparse(v) for v in lifted]
-        acc = Echelon(a.field, a.dim, below)
-        for v in lifted:
-            acc.insert(v)
-        below = acc.to_subspace()
+        # J_l = J_(l-1) + (C*eps_l)*C for C the residue rows of A modulo J_(l-1)
+        layer = product_span(a, product_span(a, None, element_line(a, work.eps(lev)), below),
+                             None, below)
+        below = subspace_sum(below, layer)
+        layers.append(layer)
         ideals.append(AlgSubspace(a, below, AlgSubspace.IDEAL))
-        q, qmap = quotient(current, layer_ideal)
-        q_frame = quotient_frame(cur_frame, qmap)
-        quotients.append((current, cur_frame, layer_ideal, q, qmap, q_frame))
-        current, cur_frame = q, q_frame
-    chain = LevelChain(work, levels, tuple(ideals), tuple(quotients))
+    chain = LevelChain(work, levels, tuple(ideals), tuple(layers))
     a._cache[key] = chain
     return chain
 
@@ -187,42 +172,49 @@ def heredity_ideal_check(a: Algebra, frame: IdempotentFrame, eps) -> dict:
     eps = tuple(eps)
     if not a.is_idempotent(eps):
         raise AlgebraError("heredity_ideal_check requires an idempotent")
-    return _heredity_report(a, frame, eps, ideal_closure(a, [eps]))
+    return _heredity_report(a, frame, eps, ideal_closure(a, [eps]).space, None)
 
 
-def _heredity_report(a: Algebra, frame: IdempotentFrame, eps, ideal: AlgSubspace) -> dict:
-    """``heredity_ideal_check`` for an idempotent eps and its ideal A*eps*A."""
-    if ideal.dim == 0:
-        return {
-            "overall": True,
-            "trivial": True,
-            "ideal_dim": 0,
-            "corner_semisimple": True,
-            "tensor_bijective": True,
-        }
-    rad = radical(a)
-    corner_rad = corner_span(a, eps, rad.space)
+def _heredity_report(a: Algebra, frame: IdempotentFrame, eps, layer: Subspace,
+                     below: Subspace | None) -> dict:
+    """``heredity_ideal_check`` in A/J' for J' = ``below`` (0 when None): an
+    idempotent eps of A and ``layer``, the residue rows modulo J' of the
+    ideal J generated by eps and J'.  The radical of A/J' is
+    (rad A + J')/J', so only A's radical is ever computed."""
+    if layer.dim == 0:
+        return {"overall": True, "trivial": True, "ideal_dim": 0, "corner_semisimple": True,
+                "tensor_bijective": True}
+    rad = modulo(radical(a).space, below)
+    corner_rad = corner_span(a, eps, rad, below)
     corner_ss = corner_rad.dim == 0
-    tens = tensor_dim_over_corner(a, eps) if corner_ss else None
-    tensor_ok = tens == ideal.dim if corner_ss else False
+    tens = tensor_dim_over_corner(a, eps, below) if corner_ss else None
+    tensor_ok = tens == layer.dim if corner_ss else False
     report = {
         "overall": corner_ss and tensor_ok,
         "trivial": False,
-        "ideal_dim": ideal.dim,
+        "ideal_dim": layer.dim,
         "corner_semisimple": corner_ss,
         "corner_radical_dim": corner_rad.dim,
         "tensor_dim": tens,
         "tensor_bijective": tensor_ok,
     }
-    if is_elementary(a, frame):
-        report["cross_checks"] = _heredity_cross_checks(a, frame, ideal, rad)
+    if is_elementary(a, frame, below=below):
+        report["cross_checks"] = _heredity_cross_checks(a, frame, layer, rad, below)
     return report
 
 
-def _heredity_cross_checks(a: Algebra, frame, ideal: AlgSubspace, rad: AlgSubspace) -> dict:
-    idempotent_ideal = product_rank(a, [(ideal.space, ideal.space)])[1] == ideal.dim
-    jrj = product_span(a, product_span(a, ideal.space, rad.space), ideal.space)
-    proj = is_projective_module(module_from_subspace(a, ideal.space, "left"), frame)
+def _heredity_cross_checks(a: Algebra, frame, layer: Subspace, rad: Subspace,
+                           below: Subspace | None) -> dict:
+    """J/J' idempotent, (J/J')*rad*(J/J') zero and J/J' a projective left
+    A/J'-module, every product taken modulo J'; the projective of A/J' at
+    e_i is (A*e_i + J')/J', of dim A*e_i - dim J'*e_i."""
+    idempotent_ideal = product_span(a, layer, layer, below).dim == layer.dim
+    jrj = product_span(a, product_span(a, layer, rad, below), layer, below)
+    killed = below if below is not None else Subspace(a.field, a.dim)
+    module = ModuleRep(a, "left", subspace_sum(killed, layer), killed)
+    cover = sum(mult * product_span(a, None, line, below).dim
+                for line, mult in zip(frame.lines(), module.top_multiplicities(frame)) if mult)
+    proj = cover == module.dim
     return {
         "idempotent_ideal": idempotent_ideal,
         "j_rad_j_zero": jrj.dim == 0,
@@ -236,29 +228,15 @@ def heredity_chain_verify(a: Algebra, frame: IdempotentFrame, order: WeightOrder
     if order is None:
         order = order_from_degrees(frame)
     chain = level_chain(a, frame, order)
-    layers = []
-    ok = True
-    prev_dim = 0
-    for rank, lev in enumerate(chain.levels):
-        current, cur_frame, layer_ideal, _, _, _ = chain.quotients[rank]
-        verdict = _heredity_report(current, cur_frame, cur_frame.eps(lev), layer_ideal)
-        total_dim = chain.ideals[rank].dim
-        strictly_up = total_dim > prev_dim
-        layers.append(
-            {
-                "level": lev,
-                "ideal_dim": total_dim,
-                "layer_dim": total_dim - prev_dim,
-                "verdict": bool(verdict["overall"]),
-                "strictly_increasing": strictly_up,
-                "detail": verdict,
-            }
-        )
-        ok = ok and verdict["overall"] and strictly_up
-        prev_dim = total_dim
-    complete = bool(chain.ideals) and chain.ideals[-1].dim == a.dim
-    if a.dim == 0:
-        complete = True
+    layers, ok = [], True
+    for rank, (lev, layer) in enumerate(zip(chain.levels, chain.layers)):
+        below = chain.ideals[rank - 1].space if rank else None
+        verdict = _heredity_report(a, chain.frame, chain.frame.eps(lev), layer, below)
+        layers.append({"level": lev, "ideal_dim": chain.ideals[rank].dim, "layer_dim": layer.dim,
+                       "verdict": bool(verdict["overall"]), "strictly_increasing": layer.dim > 0,
+                       "detail": verdict})
+        ok = ok and verdict["overall"] and layer.dim > 0
+    complete = a.dim == 0 or (bool(chain.ideals) and chain.ideals[-1].dim == a.dim)
     return {"overall": ok and complete, "complete": complete, "layers": layers}
 
 

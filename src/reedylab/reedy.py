@@ -30,7 +30,8 @@ from .algebra import (
     two_sided_span,
 )
 from .fields import Field
-from .linalg import Echelon, Subspace, densify, null_space, sparse, sparse_span, subspace_intersect
+from .linalg import (Echelon, Subspace, add_scaled, densify, modulo, null_space, sparse, sparse_span,
+                     subspace_intersect)
 from .qh import (
     WeightOrder,
     delta_subalgebra_check,
@@ -145,12 +146,6 @@ def _tensor_pairs(r: ReedyStructure, indices) -> list:
     return pairs
 
 
-def _modulo(u: Subspace, w: Subspace) -> Subspace:
-    """Representatives of U/W for W <= U: the residues of U's rows modulo W,
-    a complement of W in U."""
-    return sparse_span(u.field, u.ambient_dim, (w.reduce(v) for v in u.rows.values()))
-
-
 def layer_check(r: ReedyStructure) -> dict:
     """Per-level layer isomorphisms, in both the direct and the quotient form.
 
@@ -188,8 +183,8 @@ def layer_check(r: ReedyStructure) -> dict:
             k_minus = two_sided_span(a, eps_prev, r.aminus.space)
             lines = frame.lines()
             pairs = [
-                (_modulo(col, column_span(a, k_plus, lines[i])),
-                 _modulo(row, row_span(a, lines[i], k_minus)))
+                (modulo(col, column_span(a, k_plus, lines[i])),
+                 modulo(row, row_span(a, lines[i], k_minus)))
                 for (col, row), i in zip(direct, idx_here)
             ]
             domain2, rank2 = product_rank(a, pairs, prev)
@@ -237,8 +232,7 @@ def _build_corner_structure(r: ReedyStructure, cut: int) -> tuple[ReedyStructure
     order = r.order()
     work = r.frame.with_degrees(order.levels)
     e = work.eps_upto(cut)
-    c_alg, cmap = corner(a, e)
-    carrier = cmap.space
+    c_alg, carrier = corner(a, e)
     idems, labels, degrees = [], [], []
     for i in range(len(r.frame)):
         if order.levels[i] <= cut:
@@ -379,9 +373,7 @@ def characterization_crosscheck(r: ReedyStructure) -> dict:
             weight_bijection = True
             detail_iii["weights"] = "frame indexes the simple modules"
         else:
-            rad = radical(a)
-            q, _ = quotient(a, rad)
-            zdim = _center_dim(q)
+            zdim = _center_dim(a, radical(a).space)
             weight_bijection = zdim == len(frame)
             detail_iii["weights"] = f"center of A/rad has dim {zdim} vs |E| = {len(frame)}"
         detail_iii["weight_bijection"] = weight_bijection
@@ -422,22 +414,20 @@ def _bimodule_bijective(r: ReedyStructure) -> dict:
     }
 
 
-def _center_dim(a: Algebra) -> int:
-    """Dimension of the centre (counts simple blocks of split semisimple algebras)."""
-    f = a.field
-    rows = []
-    for k in range(a.dim):
-        # coefficient of b_t in b_s b_k - b_k b_s, as rows indexed by t
-        by_t: dict = {}
-        for s in range(a.dim):
-            for idx, c in a.mult[s][k]:
-                by_t.setdefault(idx, {})
-                by_t[idx][s] = f.add(by_t[idx].get(s, f.zero), c)
-            for idx, c in a.mult[k][s]:
-                by_t.setdefault(idx, {})
-                by_t[idx][s] = f.sub(by_t[idx].get(s, f.zero), c)
+def _center_dim(a: Algebra, rad: Subspace) -> int:
+    """Dimension of the centre of A/rad (counts the simple blocks when A/rad
+    is split semisimple): the nullity of x -> ([x, c] mod rad)_c on the
+    residue rows c of A modulo rad, the unit rows off rad's pivots."""
+    f, comp, rows = a.field, rad.complement_coords(), []
+    for k in comp:
+        by_t: dict = {}  # coefficient of b_t in [b_s, b_k] mod rad, as rows indexed by t
+        for col, s in enumerate(comp):
+            comm = a.mul_sparse({s: f.one}, {k: f.one})
+            add_scaled(f, comm, f.neg(f.one), a.mul_sparse({k: f.one}, {s: f.one}))
+            for t, c in rad.reduce(comm).items():
+                by_t.setdefault(t, {})[col] = c
         rows.extend(by_t.values())
-    return null_space(f, a.dim, rows).dim
+    return null_space(f, len(comp), rows).dim
 
 
 # search -------------------------------------------------------------------

@@ -102,8 +102,16 @@ def field_from_json(data) -> Field:
     if data["kind"] == "Q":
         return field_of("Q")
     if data["kind"] == "GF":
-        return field_of("GF", natural(data.get("p"), "field 'p'"))
+        return _prime_field(natural(data.get("p"), "field 'p'"), "field 'p'")
     raise FormatError(f"unknown field kind {data['kind']!r}")
+
+
+def _prime_field(p: int, where: str) -> Field:
+    """GF(p), or a FormatError naming ``where`` when p is not a supported prime."""
+    try:
+        return field_of("GF", p)
+    except ValueError as exc:
+        raise FormatError(f"{where}: {exc}") from exc
 
 
 def parse_field_flag(text: str) -> Field:
@@ -113,7 +121,7 @@ def parse_field_flag(text: str) -> Field:
     p = text[len("GF:"):] if text.startswith("GF:") else ""
     if not p.isdecimal():
         raise FormatError(f"bad --field value {text!r} (use Q or GF:p)")
-    return field_of("GF", int(p))
+    return _prime_field(int(p), f"bad --field value {text!r}")
 
 
 def algebra_to_json(a: Algebra, frame: IdempotentFrame | None = None) -> dict:

@@ -231,7 +231,7 @@ def test_quotient_dim_additivity(diamond, uppertri, simplex2):
 
 def test_corner_at_unit_is_identity(diamond):
     algebra, _ = diamond
-    c, cmap = rl.corner(algebra, algebra.unit)
+    c, _ = rl.corner(algebra, algebra.unit)
     assert c.dim == algebra.dim
     assert rl.validate(c)["valid"]
 
@@ -251,12 +251,12 @@ def test_corner_diamond_two_vertices(diamond, Q):
             frame.idempotents[frame.index_of("a")], frame.idempotents[frame.index_of("b")]
         )
     )
-    c, cmap = rl.corner(algebra, e)
+    c, space = rl.corner(algebra, e)
     assert c.dim == 3
     assert rl.validate(c)["valid"]
     # embedding rows land back in the big algebra, one per corner basis element
-    assert cmap.space.ambient_dim == algebra.dim and cmap.space.dim == c.dim
-    for row in cmap.space.rows.values():
+    assert space.ambient_dim == algebra.dim and space.dim == c.dim
+    for row in space.rows.values():
         assert max(row) < algebra.dim
 
 

@@ -253,6 +253,25 @@ def test_malformed_field_flag_exits_2(tmp_path, capsys, flag):
     assert code == 2 and f"bad --field value {flag!r}" in stderr
 
 
+@pytest.mark.parametrize("flag, cause", [
+    ("GF:4", "characteristic must be prime, got 4"),
+    ("GF:1", "characteristic must be prime, got 1"),
+    ("GF:0", "characteristic must be prime, got 0"),
+    ("GF:2147483659", "prime fields limited to p < 2^31"),
+])
+def test_unsupported_field_flag_names_the_flag(tmp_path, capsys, flag, cause):
+    code, _, stderr = run(
+        capsys, "construct", "matrix", "--n", "2", "--field", flag, "-o", str(tmp_path / "m")
+    )
+    assert code == 2 and f"bad --field value {flag!r}: {cause}" in stderr
+
+
+def test_unsupported_field_characteristic_names_the_key(tmp_path, capsys):
+    alg = _edit_copy(tmp_path, "diamond.gf2.alg.json", _set(["field", "p"], 4))
+    code, _, stderr = run(capsys, "search", str(alg))
+    assert code == 2 and "field 'p': characteristic must be prime, got 4" in stderr
+
+
 @pytest.mark.parametrize("bound", ["0", "-1"])
 def test_nonpositive_max_levels_exits_2(capsys, bound):
     code, stdout, stderr = run(

@@ -194,7 +194,7 @@ def _compare(new, old, frame, old_frame=None):
 
 
 def test_subquotients_match_dense_oracle(corpus_structures):
-    """Every Borel, Delta, A_B and heredity-ideal module that the checks
+    """Every Borel, Delta, A_B and chain-layer module that the checks
     build agrees with the action-matrix construction in dim, comp and top.
 
     Modules over B = A+ or A- live in A with acting=B and take A's frame;
@@ -206,9 +206,13 @@ def test_subquotients_match_dense_oracle(corpus_structures):
             continue
         visited.append(name)
         order = order_from_degrees(frame)
-        for current, cur_frame, layer_ideal, _, _, _ in level_chain(a, frame, order).quotients:
-            _compare(rl.module_from_subspace(current, layer_ideal.space),
-                     dense.from_subspace(current, layer_ideal.space), cur_frame)
+        below = rl.Subspace(a.field, a.dim)
+        for ideal in level_chain(a, frame, order).ideals:
+            # the chain layer J_l/J_(l-1) as a subquotient of A
+            _compare(rl.ModuleRep(a, "left", ideal.space, below),
+                     dense.quotient(dense.from_subspace(a, ideal.space),
+                                    ideal.space.coords_span(below)), frame)
+            below = ideal.space
         # standard modules (layer quotients when A is not elementary)
         elementary = rl.is_elementary(a, frame)
         deltas = []

@@ -5,6 +5,7 @@ import pytest
 import reedylab as rl
 from dense_modules import subalgebra_with_frame
 from reedylab.algebra import AlgebraError
+from reedylab.corpus import default_corpus_dir
 from reedylab.qh import (
     WeightOrder,
     directedness,
@@ -14,6 +15,7 @@ from reedylab.qh import (
     order_from_degrees,
     trace_subspace,
 )
+from reedylab.serialize import load_algebra
 
 
 def vertex_span(algebra, frame):
@@ -100,14 +102,110 @@ def test_chain_dims_sum_to_algebra(diamond):
 
 
 def test_chain_ideals_are_the_ideals_of_the_levels_below(corpus_structures):
-    """J_l, built as J_(l-1) plus a lifted layer ideal, is A*eps_(<=l)*A."""
+    """J_l, built in A's coordinates as J_(l-1) plus the residue rows of
+    (C*eps_l)*C modulo J_(l-1), C the residue rows of A, is A*eps_(<=l)*A;
+    the layer rows vanish at the pivots of J_(l-1)."""
     for name, structure in corpus_structures.items():
         a, frame = structure.algebra, structure.frame
         chain = level_chain(a, frame, order_from_degrees(frame))
-        for lev, ideal in zip(chain.levels, chain.ideals):
+        below = rl.Subspace(a.field, a.dim)
+        for lev, ideal, layer in zip(chain.levels, chain.ideals, chain.layers):
             assert ideal.closure_kind == rl.AlgSubspace.IDEAL, name
             assert ideal.space == rl.ideal_closure(a, [chain.frame.eps_upto(lev)]).space, name
+            assert layer.dim == ideal.dim - below.dim, name
+            assert all(p not in row for row in layer.rows.values() for p in below.rows), name
+            below = ideal.space
         assert chain.ideals[-1].dim == a.dim, name
+
+
+def _chain_through_quotients(a, frame, order):
+    """``heredity_chain_verify`` computed on a tower of quotient algebras:
+    ``heredity_ideal_check`` on A/J_(l-1) with the frame pushed through
+    ``quotient_frame``, one radical per quotient."""
+    current, cur_frame = a, frame.with_degrees(order.levels)
+    layers, ok, total = [], True, 0
+    for lev in sorted(set(order.levels)):
+        eps = cur_frame.eps(lev)
+        detail = rl.heredity_ideal_check(current, cur_frame, eps)
+        ideal = rl.ideal_closure(current, [eps])
+        total += ideal.dim
+        layers.append({"level": lev, "ideal_dim": total, "layer_dim": ideal.dim,
+                       "verdict": bool(detail["overall"]), "strictly_increasing": ideal.dim > 0,
+                       "detail": detail})
+        ok = ok and detail["overall"] and ideal.dim > 0
+        current, qmap = rl.quotient(current, ideal)
+        cur_frame = rl.quotient_frame(cur_frame, qmap)
+    complete = total == a.dim
+    return {"overall": ok and complete, "complete": complete, "layers": layers}
+
+
+def _chain_inputs(field):
+    """(name, algebra, frame) for the small test algebras over ``field``."""
+    cases = []
+    for name, pres in (("diamond", rl.diamond_presentation()), ("uppertri", rl.a2_presentation())):
+        cases.append((name, *rl.build_quiver_algebra(pres, field)))
+    for n in (2, 3):
+        m = rl.build_matrix_algebra(n, field)
+        cases.append((f"M{n}", m, rl.matrix_diag_frame(m, n)))
+    m2 = rl.build_matrix_algebra(2, field)
+    cases.append(("M2-unit", m2, rl.IdempotentFrame(m2, [m2.unit], ["one"])))
+    s1, s2 = rl.build_simplex_algebra(1, field), rl.build_simplex_algebra(2, field)
+    t49 = rl.build_tensor_reedy(s1, s1)
+    cases += [(name, s.algebra, s.frame) for name, s in (("simplex1", s1), ("simplex2", s2),
+                                                         ("tensor49", t49))]
+    return cases
+
+
+@pytest.mark.parametrize("field", [rl.rationals(), rl.prime_field(2), rl.prime_field(3)],
+                         ids=["Q", "GF2", "GF3"])
+def test_chain_in_a_matches_the_quotient_tower(field):
+    """Layer checks run modulo J_(l-1) inside A give the report of the
+    quotient-algebra route, for every normalized level function."""
+    cases = _chain_inputs(field)
+    if field.characteristic == 0:  # the corpus algebras not built above, over their own fields
+        for path in sorted(default_corpus_dir().glob("*.alg.json")):
+            if not path.name.startswith(("diamond", "uppertri", "simplex", "tensor")):
+                cases.append((path.name, *load_algebra(path)))
+    for name, a, frame in cases:
+        for levels in normalized_level_functions(len(frame)):
+            order = WeightOrder(frame.labels, levels)
+            assert rl.heredity_chain_verify(a, frame, order) == \
+                _chain_through_quotients(a, frame, order), (name, levels)
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("a quotient algebra was built")
+
+
+@pytest.mark.parametrize("case", ["simplex2-Q", "simplex2-GFp", "tensor49", "M2-unit"])
+def test_chain_and_crosscheck_build_no_quotient_algebra(monkeypatch, case):
+    field = rl.prime_field(2147483629) if case == "simplex2-GFp" else rl.rationals()
+    if case.startswith("simplex2"):
+        r = rl.build_simplex_algebra(2, field)
+    elif case == "tensor49":
+        s1 = rl.build_simplex_algebra(1, field)
+        r = rl.build_tensor_reedy(s1, s1)
+    else:
+        m2 = rl.build_matrix_algebra(2, field)
+        frame = rl.IdempotentFrame(m2, [m2.unit], ["one"], [0])
+        r = rl.ReedyStructure(m2, frame, rl.full_subalgebra(m2), rl.full_subalgebra(m2))
+    for module in (rl.qh, rl.reedy):
+        monkeypatch.setattr(module, "quotient", _refuse, raising=False)
+        monkeypatch.setattr(module, "quotient_frame", _refuse, raising=False)
+    if case == "M2-unit":  # route (iii) then reads the centre of A/rad A
+        assert not rl.is_elementary(r.algebra, r.frame)
+    assert rl.heredity_chain_verify(r.algebra, r.frame)["overall"]
+    assert rl.characterization_crosscheck(r)["agree"]
+
+
+def test_chain_computes_the_radical_once(monkeypatch, Q):
+    """rad(A/J) = (rad A + J)/J, so the chain needs A's radical only."""
+    dims = []
+    generic = rl.algebra.radical_generic
+    monkeypatch.setattr(rl.algebra, "radical_generic", lambda a: dims.append(a.dim) or generic(a))
+    s2 = rl.build_simplex_algebra(2, Q)
+    assert rl.heredity_chain_verify(s2.algebra, s2.frame)["overall"]
+    assert dims == [s2.algebra.dim]
 
 
 def test_chain_trivial_frame(Q):

@@ -340,6 +340,22 @@ def test_crosscheck_agreement_on_corpus(corpus_structures):
         assert report["route_reedy"] == rl.verify_reedy(s)["overall"], name
 
 
+def test_crosscheck_reuses_elementarity(monkeypatch, Q):
+    """is_elementary keeps its verdict on A, A+ and A- per frame, so one
+    crosscheck on diamond deg1234 computes 40 corner spans, not the 176 it
+    took when every caller retested elementarity."""
+    calls = []
+    for module in (rl.algebra, rl.qh, rl.reedy):
+        real = module.corner_span
+        monkeypatch.setattr(module, "corner_span",
+                            lambda *args, real=real: calls.append(1) or real(*args))
+    algebra, frame = rl.build_quiver_algebra(rl.diamond_presentation(), Q)
+    s = rl.subalgebra_closure(algebra, list(frame.idempotents))
+    r = rl.ReedyStructure(algebra, frame.with_degrees([1, 2, 3, 4]), rl.full_subalgebra(algebra), s)
+    assert rl.characterization_crosscheck(r)["agree"]
+    assert len(calls) <= 40
+
+
 def test_crosscheck_negative_instances(corpus_structures, uppertri_ss, m2_gf2_pair):
     for s in (uppertri_ss, m2_gf2_pair, corpus_structures["diamond-4312-SS"]):
         report = rl.characterization_crosscheck(s)
@@ -386,9 +402,8 @@ def test_crosscheck_all_candidate_pairs_fail_for_impossible_order(diamond_gf2):
 
 def test_center_dim_counts_blocks(Q, m2q, simplex1):
     m2, _ = m2q
-    assert _center_dim(m2) == 1
+    assert _center_dim(m2, rl.radical(m2).space) == 1
     kk, _ = rl.build_quiver_algebra(rl.QuiverPresentation(["p", "q"], [], [], 1), Q)
-    assert _center_dim(kk) == 2
-    rad = rl.radical(simplex1.algebra)
-    q, _ = rl.quotient(simplex1.algebra, rad)
-    assert _center_dim(q) == 2  # M2(k) x k
+    assert _center_dim(kk, rl.radical(kk).space) == 2
+    a = simplex1.algebra
+    assert _center_dim(a, rl.radical(a).space) == 2  # A/rad = M2(k) x k
