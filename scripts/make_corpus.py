@@ -1,5 +1,8 @@
 #!/usr/bin/env python3
-"""Regenerate the bundled corpus under src/reedylab/corpus/.
+"""Regenerate the bundled corpus under src/reedylab/corpus/, or under the
+directory given as the one optional argument:
+
+    python scripts/make_corpus.py [OUTPUT_DIR]
 
 Every expected verdict written here is recomputed by the library at
 generation time; values with PAPER provenance are additionally asserted
@@ -24,7 +27,8 @@ from reedylab.serialize import (
     write_json,
 )
 
-OUT = Path(__file__).resolve().parents[1] / "src" / "reedylab" / "corpus"
+OUT = (Path(sys.argv[1]) if len(sys.argv) > 1
+       else Path(__file__).resolve().parents[1] / "src" / "reedylab" / "corpus")
 OUT.mkdir(parents=True, exist_ok=True)
 
 Q = rl.rationals()

@@ -177,12 +177,14 @@ class IdempotentFrame:
         return self.labels.index(label)
 
     def with_degrees(self, degrees) -> "IdempotentFrame":
-        return IdempotentFrame(
-            self.algebra, self.idempotents, self.labels, degrees, check=False
-        )
+        """The frame with another degree function (None for none), sharing
+        this frame's cache: nothing cached on a frame depends on degrees."""
+        copy = IdempotentFrame(self.algebra, self.idempotents, self.labels, degrees, check=False)
+        copy._cache = self._cache
+        return copy
 
     def without_degrees(self) -> "IdempotentFrame":
-        return IdempotentFrame(self.algebra, self.idempotents, self.labels, None, check=False)
+        return self.with_degrees(None)
 
     # degree structure -------------------------------------------------
 
@@ -640,12 +642,10 @@ def _check_nilpotent(a: Algebra, sub: Subspace) -> bool:
 
 def radical(a: Algebra) -> AlgSubspace:
     """The Jacobson radical as a verified two-sided ideal (see
-    ``radical_generic``), checked nilpotent and two-sided on every result."""
+    ``radical_generic``, which checks it nilpotent), cached on A."""
     if "radical" in a._cache:
         return a._cache["radical"]
     result = AlgSubspace(a, radical_generic(a), AlgSubspace.IDEAL)
-    if not _check_nilpotent(a, result.space):
-        raise AlgebraError("radical candidate not nilpotent (unsupported input)")
     if not result.is_ideal():
         raise AlgebraError("radical candidate not an ideal (unsupported input)")
     a._cache["radical"] = result
@@ -653,21 +653,20 @@ def radical(a: Algebra) -> AlgSubspace:
 
 
 def radical_generic(a: Algebra) -> Subspace:
-    """The radical by trace forms.
+    """The radical by trace forms, returned only once checked nilpotent.
 
-    The trace-form kernel K is an ideal containing rad A, so K = rad A as
-    soon as K is nilpotent.  In characteristic 0 or p > dim A, Newton's
-    identities make every element of K nilpotent, so K is the radical with
-    no further pass.  Otherwise K is checked nilpotent, and if it is not,
-    the p-power trace chain continues from K.
+    The trace-form kernel K is an ideal containing rad A.  In characteristic
+    0 or p > dim A, Newton's identities make every element of K nilpotent,
+    so K is the radical.  Otherwise the p-power trace chain continues from
+    K; each of its forms vanishes on rad A, so a K that is already the
+    radical comes back unchanged.
     """
-    if a.dim == 0:
-        return Subspace(a.field, 0)
     k = _trace_form_kernel(a)
-    p = a.field.characteristic
-    if p == 0 or p > a.dim or _check_nilpotent(a, k):
-        return k
-    return _radical_charp(a, k)
+    if 0 < a.field.characteristic <= a.dim:
+        k = _radical_charp(a, k)
+    if not _check_nilpotent(a, k):
+        raise AlgebraError("radical candidate not nilpotent (unsupported input)")
+    return k
 
 
 def radical_space(a: Algebra, sub: AlgSubspace | None = None) -> Subspace:
@@ -761,10 +760,13 @@ def tensor_algebras(a: Algebra, b: Algebra) -> Algebra:
 
 
 def tensor_dim_over_corner(a: Algebra, e, below: Subspace | None = None) -> int:
-    """dim of Ae (x)_{eAe} eA, via the rank of the balancing relations.
+    """dim of Ae (x)_{eAe} eA, by its Peirce split along 1 = e + f.
 
-    With ``below`` = J, an ideal of A, the algebra is A/J: M, N and the
-    corner are residue rows modulo J, and a product is read in their
+    As eAe-modules Ae = eAe + fAe and eA = eAe + eAf, so the tensor product
+    is eAe + fAe + eAf + fAe (x)_{eAe} eAf, and only the last summand needs
+    the balancing relations x r (x) y - x (x) r y, for x in fAe, r in eAe and
+    y in eAf.  With ``below`` = J, an ideal of A, the algebra is A/J: the
+    Peirce pieces are residue rows modulo J, and a product is read in their
     coordinates after reduction modulo J."""
     f = a.field
     e = tuple(e)
@@ -773,15 +775,16 @@ def tensor_dim_over_corner(a: Algebra, e, below: Subspace | None = None) -> int:
     if below is None:
         below = Subspace(f, a.dim)
     line = element_line(a, e)
-    m_space = product_span(a, None, line, below)
-    n_space = product_span(a, line, None, below)
+    rest = element_line(a, tuple(f.sub(u, x) for u, x in zip(a.unit, e)))
+    column = product_span(a, None, line, below)
+    corner_space = product_span(a, line, column, below)
+    m_space = product_span(a, rest, column, below)
+    n_space = product_span(a, product_span(a, line, None, below), rest, below)
     dim_m, dim_n = m_space.dim, n_space.dim
-    if dim_m == 0 or dim_n == 0:
-        return 0
     m_rows = m_space.rows.values()
     n_rows = n_space.rows.values()
     relations = Echelon(f, dim_m * dim_n)
-    for sr in product_span(a, line, m_space, below).rows.values():
+    for sr in corner_space.rows.values():
         xr = [m_space.coords(below.reduce(a.mul_sparse(x, sr))) for x in m_rows]
         ry = [n_space.coords(below.reduce(a.mul_sparse(sr, y))) for y in n_rows]
         # x r (x) y - x (x) r y for every basis pair (x, y)
@@ -797,4 +800,4 @@ def tensor_dim_over_corner(a: Algebra, e, below: Subspace | None = None) -> int:
                         vec[key] = val
                 if vec:
                     relations.insert(vec)
-    return dim_m * dim_n - relations.dim
+    return corner_space.dim + dim_m + dim_n + dim_m * dim_n - relations.dim

@@ -35,6 +35,8 @@ from .serialize import (
     load_quiver,
     load_reedy,
     parse_field_flag,
+    read_json,
+    reedy_from_json,
     save_algebra,
     save_reedy,
 )
@@ -135,12 +137,16 @@ def cmd_verify(args) -> int:
         report = heredity_chain_verify(algebra, frame, order)
         _emit(report, args.out)
         return EXIT_TRUE if report["overall"] else EXIT_FALSE
-    if len(args.files) == 1:
-        structure = load_reedy(args.files[0])
-    elif len(args.files) == 2:
-        structure = load_reedy(args.files[1])
-    else:
+    if len(args.files) not in (1, 2):
         raise FormatError(f"verify {what} needs a reedy file (optionally preceded by its algebra)")
+    reedy_file = Path(args.files[-1])
+    data = read_json(reedy_file)
+    structure = reedy_from_json(data, reedy_file.parent)
+    if len(args.files) == 2:
+        referenced = reedy_file.parent / data["algebra"]
+        if Path(args.files[0]).resolve() != referenced.resolve():
+            raise FormatError(f"{args.files[0]} is not the algebra {reedy_file} references "
+                              f"({referenced})")
     if what == "reedy":
         report = verify_reedy(structure)
         _emit(report, args.out)

@@ -30,7 +30,7 @@ from .algebra import (
     two_sided_span,
 )
 from .fields import Field
-from .linalg import (Echelon, Subspace, add_scaled, densify, modulo, null_space, sparse, sparse_span,
+from .linalg import (Echelon, Subspace, add_scaled, densify, null_space, sparse, sparse_span,
                      subspace_intersect)
 from .qh import (
     WeightOrder,
@@ -151,19 +151,20 @@ def layer_check(r: ReedyStructure) -> dict:
 
     Level l compares dim J_l/J_{l-1} against the blockwise tensor data,
     once with the columns A+e_i and rows e_iA- taken in A and once with
-    their images in A+/K+ and A-/K-, for K = X*eps_(<l)*X in X = A+ or A-,
-    represented in A.  K lies in J_{l-1}, so the rank modulo J_{l-1} does
-    not depend on the representatives.
+    their images in A+/K+ and A-/K-, for K = X*eps_(<l)*X in X = A+ or A-.
+    K lies in J_{l-1}, with K+e_i in A+e_i and e_iK- in e_iA-, so modulo
+    J_{l-1} both forms have one image: they differ only in the domain.
     """
     _require_setup(r)
     a = r.algebra
     frame = r.frame
     order = r.order()
     chain = level_chain(a, frame, order)
+    lines = frame.lines()
 
     levels_report = []
     all_ok = True
-    prev = Subspace(a.field, a.dim)
+    prev = k_plus = k_minus = Subspace(a.field, a.dim)
     for rank, lev in enumerate(chain.levels):
         j_here = chain.ideals[rank]
         layer_dim = j_here.dim - prev.dim
@@ -175,20 +176,10 @@ def layer_check(r: ReedyStructure) -> dict:
         ok3 = domain3 == layer_dim == rank3
 
         # quotient form: (A+/K+) e_i (x) e_i (A-/K-) -> J_l / J_{l-1}
-        if rank == 0:
-            domain2, rank2 = domain3, rank3
-        else:
-            eps_prev = chain.frame.eps_upto(chain.levels[rank - 1])
-            k_plus = two_sided_span(a, eps_prev, r.aplus.space)
-            k_minus = two_sided_span(a, eps_prev, r.aminus.space)
-            lines = frame.lines()
-            pairs = [
-                (modulo(col, column_span(a, k_plus, lines[i])),
-                 modulo(row, row_span(a, lines[i], k_minus)))
-                for (col, row), i in zip(direct, idx_here)
-            ]
-            domain2, rank2 = product_rank(a, pairs, prev)
-        ok2 = domain2 == layer_dim == rank2
+        domain2 = sum((col.dim - column_span(a, k_plus, lines[i]).dim)
+                      * (row.dim - row_span(a, lines[i], k_minus).dim)
+                      for (col, row), i in zip(direct, idx_here))
+        ok2 = domain2 == layer_dim == rank3
 
         levels_report.append(
             {
@@ -198,13 +189,17 @@ def layer_check(r: ReedyStructure) -> dict:
                 "direct_rank": rank3,
                 "direct_ok": ok3,
                 "quotient_domain": domain2,
-                "quotient_rank": rank2,
+                "quotient_rank": rank3,
                 "quotient_ok": ok2,
                 "agree": ok2 == ok3,
             }
         )
         all_ok = all_ok and ok2 and ok3
         prev = j_here.space
+        if rank + 1 < len(chain.levels):
+            eps_here = chain.frame.eps_upto(lev)
+            k_plus = two_sided_span(a, eps_here, r.aplus.space)
+            k_minus = two_sided_span(a, eps_here, r.aminus.space)
     overall = verify_reedy(r)["overall"]
     return {
         "levels": levels_report,
@@ -221,8 +216,7 @@ def reedy_heredity_bottom(r: ReedyStructure) -> dict:
     t = min(order.levels)
     idx = [i for i in range(len(r.frame)) if order.levels[i] == t]
     lhs = sum(xs.dim * ys.dim for xs, ys in _tensor_pairs(r, idx))
-    work = r.frame.with_degrees(order.levels)
-    rhs = ideal_closure(r.algebra, [work.eps(t)]).dim
+    rhs = level_chain(r.algebra, r.frame, order).ideals[0].dim
     return {"level": t, "tensor_dim": lhs, "ideal_dim": rhs, "overall": lhs == rhs}
 
 
@@ -343,7 +337,8 @@ def characterization_crosscheck(r: ReedyStructure) -> dict:
     a = r.algebra
     frame = r.frame
     order = r.order()
-    route_i = verify_reedy(r)["overall"]
+    report_i = verify_reedy(r)
+    route_i = report_i["overall"]
 
     # Route (ii): elementary subalgebras, S maximal semisimple, C (x)_S B = A.
     detail_ii: dict = {}
@@ -355,11 +350,7 @@ def characterization_crosscheck(r: ReedyStructure) -> dict:
         detail_ii["intersection_is_S"] = s_ok
         bij = _bimodule_bijective(r)
         detail_ii.update(bij)
-        directed_pair = (
-            elem
-            and directedness(frame, order.levels, True, r.aplus)["ok"]
-            and directedness(frame, order.levels, False, r.aminus)["ok"]
-        )
+        directed_pair = elem and report_i["cond_plus"]["ok"] and report_i["cond_minus"]["ok"]
         detail_ii["directed_pair"] = directed_pair
         route_ii = elem and s_ok and bij["bijective"] and directed_pair
     except AlgebraError as exc:
@@ -466,10 +457,7 @@ def _candidate_subalgebras(a: Algebra, frame: IdempotentFrame) -> list[AlgSubspa
         cand = AlgSubspace(a, acc.to_subspace(), AlgSubspace.PLAIN)
         if cand.is_subalgebra():
             out.append(AlgSubspace(a, cand.space, AlgSubspace.SUBALGEBRA))
-    uniq = {}
-    for cand in out:
-        uniq[cand.space.basis] = cand
-    return [uniq[k] for k in sorted(uniq, key=lambda b: _basis_key(a.field, b))]
+    return out
 
 
 def _basis_key(field: Field, basis) -> tuple:
@@ -500,14 +488,15 @@ def search_reedy(a: Algebra, frame: IdempotentFrame, mode: str = "heuristic",
                 f"dim A - |E| = {a.dim - n} exceeds exhaustive bound {exhaustive_bound}"
             )
         candidates = _candidate_subalgebras(a, frame)
+    else:
+        s_sub = subalgebra_closure(a, frame.idempotents)
     found = {}
-    blocks_full = peirce_blocks(frame.without_degrees())
+    blocks_full = peirce_blocks(frame)
     for levels in normalized_level_functions(n, max_levels):
         work = frame.with_degrees(levels)
         if mode == "heuristic":
-            s_gens = list(frame.idempotents)
-            raise_gens = list(s_gens)
-            lower_gens = list(s_gens)
+            raise_gens = list(frame.idempotents)
+            lower_gens = list(frame.idempotents)
             for j in range(n):
                 for i in range(n):
                     if i == j:
@@ -521,19 +510,14 @@ def search_reedy(a: Algebra, frame: IdempotentFrame, mode: str = "heuristic",
                         lower_gens.extend(blk.rows.values())
             d_plus = subalgebra_closure(a, raise_gens)
             d_minus = subalgebra_closure(a, lower_gens)
-            s_sub = subalgebra_closure(a, s_gens)
             pair_list = [(d_plus, d_minus), (d_plus, s_sub), (s_sub, d_minus)]
         else:
             plus_list = [c for c in candidates if directedness(work, levels, True, c)["ok"]]
             minus_list = [c for c in candidates if directedness(work, levels, False, c)["ok"]]
             pair_list = [(p, m) for p in plus_list for m in minus_list]
         for aplus, aminus in pair_list:
-            try:
-                structure = ReedyStructure(a, work, aplus, aminus, check=False)
-                report = verify_reedy(structure)
-            except AlgebraError:
-                continue
-            if report["overall"]:
+            structure = ReedyStructure(a, work, aplus, aminus, check=False)
+            if verify_reedy(structure)["overall"]:
                 key = (
                     levels,
                     _basis_key(f, aplus.space.basis),

@@ -1,6 +1,7 @@
 """Algebra core: validation, closures, quotients, corners, radicals, tensors."""
 
 import random
+from itertools import combinations
 
 import pytest
 
@@ -16,9 +17,9 @@ from reedylab.algebra import (
     product_span,
 )
 from reedylab.corpus import default_corpus_dir
-from reedylab.linalg import Matrix, rref, span, sparse
+from reedylab.linalg import Echelon, Matrix, add_scaled, rref, span, sparse
 from reedylab.qh import peirce_blocks
-from reedylab.serialize import algebra_from_json, read_json
+from reedylab.serialize import algebra_from_json, load_algebra, read_json
 
 
 def label_index(algebra, label):
@@ -110,6 +111,14 @@ def test_ideal_closure_empty_level_eps(diamond):
     assert all(x == 0 for x in work.eps(0))
     ideal = rl.ideal_closure(algebra, [work.eps(0)])
     assert ideal.dim == 0
+
+
+def test_frame_with_other_degrees_shares_the_cache(diamond):
+    _, frame = diamond
+    work = frame.with_degrees([1, 2, 3, 4])
+    assert work._cache is frame._cache
+    assert work.without_degrees()._cache is frame._cache
+    assert work.lines() is frame.lines()
 
 
 def _rank_contains(space, vec):
@@ -435,6 +444,20 @@ def test_radical_charp_agrees_with_char0_on_diamond(diamond, diamond_gf2):
     assert rl.radical(diamond[0]).dim == rl.radical(diamond_gf2[0]).dim == 5
 
 
+def test_radical_certifies_nilpotency_once(monkeypatch):
+    calls = []
+    check = algebra_module._check_nilpotent
+    monkeypatch.setattr(algebra_module, "_check_nilpotent",
+                        lambda a, sub: calls.append(sub) or check(a, sub))
+    algebras = [load_algebra(default_corpus_dir() / f"{name}.alg.json")[0]
+                for name in ("diamond.gf2", "m2.gf2", "m2unit.gf3")]
+    algebras.append(rl.build_simplex_algebra(2, rl.rationals()).algebra)
+    for algebra in algebras:
+        calls.clear()
+        rl.radical(algebra)
+        assert len(calls) == 1, algebra
+
+
 # --- elementary and primitivity ----------------------------------------------
 
 
@@ -560,6 +583,69 @@ def test_tensor_dim_diamond_sink(diamond, Q):
     assert len(into_d) == 4
     assert rl.tensor_dim_over_corner(algebra, e_d) == 4
     assert rl.ideal_closure(algebra, [e_d]).dim == 4
+
+
+def _tensor_dim_brute_force(a, e, below=None):
+    """Reference for ``tensor_dim_over_corner``: dim M (x)_C N for M = Ae,
+    N = eA and C = eAe (residue rows modulo ``below``), by the rank of the
+    balancing relations x r (x) y - x (x) r y over all of M (x) N."""
+    f = a.field
+    below = below if below is not None else span(f, a.dim, [])
+    line = span(f, a.dim, [e])
+    m_space = product_span(a, None, line, below)
+    n_space = product_span(a, line, None, below)
+    dim_m, dim_n = m_space.dim, n_space.dim
+    relations = Echelon(f, dim_m * dim_n)
+    for r in product_span(a, line, m_space, below).rows.values():
+        xr = [m_space.coords(below.reduce(a.mul_sparse(x, r))) for x in m_space.rows.values()]
+        ry = [n_space.coords(below.reduce(a.mul_sparse(r, y))) for y in n_space.rows.values()]
+        for xi, left in enumerate(xr):
+            for yj, right in enumerate(ry):
+                vec = {c * dim_n + yj: v for c, v in left.items()}
+                add_scaled(f, vec, f.neg(f.one), {xi * dim_n + c: v for c, v in right.items()})
+                relations.insert(vec)
+    return dim_m * dim_n - relations.dim
+
+
+def _tensor_cases():
+    """Corpus algebras of dim <= 31 with their frames, and simplex2 over GF(2) and GF(3)."""
+    for path in sorted(default_corpus_dir().glob("*.alg.json")):
+        algebra, frame = load_algebra(path)
+        if algebra.dim <= 31:
+            yield path.name, algebra, frame
+    for p in (2, 3):
+        data = read_json(default_corpus_dir() / "simplex2.alg.json")
+        data["field"] = {"kind": "GF", "p": p}
+        yield f"simplex2-GF{p}", *algebra_from_json(data)
+
+
+def test_tensor_dim_matches_brute_force_at_every_idempotent_sum():
+    for name, algebra, frame in _tensor_cases():
+        f, n = algebra.field, len(frame)
+        ideals = [rl.ideal_closure(algebra, [e]).space for e in frame.idempotents]
+        for size in range(1, n + 1):
+            for chosen in combinations(range(n), size):
+                e = algebra.zero_vector()
+                for i in chosen:
+                    e = tuple(f.add(x, y) for x, y in zip(e, frame.idempotents[i]))
+                for below in [None] + [ideals[j] for j in range(n) if j not in chosen]:
+                    assert (rl.tensor_dim_over_corner(algebra, e, below)
+                            == _tensor_dim_brute_force(algebra, e, below)), (name, chosen)
+
+
+def test_tensor_dim_at_unit_inserts_no_relation(monkeypatch, simplex2):
+    algebra = simplex2.algebra
+    relations = []
+
+    class Counting(Echelon):
+        def insert(self, vec):
+            if self.ambient_dim != algebra.dim:
+                relations.append(vec)
+            return super().insert(vec)
+
+    monkeypatch.setattr(algebra_module, "Echelon", Counting)
+    assert rl.tensor_dim_over_corner(algebra, algebra.unit) == algebra.dim
+    assert relations == []
 
 
 def test_tensor_dim_requires_idempotent(diamond):

@@ -332,6 +332,34 @@ def test_verify_reedy_exit_codes(capsys):
     assert (total_domain, total_block) == (2, 3)
 
 
+def test_verify_rejects_an_algebra_the_reedy_file_does_not_reference(capsys):
+    reedy = str(CORPUS / "diamond.deg1234.reedy.json")
+    for algebra in (CORPUS / "k.alg.json", CORPUS / "missing.alg.json"):
+        code, stdout, stderr = run(capsys, "verify", "reedy", str(algebra), reedy)
+        assert code == 2 and stdout == ""
+        assert str(algebra) in stderr and reedy in stderr
+
+
+def test_verify_accepts_the_referenced_algebra_by_another_path(capsys, monkeypatch):
+    monkeypatch.chdir(CORPUS)
+    other = os.path.join("..", CORPUS.name, "diamond.alg.json")
+    code, stdout, _ = run(capsys, "verify", "reedy", other, "diamond.deg1234.reedy.json")
+    assert code == 0 and json.loads(stdout)["overall"] is True
+
+
+def test_make_corpus_regenerates_the_bundled_corpus(tmp_path):
+    """The corpus script, run into an empty directory, writes every bundled
+    fixture byte for byte: its recomputed verdicts and serializations match."""
+    script = Path(__file__).resolve().parents[1] / "scripts" / "make_corpus.py"
+    proc = subprocess.run([sys.executable, str(script), str(tmp_path)],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    bundled = sorted(p.name for p in CORPUS.iterdir() if p.is_file())
+    assert sorted(p.name for p in tmp_path.iterdir()) == bundled
+    for name in bundled:
+        assert (tmp_path / name).read_bytes() == (CORPUS / name).read_bytes(), name
+
+
 def test_verify_qh(capsys):
     code, stdout, _ = run(
         capsys, "verify", "qh",

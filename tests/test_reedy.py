@@ -1,13 +1,18 @@
 """Reedy verification, layers, recursion, induced structures, search, crosscheck."""
 
+from itertools import permutations
+
 import pytest
 
 import reedylab as rl
+import reedylab.qh as qh_module
 from dense_modules import subalgebra_with_frame
-from reedylab.algebra import AlgebraError
-from reedylab.linalg import subspace_intersect
-from reedylab.qh import order_from_degrees, peirce_blocks
+from reedylab.algebra import AlgebraError, column_span, product_rank, row_span, two_sided_span
+from reedylab.corpus import default_corpus_dir
+from reedylab.linalg import modulo, span, subspace_intersect
+from reedylab.qh import level_chain, order_from_degrees, peirce_blocks
 from reedylab.reedy import _center_dim
+from reedylab.serialize import load_reedy
 
 
 def verified(structures):
@@ -139,6 +144,53 @@ def test_layer_threeway_agreement_on_corpus(corpus_structures):
         for level in report["levels"]:
             assert level["agree"], (name, level)
         assert report["matches_reedy"], name
+
+
+def _quotient_form_reference(r):
+    """(domain, rank) per level of the quotient layer form, computed as
+    written: the residue pairs of A+e_i modulo K+e_i and e_iA- modulo e_iK-,
+    for K = X*eps_(<l)*X, ranked modulo J_(l-1)."""
+    a, frame, order = r.algebra, r.frame, r.order()
+    chain = level_chain(a, frame, order)
+    lines = frame.lines()
+    prev, eps_prev, out = span(a.field, a.dim, []), a.zero_vector(), []
+    for rank, lev in enumerate(chain.levels):
+        k_plus = two_sided_span(a, eps_prev, r.aplus.space)
+        k_minus = two_sided_span(a, eps_prev, r.aminus.space)
+        pairs = [(modulo(column_span(a, r.aplus.space, lines[i]), column_span(a, k_plus, lines[i])),
+                  modulo(row_span(a, lines[i], r.aminus.space), row_span(a, lines[i], k_minus)))
+                 for i in range(len(frame)) if order.levels[i] == lev]
+        out.append(product_rank(a, pairs, prev))
+        prev, eps_prev = chain.ideals[rank].space, chain.frame.eps_upto(lev)
+    return out
+
+
+def test_quotient_layer_form_matches_its_definition():
+    """On every corpus Reedy file, under every degree permutation that passes
+    the directedness setup, with A+ and A- as given and swapped."""
+    runs = 0
+    for path in sorted(default_corpus_dir().glob("*.reedy.json")):
+        given = load_reedy(path)
+        for aplus, aminus in ((given.aplus, given.aminus), (given.aminus, given.aplus)):
+            # the nonzero off-diagonal blocks (j, i) of each side, which the
+            # degrees must raise in A+ and lower in A-
+            raised, lowered = (
+                [key for key, blk in peirce_blocks(given.frame, sub).items()
+                 if key[0] != key[1] and blk.dim]
+                for sub in (aplus, aminus))
+            for degrees in sorted(set(permutations(given.frame.degrees))):
+                if not (all(degrees[j] > degrees[i] for j, i in raised)
+                        and all(degrees[j] < degrees[i] for j, i in lowered)):
+                    continue
+                r = rl.ReedyStructure(given.algebra, given.frame.with_degrees(degrees),
+                                      aplus, aminus, check=False)
+                if not setup_holds(r):
+                    continue
+                report = rl.layer_check(r)
+                got = [(l["quotient_domain"], l["quotient_rank"]) for l in report["levels"]]
+                assert got == _quotient_form_reference(r), (path.name, degrees)
+                runs += 1
+    assert runs > 20
 
 
 # --- bottom-layer identity and heredity chains ----------------------------------
@@ -286,6 +338,20 @@ def test_search_diamond_gf2(diamond_gf2):
     assert all(s.frame.degrees != (3, 2, 0, 1) for s in found)
     for s in found:
         assert rl.verify_reedy(s)["overall"]
+
+
+def test_exhaustive_search_computes_the_peirce_blocks_of_a_once(monkeypatch, GF2):
+    algebra, frame = rl.build_quiver_algebra(rl.diamond_presentation(), GF2)
+    rows_of_a = []
+
+    def counting(a, e, space):
+        if space is None:
+            rows_of_a.append(e)
+        return row_span(a, e, space)
+
+    monkeypatch.setattr(qh_module, "row_span", counting)
+    assert rl.search_reedy(algebra, frame, mode="exhaustive")
+    assert len(rows_of_a) == len(frame)
 
 
 def test_search_heuristic_simplex1(simplex1):
