@@ -1,13 +1,26 @@
 """Exact scalar arithmetic over the rationals and over prime fields GF(p).
 
-Scalars are ``fractions.Fraction`` values over the rationals and plain ints
-in ``range(p)`` over GF(p).  All arithmetic is exact; there is no floating
-point anywhere in the package.
+Over the rationals a scalar is held in a normal form: a plain ``int`` when
+its value is integral and a ``fractions.Fraction`` only when it is not, so
+the mostly integral structure constants cost int arithmetic.  ``int`` and
+``Fraction`` compare, hash and print alike, so the form never shows.  Over
+GF(p) scalars are plain ints in ``range(p)``.  All arithmetic is exact;
+there is no floating point anywhere in the package.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
+
+_INTEGER_LITERAL = re.compile(r"-?[0-9]+")
+
+
+def _normal(x):
+    """A rational in normal form: an int when integral, else the Fraction."""
+    if type(x) is int or x.denominator != 1:
+        return x
+    return x.numerator
 
 
 def _is_prime(n: int) -> bool:
@@ -50,28 +63,44 @@ class Field:
 
 
 class Rationals(Field):
-    """The field of rational numbers with arbitrary-precision arithmetic."""
+    """The field of rational numbers with arbitrary-precision arithmetic.
+
+    Every operation returns its result in normal form (see the module
+    docstring): an ``int`` exactly when the value is integral.  ``add``,
+    ``sub`` and ``mul`` are the hot path and inline ``_normal``.
+    """
 
     characteristic = 0
 
     def __init__(self):
-        self.zero = Fraction(0)
-        self.one = Fraction(1)
+        self.zero = 0
+        self.one = 1
 
     def __repr__(self):
         return "Q"
 
-    def of(self, n) -> Fraction:
-        return Fraction(n)
+    def of(self, n):
+        if type(n) is int:
+            return n
+        return _normal(Fraction(n))
 
     def add(self, a, b):
-        return a + b
+        r = a + b
+        if type(r) is int or r.denominator != 1:
+            return r
+        return r.numerator
 
     def sub(self, a, b):
-        return a - b
+        r = a - b
+        if type(r) is int or r.denominator != 1:
+            return r
+        return r.numerator
 
     def mul(self, a, b):
-        return a * b
+        r = a * b
+        if type(r) is int or r.denominator != 1:
+            return r
+        return r.numerator
 
     def neg(self, a):
         return -a
@@ -79,10 +108,12 @@ class Rationals(Field):
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
-        return 1 / a
+        return _normal(Fraction(1) / a)
 
-    def parse(self, s: str) -> Fraction:
-        return Fraction(s)
+    def parse(self, s: str):
+        if _INTEGER_LITERAL.fullmatch(s):
+            return int(s)
+        return _normal(Fraction(s))
 
     def show(self, a) -> str:
         return str(a)
@@ -90,7 +121,7 @@ class Rationals(Field):
     def random(self, rng, span: int = 5):
         num = rng.randint(-span, span)
         den = rng.randint(1, span)
-        return Fraction(num, den)
+        return _normal(Fraction(num, den))
 
 
 class PrimeField(Field):

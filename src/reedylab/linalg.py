@@ -207,6 +207,9 @@ class Echelon:
     def dim(self) -> int:
         return len(self.rows)
 
+    def contains(self, vec: dict) -> bool:
+        return not _reduce(self.field, self.rows, vec)
+
     def insert(self, vec: dict) -> bool:
         """Add a sparse vector to the span; True if the dimension grew."""
         f = self.field

@@ -81,6 +81,13 @@ def index(value, dim: int) -> int:
     return value
 
 
+def document(value, kind: str) -> dict:
+    """The top level of a ``kind`` document, which must be a JSON object."""
+    if not isinstance(value, dict):
+        raise FormatError(f"{kind} document must be a JSON object, got {json.dumps(value)}")
+    return value
+
+
 def json_object(value, key: str, values: str) -> dict:
     """A JSON object, or a FormatError naming ``key`` and what it maps to."""
     if not isinstance(value, dict):
@@ -151,6 +158,7 @@ def algebra_to_json(a: Algebra, frame: IdempotentFrame | None = None) -> dict:
 
 def algebra_from_json(data: dict):
     """Parse an algebra document; returns (algebra, frame-or-None)."""
+    document(data, "algebra")
     try:
         f = field_from_json(data["field"])
         labels = strings(data["labels"], "'labels'")
@@ -241,9 +249,12 @@ def _subspace_from_json(a: Algebra, data, name: str) -> AlgSubspace:
 
 
 def reedy_from_json(data: dict, base_dir) -> ReedyStructure:
-    if "algebra" not in data:
+    if "algebra" not in document(data, "reedy"):
         raise FormatError("reedy document must reference an algebra file")
-    alg_path = Path(base_dir) / data["algebra"]
+    alg_ref = data["algebra"]
+    if not isinstance(alg_ref, str):
+        raise FormatError(f"'algebra' must be a file path string, got {json.dumps(alg_ref)}")
+    alg_path = Path(base_dir) / alg_ref
     a, frame = load_algebra(alg_path)
     if frame is None:
         raise FormatError(f"{alg_path}: algebra file carries no idempotent frame")
@@ -294,6 +305,7 @@ def load_order(path, frame: IdempotentFrame) -> WeightOrder:
 
 
 def quiver_from_json(data: dict) -> QuiverPresentation:
+    document(data, "quiver")
     for key in ("vertices", "arrows"):
         if key not in data:
             raise FormatError(f"quiver document missing {key!r}")

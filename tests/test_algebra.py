@@ -10,6 +10,7 @@ import reedylab.algebra as algebra_module
 from dense_modules import subalgebra_with_frame
 from reedylab.algebra import (
     AlgebraError,
+    _associativity_violations,
     _check_nilpotent,
     _radical_charp,
     corner_span,
@@ -55,6 +56,24 @@ def test_validate_diamond(diamond):
     algebra, _ = diamond
     assert algebra.dim == 9
     assert rl.validate(algebra)["valid"]
+
+
+def test_validate_reports_the_corrupted_diamond_in_full():
+    """d*bd = bd + cd breaks the unit law at bd and associativity at d,bd,*:
+    the certificate fails, and the report is the full scan's."""
+    data = read_json(default_corpus_dir() / "diamond.alg.json")
+    d, bd, cd = (data["labels"].index(x) for x in ("d", "bd", "cd"))
+    data["mult"] = [row for row in data["mult"] if row[:2] != [d, bd]]
+    data["mult"].append([d, bd, [[bd, "1"], [cd, "1"]]])
+    bad, _ = algebra_from_json(data)
+    report = rl.validate(bad)
+    assert not report["valid"]
+    assert {"kind": "unit-left", "index": bd} in report["violations"]
+    assert [v for v in report["violations"] if v["kind"] == "associativity"] == (
+        _associativity_violations(bad, range(bad.dim))
+    )
+    triples = [v["triple"] for v in report["violations"] if v["kind"] == "associativity"]
+    assert (d, bd, 2) in triples and (d, bd, 6) in triples
 
 
 # --- closures ----------------------------------------------------------------

@@ -166,6 +166,36 @@ def test_non_object_degrees_in_reedy_file_exits_2(tmp_path, capsys, value):
     assert code == 2 and "'degrees' must be an object" in stderr
 
 
+def test_reedy_file_with_non_string_algebra_exits_2(tmp_path, capsys):
+    reedy = tmp_path / "bad.reedy.json"
+    write_json(reedy, {"algebra": 5})
+    code, _, stderr = run(capsys, "verify", "reedy", str(reedy))
+    assert code == 2 and "'algebra' must be a file path string, got 5" in stderr
+
+
+def test_non_object_reedy_file_exits_2(tmp_path, capsys):
+    reedy = tmp_path / "bad.reedy.json"
+    write_json(reedy, ["algebra"])
+    code, _, stderr = run(capsys, "verify", "reedy", str(reedy))
+    assert code == 2 and 'reedy document must be a JSON object, got ["algebra"]' in stderr
+
+
+def test_non_object_algebra_file_exits_2(tmp_path, capsys):
+    alg = tmp_path / "bad.alg.json"
+    write_json(alg, 5)
+    code, _, stderr = run(
+        capsys, "verify", "qh", str(alg), str(CORPUS / "uppertri.order01.order.json")
+    )
+    assert code == 2 and "algebra document must be a JSON object, got 5" in stderr
+
+
+def test_non_object_quiver_file_exits_2(tmp_path, capsys):
+    quiver = tmp_path / "bad.quiver.json"
+    write_json(quiver, 5)
+    code, _, stderr = run(capsys, "build", str(quiver), "-o", str(tmp_path / "out.alg.json"))
+    assert code == 2 and "quiver document must be a JSON object, got 5" in stderr
+
+
 def _edit_copy(tmp_path, name, edit):
     """Copy a corpus file into tmp_path after applying edit(data) to it."""
     data = read_json(CORPUS / name)
@@ -469,6 +499,20 @@ def test_missing_file_exits_2(capsys):
     assert code == 2
 
 
+def _src_env():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+
+
+def test_python_dash_m_runs_the_cli():
+    proc = subprocess.run(
+        [sys.executable, "-m", "reedylab", "corpus", "run"],
+        capture_output=True, text=True, env=_src_env(), timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1].endswith("corpus entries match")
+
+
 def test_verifies_without_numpy_and_sympy():
     """The package has no runtime dependencies: with numpy and sympy made
     unimportable it still imports and verifies Theorem 4.1 on simplex1."""
@@ -478,10 +522,8 @@ def test_verifies_without_numpy_and_sympy():
         "from reedylab.cli import main\n"
         f"raise SystemExit(main(['verify', 'theorem41', {str(CORPUS / 'simplex1.reedy.json')!r}]))\n"
     )
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=300
+        [sys.executable, "-c", script], capture_output=True, text=True, env=_src_env(), timeout=300
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["agree"] is True

@@ -1,7 +1,8 @@
 """Property tests: the sparse echelon engine against dense and sympy oracles.
 
 Random matrices up to 12 x 12 over Q, GF(2) and GF(3), mostly zeros so that
-pivots, free columns and empty rows all occur.
+pivots, free columns and empty rows all occur.  Rational entries are drawn
+through ``Q.of``, so they mix ints and Fractions as the package's do.
 """
 
 from fractions import Fraction
@@ -24,7 +25,7 @@ def scalars(draw, field):
         return field.zero
     if field.characteristic:
         return field.of(draw(st.integers(1, field.characteristic - 1)))
-    return Fraction(draw(st.integers(-3, 3)), draw(st.integers(1, 3)))
+    return field.of(Fraction(draw(st.integers(-3, 3)), draw(st.integers(1, 3))))
 
 
 @st.composite
@@ -71,7 +72,7 @@ def test_kernel_matches_sympy_nullspace(data):
     ncols = len(rows[0])
     null = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in r] for r in rows])
     expected = span(field, ncols, [
-        [Fraction(int(x.p), int(x.q)) for x in col] for col in null.nullspace()
+        [field.of(Fraction(int(x.p), int(x.q))) for x in col] for col in null.nullspace()
     ])
     assert rl.kernel(Matrix(field, rows)) == expected
 
