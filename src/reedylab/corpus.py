@@ -8,6 +8,7 @@ the expectation (PAPER, TRIVIAL or DERIVED).
 from __future__ import annotations
 
 import json
+import sys
 from pathlib import Path
 
 from .algebra import AlgebraError
@@ -103,15 +104,15 @@ def run_corpus(directory, out) -> int:
     base = Path(directory) if directory else default_corpus_dir()
     index = base / "entries.json"
     if not base.is_dir() or not index.exists():
-        print(f"error: corpus directory {base} has no entries.json", file=out)
+        print(f"error: corpus directory {base} has no entries.json", file=sys.stderr)
         return 2
     try:
         entries = read_json(index).get("entries", [])
     except FormatError as exc:
-        print(f"error: {exc}", file=out)
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     if not entries:
-        print(f"error: corpus at {base} is empty", file=out)
+        print(f"error: corpus at {base} is empty", file=sys.stderr)
         return 2
     results = [run_entry(e, base) for e in entries]
     failures = 0

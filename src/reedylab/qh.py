@@ -116,23 +116,26 @@ def directedness(frame: IdempotentFrame, levels, raising: bool,
     block e_j X e_i with i != j must raise the level (level j > level i) when
     ``raising``, lower it otherwise: Definition conditions (i) and (ii).
     """
-    blocks = peirce_blocks(frame, sub)
-    n = len(frame)
+    return _directed(peirce_blocks(frame, sub), range(len(frame)), frame.labels, levels, raising)
+
+
+def _directed(blocks: dict, indices, labels, levels, raising: bool) -> dict:
+    """``directedness`` on the blocks (j, i) of the frame indices ``indices``."""
     diag = {}
     violations = []
-    for i in range(n):
+    for i in indices:
         d = blocks[(i, i)].dim
-        diag[frame.labels[i]] = d
+        diag[labels[i]] = d
         if d != 1:
-            violations.append({"kind": "diagonal", "at": frame.labels[i], "dim": d})
-    for j in range(n):
-        for i in range(n):
+            violations.append({"kind": "diagonal", "at": labels[i], "dim": d})
+    for j in indices:
+        for i in indices:
             d = blocks[(j, i)].dim
             if i == j or d == 0:
                 continue
             if not (levels[j] > levels[i] if raising else levels[j] < levels[i]):
                 violations.append(
-                    {"kind": "direction", "from": frame.labels[i], "to": frame.labels[j], "dim": d}
+                    {"kind": "direction", "from": labels[i], "to": labels[j], "dim": d}
                 )
     return {"ok": not violations, "diagonal_dims": diag, "violations": violations}
 

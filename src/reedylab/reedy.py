@@ -23,6 +23,7 @@ from .algebra import (
     is_elementary,
     product_rank,
     quotient,
+    quotient_frame,
     radical,
     row_span,
     subalgebra_closure,
@@ -30,10 +31,11 @@ from .algebra import (
     two_sided_span,
 )
 from .fields import Field
-from .linalg import (Echelon, Subspace, add_scaled, densify, null_space, sparse, sparse_span,
-                     subspace_intersect)
+from .linalg import (Echelon, Subspace, add_scaled, densify, modulo, null_space, sparse,
+                     sparse_span, subspace_intersect)
 from .qh import (
     WeightOrder,
+    _directed,
     delta_subalgebra_check,
     directedness,
     exact_borel_check,
@@ -86,43 +88,43 @@ class ReedyStructure:
 
 def verify_reedy(r: ReedyStructure) -> dict:
     """Full check of the three decomposition conditions, with per-pair data."""
-    if "verify" in r._cache:
-        return r._cache["verify"]
+    if "verify" not in r._cache:
+        r._cache["verify"] = _conditions(r, range(len(r.frame)))
+    return r._cache["verify"]
+
+
+def _conditions(r: ReedyStructure, indices, below: Subspace | None = None) -> dict:
+    """The decomposition conditions on the frame idempotents ``indices``,
+    every Peirce block of A, A+ and A- and every rank read modulo the ideal
+    ``below`` (0 when None).  For all indices these are the conditions of
+    the structure; for those at level <= cut, the conditions of the corner
+    eAe; for those above the cut modulo AeA, those of the quotient A/AeA,
+    where an idempotent that dies has a zero diagonal block."""
     frame = r.frame
-    cond_plus = directedness(frame, frame.degrees, True, r.aplus)
-    cond_minus = directedness(frame, frame.degrees, False, r.aminus)
-    blocks_full = peirce_blocks(frame)
-    blocks_plus = peirce_blocks(frame, r.aplus)
-    blocks_minus = peirce_blocks(frame, r.aminus)
+    full, plus, minus = (
+        {(j, i): modulo(blocks[(j, i)], below) for j in indices for i in indices}
+        for blocks in (peirce_blocks(frame), peirce_blocks(frame, r.aplus),
+                       peirce_blocks(frame, r.aminus)))
+    cond_plus = _directed(plus, indices, frame.labels, frame.degrees, True)
+    cond_minus = _directed(minus, indices, frame.labels, frame.degrees, False)
     pairs = []
     decomp_ok = True
-    n = len(frame)
-    for j in range(n):
-        for i in range(n):
+    for j in indices:
+        for i in indices:
             domain, rank = product_rank(
-                r.algebra, [(blocks_plus[(j, l)], blocks_minus[(l, i)]) for l in range(n)]
+                r.algebra, [(plus[(j, l)], minus[(l, i)]) for l in indices], below
             )
-            block_dim = blocks_full[(j, i)].dim
+            block_dim = full[(j, i)].dim
             ok = domain == block_dim == rank
             decomp_ok = decomp_ok and ok
-            pairs.append(
-                {
-                    "from": frame.labels[i],
-                    "to": frame.labels[j],
-                    "domain_dim": domain,
-                    "block_dim": block_dim,
-                    "rank": rank,
-                    "ok": ok,
-                }
-            )
-    report = {
+            pairs.append({"from": frame.labels[i], "to": frame.labels[j], "domain_dim": domain,
+                          "block_dim": block_dim, "rank": rank, "ok": ok})
+    return {
         "cond_plus": cond_plus,
         "cond_minus": cond_minus,
         "cond_decomp": {"ok": decomp_ok, "pairs": pairs},
         "overall": cond_plus["ok"] and cond_minus["ok"] and decomp_ok,
     }
-    r._cache["verify"] = report
-    return report
 
 
 def _require_setup(r: ReedyStructure) -> None:
@@ -220,102 +222,85 @@ def reedy_heredity_bottom(r: ReedyStructure) -> dict:
     return {"level": t, "tensor_dim": lhs, "ideal_dim": rhs, "overall": lhs == rhs}
 
 
-def _build_corner_structure(r: ReedyStructure, cut: int) -> tuple[ReedyStructure, dict]:
+def induced_corner(r: ReedyStructure, cut: int) -> ReedyStructure:
+    """The corner structure at e = sum of idempotents of level <= cut."""
+    _require_verified(r)
     a = r.algebra
     f = a.field
     order = r.order()
-    work = r.frame.with_degrees(order.levels)
-    e = work.eps_upto(cut)
+    e = r.frame.with_degrees(order.levels).eps_upto(cut)
     c_alg, carrier = corner(a, e)
-    idems, labels, degrees = [], [], []
-    for i in range(len(r.frame)):
-        if order.levels[i] <= cut:
-            coords = carrier.coords(sparse(f, r.frame.idempotents[i]))
-            idems.append(densify(f, coords, c_alg.dim))
-            labels.append(r.frame.labels[i])
-            degrees.append(r.frame.degrees[i])
-    c_frame = IdempotentFrame(c_alg, idems, labels, degrees, check=False)
+    keep = [i for i in range(len(r.frame)) if order.levels[i] <= cut]
+    idems = [densify(f, carrier.coords(sparse(f, r.frame.idempotents[i])), c_alg.dim) for i in keep]
+    c_frame = IdempotentFrame(c_alg, idems, [r.frame.labels[i] for i in keep],
+                              [r.frame.degrees[i] for i in keep], check=False)
 
     def corner_sub(sub: AlgSubspace) -> AlgSubspace:
         space = carrier.coords_span(corner_span(a, e, sub.space))
         return AlgSubspace(c_alg, space, AlgSubspace.SUBALGEBRA)
 
     structure = ReedyStructure(c_alg, c_frame, corner_sub(r.aplus), corner_sub(r.aminus), check=False)
-    return structure, {"corner_dim": c_alg.dim, "cut": cut}
-
-
-def _build_quotient_structure(r: ReedyStructure, cut: int) -> tuple[ReedyStructure, dict]:
-    a = r.algebra
-    f = a.field
-    order = r.order()
-    work = r.frame.with_degrees(order.levels)
-    e = work.eps_upto(cut)
-    j = ideal_closure(a, [e])
-    q_alg, qmap = quotient(a, j)
-    # The induced datum keeps every idempotent above the cut, including any
-    # whose image vanishes: a dead idempotent has a zero diagonal block and
-    # must make the quotient fail the decomposition conditions.
-    idems, labels, degrees = [], [], []
-    for idx in range(len(work)):
-        if work.degrees[idx] > cut:
-            idems.append(qmap.project(work.idempotents[idx]))
-            labels.append(work.labels[idx])
-            degrees.append(work.degrees[idx])
-    q_frame = IdempotentFrame(q_alg, idems, labels, degrees, check=False)
-
-    def image_sub(sub: AlgSubspace) -> tuple[AlgSubspace, dict]:
-        image = sparse_span(f, q_alg.dim, (qmap.project_sparse(v) for v in sub.space.rows.values()))
-        inner_quotient_dim = sub.dim - two_sided_span(a, e, sub.space).dim
-        return (
-            AlgSubspace(q_alg, image, AlgSubspace.SUBALGEBRA),
-            {"image_dim": image.dim, "inner_quotient_dim": inner_quotient_dim,
-             "injective": image.dim == inner_quotient_dim},
-        )
-
-    plus_img, plus_diag = image_sub(r.aplus)
-    minus_img, minus_diag = image_sub(r.aminus)
-    structure = ReedyStructure(q_alg, q_frame, plus_img, minus_img, check=False)
-    diag = {"quotient_dim": q_alg.dim, "cut": cut, "aplus": plus_diag, "aminus": minus_diag}
-    return structure, diag
-
-
-def induced_corner(r: ReedyStructure, cut: int) -> ReedyStructure:
-    """The corner structure at e = sum of idempotents of level <= cut."""
-    _require_verified(r)
-    structure, _ = _build_corner_structure(r, cut)
     if not verify_reedy(structure)["overall"]:
         raise AlgebraError("induced corner failed to verify (unexpected)")
     return structure
 
 
+def _image_diagnostics(a: Algebra, e, j: Subspace, sub: AlgSubspace) -> dict:
+    """dim (X + AeA)/AeA against dim X/XeX for X = ``sub``, ``j`` = AeA."""
+    image_dim = modulo(sub.space, j).dim
+    inner_quotient_dim = sub.dim - two_sided_span(a, e, sub.space).dim
+    return {"image_dim": image_dim, "inner_quotient_dim": inner_quotient_dim,
+            "injective": image_dim == inner_quotient_dim}
+
+
 def induced_quotient(r: ReedyStructure, cut: int) -> ReedyStructure:
     """The quotient structure by the ideal of idempotents of level <= cut."""
     _require_verified(r)
-    structure, diag = _build_quotient_structure(r, cut)
-    if not (diag["aplus"]["injective"] and diag["aminus"]["injective"]):
+    a = r.algebra
+    order = r.order()
+    work = r.frame.with_degrees(order.levels)
+    e = work.eps_upto(cut)
+    j = ideal_closure(a, [e])
+    if not all(_image_diagnostics(a, e, j.space, sub)["injective"] for sub in (r.aplus, r.aminus)):
         raise AlgebraError("quotient subalgebra images are not embeddings (unexpected)")
+    q_alg, qmap = quotient(a, j)
+    q_frame = quotient_frame(work, qmap)
+    if len(q_frame) != sum(level > cut for level in order.levels):
+        raise AlgebraError("an idempotent above the cut dies in the quotient (unexpected)")
+
+    def image_sub(sub: AlgSubspace) -> AlgSubspace:
+        rows = (qmap.project_sparse(v) for v in sub.space.rows.values())
+        return AlgSubspace(q_alg, sparse_span(a.field, q_alg.dim, rows), AlgSubspace.SUBALGEBRA)
+
+    structure = ReedyStructure(q_alg, q_frame, image_sub(r.aplus), image_sub(r.aminus), check=False)
     if not verify_reedy(structure)["overall"]:
         raise AlgebraError("induced quotient failed to verify (unexpected)")
     return structure
 
 
 def recursive_check(r: ReedyStructure, cut: int) -> dict:
-    """Corner/quotient recursion at one cut, with the A = A+.A- hypothesis."""
+    """Corner/quotient recursion at one cut, with the A = A+.A- hypothesis,
+    decided in A: the corner on the idempotents at level <= cut, the
+    quotient on those above it modulo J = AeA."""
     _require_setup(r)
     a = r.algebra
-    hypothesis = product_rank(a, [(r.aplus.space, r.aminus.space)])[1] == a.dim
+    report_r = verify_reedy(r)
+    # The frame lies in A+ and A-, so A+.A- is the direct sum of the pair images.
+    hypothesis = sum(p["rank"] for p in report_r["cond_decomp"]["pairs"]) == a.dim
 
-    corner_struct, _ = _build_corner_structure(r, cut)
-    quotient_struct, qdiag = _build_quotient_structure(r, cut)
-    corner_ok = verify_reedy(corner_struct)["overall"]
-    quotient_ok = verify_reedy(quotient_struct)["overall"]
-    order = r.order()
-    e = r.frame.with_degrees(order.levels).eps_upto(cut)
-    # A e A is the ideal the quotient structure divides out.
+    levels = r.order().levels
+    e = r.frame.with_degrees(levels).eps_upto(cut)
+    j = ideal_closure(a, [e]).space
+    corner_ok = _conditions(r, [i for i, level in enumerate(levels) if level <= cut])["overall"]
+    quotient_ok = _conditions(r, [i for i, level in enumerate(levels) if level > cut], j)["overall"]
+    qdiag = {"quotient_dim": a.dim - j.dim, "cut": cut,
+             "aplus": _image_diagnostics(a, e, j, r.aplus),
+             "aminus": _image_diagnostics(a, e, j, r.aminus)}
+    # Multiplication Ae (x)_eAe eA -> AeA = J, the ideal the quotient divides out.
     tens = tensor_dim_over_corner(a, e)
-    mult_ok = tens == a.dim - qdiag["quotient_dim"]
+    mult_ok = tens == j.dim
     triple = (corner_ok, quotient_ok, mult_ok)
-    overall = verify_reedy(r)["overall"]
+    overall = report_r["overall"]
     report = {
         "cut": cut,
         "hypothesis_product_spans": hypothesis,
@@ -394,14 +379,17 @@ def characterization_crosscheck(r: ReedyStructure) -> dict:
 
 
 def _bimodule_bijective(r: ReedyStructure) -> dict:
-    """Multiplication C (x)_S B -> A, blockwise over the frame idempotents."""
-    a = r.algebra
-    domain, rank = product_rank(a, _tensor_pairs(r, range(len(r.frame))))
+    """Multiplication C (x)_S B -> A, blockwise over the frame idempotents:
+    A+e_l (x) e_lA- splits into the Peirce pairs, whose domains and ranks
+    the decomposition check has counted."""
+    pairs = verify_reedy(r)["cond_decomp"]["pairs"]
+    domain = sum(p["domain_dim"] for p in pairs)
+    rank = sum(p["rank"] for p in pairs)
     return {
         "tensor_dim": domain,
         "image_rank": rank,
-        "algebra_dim": a.dim,
-        "bijective": domain == rank == a.dim,
+        "algebra_dim": r.algebra.dim,
+        "bijective": domain == rank == r.algebra.dim,
     }
 
 

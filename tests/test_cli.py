@@ -490,8 +490,17 @@ def test_corpus_corrupted_fixture_names_entry(tmp_path, capsys):
 
 
 def test_corpus_empty_dir_exits_2(tmp_path, capsys):
-    code, stdout, _ = run(capsys, "corpus", "run", "--dir", str(tmp_path))
-    assert code == 2
+    """A directory without entries.json, an unreadable index and an empty
+    one: the error goes to stderr, like every other command's, and stdout
+    stays empty."""
+    code, stdout, stderr = run(capsys, "corpus", "run", "--dir", str(tmp_path))
+    assert (code, stdout) == (2, "")
+    assert stderr.startswith("error:") and "entries.json" in stderr
+    for text in ("{not json", json.dumps({"entries": []})):
+        (tmp_path / "entries.json").write_text(text)
+        code, stdout, stderr = run(capsys, "corpus", "run", "--dir", str(tmp_path))
+        assert (code, stdout) == (2, "")
+        assert stderr.startswith("error:")
 
 
 def test_missing_file_exits_2(capsys):

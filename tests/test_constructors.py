@@ -127,17 +127,18 @@ def test_simplex_block_dims_against_enumeration(simplex1, simplex2, simplex3):
             for j in range(n + 1):
                 expected = comb(i + j + 1, i + 1)
                 assert blocks[(j, i)].dim == expected == len(brute_force_maps(i, j))
+                assert rl.simplex_block_dim(i, j) == expected
 
 
 def test_simplex4_block_dims(Q):
     structure = rl.build_simplex_algebra(4, Q)
     assert structure.algebra.dim == sum(
-        comb(i + j + 1, i + 1) for i in range(5) for j in range(5)
+        rl.simplex_block_dim(i, j) for i in range(5) for j in range(5)
     )
     blocks = peirce_blocks(structure.frame)
     for i in range(5):
         for j in range(5):
-            assert blocks[(j, i)].dim == comb(i + j + 1, i + 1)
+            assert blocks[(j, i)].dim == rl.simplex_block_dim(i, j) == comb(i + j + 1, i + 1)
     # epi-mono factorization is a basis-level bijection for all blocks
     for i in range(5):
         for j in range(5):

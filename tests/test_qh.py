@@ -174,7 +174,7 @@ def test_chain_in_a_matches_the_quotient_tower(field):
 
 
 def _refuse(*args, **kwargs):
-    raise AssertionError("a quotient algebra was built")
+    raise AssertionError("a quotient or corner algebra was built")
 
 
 @pytest.mark.parametrize("case", ["simplex2-Q", "simplex2-GFp", "tensor49", "M2-unit"])
@@ -192,10 +192,19 @@ def test_chain_and_crosscheck_build_no_quotient_algebra(monkeypatch, case):
     for module in (rl.qh, rl.reedy):
         monkeypatch.setattr(module, "quotient", _refuse, raising=False)
         monkeypatch.setattr(module, "quotient_frame", _refuse, raising=False)
+    monkeypatch.setattr(rl.reedy, "corner", _refuse)
     if case == "M2-unit":  # route (iii) then reads the centre of A/rad A
         assert not rl.is_elementary(r.algebra, r.frame)
     assert rl.heredity_chain_verify(r.algebra, r.frame)["overall"]
     assert rl.characterization_crosscheck(r)["agree"]
+    # Theorem 5.3 is decided in A at every occupied cut.
+    for cut in sorted(set(r.order().levels)):
+        if case == "M2-unit":  # its diagonal block M2 fails the directedness setup
+            with pytest.raises(rl.AlgebraError, match="directedness"):
+                rl.recursive_check(r, cut)
+        else:
+            report = rl.recursive_check(r, cut)
+            assert all(report["triple"]) and report["equivalence_holds"], cut
 
 
 def test_chain_computes_the_radical_once(monkeypatch, Q):

@@ -7,11 +7,12 @@ import pytest
 import reedylab as rl
 import reedylab.qh as qh_module
 from dense_modules import subalgebra_with_frame
-from reedylab.algebra import AlgebraError, column_span, product_rank, row_span, two_sided_span
+from reedylab.algebra import (AlgebraError, column_span, corner_span, product_rank, row_span,
+                              two_sided_span)
 from reedylab.corpus import default_corpus_dir
-from reedylab.linalg import modulo, span, subspace_intersect
+from reedylab.linalg import densify, modulo, span, sparse, sparse_span, subspace_intersect
 from reedylab.qh import level_chain, order_from_degrees, peirce_blocks
-from reedylab.reedy import _center_dim
+from reedylab.reedy import _center_dim, _tensor_pairs
 from reedylab.serialize import load_reedy
 
 
@@ -313,6 +314,86 @@ def test_recursive_equivalence_per_cut_on_corpus(corpus_structures):
             if overall:
                 # (i) => (iii): every cut must produce a true triple
                 assert all(report["triple"]), (name, cut)
+
+
+def _standalone(r, cut):
+    """The corner and the quotient structure at ``cut`` as algebras of their
+    own, built with the public ``corner`` and ``quotient``.  The quotient
+    frame keeps every idempotent above the cut, a dead one as zero."""
+    a, f = r.algebra, r.algebra.field
+    levels = r.order().levels
+    e = r.frame.with_degrees(levels).eps_upto(cut)
+
+    def structure(alg, keep, image, to_new):
+        frame = rl.IdempotentFrame(
+            alg, [densify(f, to_new(sparse(f, r.frame.idempotents[i])), alg.dim) for i in keep],
+            [r.frame.labels[i] for i in keep], [levels[i] for i in keep], check=False)
+        subs = (rl.AlgSubspace(alg, sparse_span(f, alg.dim, map(to_new, image(x).rows.values())),
+                               rl.AlgSubspace.SUBALGEBRA) for x in (r.aplus, r.aminus))
+        return rl.ReedyStructure(alg, frame, *subs, check=False)
+
+    c_alg, carrier = rl.corner(a, e)
+    q_alg, qmap = rl.quotient(a, rl.ideal_closure(a, [e]))
+    return (structure(c_alg, [i for i, l in enumerate(levels) if l <= cut],
+                      lambda x: corner_span(a, e, x.space), carrier.coords),
+            structure(q_alg, [i for i, l in enumerate(levels) if l > cut],
+                      lambda x: x.space, qmap.project_sparse))
+
+
+def _theorem53_inputs():
+    """Every bundled Reedy file, and simplex1, simplex2 and simplex1 (x)
+    simplex1 over Q, GF(2) and GF(3) under every permutation of their
+    degrees, with A+ and A- as given and swapped."""
+    for path in sorted(default_corpus_dir().glob("*.reedy.json")):
+        yield path.name, load_reedy(path)
+    # The diamond with a diagonal arrow ad: modulo A e_c A the path ab*bd
+    # (= ac*cd) dies, so the quotient at cut 0 fails only if its ranks are
+    # taken modulo that ideal.
+    pres = rl.QuiverPresentation(
+        ["a", "b", "c", "d"],
+        [["a", "b", "ab"], ["a", "c", "ac"], ["b", "d", "bd"], ["c", "d", "cd"], ["a", "d", "ad"]],
+        [[("1", ("ab", "bd")), ("-1", ("ac", "cd"))]], 2)
+    alg, frame = rl.build_quiver_algebra(pres, rl.rationals())
+    closure = lambda *arrows: rl.subalgebra_closure(
+        alg, [*frame.idempotents, *(alg.basis_vector(alg.labels.index(x)) for x in arrows)])
+    yield "diamond+ad", rl.ReedyStructure(alg, frame.with_degrees([2, 1, 0, 3]),
+                                          closure("bd", "cd"), closure("ab", "ac"))
+    for field in (rl.rationals(), rl.prime_field(2), rl.prime_field(3)):
+        s1, s2 = rl.build_simplex_algebra(1, field), rl.build_simplex_algebra(2, field)
+        t = rl.build_tensor_reedy(s1, s1)
+        for name, s in (("simplex1", s1), ("simplex2", s2), ("tensor49", t)):
+            for plus, minus in ((s.aplus, s.aminus), (s.aminus, s.aplus)):
+                for degrees in sorted(set(permutations(s.frame.degrees))):
+                    yield (f"{name}/{field!r}/{degrees}",
+                           rl.ReedyStructure(s.algebra, s.frame.with_degrees(degrees), plus, minus))
+
+
+def test_theorem53_and_route_ii_in_a_match_standalone_oracles():
+    """Theorem 5.3's corner and quotient verdicts, decided in A, equal the
+    verdicts on the standalone corner and quotient at every cut from -1 to
+    top + 1; its spanning hypothesis is rank(A+ (x) A- -> A) == dim A; and
+    route (ii)'s counts are those of the blockwise product over the frame."""
+    cuts = failing_corner = failing_quotient = dead = 0
+    for name, r in _theorem53_inputs():
+        a = r.algebra
+        route_ii = rl.characterization_crosscheck(r)["detail_bimodule"]
+        assert (route_ii["tensor_dim"], route_ii["image_rank"]) == \
+            product_rank(a, _tensor_pairs(r, range(len(r.frame)))), name
+        if not setup_holds(r):
+            continue
+        hypothesis = product_rank(a, [(r.aplus.space, r.aminus.space)])[1] == a.dim
+        for cut in range(-1, max(r.order().levels) + 2):
+            report = rl.recursive_check(r, cut)
+            corner_s, quotient_s = _standalone(r, cut)
+            assert report["hypothesis_product_spans"] == hypothesis, (name, cut)
+            assert report["corner_reedy"] == rl.verify_reedy(corner_s)["overall"], (name, cut)
+            assert report["quotient_reedy"] == rl.verify_reedy(quotient_s)["overall"], (name, cut)
+            assert report["quotient_diagnostics"]["quotient_dim"] == quotient_s.algebra.dim
+            cuts += 1
+            failing_corner += not report["corner_reedy"]
+            failing_quotient += not report["quotient_reedy"]
+            dead += not all(any(e) for e in quotient_s.frame.idempotents)
+    assert cuts > 100 and failing_corner > 10 and failing_quotient > 10 and dead > 0
 
 
 # --- search -----------------------------------------------------------------
