@@ -35,12 +35,12 @@ class Algebra:
     __slots__ = ("field", "dim", "labels", "mult", "unit", "_cache")
 
     def __init__(self, field: Field, labels, mult, unit):
+        """``mult[i][j]`` is a sequence of ``(k, c)`` tuples with an int ``k``;
+        each cell is stored as a tuple of the pairs given."""
         self.field = field
         self.labels = tuple(labels)
         self.dim = len(self.labels)
-        self.mult = tuple(
-            tuple(tuple((int(k), c) for k, c in row) for row in per_i) for per_i in mult
-        )
+        self.mult = tuple(tuple(map(tuple, per_i)) for per_i in mult)
         self.unit = tuple(unit)
         if len(self.mult) != self.dim or any(len(r) != self.dim for r in self.mult):
             raise ValueError("structure constant table has wrong shape")

@@ -13,7 +13,7 @@ from pathlib import Path
 from .algebra import Algebra, AlgebraError, AlgSubspace, IdempotentFrame, subalgebra_closure
 from .constructors import QuiverPresentation
 from .fields import Field, field_of
-from .linalg import span
+from .linalg import sparse, sparse_span
 from .qh import WeightOrder
 from .reedy import ReedyStructure
 
@@ -56,15 +56,38 @@ def scalar(field: Field, value):
         raise FormatError(f"{value!r} is not a scalar of {field!r} ({exc})") from exc
 
 
-def vector(field: Field, value, dim: int, where: str) -> list:
-    """A list of ``dim`` string scalars, or a FormatError naming ``where``."""
+def vector(field: Field, value, dim: int, where: str, memo: dict) -> list:
+    """A list of ``dim`` string scalars, or a FormatError naming ``where``.
+
+    ``memo`` maps each literal already parsed in this document to its
+    scalar (see ``_memo_scalar``).
+    """
     if not isinstance(value, list) or len(value) != dim:
         got = f"{len(value)} entries" if isinstance(value, list) else json.dumps(value)
         raise FormatError(f"{where} must be a list of {dim} scalars, got {got}")
     try:
-        return [scalar(field, x) for x in value]
+        return [memo[x] for x in value]
+    except (KeyError, TypeError):  # a literal not parsed yet, or not a string
+        pass
+    try:
+        return [_memo_scalar(field, x, memo) for x in value]
     except FormatError as exc:
         raise FormatError(f"{where}: {exc}") from None
+
+
+def _memo_scalar(field: Field, value, memo: dict):
+    """``scalar(field, value)``, parsed once per document.
+
+    A document repeats a handful of literals such as "0" and "1" thousands
+    of times.  ``memo`` lives for one document and holds only literals that
+    parsed, so a bad literal raises wherever it appears.
+    """
+    try:
+        return memo[value]
+    except (KeyError, TypeError):
+        pass
+    x = memo[value] = scalar(field, value)
+    return x
 
 
 def strings(value, what: str) -> list:
@@ -167,24 +190,45 @@ def algebra_from_json(data: dict):
         raise FormatError(f"algebra document missing field {exc}") from exc
     if len(labels) != dim:
         raise FormatError("label count does not match dim")
-    unit = vector(f, data.get("unit"), dim, "'unit'")
-    mult = [[() for _ in range(dim)] for _ in range(dim)]
+    memo: dict = {}
+    unit = vector(f, data.get("unit"), dim, "'unit'", memo)
+    mult = [[()] * dim for _ in range(dim)]
     mult_rows = data.get("mult", [])
     if not isinstance(mult_rows, list):
         raise FormatError(f"'mult' must be a list of rows, got {json.dumps(mult_rows)}")
+    seen = set()
     for row in mult_rows:
         if not (isinstance(row, list) and len(row) == 3 and isinstance(row[2], list)):
             raise FormatError(f"bad mult row {json.dumps(row)}: expected [i, j, [[k, c], ...]]")
+        i, j, pairs = row
         try:
-            i, j = index(row[0], dim), index(row[1], dim)
+            # a plain int in range passes at once; ``index`` judges the rest
+            if not (type(i) is int and 0 <= i < dim):
+                i = index(i, dim)
+            if not (type(j) is int and 0 <= j < dim):
+                j = index(j, dim)
+            if (i, j) in seen:
+                raise FormatError("[i, j] appears more than once")
+            seen.add((i, j))
             entries = []
-            for pair in row[2]:
+            for pair in pairs:
                 if not (isinstance(pair, list) and len(pair) == 2):
                     raise FormatError(f"entry {json.dumps(pair)} is not a [k, c] pair")
-                entries.append((index(pair[0], dim), scalar(f, pair[1])))
+                k, c = pair
+                if not (type(k) is int and 0 <= k < dim):
+                    k = index(k, dim)
+                try:
+                    entries.append((k, memo[c]))
+                except (KeyError, TypeError):  # inlines _memo_scalar's first step
+                    entries.append((k, _memo_scalar(f, c, memo)))
+            if len(entries) > 1:
+                entries.sort()
+                for (k, _), (k2, _) in zip(entries, entries[1:]):
+                    if k == k2:
+                        raise FormatError(f"k = {k} appears more than once")
         except FormatError as exc:
             raise FormatError(f"mult row {json.dumps(row[:2])}: {exc}") from None
-        mult[i][j] = tuple(sorted(entries))
+        mult[i][j] = tuple(entries)
     a = Algebra(f, labels, mult, unit)
     frame = None
     if "idempotents" in data:
@@ -192,7 +236,7 @@ def algebra_from_json(data: dict):
         idem_labels = list(idem_map)
         idems = []
         for lab in idem_labels:
-            idems.append(vector(f, idem_map[lab], dim, f"idempotent {lab!r}"))
+            idems.append(vector(f, idem_map[lab], dim, f"idempotent {lab!r}", memo))
         degrees = None
         if "degrees" in data:
             degree_map = json_object(data["degrees"], "degrees", "natural numbers")
@@ -229,7 +273,7 @@ def reedy_to_json(r: ReedyStructure, algebra_ref: str) -> dict:
     }
 
 
-def _subspace_from_json(a: Algebra, data, name: str) -> AlgSubspace:
+def _subspace_from_json(a: Algebra, data, name: str, memo: dict) -> AlgSubspace:
     if not isinstance(data, dict):
         raise FormatError(f"{name!r} must be an object with a 'basis' or 'generators', "
                           f"got {json.dumps(data)}")
@@ -239,10 +283,13 @@ def _subspace_from_json(a: Algebra, data, name: str) -> AlgSubspace:
     rows = data[key]
     if not isinstance(rows, list):
         raise FormatError(f"{name}.{key} must be a list of vectors, got {json.dumps(rows)}")
-    vectors = [vector(a.field, row, a.dim, f"{name}.{key}[{r}]") for r, row in enumerate(rows)]
+    f = a.field
+    vectors = [
+        sparse(f, vector(f, row, a.dim, f"{name}.{key}[{r}]", memo)) for r, row in enumerate(rows)
+    ]
     if key == "generators":
         return subalgebra_closure(a, vectors)
-    sub = AlgSubspace(a, span(a.field, a.dim, vectors), AlgSubspace.PLAIN)
+    sub = AlgSubspace(a, sparse_span(f, a.dim, vectors), AlgSubspace.PLAIN)
     if not sub.is_subalgebra():
         raise FormatError(f"{name}: basis does not span a unital subalgebra")
     return AlgSubspace(a, sub.space, AlgSubspace.SUBALGEBRA)
@@ -270,8 +317,9 @@ def reedy_from_json(data: dict, base_dir) -> ReedyStructure:
         except KeyError as exc:
             raise FormatError(f"degrees missing for idempotent {exc}") from exc
         work = frame.with_degrees(degs)
-    aplus = _subspace_from_json(a, data.get("aplus", {}), "aplus")
-    aminus = _subspace_from_json(a, data.get("aminus", {}), "aminus")
+    memo: dict = {}
+    aplus = _subspace_from_json(a, data.get("aplus", {}), "aplus", memo)
+    aminus = _subspace_from_json(a, data.get("aminus", {}), "aminus", memo)
     try:
         return ReedyStructure(a, work, aplus, aminus)
     except AlgebraError as exc:

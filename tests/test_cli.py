@@ -222,6 +222,8 @@ MALFORMED_ALGEBRA = [
     (["mult", 0, 2, 0, 1], 0.1, "mult row [0, 1]: scalars must be decimal strings, got 0.1"),
     (["mult", 0, 2, 0, 1], True, "mult row [0, 1]: scalars must be decimal strings, got true"),
     (["mult", 0, 2, 0, 1], "1/0", "mult row [0, 1]: '1/0' is not a scalar of Q"),
+    (["mult", 1], [0, 1, []], "mult row [0, 1]: [i, j] appears more than once"),
+    (["mult", 0, 2], [[0, "1"], [0, "1"]], "mult row [0, 1]: k = 0 appears more than once"),
 ]
 
 
@@ -232,6 +234,29 @@ def test_malformed_algebra_file_exits_2(tmp_path, capsys, path, value, message):
         capsys, "verify", "qh", str(alg), str(CORPUS / "uppertri.order01.order.json")
     )
     assert code == 2 and message in stderr
+
+
+# simplex2 has 393 mult rows of one "1" each, so a bad literal placed late
+# follows hundreds of good ones that a parse memo could wrongly answer for
+@pytest.mark.parametrize("rows", [[-1], [200, -1]])
+def test_bad_literal_after_good_ones_names_its_first_row(tmp_path, capsys, rows):
+    def edit(data):
+        for r in rows:
+            data["mult"][r][2][0][1] = "1/0"
+
+    alg = _edit_copy(tmp_path, "simplex2.alg.json", edit)
+    shutil.copy(CORPUS / "simplex2.reedy.json", tmp_path)
+    code, _, stderr = run(capsys, "verify", "reedy", str(tmp_path / "simplex2.reedy.json"))
+    first = json.dumps(read_json(alg)["mult"][rows[0]][:2])
+    assert code == 2 and f"mult row {first}: '1/0' is not a scalar of Q" in stderr
+
+
+def test_bad_literal_in_a_late_basis_vector_names_it(tmp_path, capsys):
+    shutil.copy(CORPUS / "simplex2.alg.json", tmp_path)
+    reedy = _edit_copy(tmp_path, "simplex2.reedy.json", _set(["aminus", "basis", -1, -1], "1/0"))
+    code, _, stderr = run(capsys, "verify", "reedy", str(reedy))
+    last = len(read_json(reedy)["aminus"]["basis"]) - 1
+    assert code == 2 and f"aminus.basis[{last}]: '1/0' is not a scalar of Q" in stderr
 
 
 def test_integer_scalar_in_prime_field_file_exits_2(tmp_path, capsys):

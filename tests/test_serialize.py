@@ -16,10 +16,12 @@ from reedylab.serialize import (
     parse_field_flag,
     quiver_from_json,
     quiver_to_json,
+    read_json,
     save_algebra,
     save_reedy,
     write_json,
 )
+from reedylab.corpus import default_corpus_dir
 
 
 def test_field_flag_parsing():
@@ -56,6 +58,80 @@ def test_algebra_roundtrip_gf(diamond_gf2, tmp_path):
     assert lframe.idempotents == frame.idempotents
     save_algebra(tmp_path / "d2.alg.json", loaded, lframe)
     assert (tmp_path / "d.alg.json").read_text() == (tmp_path / "d2.alg.json").read_text()
+
+
+@pytest.mark.parametrize(
+    "path", sorted(default_corpus_dir().glob("*.alg.json")), ids=lambda p: p.name
+)
+def test_corpus_algebras_reload_to_the_same_bytes(path):
+    assert dumps(algebra_to_json(*load_algebra(path))) == path.read_text(encoding="utf-8")
+
+
+def rescaled(structure, scales):
+    """The algebra and frame of ``structure`` on the basis scales[i] * b_i."""
+    a, f = structure.algebra, structure.algebra.field
+
+    def vec(v):
+        return [f.div(x, s) for x, s in zip(v, scales)]
+
+    mult = [
+        [tuple((k, f.div(f.mul(f.mul(scales[i], scales[j]), c), scales[k])) for k, c in pairs)
+         for j, pairs in enumerate(row)]
+        for i, row in enumerate(a.mult)
+    ]
+    b = rl.Algebra(f, a.labels, mult, vec(a.unit))
+    frame = structure.frame
+    return b, rl.IdempotentFrame(b, [vec(e) for e in frame.idempotents], frame.labels,
+                                 frame.degrees)
+
+
+def scalar_literals(doc):
+    """Every scalar literal of an algebra or reedy document."""
+    if "mult" in doc:
+        yield from doc["unit"]
+        for _, _, pairs in doc["mult"]:
+            yield from (c for _, c in pairs)
+        for vec in doc.get("idempotents", {}).values():
+            yield from vec
+    else:
+        for key in ("aplus", "aminus"):
+            for vec in doc[key]["basis"]:
+                yield from vec
+
+
+def test_repeated_fractional_literals_load_to_the_saved_values(tmp_path, simplex2):
+    cycle = [Fraction(1, 2), Fraction(2, 3), 3, Fraction(5, 4)]
+    algebra, frame = rescaled(simplex2, [cycle[i % 4] for i in range(simplex2.algebra.dim)])
+    assert rl.validate(algebra)["valid"]
+    save_algebra(tmp_path / "s.alg.json", algebra, frame)
+    literals = list(scalar_literals(read_json(tmp_path / "s.alg.json")))
+    fractional = [x for x in literals if "/" in x]
+    assert len(set(fractional)) < len(fractional)
+    loaded, lframe = load_algebra(tmp_path / "s.alg.json")
+    assert loaded.mult == algebra.mult
+    assert loaded.unit == algebra.unit
+    assert lframe.idempotents == frame.idempotents
+    assert lframe.degrees == frame.degrees
+
+
+def test_loading_parses_each_distinct_literal_once_per_document(tmp_path, simplex3, monkeypatch):
+    # a count, unlike a time, repeats exactly: the guard that loads stay cheap
+    save_algebra(tmp_path / "s.alg.json", simplex3.algebra, simplex3.frame)
+    save_reedy(tmp_path / "s.reedy.json", simplex3, "s.alg.json")
+    field_type = type(simplex3.algebra.field)
+    parse = field_type.parse
+    calls = []
+
+    def counting_parse(self, text):
+        calls.append(text)
+        return parse(self, text)
+
+    monkeypatch.setattr(field_type, "parse", counting_parse)
+    loaded = load_reedy(tmp_path / "s.reedy.json")
+    docs = [read_json(tmp_path / name) for name in ("s.alg.json", "s.reedy.json")]
+    assert sum(len(list(scalar_literals(doc))) for doc in docs) > 10_000
+    assert len(calls) <= sum(len(set(scalar_literals(doc))) for doc in docs)
+    assert loaded.algebra.mult == simplex3.algebra.mult
 
 
 def test_reedy_roundtrip(tmp_path, corpus_structures):
