@@ -98,9 +98,7 @@ def _coefficient(field: Field, coeff, ridx: int):
     try:
         return field.parse(coeff) if isinstance(coeff, str) else field.of(coeff)
     except (ValueError, ZeroDivisionError) as exc:
-        from .serialize import FormatError  # serialize imports this module
-
-        raise FormatError(
+        raise AlgebraError(
             f"relation {ridx}: coefficient {coeff!r} is not a scalar of {field!r} ({exc})"
         ) from None
 

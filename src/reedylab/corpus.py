@@ -1,30 +1,103 @@
-"""Bundled example corpus: fixture files plus expected verdicts.
+"""The named checks, and the bundled example corpus that pins their verdicts.
 
-Each entry names a check, its input files (relative to the corpus
-directory) and the expected report values, tagged with the provenance of
-the expectation (PAPER, TRIVIAL or DERIVED).
+``REEDY_CHECKS``, ``run_qh`` and ``run_search`` decide how each check loads
+its files and which function runs it; ``reedylab verify``, ``reedylab
+search`` and ``corpus run`` all go through them.  Each corpus entry names
+a check (a ``verify`` target or ``search``), its input files (relative to
+the corpus directory) and the expected report values, tagged with the
+provenance of the expectation (PAPER, TRIVIAL or DERIVED).
 """
 
 from __future__ import annotations
 
 import json
-import sys
 from pathlib import Path
 
 from .algebra import AlgebraError
-from .qh import heredity_chain_verify
+from .qh import delta_subalgebra_check, exact_borel_check, heredity_chain_verify
 from .reedy import characterization_crosscheck, recursive_check, search_reedy, verify_reedy
-from .serialize import FormatError, load_algebra, load_order, load_reedy, read_json
+from .serialize import FormatError, document, load_algebra, load_order, load_reedy, read_json
 
 PROVENANCE_TAGS = ("PAPER", "TRIVIAL", "DERIVED")
+
+# check -> its report on a loaded ReedyStructure r; only theorem53 reads the cut
+REEDY_CHECKS = {
+    "reedy": lambda r, cut: verify_reedy(r),
+    "borel": lambda r, cut: exact_borel_check(r.algebra, r.frame, r.aminus, r.order()),
+    "delta": lambda r, cut: delta_subalgebra_check(r.algebra, r.frame, r.aplus, r.order()),
+    "theorem41": lambda r, cut: characterization_crosscheck(r),
+    "theorem53": lambda r, cut: recursive_check(r, cut),
+}
+CHECKS = (*REEDY_CHECKS, "qh", "search")
+
+# entry field -> (the JSON type of its value, never a boolean; that type in words)
+ENTRY_FIELDS = {
+    **dict.fromkeys(("reedy", "algebra", "order"), (str, "a file name")),
+    "cut": (int, "an integer"),
+    "max_levels": ((int, type(None)), "an integer or null"),
+    **dict.fromkeys(("excludes_degrees", "contains_pairs"), (list, "a list")),
+}
 
 
 def default_corpus_dir() -> Path:
     return Path(__file__).parent / "corpus"
 
 
-def _jsonify(value):
-    return json.loads(json.dumps(value))
+def load_framed_algebra(path):
+    """An algebra file's (algebra, frame); the file must carry a frame."""
+    algebra, frame = load_algebra(path)
+    if frame is None:
+        raise FormatError("algebra file carries no idempotent frame")
+    return algebra, frame
+
+
+def run_qh(algebra_path, order_path) -> dict:
+    """The heredity chain report of an algebra file under an order file."""
+    algebra, frame = load_framed_algebra(algebra_path)
+    return heredity_chain_verify(algebra, frame, load_order(order_path, frame))
+
+
+def run_search(algebra_path, mode: str, max_levels: int | None) -> list:
+    """The verified Reedy structures on an algebra file's frame, any degrees."""
+    algebra, frame = load_framed_algebra(algebra_path)
+    return search_reedy(algebra, frame.without_degrees(), mode=mode, max_levels=max_levels)
+
+
+def _field(entry: dict, key: str, default=None):
+    """``entry[key]``, or a FormatError naming the field when its value is malformed."""
+    kind, what = ENTRY_FIELDS[key]
+    value = entry.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise FormatError(f"entry field {key!r} must be {what}, got {json.dumps(value)}")
+    return value
+
+
+def _search_summary(entry: dict, base: Path) -> dict:
+    excludes = _field(entry, "excludes_degrees", [])
+    contains = _field(entry, "contains_pairs", [])
+    found = run_search(base / _field(entry, "algebra"), entry.get("mode", "heuristic"),
+                       _field(entry, "max_levels"))
+    report = {
+        "count": len(found),
+        "degree_functions": [list(d) for d in sorted({s.frame.degrees for s in found})],
+        "pairs": sorted([list(s.frame.degrees), s.aplus.dim, s.aminus.dim] for s in found),
+    }
+    if excludes:
+        report["excluded_ok"] = not any(d in report["degree_functions"] for d in excludes)
+    if contains:
+        report["contains_ok"] = all(p in report["pairs"] for p in contains)
+    return report
+
+
+def entry_report(entry: dict, base: Path) -> dict:
+    """The report of a corpus entry's check (one of ``CHECKS``) on its files."""
+    check = entry["check"]
+    if check == "qh":
+        return run_qh(base / _field(entry, "algebra"), base / _field(entry, "order"))
+    if check == "search":
+        return _search_summary(entry, base)
+    cut = _field(entry, "cut") if check == "theorem53" else None
+    return REEDY_CHECKS[check](load_reedy(base / _field(entry, "reedy")), cut)
 
 
 def _match(expected, actual, path="") -> list[str]:
@@ -45,83 +118,45 @@ def _match(expected, actual, path="") -> list[str]:
 
 def run_entry(entry: dict, base: Path) -> dict:
     name = entry.get("name", "<unnamed>")
-    check = entry.get("check")
-    provenance = entry.get("provenance")
-    if provenance not in PROVENANCE_TAGS:
-        return {"name": name, "ok": False, "reason": f"bad provenance tag {provenance!r}"}
-    if "expected" not in entry:
-        return {"name": name, "ok": False, "reason": "fixture has no expected verdict"}
-    try:
-        if check == "reedy":
-            report = verify_reedy(load_reedy(base / entry["reedy"]))
-        elif check == "theorem41":
-            report = characterization_crosscheck(load_reedy(base / entry["reedy"]))
-        elif check == "theorem53":
-            report = recursive_check(load_reedy(base / entry["reedy"]), int(entry["cut"]))
-        elif check == "qh":
-            algebra, frame = load_algebra(base / entry["algebra"])
-            if frame is None:
-                raise FormatError("algebra file carries no idempotent frame")
-            order = load_order(base / entry["order"], frame)
-            report = heredity_chain_verify(algebra, frame, order)
-        elif check == "search":
-            algebra, frame = load_algebra(base / entry["algebra"])
-            if frame is None:
-                raise FormatError("algebra file carries no idempotent frame")
-            found = search_reedy(
-                algebra,
-                frame.without_degrees(),
-                mode=entry.get("mode", "heuristic"),
-                max_levels=entry.get("max_levels"),
-            )
-            degree_sets = sorted({s.frame.degrees for s in found})
-            report = {
-                "count": len(found),
-                "degree_functions": [list(d) for d in degree_sets],
-                "pairs": sorted(
-                    [list(s.frame.degrees), s.aplus.dim, s.aminus.dim] for s in found
-                ),
-            }
-            for excl in entry.get("excludes_degrees", []):
-                report.setdefault("excluded_ok", True)
-                if list(excl) in report["degree_functions"]:
-                    report["excluded_ok"] = False
-            for incl in entry.get("contains_pairs", []):
-                report.setdefault("contains_ok", True)
-                if list(incl) not in report["pairs"]:
-                    report["contains_ok"] = False
-        else:
-            return {"name": name, "ok": False, "reason": f"unknown check {check!r}"}
-    except (FormatError, AlgebraError, KeyError, OSError, ValueError) as exc:
-        return {"name": name, "ok": False, "reason": f"error: {exc}"}
-    mismatches = _match(_jsonify(entry["expected"]), _jsonify(report))
-    if mismatches:
-        return {"name": name, "ok": False, "reason": "; ".join(mismatches)}
-    return {"name": name, "ok": True, "reason": ""}
+    if not isinstance(name, str):
+        name = json.dumps(name)
+        reason = f"entry field 'name' must be a string, got {name}"
+    elif entry.get("provenance") not in PROVENANCE_TAGS:
+        reason = f"bad provenance tag {entry.get('provenance')!r}"
+    elif "expected" not in entry:
+        reason = "fixture has no expected verdict"
+    elif entry.get("check") not in CHECKS:
+        reason = f"unknown check {entry.get('check')!r}"
+    else:
+        try:
+            report = entry_report(entry, base)
+        except (FormatError, AlgebraError, KeyError, OSError, ValueError) as exc:
+            return {"name": name, "ok": False, "reason": f"error: {exc}"}
+        reason = "; ".join(_match(entry["expected"], json.loads(json.dumps(report))))
+    return {"name": name, "ok": not reason, "reason": reason}
 
 
 def run_corpus(directory, out) -> int:
+    """Run every entry of a corpus index, one PASS/FAIL line each.
+
+    A missing, malformed or empty index raises a FormatError before any
+    output; a malformed entry is a FAIL line naming its field.
+    """
     base = Path(directory) if directory else default_corpus_dir()
     index = base / "entries.json"
     if not base.is_dir() or not index.exists():
-        print(f"error: corpus directory {base} has no entries.json", file=sys.stderr)
-        return 2
-    try:
-        entries = read_json(index).get("entries", [])
-    except FormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise FormatError(f"corpus directory {base} has no entries.json")
+    entries = document(read_json(index), "corpus index").get("entries", [])
+    if not isinstance(entries, list):
+        raise FormatError(f"'entries' must be a list of entry objects, got {json.dumps(entries)}")
+    for i, entry in enumerate(entries):
+        document(entry, f"corpus entry {i}")
     if not entries:
-        print(f"error: corpus at {base} is empty", file=sys.stderr)
-        return 2
+        raise FormatError(f"corpus at {base} is empty")
     results = [run_entry(e, base) for e in entries]
-    failures = 0
     for entry, result in zip(entries, results):
-        tag = entry.get("provenance", "?")
-        if result["ok"]:
-            print(f"PASS  {result['name']:<40} [{tag}]", file=out)
-        else:
-            failures += 1
-            print(f"FAIL  {result['name']:<40} [{tag}]  {result['reason']}", file=out)
-    print(f"{len(results) - failures}/{len(results)} corpus entries match", file=out)
-    return 0 if failures == 0 else 1
+        line = f"{result['name']:<40} [{entry.get('provenance', '?')}]"
+        print(f"PASS  {line}" if result["ok"] else f"FAIL  {line}  {result['reason']}", file=out)
+    passed = sum(result["ok"] for result in results)
+    print(f"{passed}/{len(results)} corpus entries match", file=out)
+    return 0 if passed == len(results) else 1

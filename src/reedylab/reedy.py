@@ -46,6 +46,10 @@ from .qh import (
     peirce_blocks,
 )
 
+# search_reedy's limits: weights in the frame, and dim A - |E| in exhaustive mode
+MAX_WEIGHTS = 7
+EXHAUSTIVE_BOUND = 8
+
 
 class ReedyStructure:
     """Candidate data (E, deg, A+, A-) over an algebra."""
@@ -453,8 +457,7 @@ def _basis_key(field: Field, basis) -> tuple:
 
 
 def search_reedy(a: Algebra, frame: IdempotentFrame, mode: str = "heuristic",
-                 max_levels: int | None = None, exhaustive_bound: int = 8,
-                 max_weights: int = 7) -> list[ReedyStructure]:
+                 max_levels: int | None = None) -> list[ReedyStructure]:
     """Search for verified Reedy structures over normalized degree functions.
 
     Heuristic mode closes the degree-raising and degree-lowering block
@@ -463,17 +466,17 @@ def search_reedy(a: Algebra, frame: IdempotentFrame, mode: str = "heuristic",
     function and canonical bases.
     """
     n = len(frame)
-    if n > max_weights:
-        raise AlgebraError(f"frame has {n} weights, search bound is {max_weights}")
+    if n > MAX_WEIGHTS:
+        raise AlgebraError(f"frame has {n} weights, search bound is {MAX_WEIGHTS}")
     f = a.field
     if mode not in ("heuristic", "exhaustive"):
         raise ValueError("mode must be 'heuristic' or 'exhaustive'")
     if mode == "exhaustive":
         if f.characteristic == 0:
             raise AlgebraError("exhaustive search requires a finite field")
-        if a.dim - n > exhaustive_bound:
+        if a.dim - n > EXHAUSTIVE_BOUND:
             raise AlgebraError(
-                f"dim A - |E| = {a.dim - n} exceeds exhaustive bound {exhaustive_bound}"
+                f"dim A - |E| = {a.dim - n} exceeds exhaustive bound {EXHAUSTIVE_BOUND}"
             )
         candidates = _candidate_subalgebras(a, frame)
     else:

@@ -528,6 +528,51 @@ def test_corpus_empty_dir_exits_2(tmp_path, capsys):
         assert stderr.startswith("error:")
 
 
+def _one_entry(bundled, /, **fields):
+    """An index holding the bundled entry named ``bundled`` with ``fields`` replaced."""
+    entry = next(e for e in read_json(CORPUS / "entries.json")["entries"] if e["name"] == bundled)
+    return {"entries": [{**entry, **fields}]}
+
+
+# index -> exit code and the cause on stderr (exit 2) or on the one FAIL line (exit 1)
+MALFORMED_CORPUS = [
+    ([1, 2], 2, "corpus index document must be a JSON object, got [1, 2]"),
+    ({"entries": 5}, 2, "'entries' must be a list of entry objects, got 5"),
+    ({"entries": ["x"]}, 2, 'corpus entry 0 document must be a JSON object, got "x"'),
+    (_one_entry("uppertri-ss-theorem53-cut0", cut=[1]), 1, "'cut' must be an integer, got [1]"),
+    (_one_entry("uppertri-ss-theorem53-cut0", cut=True), 1, "'cut' must be an integer, got true"),
+    (_one_entry("k-trivial", reedy=5), 1, "'reedy' must be a file name, got 5"),
+    (_one_entry("simplex1-search-heuristic", excludes_degrees=5), 1,
+     "'excludes_degrees' must be a list, got 5"),
+    (_one_entry("simplex1-search-heuristic", max_levels="2"), 1,
+     "'max_levels' must be an integer or null, got \"2\""),
+    (_one_entry("k-trivial", name=[1]), 1, "'name' must be a string, got [1]"),
+]
+
+
+@pytest.mark.parametrize("index, code, cause", MALFORMED_CORPUS)
+def test_malformed_corpus_names_the_cause(tmp_path, capsys, index, code, cause):
+    """A fault in the index exits 2 with stdout empty; a fault in one entry
+    is a FAIL line that names the field.  Neither is a traceback."""
+    shutil.copytree(CORPUS, tmp_path / "corpus")
+    (tmp_path / "corpus" / "entries.json").write_text(json.dumps(index))
+    got, stdout, stderr = run(capsys, "corpus", "run", "--dir", str(tmp_path / "corpus"))
+    assert got == code
+    if code == 2:
+        assert stdout == "" and stderr == f"error: {cause}\n"
+    else:
+        assert stdout.splitlines()[0].startswith("FAIL") and cause in stdout.splitlines()[0]
+
+
+@pytest.mark.parametrize("check", ["borel", "delta"])
+def test_corpus_entries_take_every_verify_check(tmp_path, capsys, check):
+    shutil.copytree(CORPUS, tmp_path / "corpus")
+    index = _one_entry("simplex1", check=check, name=f"simplex1-{check}")
+    (tmp_path / "corpus" / "entries.json").write_text(json.dumps(index))
+    code, stdout, _ = run(capsys, "corpus", "run", "--dir", str(tmp_path / "corpus"))
+    assert code == 0 and stdout.startswith(f"PASS  simplex1-{check} ")
+
+
 def test_missing_file_exits_2(capsys):
     code, _, stderr = run(capsys, "verify", "reedy", "/nonexistent/x.reedy.json")
     assert code == 2

@@ -2,9 +2,10 @@
 
 ``tests/golden/`` holds the ``serialize.dumps`` text of
 
-- the report of every corpus entry (the CLI ``search`` output for search
-  entries, plus a heuristic search on every bundled algebra with a frame
-  below dimension 40);
+- the report of every corpus entry, through the check table that
+  ``reedylab verify`` and ``corpus run`` share (the CLI ``search`` output
+  for search entries), plus a heuristic search on every bundled algebra
+  with a frame below dimension 40;
 - ``layer_check``, ``reedy_heredity_bottom``, ``recursive_check`` at every
   cut and ``characterization_crosscheck`` for every bundled Reedy file (the
   last two only below dimension 40);
@@ -29,14 +30,13 @@ from pathlib import Path
 
 from reedylab import AlgebraError, serialize
 from reedylab.cli import main
-from reedylab.corpus import default_corpus_dir
-from reedylab.qh import delta_subalgebra_check, exact_borel_check, heredity_chain_verify
+from reedylab.corpus import default_corpus_dir, entry_report
+from reedylab.qh import delta_subalgebra_check, exact_borel_check
 from reedylab.reedy import (
     characterization_crosscheck,
     layer_check,
     recursive_check,
     reedy_heredity_bottom,
-    verify_reedy,
 )
 
 CORPUS = default_corpus_dir()
@@ -62,22 +62,9 @@ def _or_error(fn, *args):
 
 
 def _entry_report(entry: dict) -> str:
-    check = entry["check"]
-    if check == "search":
+    if entry["check"] == "search":
         return _search(entry["algebra"], entry.get("mode", "heuristic"), entry.get("max_levels"))
-    if check == "qh":
-        algebra, frame = serialize.load_algebra(CORPUS / entry["algebra"])
-        order = serialize.load_order(CORPUS / entry["order"], frame)
-        report = heredity_chain_verify(algebra, frame, order)
-    else:
-        r = serialize.load_reedy(CORPUS / entry["reedy"])
-        if check == "reedy":
-            report = verify_reedy(r)
-        elif check == "theorem41":
-            report = characterization_crosscheck(r)
-        else:
-            report = recursive_check(r, int(entry["cut"]))
-    return serialize.dumps(report)
+    return serialize.dumps(entry_report(entry, CORPUS))
 
 
 def _structure_report(path: Path) -> str:
