@@ -284,6 +284,28 @@ class IdempotentFrame:
         return self._cache[key]
 
 
+def peirce_blocks(frame: IdempotentFrame, sub: AlgSubspace | None = None) -> dict:
+    """All blocks e_j X e_i of the algebra or of a subspace, cached: the
+    columns (e_j X) e_i of the rows e_j X."""
+    if sub is None:
+        cache, key, space = frame._cache, "peirce_full", None
+    else:
+        cache, key, space = sub._cache, ("peirce", frame.idempotents), sub.space
+    if key not in cache:
+        a, lines = frame.algebra, frame.lines()
+        rows = [row_span(a, line, space) for line in lines]
+        cache[key] = {(j, i): column_span(a, rows[j], line)
+                      for j in range(len(lines)) for i, line in enumerate(lines)}
+    return cache[key]
+
+
+def peirce_dim(frame: IdempotentFrame, sub: AlgSubspace | None, i: int, side: str = "left") -> int:
+    """dim X e_i (dim e_i X on the "right") for X = A or a subspace holding
+    the frame, which sums to 1: the sum of the Peirce blocks of X at e_i."""
+    blocks = peirce_blocks(frame, sub)
+    return sum(blocks[(j, i) if side == "left" else (i, j)].dim for j in range(len(frame)))
+
+
 class AlgSubspace:
     """A subspace of an algebra, optionally verified as subalgebra or ideal."""
 
@@ -743,25 +765,22 @@ def radical_space(a: Algebra, sub: AlgSubspace | None = None) -> Subspace:
 def is_elementary(a: Algebra, frame: IdempotentFrame, sub: AlgSubspace | None = None,
                   below: Subspace | None = None) -> bool:
     """Whether X = A (or the verified subalgebra ``sub``) is elementary for
-    the frame: every frame idempotent lies in X, dim X - dim rad X = |E|, and
-    dim e_i X e_i - dim e_i rad(X) e_i = 1, the corner of X/rad(X) at e_i.
+    the frame: every frame idempotent lies in X and is nonzero, and
+    dim X - dim rad X = |E|.  Then X/rad X holds |E| orthogonal nonzero
+    idempotents that sum to 1, so the count forces its corners to be k*e_i.
     With ``below`` = J, X is A/J in residue rows modulo J: rad(A/J) is
     (rad A + J)/J and the frame idempotents in J, which vanish, are skipped.
     Verdicts without J are cached on X per frame."""
     cache = {} if below is not None else a._cache if sub is None else sub._cache
     key = ("elementary", frame.idempotents)
     if key not in cache:
-        lines, space = frame.lines(), None if sub is None else sub.space
+        lines, dim = frame.lines(), a.dim if sub is None else sub.dim
         if below is not None:
-            space = full_space(a.field, a.dim, below)
             lines = [line for line in lines if not all(map(below.contains, line.rows.values()))]
-        ok = sub is None or all(space.contains(v) for line in lines for v in line.rows.values())
-        if ok:
-            rad = modulo(radical_space(a, sub), below)
-            ok = (a.dim if space is None else space.dim) - rad.dim == len(lines) and all(
-                corner_span(a, line, space, below).dim - corner_span(a, line, rad, below).dim == 1
-                for line in lines)
-        cache[key] = ok
+            dim -= below.dim
+        ok = all(line.dim for line in lines) and (
+            sub is None or all(sub.space.contains(v) for line in lines for v in line.rows.values()))
+        cache[key] = ok and dim - modulo(radical_space(a, sub), below).dim == len(lines)
     return cache[key]
 
 

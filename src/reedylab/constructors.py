@@ -329,9 +329,7 @@ def build_simplex_algebra(n: int, field: Field) -> ReedyStructure:
     aminus = AlgSubspace(algebra, sparse_span(field, algebra.dim, surj_vecs), AlgSubspace.SUBALGEBRA)
     if not (aplus.is_subalgebra() and aminus.is_subalgebra()):
         raise AlgebraError("directed spans are not subalgebras (unexpected)")
-    structure = ReedyStructure(algebra, frame, aplus, aminus)
-    algebra._cache["simplex_basis"] = tuple(basis)
-    return structure
+    return ReedyStructure(algebra, frame, aplus, aminus)
 
 
 def build_matrix_algebra(n: int, field: Field) -> Algebra:

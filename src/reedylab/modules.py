@@ -18,6 +18,7 @@ from .algebra import (
     column_span,
     element_line,
     is_elementary,
+    peirce_dim,
     product_rank,
     product_span,
     radical_space,
@@ -166,12 +167,10 @@ def induce_module(a: Algebra, b_sub: AlgSubspace, m: ModuleRep) -> ModuleRep:
 
 
 def is_projective_module(m: ModuleRep, frame: IdempotentFrame) -> bool:
-    """Projective-cover dimension test over an elementary acting algebra."""
+    """Projective-cover dimension test over an elementary acting algebra X,
+    which holds the frame, so its projectives X*e_i (e_i*X on the right)
+    have the dimensions of their Peirce blocks."""
     if not is_elementary(m.ambient, frame, m.acting):
         raise AlgebraError("projectivity test supported for elementary algebras only")
     tops = m.top_multiplicities(frame)
-    total = sum(
-        mult * projective_module(m.ambient, frame.lines()[i], m.side, m.acting).dim
-        for i, mult in enumerate(tops) if mult
-    )
-    return total == m.dim
+    return m.dim == sum(mult * peirce_dim(frame, m.acting, i, m.side) for i, mult in enumerate(tops))

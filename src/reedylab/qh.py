@@ -21,9 +21,9 @@ from .algebra import (
     element_line,
     ideal_closure,
     is_elementary,
+    peirce_blocks,
     product_span,
     radical,
-    row_span,
     tensor_dim_over_corner,
 )
 from .linalg import Subspace, modulo, subspace_sum
@@ -37,6 +37,9 @@ from .modules import (
     restrict_module,
     simple_module,
 )
+
+# the bound on the weights in the frame of qh_order_search and reedy.search_reedy
+MAX_WEIGHTS = 7
 
 
 class WeightOrder:
@@ -91,21 +94,6 @@ def order_from_degrees(frame: IdempotentFrame) -> WeightOrder:
     if frame.degrees is None:
         raise AlgebraError("frame carries no degree function")
     return WeightOrder(frame.labels, frame.normalized_degrees())
-
-
-def peirce_blocks(frame: IdempotentFrame, sub: AlgSubspace | None = None) -> dict:
-    """All blocks e_j X e_i of the algebra or of a subspace, cached: the
-    columns (e_j X) e_i of the rows e_j X."""
-    if sub is None:
-        cache, key, space = frame._cache, "peirce_full", None
-    else:
-        cache, key, space = sub._cache, ("peirce", frame.idempotents), sub.space
-    if key not in cache:
-        a, lines = frame.algebra, frame.lines()
-        rows = [row_span(a, line, space) for line in lines]
-        cache[key] = {(j, i): column_span(a, rows[j], line)
-                      for j in range(len(lines)) for i, line in enumerate(lines)}
-    return cache[key]
 
 
 def directedness(frame: IdempotentFrame, levels, raising: bool,
@@ -426,11 +414,11 @@ def normalized_level_functions(n: int, max_levels: int | None = None):
     return out
 
 
-def qh_order_search(a: Algebra, frame: IdempotentFrame, max_weights: int = 7) -> list[WeightOrder]:
+def qh_order_search(a: Algebra, frame: IdempotentFrame) -> list[WeightOrder]:
     """All level functions whose candidate chain verifies, in lex order."""
     n = len(frame)
-    if n > max_weights:
-        raise AlgebraError(f"frame has {n} weights, search bound is {max_weights}")
+    if n > MAX_WEIGHTS:
+        raise AlgebraError(f"frame has {n} weights, search bound is {MAX_WEIGHTS}")
     found = []
     for levels in normalized_level_functions(n):
         order = WeightOrder(frame.labels, levels)

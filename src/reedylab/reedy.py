@@ -21,6 +21,8 @@ from .algebra import (
     corner_span,
     ideal_closure,
     is_elementary,
+    peirce_blocks,
+    peirce_dim,
     product_rank,
     quotient,
     quotient_frame,
@@ -34,6 +36,7 @@ from .fields import Field
 from .linalg import (Echelon, Subspace, add_scaled, densify, modulo, null_space, sparse,
                      sparse_span, subspace_intersect)
 from .qh import (
+    MAX_WEIGHTS,
     WeightOrder,
     _directed,
     delta_subalgebra_check,
@@ -43,11 +46,9 @@ from .qh import (
     level_chain,
     normalized_level_functions,
     order_from_degrees,
-    peirce_blocks,
 )
 
-# search_reedy's limits: weights in the frame, and dim A - |E| in exhaustive mode
-MAX_WEIGHTS = 7
+# search_reedy's bound on dim A - |E| in exhaustive mode
 EXHAUSTIVE_BOUND = 8
 
 
@@ -111,24 +112,26 @@ def _conditions(r: ReedyStructure, indices, below: Subspace | None = None) -> di
                        peirce_blocks(frame, r.aminus)))
     cond_plus = _directed(plus, indices, frame.labels, frame.degrees, True)
     cond_minus = _directed(minus, indices, frame.labels, frame.degrees, False)
+    cond_decomp = _decomposition(r.algebra, frame.labels, indices, full, plus, minus, below)
+    return {"cond_plus": cond_plus, "cond_minus": cond_minus, "cond_decomp": cond_decomp,
+            "overall": cond_plus["ok"] and cond_minus["ok"] and cond_decomp["ok"]}
+
+
+def _decomposition(a: Algebra, labels, indices, full: dict, plus: dict, minus: dict,
+                   below: Subspace | None = None) -> dict:
+    """The decomposition condition, which reads no degrees: for each pair
+    (j, i) of the frame indices ``indices``, multiplication from the sum
+    over l of e_jA+e_l (x) e_lA-e_i to e_jAe_i is bijective, on the Peirce
+    blocks of A, A+ and A- (``full``, ``plus``, ``minus``) with every rank
+    read modulo ``below``."""
     pairs = []
-    decomp_ok = True
     for j in indices:
         for i in indices:
-            domain, rank = product_rank(
-                r.algebra, [(plus[(j, l)], minus[(l, i)]) for l in indices], below
-            )
+            domain, rank = product_rank(a, [(plus[(j, l)], minus[(l, i)]) for l in indices], below)
             block_dim = full[(j, i)].dim
-            ok = domain == block_dim == rank
-            decomp_ok = decomp_ok and ok
-            pairs.append({"from": frame.labels[i], "to": frame.labels[j], "domain_dim": domain,
-                          "block_dim": block_dim, "rank": rank, "ok": ok})
-    return {
-        "cond_plus": cond_plus,
-        "cond_minus": cond_minus,
-        "cond_decomp": {"ok": decomp_ok, "pairs": pairs},
-        "overall": cond_plus["ok"] and cond_minus["ok"] and decomp_ok,
-    }
+            pairs.append({"from": labels[i], "to": labels[j], "domain_dim": domain,
+                          "block_dim": block_dim, "rank": rank, "ok": domain == block_dim == rank})
+    return {"ok": all(p["ok"] for p in pairs), "pairs": pairs}
 
 
 def _require_setup(r: ReedyStructure) -> None:
@@ -142,16 +145,6 @@ def _require_verified(r: ReedyStructure) -> None:
         raise AlgebraError("structure does not verify as Reedy")
 
 
-def _tensor_pairs(r: ReedyStructure, indices) -> list:
-    """The column A+ e_i and the row e_i A- for each frame index."""
-    a = r.algebra
-    pairs = []
-    for i in indices:
-        e = r.frame.lines()[i]
-        pairs.append((column_span(a, r.aplus.space, e), row_span(a, e, r.aminus.space)))
-    return pairs
-
-
 def layer_check(r: ReedyStructure) -> dict:
     """Per-level layer isomorphisms, in both the direct and the quotient form.
 
@@ -160,6 +153,8 @@ def layer_check(r: ReedyStructure) -> dict:
     their images in A+/K+ and A-/K-, for K = X*eps_(<l)*X in X = A+ or A-.
     K lies in J_{l-1}, with K+e_i in A+e_i and e_iK- in e_iA-, so modulo
     J_{l-1} both forms have one image: they differ only in the domain.
+    The direct form multiplies the Peirce blocks e_jA+e_i (x) e_iA-e_k,
+    whose sum over j and k is A+e_i (x) e_iA-.
     """
     _require_setup(r)
     a = r.algebra
@@ -167,6 +162,8 @@ def layer_check(r: ReedyStructure) -> dict:
     order = r.order()
     chain = level_chain(a, frame, order)
     lines = frame.lines()
+    plus, minus = peirce_blocks(frame, r.aplus), peirce_blocks(frame, r.aminus)
+    n = range(len(frame))
 
     levels_report = []
     all_ok = True
@@ -176,30 +173,20 @@ def layer_check(r: ReedyStructure) -> dict:
         layer_dim = j_here.dim - prev.dim
         idx_here = [i for i in range(len(frame)) if order.levels[i] == lev]
 
-        # direct form: A+ e_i (x) e_i A- -> J_l / J_{l-1}
-        direct = _tensor_pairs(r, idx_here)
-        domain3, rank3 = product_rank(a, direct, prev)
+        # direct form: A+ e_i (x) e_i A- -> J_l / J_{l-1}, block by block
+        domain3, rank3 = product_rank(
+            a, [(plus[(j, i)], minus[(i, k)]) for i in idx_here for j in n for k in n], prev)
         ok3 = domain3 == layer_dim == rank3
 
         # quotient form: (A+/K+) e_i (x) e_i (A-/K-) -> J_l / J_{l-1}
-        domain2 = sum((col.dim - column_span(a, k_plus, lines[i]).dim)
-                      * (row.dim - row_span(a, lines[i], k_minus).dim)
-                      for (col, row), i in zip(direct, idx_here))
+        domain2 = sum((peirce_dim(frame, r.aplus, i) - column_span(a, k_plus, lines[i]).dim)
+                      * (peirce_dim(frame, r.aminus, i, "right") - row_span(a, lines[i], k_minus).dim)
+                      for i in idx_here)
         ok2 = domain2 == layer_dim == rank3
 
-        levels_report.append(
-            {
-                "level": lev,
-                "layer_dim": layer_dim,
-                "direct_domain": domain3,
-                "direct_rank": rank3,
-                "direct_ok": ok3,
-                "quotient_domain": domain2,
-                "quotient_rank": rank3,
-                "quotient_ok": ok2,
-                "agree": ok2 == ok3,
-            }
-        )
+        levels_report.append({"level": lev, "layer_dim": layer_dim, "direct_domain": domain3,
+                              "direct_rank": rank3, "direct_ok": ok3, "quotient_domain": domain2,
+                              "quotient_rank": rank3, "quotient_ok": ok2, "agree": ok2 == ok3})
         all_ok = all_ok and ok2 and ok3
         prev = j_here.space
         if rank + 1 < len(chain.levels):
@@ -221,7 +208,8 @@ def reedy_heredity_bottom(r: ReedyStructure) -> dict:
     order = r.order()
     t = min(order.levels)
     idx = [i for i in range(len(r.frame)) if order.levels[i] == t]
-    lhs = sum(xs.dim * ys.dim for xs, ys in _tensor_pairs(r, idx))
+    lhs = sum(peirce_dim(r.frame, r.aplus, i) * peirce_dim(r.frame, r.aminus, i, "right")
+              for i in idx)
     rhs = level_chain(r.algebra, r.frame, order).ideals[0].dim
     return {"level": t, "tensor_dim": lhs, "ideal_dim": rhs, "overall": lhs == rhs}
 
@@ -462,8 +450,10 @@ def search_reedy(a: Algebra, frame: IdempotentFrame, mode: str = "heuristic",
 
     Heuristic mode closes the degree-raising and degree-lowering block
     spans; exhaustive mode (finite fields) enumerates every subalgebra
-    between S and A.  Results are deduplicated and ordered by degree
-    function and canonical bases.
+    between S and A.  The decomposition condition reads no degrees, so it
+    is decided once per pair (A+, A-); only a pair that decomposes becomes
+    a structure for ``verify_reedy``.  Results are deduplicated and ordered
+    by degree function and canonical bases.
     """
     n = len(frame)
     if n > MAX_WEIGHTS:
@@ -481,32 +471,30 @@ def search_reedy(a: Algebra, frame: IdempotentFrame, mode: str = "heuristic",
         candidates = _candidate_subalgebras(a, frame)
     else:
         s_sub = subalgebra_closure(a, frame.idempotents)
-    found = {}
+    found, decomposes = {}, {}
     blocks_full = peirce_blocks(frame)
     for levels in normalized_level_functions(n, max_levels):
         work = frame.with_degrees(levels)
         if mode == "heuristic":
-            raise_gens = list(frame.idempotents)
-            lower_gens = list(frame.idempotents)
-            for j in range(n):
-                for i in range(n):
-                    if i == j:
-                        continue
-                    blk = blocks_full[(j, i)]
-                    if blk.dim == 0:
-                        continue
-                    if levels[j] > levels[i]:
-                        raise_gens.extend(blk.rows.values())
-                    else:
-                        lower_gens.extend(blk.rows.values())
-            d_plus = subalgebra_closure(a, raise_gens)
-            d_minus = subalgebra_closure(a, lower_gens)
+            # the off-diagonal blocks of A that raise the level, and the rest
+            gens = {True: list(frame.idempotents), False: list(frame.idempotents)}
+            for (j, i), blk in blocks_full.items():
+                if i != j:
+                    gens[levels[j] > levels[i]].extend(blk.rows.values())
+            d_plus, d_minus = subalgebra_closure(a, gens[True]), subalgebra_closure(a, gens[False])
             pair_list = [(d_plus, d_minus), (d_plus, s_sub), (s_sub, d_minus)]
         else:
             plus_list = [c for c in candidates if directedness(work, levels, True, c)["ok"]]
             minus_list = [c for c in candidates if directedness(work, levels, False, c)["ok"]]
             pair_list = [(p, m) for p in plus_list for m in minus_list]
         for aplus, aminus in pair_list:
+            spaces = (aplus.space, aminus.space)
+            if spaces not in decomposes:
+                decomposes[spaces] = _decomposition(
+                    a, frame.labels, range(n), blocks_full, peirce_blocks(frame, aplus),
+                    peirce_blocks(frame, aminus))["ok"]
+            if not decomposes[spaces]:
+                continue
             structure = ReedyStructure(a, work, aplus, aminus, check=False)
             if verify_reedy(structure)["overall"]:
                 key = (

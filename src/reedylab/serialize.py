@@ -35,6 +35,8 @@ def read_json(path) -> dict:
         return json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path}: not valid JSON ({exc})") from exc
+    except RecursionError as exc:
+        raise FormatError(f"{path}: JSON nested too deeply to read") from exc
     except OSError as exc:
         raise FormatError(f"{path}: {exc}") from exc
 

@@ -158,8 +158,9 @@ def test_criterion_04_simplex_truncations():
                     closed_form = comb(i + j + 1, i + 1)
                     brute = len(list(combinations_with_replacement(range(j + 1), i + 1)))
                     assert blocks[(j, i)].dim == closed_form == brute
-            inj = [m for m in structure.algebra._cache["simplex_basis"] if m.is_injective()]
-            surj = [m for m in structure.algebra._cache["simplex_basis"] if m.is_surjective()]
+            maps = [m for i in range(n + 1) for j in range(n + 1) for m in rl.monotone_maps(i, j)]
+            inj = [m for m in maps if m.is_injective()]
+            surj = [m for m in maps if m.is_surjective()]
             assert structure.aplus.dim == len(inj)
             assert structure.aminus.dim == len(surj)
 

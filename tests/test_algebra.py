@@ -19,7 +19,7 @@ from reedylab.algebra import (
 )
 from reedylab.corpus import default_corpus_dir
 from reedylab.linalg import Echelon, Matrix, add_scaled, rref, span, sparse
-from reedylab.qh import peirce_blocks
+from reedylab.qh import level_chain, peirce_blocks
 from reedylab.serialize import algebra_from_json, load_algebra, read_json
 
 
@@ -489,6 +489,8 @@ def test_is_elementary(diamond, m2q, simplex1, Q):
     assert not rl.is_elementary(m2, diag)  # M2 is not elementary for any frame
     kk, kk_frame = rl.build_quiver_algebra(rl.QuiverPresentation(["p", "q"], [], [], 1), Q)
     assert rl.is_elementary(kk, kk_frame)
+    # k x k has two simple modules, but a zero idempotent indexes none
+    assert not rl.is_elementary(kk, rl.IdempotentFrame(kk, [kk.unit, kk.zero_vector()]))
     assert not rl.is_elementary(simplex1.algebra, simplex1.frame)
 
 
@@ -504,7 +506,10 @@ def _elementary_by_quotient(a, frame):
 
 def test_is_elementary_matches_quotient_definition(corpus_structures, m2q, simplex1):
     """On A and its subalgebras, with A's frame, against the definition on
-    the subalgebra extracted as an algebra (False when E does not lie in it)."""
+    the subalgebra extracted as an algebra (False when E does not lie in it);
+    and with below = J, for every ideal J_(l-1) of the level chain of every
+    corpus structure and of simplex2 and tensor49 over Q, GF(2) and GF(3),
+    against the definition on A/J with the surviving frame."""
     m2, diag = m2q
     cases = [(r.algebra, r.frame) for r in corpus_structures.values()]
     cases += [(m2, diag), (simplex1.algebra, simplex1.frame)]
@@ -522,6 +527,19 @@ def test_is_elementary_matches_quotient_definition(corpus_structures, m2q, simpl
                 extracted = subalgebra_with_frame(sub, frame)
                 expected = extracted is not None and _elementary_by_quotient(*extracted)
             assert rl.is_elementary(a, frame, sub) == expected, (a, sub)
+            seen.add(expected)
+    assert seen == {True, False}
+
+    structures = list(corpus_structures.values())
+    for field in (rl.rationals(), rl.prime_field(2), rl.prime_field(3)):
+        s1, s2 = rl.build_simplex_algebra(1, field), rl.build_simplex_algebra(2, field)
+        structures += [s2, rl.build_tensor_reedy(s1, s1)]
+    seen = set()
+    for r in structures:
+        for j in level_chain(r.algebra, r.frame, r.order()).ideals[:-1]:
+            q, qmap = rl.quotient(r.algebra, j)
+            expected = _elementary_by_quotient(q, rl.quotient_frame(r.frame, qmap))
+            assert rl.is_elementary(r.algebra, r.frame, below=j.space) == expected, (r, j.dim)
             seen.add(expected)
     assert seen == {True, False}
 

@@ -564,6 +564,24 @@ def test_malformed_corpus_names_the_cause(tmp_path, capsys, index, code, cause):
         assert stdout.splitlines()[0].startswith("FAIL") and cause in stdout.splitlines()[0]
 
 
+# file name -> the command that reads it; json.loads fails with RecursionError
+# on deep nesting, which must exit 2 like any other unreadable file
+DEEPLY_NESTED = [
+    ("bad.reedy.json", lambda d: ["verify", "reedy", str(d / "bad.reedy.json")]),
+    ("bad.alg.json", lambda d: ["verify", "qh", str(d / "bad.alg.json"),
+                                str(CORPUS / "uppertri.order01.order.json")]),
+    ("entries.json", lambda d: ["corpus", "run", "--dir", str(d)]),
+]
+
+
+@pytest.mark.parametrize("name, argv", DEEPLY_NESTED, ids=[row[0] for row in DEEPLY_NESTED])
+def test_deeply_nested_json_exits_2(tmp_path, capsys, name, argv):
+    (tmp_path / name).write_text("[" * 100_000)
+    code, stdout, stderr = run(capsys, *argv(tmp_path))
+    assert code == 2 and stdout == ""
+    assert stderr == f"error: {tmp_path / name}: JSON nested too deeply to read\n"
+
+
 @pytest.mark.parametrize("check", ["borel", "delta"])
 def test_corpus_entries_take_every_verify_check(tmp_path, capsys, check):
     shutil.copytree(CORPUS, tmp_path / "corpus")

@@ -435,7 +435,8 @@ def test_order_search_diamond_contains_examples(diamond):
     assert orders == sorted(orders)
 
 
-def test_order_search_bound(diamond):
+def test_order_search_bound(monkeypatch, diamond):
     algebra, frame = diamond
+    monkeypatch.setattr(rl.qh, "MAX_WEIGHTS", 3)
     with pytest.raises(AlgebraError):
-        rl.qh_order_search(algebra, frame, max_weights=3)
+        rl.qh_order_search(algebra, frame)

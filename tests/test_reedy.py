@@ -1,25 +1,34 @@
 """Reedy verification, layers, recursion, induced structures, search, crosscheck."""
 
 from itertools import permutations
+from pathlib import Path
 
 import pytest
 
 import reedylab as rl
-import reedylab.qh as qh_module
 from dense_modules import subalgebra_with_frame
 from reedylab.algebra import (AlgebraError, column_span, corner_span, product_rank, row_span,
                               two_sided_span)
 from reedylab.corpus import default_corpus_dir
 from reedylab.linalg import densify, modulo, span, sparse, sparse_span, subspace_intersect
 from reedylab.qh import level_chain, order_from_degrees, peirce_blocks
-from reedylab.reedy import _center_dim, _tensor_pairs
-from reedylab.serialize import load_reedy
+from reedylab.reedy import _center_dim
+from reedylab.serialize import load_reedy, read_json
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def verified(structures):
     return {
         name: s for name, s in structures.items() if rl.verify_reedy(s)["overall"]
     }
+
+
+def _tensor_pairs(r, indices):
+    """The column A+e_i and the row e_iA- for each frame index, by products."""
+    lines = r.frame.lines()
+    return [(column_span(r.algebra, r.aplus.space, lines[i]),
+             row_span(r.algebra, lines[i], r.aminus.space)) for i in indices]
 
 
 def setup_holds(structure):
@@ -430,9 +439,43 @@ def test_exhaustive_search_computes_the_peirce_blocks_of_a_once(monkeypatch, GF2
             rows_of_a.append(e)
         return row_span(a, e, space)
 
-    monkeypatch.setattr(qh_module, "row_span", counting)
+    monkeypatch.setattr(rl.algebra, "row_span", counting)
     assert rl.search_reedy(algebra, frame, mode="exhaustive")
     assert len(rows_of_a) == len(frame)
+
+
+def test_exhaustive_search_decides_each_pair_once(monkeypatch, GF2):
+    """Diamond over GF(2): the decomposition condition reads no degrees, so
+    the search tests it at most once per distinct pair (A+, A-) that
+    directedness admits under some degree function, and verify_reedy only
+    sees pairs that decompose; the result is the pinned one."""
+    algebra, frame = rl.build_quiver_algebra(rl.diamond_presentation(), GF2)
+    admitted = set()
+    candidates = rl.reedy._candidate_subalgebras(algebra, frame)
+    for levels in rl.qh.normalized_level_functions(len(frame)):
+        work = frame.with_degrees(levels)
+        plus = [c for c in candidates if rl.qh.directedness(work, levels, True, c)["ok"]]
+        minus = [c for c in candidates if rl.qh.directedness(work, levels, False, c)["ok"]]
+        admitted.update((p.space, m.space) for p in plus for m in minus)
+
+    decompositions, conditions, verified = [], [], []
+    for name, log in (("_decomposition", decompositions), ("_conditions", conditions)):
+        real = getattr(rl.reedy, name)
+        monkeypatch.setattr(rl.reedy, name, lambda *args, real=real, log=log: log.append(1) or real(*args))
+    real_verify = rl.reedy.verify_reedy
+    monkeypatch.setattr(rl.reedy, "verify_reedy",
+                        lambda r: verified.append(r) or real_verify(r))
+    found = rl.search_reedy(algebra, frame, mode="exhaustive")
+
+    # every _conditions call (one per verify_reedy) runs one decomposition
+    assert len(decompositions) - len(conditions) <= len(admitted)
+    assert verified and all(real_verify(r)["cond_decomp"]["ok"] for r in verified)
+    show = lambda rows: [[GF2.show(x) for x in row] for row in rows]
+    got = [{"degrees": dict(zip(s.frame.labels, s.frame.degrees)),
+            "aplus_basis": show(s.aplus.space.basis), "aminus_basis": show(s.aminus.space.basis)}
+           for s in found]
+    pinned = read_json(GOLDEN / "corpus.diamond-gf2-search.json")["found"]
+    assert got == [{k: e[k] for k in ("degrees", "aplus_basis", "aminus_basis")} for e in pinned]
 
 
 def test_search_heuristic_simplex1(simplex1):
@@ -488,9 +531,10 @@ def test_crosscheck_agreement_on_corpus(corpus_structures):
 
 
 def test_crosscheck_reuses_elementarity(monkeypatch, Q):
-    """is_elementary keeps its verdict on A, A+ and A- per frame, so one
-    crosscheck on diamond deg1234 computes 40 corner spans, not the 176 it
-    took when every caller retested elementarity."""
+    """is_elementary decides elementarity by one dimension count, with no
+    corner span, and keeps its verdict on A, A+ and A- per frame, so one
+    crosscheck on diamond deg1234 computes 4 corner spans: the radical
+    corner of each heredity layer."""
     calls = []
     for module in (rl.algebra, rl.qh, rl.reedy):
         real = module.corner_span
@@ -500,7 +544,7 @@ def test_crosscheck_reuses_elementarity(monkeypatch, Q):
     s = rl.subalgebra_closure(algebra, list(frame.idempotents))
     r = rl.ReedyStructure(algebra, frame.with_degrees([1, 2, 3, 4]), rl.full_subalgebra(algebra), s)
     assert rl.characterization_crosscheck(r)["agree"]
-    assert len(calls) <= 40
+    assert len(calls) <= 4
 
 
 def test_crosscheck_negative_instances(corpus_structures, uppertri_ss, m2_gf2_pair):
