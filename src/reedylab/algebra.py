@@ -262,11 +262,14 @@ class IdempotentFrame:
         return self._degree_sum(lambda d: d <= level)
 
     def _degree_sum(self, keep) -> tuple:
+        return self.sum_of(i for i, d in enumerate(self.degrees) if keep(d))
+
+    def sum_of(self, indices) -> tuple:
+        """Sum of the idempotents at ``indices`` (zero if none)."""
         f = self.algebra.field
         total = [f.zero] * self.algebra.dim
-        for e, d in zip(self.idempotents, self.degrees):
-            if keep(d):
-                total = [f.add(x, y) for x, y in zip(total, e)]
+        for i in indices:
+            total = [f.add(x, y) for x, y in zip(total, self.idempotents[i])]
         return tuple(total)
 
     def lines(self) -> tuple:
@@ -329,6 +332,13 @@ class AlgSubspace:
 
     def __repr__(self):
         return f"AlgSubspace(dim={self.dim}, kind={self.closure_kind})"
+
+    def memo(self, key, compute):
+        """The value of ``compute()``, computed once per ``key`` and kept on
+        this subspace."""
+        if key not in self._cache:
+            self._cache[key] = compute()
+        return self._cache[key]
 
     def contains(self, vec) -> bool:
         """Whether a dense element lies in the space."""
@@ -487,9 +497,14 @@ def corner_span(a: Algebra, e, space: Subspace | None, base: Subspace | None = N
     return product_span(a, line, product_span(a, space, line, base), base)
 
 
-def two_sided_span(a: Algebra, e, space: Subspace | None) -> Subspace:
-    """Span of X*e*X for X a subspace (the ideal AeA when None)."""
-    return product_span(a, column_span(a, space, e), space)
+def peirce_two_sided(frame: IdempotentFrame, inside, sub: AlgSubspace | None = None) -> Subspace:
+    """Span of X*e*X for X = A (the ideal AeA) or a subalgebra ``sub``
+    holding the frame, and e the sum of the frame idempotents at
+    ``inside``: the span of the block products (e_hXe_i)(e_iXe_h') over i
+    inside and every h, h', from the cached Peirce table of X."""
+    blocks, n = peirce_blocks(frame, sub), range(len(frame))
+    pairs = [(blocks[(h, i)], blocks[(i, g)]) for i in inside for h in n for g in n]
+    return _product_echelon(frame.algebra, pairs)[1].to_subspace()
 
 
 def product_rank(a: Algebra, pairs, base: Subspace | None = None) -> tuple[int, int]:
@@ -834,45 +849,72 @@ def tensor_algebras(a: Algebra, b: Algebra) -> Algebra:
     return Algebra(f, labels, mult, unit)
 
 
-def tensor_dim_over_corner(a: Algebra, e, below: Subspace | None = None) -> int:
-    """dim of Ae (x)_{eAe} eA, by its Peirce split along 1 = e + f.
+def tensor_dim_over_corner(frame: IdempotentFrame, inside, below: Subspace | None = None) -> int:
+    """dim of Ae (x)_{eAe} eA for e the sum of the frame idempotents at
+    ``inside``, one frame pair (h, g) at a time.  eAe holds each e_i, so
+    x (x) y vanishes for x in e_hAe_i, y in e_kAe_g and k != i.  If h or g
+    is inside, the part at (h, g) is the block e_hAe_g.  Otherwise it is
+    the sum over i inside of e_hAe_i (x) e_iAe_g modulo the relations
+    x r (x) y - x (x) r y for r in e_iAe_k (i, k inside); it maps onto
+    e_h(AeA)e_g, so the relations stop once their rank is the width less
+    that image's rank.  With ``below`` = J, an ideal, all is read in A/J:
+    blocks as residue rows modulo J, products reduced modulo J."""
+    a, lines, n = frame.algebra, frame.lines(), range(len(frame))
+    inside = sorted(inside)
+    outside = [h for h in n if h not in inside]
+    reduce = below.reduce if below is not None else dict
+    columns = {i: product_span(a, None, lines[i], below) for i in inside}
+    rows = {i: product_span(a, lines[i], None, below) for i in inside}
+    blocks = {(k, i): product_span(a, lines[k], columns[i], below) for k in inside for i in inside}
+    total = sum(columns[i].dim + rows[i].dim for i in inside) - sum(b.dim for b in blocks.values())
+    if all(b.dim == 0 or (i == k and b.dim == 1) for (i, k), b in blocks.items()):
+        # eAe is spanned by the e_i, whose relations vanish: each part is its full width
+        return total + sum((columns[i].dim - blocks[(i, i)].dim) * (rows[i].dim - blocks[(i, i)].dim)
+                           for i in inside)
+    for i in inside:
+        blocks.update({(h, i): product_span(a, lines[h], columns[i], below) for h in outside})
+        blocks.update({(i, h): product_span(a, rows[i], lines[h], below) for h in outside})
+    corner = [(i, k, r) for i in inside for k in inside for r in blocks[(i, k)].rows.values()]
+    # per corner row r in e_iAe_k: x*r in e_hAe_k for the rows x of e_hAe_i, r*y in e_iAe_g
+    # for the rows y of e_kAe_g, in block coordinates
+    xr = {h: [[blocks[(h, k)].coords(reduce(a.mul_sparse(x, r))) for x in blocks[(h, i)].rows.values()]
+              for i, k, r in corner] for h in outside}
+    ry = {g: [[blocks[(i, g)].coords(reduce(a.mul_sparse(r, y))) for y in blocks[(k, g)].rows.values()]
+              for i, k, r in corner] for g in outside}
+    for h in outside:
+        for g in outside:
+            pairs = [(blocks[(h, i)], blocks[(i, g)]) for i in inside]
+            offsets, width = {}, 0
+            for i, (x, y) in zip(inside, pairs):
+                offsets[i] = (width, y.dim)
+                width += x.dim * y.dim
+            relations, bound = Echelon(a.field, width), None
+            for vec in _balancing(a.field, corner, xr[h], ry[g], offsets):
+                if bound is None:
+                    bound = width - product_rank(a, pairs, below)[1]
+                if relations.dim == bound:
+                    break
+                relations.insert(vec)
+            total += width - relations.dim
+    return total
 
-    As eAe-modules Ae = eAe + fAe and eA = eAe + eAf, so the tensor product
-    is eAe + fAe + eAf + fAe (x)_{eAe} eAf, and only the last summand needs
-    the balancing relations x r (x) y - x (x) r y, for x in fAe, r in eAe and
-    y in eAf.  With ``below`` = J, an ideal of A, the algebra is A/J: the
-    Peirce pieces are residue rows modulo J, and a product is read in their
-    coordinates after reduction modulo J."""
-    f = a.field
-    e = tuple(e)
-    if not a.is_idempotent(e):
-        raise AlgebraError("tensor_dim_over_corner requires an idempotent")
-    if below is None:
-        below = Subspace(f, a.dim)
-    line = element_line(a, e)
-    rest = element_line(a, tuple(f.sub(u, x) for u, x in zip(a.unit, e)))
-    column = product_span(a, None, line, below)
-    corner_space = product_span(a, line, column, below)
-    m_space = product_span(a, rest, column, below)
-    n_space = product_span(a, product_span(a, line, None, below), rest, below)
-    dim_m, dim_n = m_space.dim, n_space.dim
-    m_rows = m_space.rows.values()
-    n_rows = n_space.rows.values()
-    relations = Echelon(f, dim_m * dim_n)
-    for sr in corner_space.rows.values():
-        xr = [m_space.coords(below.reduce(a.mul_sparse(x, sr))) for x in m_rows]
-        ry = [n_space.coords(below.reduce(a.mul_sparse(sr, y))) for y in n_rows]
-        # x r (x) y - x (x) r y for every basis pair (x, y)
-        for xi, left in enumerate(xr):
-            for yj, right in enumerate(ry):
-                vec = {c * dim_n + yj: v for c, v in left.items()}
-                for c, v in right.items():
-                    key = xi * dim_n + c
+
+def _balancing(f, corner, xr, ry, offsets):
+    """The nonzero relations x r (x) y - x (x) r y, where x r (x) y sits at
+    the column offset + c * step + j for ``offsets[k]`` = (offset, step),
+    c the coordinate of x*r and j the index of y, and x (x) r y likewise at
+    ``offsets[i]``."""
+    for (i, k, _), per_x, per_y in zip(corner, xr, ry):
+        (at_i, step_i), (at_k, step_k) = offsets[i], offsets[k]
+        for xi, x_r in enumerate(per_x):
+            for yj, r_y in enumerate(per_y):
+                vec = {at_k + c * step_k + yj: v for c, v in x_r.items()}
+                for c, v in r_y.items():
+                    key = at_i + xi * step_i + c
                     val = f.sub(vec.get(key, f.zero), v)
-                    if val == f.zero:
-                        vec.pop(key, None)
-                    else:
+                    if val:
                         vec[key] = val
+                    else:
+                        vec.pop(key)
                 if vec:
-                    relations.insert(vec)
-    return corner_space.dim + dim_m + dim_n + dim_m * dim_n - relations.dim
+                    yield vec

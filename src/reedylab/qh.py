@@ -163,22 +163,25 @@ def heredity_ideal_check(a: Algebra, frame: IdempotentFrame, eps) -> dict:
     eps = tuple(eps)
     if not a.is_idempotent(eps):
         raise AlgebraError("heredity_ideal_check requires an idempotent")
-    return _heredity_report(a, frame, eps, ideal_closure(a, [eps]).space, None)
+    f = a.field
+    split = IdempotentFrame(a, [eps, tuple(f.sub(u, x) for u, x in zip(a.unit, eps))], check=False)
+    return _heredity_report(a, frame, split, [0], ideal_closure(a, [eps]).space, None)
 
 
-def _heredity_report(a: Algebra, frame: IdempotentFrame, eps, layer: Subspace,
-                     below: Subspace | None) -> dict:
-    """``heredity_ideal_check`` in A/J' for J' = ``below`` (0 when None): an
-    idempotent eps of A and ``layer``, the residue rows modulo J' of the
-    ideal J generated by eps and J'.  The radical of A/J' is
-    (rad A + J')/J', so only A's radical is ever computed."""
+def _heredity_report(a: Algebra, frame: IdempotentFrame, split: IdempotentFrame, inside,
+                     layer: Subspace, below: Subspace | None) -> dict:
+    """``heredity_ideal_check`` in A/J' for J' = ``below`` (0 when None): the
+    idempotent eps of A that sums the idempotents of the frame ``split`` at
+    ``inside``, and ``layer``, the residue rows modulo J' of the ideal J
+    generated by eps and J'.  The radical of A/J' is (rad A + J')/J', so
+    only A's radical is ever computed."""
     if layer.dim == 0:
         return {"overall": True, "trivial": True, "ideal_dim": 0, "corner_semisimple": True,
                 "tensor_bijective": True}
     rad = modulo(radical(a).space, below)
-    corner_rad = corner_span(a, eps, rad, below)
+    corner_rad = corner_span(a, split.sum_of(inside), rad, below)
     corner_ss = corner_rad.dim == 0
-    tens = tensor_dim_over_corner(a, eps, below) if corner_ss else None
+    tens = tensor_dim_over_corner(split, inside, below) if corner_ss else None
     tensor_ok = tens == layer.dim if corner_ss else False
     report = {
         "overall": corner_ss and tensor_ok,
@@ -222,7 +225,8 @@ def heredity_chain_verify(a: Algebra, frame: IdempotentFrame, order: WeightOrder
     layers, ok = [], True
     for rank, (lev, layer) in enumerate(zip(chain.levels, chain.layers)):
         below = chain.ideals[rank - 1].space if rank else None
-        verdict = _heredity_report(a, chain.frame, chain.frame.eps(lev), layer, below)
+        inside = [i for i, level in enumerate(chain.frame.degrees) if level == lev]
+        verdict = _heredity_report(a, chain.frame, chain.frame, inside, layer, below)
         layers.append({"level": lev, "ideal_dim": chain.ideals[rank].dim, "layer_dim": layer.dim,
                        "verdict": bool(verdict["overall"]), "strictly_increasing": layer.dim > 0,
                        "detail": verdict})

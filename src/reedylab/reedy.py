@@ -19,10 +19,10 @@ from .algebra import (
     column_span,
     corner,
     corner_span,
-    ideal_closure,
     is_elementary,
     peirce_blocks,
     peirce_dim,
+    peirce_two_sided,
     product_rank,
     quotient,
     quotient_frame,
@@ -30,7 +30,6 @@ from .algebra import (
     row_span,
     subalgebra_closure,
     tensor_dim_over_corner,
-    two_sided_span,
 )
 from .fields import Field
 from .linalg import (Echelon, Subspace, add_scaled, densify, modulo, null_space, sparse,
@@ -112,26 +111,48 @@ def _conditions(r: ReedyStructure, indices, below: Subspace | None = None) -> di
                        peirce_blocks(frame, r.aminus)))
     cond_plus = _directed(plus, indices, frame.labels, frame.degrees, True)
     cond_minus = _directed(minus, indices, frame.labels, frame.degrees, False)
-    cond_decomp = _decomposition(r.algebra, frame.labels, indices, full, plus, minus, below)
+    if below is None and len(indices) == len(frame):
+        counts = _full_decomposition(frame, r.aplus, r.aminus)
+    else:
+        counts = _decomposition(r.algebra, indices, full, plus, minus, below)
+    pairs = [{"from": frame.labels[i], "to": frame.labels[j], "domain_dim": domain,
+              "block_dim": block_dim, "rank": rank, "ok": domain == block_dim == rank}
+             for (j, i), (domain, block_dim, rank)
+             in zip(iter_product(indices, indices), _triples(counts))]
+    cond_decomp = {"ok": all(p["ok"] for p in pairs), "pairs": pairs}
     return {"cond_plus": cond_plus, "cond_minus": cond_minus, "cond_decomp": cond_decomp,
             "overall": cond_plus["ok"] and cond_minus["ok"] and cond_decomp["ok"]}
 
 
-def _decomposition(a: Algebra, labels, indices, full: dict, plus: dict, minus: dict,
-                   below: Subspace | None = None) -> dict:
+def _decomposition(a: Algebra, indices, full: dict, plus: dict, minus: dict,
+                   below: Subspace | None = None) -> tuple:
     """The decomposition condition, which reads no degrees: for each pair
-    (j, i) of the frame indices ``indices``, multiplication from the sum
-    over l of e_jA+e_l (x) e_lA-e_i to e_jAe_i is bijective, on the Peirce
-    blocks of A, A+ and A- (``full``, ``plus``, ``minus``) with every rank
-    read modulo ``below``."""
-    pairs = []
-    for j in indices:
-        for i in indices:
-            domain, rank = product_rank(a, [(plus[(j, l)], minus[(l, i)]) for l in indices], below)
-            block_dim = full[(j, i)].dim
-            pairs.append({"from": labels[i], "to": labels[j], "domain_dim": domain,
-                          "block_dim": block_dim, "rank": rank, "ok": domain == block_dim == rank})
-    return {"ok": all(p["ok"] for p in pairs), "pairs": pairs}
+    (j, i) of the frame indices ``indices``, in order, the domain
+    dimension, block dimension and rank of multiplication from the sum over
+    l of e_jA+e_l (x) e_lA-e_i to e_jAe_i, on the Peirce blocks of A, A+
+    and A- (``full``, ``plus``, ``minus``) with every rank read modulo
+    ``below``.  The condition holds where the three agree.  The counts are
+    one flat tuple (``_triples`` splits it), since a search keeps one per
+    pair (A+, A-) it tests."""
+    counts = []
+    for j, i in iter_product(indices, indices):
+        domain, rank = product_rank(a, [(plus[(j, l)], minus[(l, i)]) for l in indices], below)
+        counts += (domain, full[(j, i)].dim, rank)
+    return tuple(counts)
+
+
+def _triples(counts: tuple):
+    """The (domain, block dim, rank) of each pair of ``_decomposition``."""
+    return zip(counts[::3], counts[1::3], counts[2::3])
+
+
+def _full_decomposition(frame: IdempotentFrame, aplus: AlgSubspace, aminus: AlgSubspace) -> tuple:
+    """``_decomposition`` on the whole frame, decided once per frame and
+    pair (A+, A-) and kept on A+."""
+    return aplus.memo(
+        ("decomposition", frame.idempotents, aminus.space),
+        lambda: _decomposition(frame.algebra, range(len(frame)), peirce_blocks(frame),
+                               peirce_blocks(frame, aplus), peirce_blocks(frame, aminus)))
 
 
 def _require_setup(r: ReedyStructure) -> None:
@@ -150,7 +171,8 @@ def layer_check(r: ReedyStructure) -> dict:
 
     Level l compares dim J_l/J_{l-1} against the blockwise tensor data,
     once with the columns A+e_i and rows e_iA- taken in A and once with
-    their images in A+/K+ and A-/K-, for K = X*eps_(<l)*X in X = A+ or A-.
+    their images in A+/K+ and A-/K-, for K = X*eps_(<l)*X in X = A+ or A-,
+    from the Peirce tables of A+ and A-.
     K lies in J_{l-1}, with K+e_i in A+e_i and e_iK- in e_iA-, so modulo
     J_{l-1} both forms have one image: they differ only in the domain.
     The direct form multiplies the Peirce blocks e_jA+e_i (x) e_iA-e_k,
@@ -190,9 +212,9 @@ def layer_check(r: ReedyStructure) -> dict:
         all_ok = all_ok and ok2 and ok3
         prev = j_here.space
         if rank + 1 < len(chain.levels):
-            eps_here = chain.frame.eps_upto(lev)
-            k_plus = two_sided_span(a, eps_here, r.aplus.space)
-            k_minus = two_sided_span(a, eps_here, r.aminus.space)
+            upto = [i for i in n if order.levels[i] <= lev]
+            k_plus = peirce_two_sided(frame, upto, r.aplus)
+            k_minus = peirce_two_sided(frame, upto, r.aminus)
     overall = verify_reedy(r)["overall"]
     return {
         "levels": levels_report,
@@ -237,10 +259,11 @@ def induced_corner(r: ReedyStructure, cut: int) -> ReedyStructure:
     return structure
 
 
-def _image_diagnostics(a: Algebra, e, j: Subspace, sub: AlgSubspace) -> dict:
-    """dim (X + AeA)/AeA against dim X/XeX for X = ``sub``, ``j`` = AeA."""
+def _image_diagnostics(frame: IdempotentFrame, inside, j: Subspace, sub: AlgSubspace) -> dict:
+    """dim (X + AeA)/AeA against dim X/XeX for X = ``sub``, ``j`` = AeA and
+    e the sum of the frame idempotents at ``inside``."""
     image_dim = modulo(sub.space, j).dim
-    inner_quotient_dim = sub.dim - two_sided_span(a, e, sub.space).dim
+    inner_quotient_dim = sub.dim - peirce_two_sided(frame, inside, sub).dim
     return {"image_dim": image_dim, "inner_quotient_dim": inner_quotient_dim,
             "injective": image_dim == inner_quotient_dim}
 
@@ -251,9 +274,10 @@ def induced_quotient(r: ReedyStructure, cut: int) -> ReedyStructure:
     a = r.algebra
     order = r.order()
     work = r.frame.with_degrees(order.levels)
-    e = work.eps_upto(cut)
-    j = ideal_closure(a, [e])
-    if not all(_image_diagnostics(a, e, j.space, sub)["injective"] for sub in (r.aplus, r.aminus)):
+    inside = [i for i, level in enumerate(order.levels) if level <= cut]
+    j = AlgSubspace(a, peirce_two_sided(work, inside), AlgSubspace.IDEAL)
+    if not all(_image_diagnostics(work, inside, j.space, sub)["injective"]
+               for sub in (r.aplus, r.aminus)):
         raise AlgebraError("quotient subalgebra images are not embeddings (unexpected)")
     q_alg, qmap = quotient(a, j)
     q_frame = quotient_frame(work, qmap)
@@ -281,15 +305,15 @@ def recursive_check(r: ReedyStructure, cut: int) -> dict:
     hypothesis = sum(p["rank"] for p in report_r["cond_decomp"]["pairs"]) == a.dim
 
     levels = r.order().levels
-    e = r.frame.with_degrees(levels).eps_upto(cut)
-    j = ideal_closure(a, [e]).space
-    corner_ok = _conditions(r, [i for i, level in enumerate(levels) if level <= cut])["overall"]
+    inside = [i for i, level in enumerate(levels) if level <= cut]
+    j = peirce_two_sided(r.frame, inside)
+    corner_ok = _conditions(r, inside)["overall"]
     quotient_ok = _conditions(r, [i for i, level in enumerate(levels) if level > cut], j)["overall"]
     qdiag = {"quotient_dim": a.dim - j.dim, "cut": cut,
-             "aplus": _image_diagnostics(a, e, j, r.aplus),
-             "aminus": _image_diagnostics(a, e, j, r.aminus)}
+             "aplus": _image_diagnostics(r.frame, inside, j, r.aplus),
+             "aminus": _image_diagnostics(r.frame, inside, j, r.aminus)}
     # Multiplication Ae (x)_eAe eA -> AeA = J, the ideal the quotient divides out.
-    tens = tensor_dim_over_corner(a, e)
+    tens = tensor_dim_over_corner(r.frame, inside)
     mult_ok = tens == j.dim
     triple = (corner_ok, quotient_ok, mult_ok)
     overall = report_r["overall"]
@@ -451,9 +475,10 @@ def search_reedy(a: Algebra, frame: IdempotentFrame, mode: str = "heuristic",
     Heuristic mode closes the degree-raising and degree-lowering block
     spans; exhaustive mode (finite fields) enumerates every subalgebra
     between S and A.  The decomposition condition reads no degrees, so it
-    is decided once per pair (A+, A-); only a pair that decomposes becomes
-    a structure for ``verify_reedy``.  Results are deduplicated and ordered
-    by degree function and canonical bases.
+    is decided once per pair (A+, A-), kept on A+ for ``verify_reedy``;
+    heuristic closures with equal spaces are one object, so the pair is
+    decided once over all degree functions.  Results are deduplicated and
+    ordered by degree function and canonical bases.
     """
     n = len(frame)
     if n > MAX_WEIGHTS:
@@ -471,7 +496,8 @@ def search_reedy(a: Algebra, frame: IdempotentFrame, mode: str = "heuristic",
         candidates = _candidate_subalgebras(a, frame)
     else:
         s_sub = subalgebra_closure(a, frame.idempotents)
-    found, decomposes = {}, {}
+        closures = {s_sub.space: s_sub}
+    found = {}
     blocks_full = peirce_blocks(frame)
     for levels in normalized_level_functions(n, max_levels):
         work = frame.with_degrees(levels)
@@ -481,19 +507,16 @@ def search_reedy(a: Algebra, frame: IdempotentFrame, mode: str = "heuristic",
             for (j, i), blk in blocks_full.items():
                 if i != j:
                     gens[levels[j] > levels[i]].extend(blk.rows.values())
-            d_plus, d_minus = subalgebra_closure(a, gens[True]), subalgebra_closure(a, gens[False])
+            d_plus, d_minus = (closures.setdefault(c.space, c) for c in
+                               (subalgebra_closure(a, gens[True]), subalgebra_closure(a, gens[False])))
             pair_list = [(d_plus, d_minus), (d_plus, s_sub), (s_sub, d_minus)]
         else:
             plus_list = [c for c in candidates if directedness(work, levels, True, c)["ok"]]
             minus_list = [c for c in candidates if directedness(work, levels, False, c)["ok"]]
             pair_list = [(p, m) for p in plus_list for m in minus_list]
         for aplus, aminus in pair_list:
-            spaces = (aplus.space, aminus.space)
-            if spaces not in decomposes:
-                decomposes[spaces] = _decomposition(
-                    a, frame.labels, range(n), blocks_full, peirce_blocks(frame, aplus),
-                    peirce_blocks(frame, aminus))["ok"]
-            if not decomposes[spaces]:
+            counts = _full_decomposition(frame, aplus, aminus)
+            if not all(domain == block_dim == rank for domain, block_dim, rank in _triples(counts)):
                 continue
             structure = ReedyStructure(a, work, aplus, aminus, check=False)
             if verify_reedy(structure)["overall"]:

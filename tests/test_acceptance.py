@@ -263,11 +263,10 @@ def test_criterion_10_kernel_and_radical_postconditions():
                     rl.subspace_sum(u, v).dim + subspace_intersect(u, v).dim
                     == u.dim + v.dim
                 )
-        algebras = []
+        algebras = {}
         for s in corpus().values():
-            if s.algebra not in algebras:
-                algebras.append(s.algebra)
-        for algebra in algebras:
+            algebras.setdefault(s.algebra, s.frame)
+        for algebra, frame in algebras.items():
             rad = rl.radical(algebra)
             assert rad.is_ideal()
             power = [list(v) for v in rad.space.basis]
@@ -289,4 +288,4 @@ def test_criterion_10_kernel_and_radical_postconditions():
             # already certifies the radical.
             if algebra.field.characteristic:
                 assert _radical_charp(algebra) == rad.space
-            assert rl.tensor_dim_over_corner(algebra, algebra.unit) == algebra.dim
+            assert rl.tensor_dim_over_corner(frame, range(len(frame))) == algebra.dim

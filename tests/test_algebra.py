@@ -14,6 +14,7 @@ from reedylab.algebra import (
     _check_nilpotent,
     _radical_charp,
     corner_span,
+    peirce_two_sided,
     product_rank,
     product_span,
 )
@@ -598,16 +599,19 @@ def test_tensor_associative_up_to_reindexing(Q, uppertri):
 
 
 def test_tensor_dim_over_unit(diamond, uppertri, simplex1, simplex2, m2q, tensor49):
-    for algebra in (diamond[0], uppertri[0], simplex1.algebra, simplex2.algebra,
-                    m2q[0], tensor49.algebra):
-        assert rl.tensor_dim_over_corner(algebra, algebra.unit) == algebra.dim
+    """The trivial cuts: e = 1 gives A, e = 0 gives 0."""
+    for algebra, frame in (diamond, uppertri, (simplex1.algebra, simplex1.frame),
+                           (simplex2.algebra, simplex2.frame), m2q,
+                           (tensor49.algebra, tensor49.frame)):
+        assert rl.tensor_dim_over_corner(frame, range(len(frame))) == algebra.dim
+        assert rl.tensor_dim_over_corner(frame, []) == 0
 
 
 def test_tensor_dim_uppertri_heredity(uppertri):
     algebra, frame = uppertri
-    e = frame.idempotents[frame.index_of("v1")]  # target vertex = matrix unit E11
-    dim = rl.tensor_dim_over_corner(algebra, e)
-    ideal = rl.ideal_closure(algebra, [e])
+    v1 = frame.index_of("v1")  # target vertex = matrix unit E11
+    dim = rl.tensor_dim_over_corner(frame, [v1])
+    ideal = rl.ideal_closure(algebra, [frame.idempotents[v1]])
     assert dim == 2 == ideal.dim
 
 
@@ -618,8 +622,22 @@ def test_tensor_dim_diamond_sink(diamond, Q):
     # out of d only e_d, so dim Ae_d (x)_k e_dA = 4*1 and dim Ae_dA = 4
     into_d = [lab for lab in algebra.labels if lab in ("d", "bd", "cd", "ac*cd")]
     assert len(into_d) == 4
-    assert rl.tensor_dim_over_corner(algebra, e_d) == 4
+    assert rl.tensor_dim_over_corner(frame, [frame.index_of("d")]) == 4
     assert rl.ideal_closure(algebra, [e_d]).dim == 4
+
+
+def test_tensor_dim_not_bijective_pins(diamond, diamond_gf2, dualext_a2):
+    """Cuts where Ae (x)_eAe eA -> AeA is onto but not injective, so the
+    relations never reach the image bound: diamond at e = e_b + e_c, over Q
+    and GF(2), and the dual extension of A2 at e = e_b."""
+    cases = [(*diamond, ("b", "c"), 8, 7), (*diamond_gf2, ("b", "c"), 8, 7),
+             (dualext_a2[1].algebra, dualext_a2[1].frame, ("b",), 5, 4)]
+    for algebra, frame, labels, tensor, ideal in cases:
+        inside = [frame.index_of(lab) for lab in labels]
+        assert rl.tensor_dim_over_corner(frame, inside) == tensor
+        assert peirce_two_sided(frame, inside).dim == ideal
+        assert rl.ideal_closure(algebra, [frame.sum_of(inside)]).dim == ideal
+        assert _tensor_dim_brute_force(algebra, frame.sum_of(inside)) == tensor
 
 
 def _tensor_dim_brute_force(a, e, below=None):
@@ -657,17 +675,20 @@ def _tensor_cases():
 
 
 def test_tensor_dim_matches_brute_force_at_every_idempotent_sum():
+    """The blockwise form at every frame subset and every ``below``, and
+    the coarse split 1 = e + (1 - e) as a two-idempotent frame."""
     for name, algebra, frame in _tensor_cases():
         f, n = algebra.field, len(frame)
         ideals = [rl.ideal_closure(algebra, [e]).space for e in frame.idempotents]
         for size in range(1, n + 1):
             for chosen in combinations(range(n), size):
-                e = algebra.zero_vector()
-                for i in chosen:
-                    e = tuple(f.add(x, y) for x, y in zip(e, frame.idempotents[i]))
+                e = frame.sum_of(chosen)
+                split = rl.IdempotentFrame(
+                    algebra, [e, tuple(f.sub(u, x) for u, x in zip(algebra.unit, e))], check=False)
                 for below in [None] + [ideals[j] for j in range(n) if j not in chosen]:
-                    assert (rl.tensor_dim_over_corner(algebra, e, below)
-                            == _tensor_dim_brute_force(algebra, e, below)), (name, chosen)
+                    expected = _tensor_dim_brute_force(algebra, e, below)
+                    assert rl.tensor_dim_over_corner(frame, chosen, below) == expected, (name, chosen)
+                    assert rl.tensor_dim_over_corner(split, [0], below) == expected, (name, chosen)
 
 
 def test_tensor_dim_at_unit_inserts_no_relation(monkeypatch, simplex2):
@@ -681,14 +702,36 @@ def test_tensor_dim_at_unit_inserts_no_relation(monkeypatch, simplex2):
             return super().insert(vec)
 
     monkeypatch.setattr(algebra_module, "Echelon", Counting)
-    assert rl.tensor_dim_over_corner(algebra, algebra.unit) == algebra.dim
+    assert rl.tensor_dim_over_corner(simplex2.frame, range(len(simplex2.frame))) == algebra.dim
     assert relations == []
 
 
+def test_tensor_dim_stops_at_the_image_rank(monkeypatch):
+    """simplex3 over GF(2147483629) at cut 2: one outside pair, whose
+    relations stop at the rank of its image (14,580 relation inserts when
+    the whole tensor was one system)."""
+    structure = rl.build_simplex_algebra(3, rl.prime_field(2147483629))
+    algebra = structure.algebra
+    relations = []
+
+    class Counting(Echelon):
+        def insert(self, vec):
+            if self.ambient_dim != algebra.dim:
+                relations.append(vec)
+            return super().insert(vec)
+
+    monkeypatch.setattr(algebra_module, "Echelon", Counting)
+    report = rl.recursive_check(structure, 2)
+    assert report["multiplication_bijective"] and report["equivalence_holds"]
+    assert 0 < len(relations) <= 1500
+
+
 def test_tensor_dim_requires_idempotent(diamond):
-    algebra, _ = diamond
+    """Only heredity_ideal_check takes an arbitrary element, and it refuses
+    one that is not idempotent before any tensor is built."""
+    algebra, frame = diamond
     with pytest.raises(AlgebraError):
-        rl.tensor_dim_over_corner(algebra, basis_by_label(algebra, "ab"))
+        rl.heredity_ideal_check(algebra, frame, basis_by_label(algebra, "ab"))
 
 
 # --- product_rank ---------------------------------------------------------------

@@ -7,8 +7,8 @@ import pytest
 
 import reedylab as rl
 from dense_modules import subalgebra_with_frame
-from reedylab.algebra import (AlgebraError, column_span, corner_span, product_rank, row_span,
-                              two_sided_span)
+from reedylab.algebra import (AlgebraError, column_span, corner_span, peirce_two_sided,
+                              product_rank, product_span, row_span)
 from reedylab.corpus import default_corpus_dir
 from reedylab.linalg import densify, modulo, span, sparse, sparse_span, subspace_intersect
 from reedylab.qh import level_chain, order_from_degrees, peirce_blocks
@@ -154,6 +154,26 @@ def test_layer_threeway_agreement_on_corpus(corpus_structures):
         for level in report["levels"]:
             assert level["agree"], (name, level)
         assert report["matches_reedy"], name
+
+
+def two_sided_span(a, e, space):
+    """Span of X*e*X for X a subspace (the ideal AeA when None), by products."""
+    return product_span(a, column_span(a, space, e), space)
+
+
+def test_peirce_two_sided_matches_products_at_every_cut():
+    """XeX from the Peirce table of X equals its product span, for X = A,
+    A+ and A- of every corpus Reedy file, e the idempotents up to each level."""
+    for path in sorted(default_corpus_dir().glob("*.reedy.json")):
+        r = load_reedy(path)
+        a, levels = r.algebra, r.order().levels
+        for cut in [-1, *sorted(set(levels))]:
+            inside = [i for i, level in enumerate(levels) if level <= cut]
+            e = r.frame.sum_of(inside)
+            for sub in (None, r.aplus, r.aminus):
+                space = None if sub is None else sub.space
+                assert peirce_two_sided(r.frame, inside, sub) == two_sided_span(a, e, space), (
+                    path.name, cut)
 
 
 def _quotient_form_reference(r):
@@ -446,9 +466,10 @@ def test_exhaustive_search_computes_the_peirce_blocks_of_a_once(monkeypatch, GF2
 
 def test_exhaustive_search_decides_each_pair_once(monkeypatch, GF2):
     """Diamond over GF(2): the decomposition condition reads no degrees, so
-    the search tests it at most once per distinct pair (A+, A-) that
-    directedness admits under some degree function, and verify_reedy only
-    sees pairs that decompose; the result is the pinned one."""
+    the search tests it once per distinct pair (A+, A-) that directedness
+    admits under some degree function, verify_reedy included, and
+    verify_reedy only sees pairs that decompose; the result is the pinned
+    one."""
     algebra, frame = rl.build_quiver_algebra(rl.diamond_presentation(), GF2)
     admitted = set()
     candidates = rl.reedy._candidate_subalgebras(algebra, frame)
@@ -458,23 +479,44 @@ def test_exhaustive_search_decides_each_pair_once(monkeypatch, GF2):
         minus = [c for c in candidates if rl.qh.directedness(work, levels, False, c)["ok"]]
         admitted.update((p.space, m.space) for p in plus for m in minus)
 
-    decompositions, conditions, verified = [], [], []
-    for name, log in (("_decomposition", decompositions), ("_conditions", conditions)):
-        real = getattr(rl.reedy, name)
-        monkeypatch.setattr(rl.reedy, name, lambda *args, real=real, log=log: log.append(1) or real(*args))
+    decompositions, verified = [], []
+    real_decomposition = rl.reedy._decomposition
+    monkeypatch.setattr(rl.reedy, "_decomposition",
+                        lambda *args: decompositions.append(1) or real_decomposition(*args))
     real_verify = rl.reedy.verify_reedy
     monkeypatch.setattr(rl.reedy, "verify_reedy",
                         lambda r: verified.append(r) or real_verify(r))
     found = rl.search_reedy(algebra, frame, mode="exhaustive")
 
-    # every _conditions call (one per verify_reedy) runs one decomposition
-    assert len(decompositions) - len(conditions) <= len(admitted)
+    # one decomposition per distinct pair, which verify_reedy reuses
+    assert len(decompositions) == 177 <= len(admitted)
     assert verified and all(real_verify(r)["cond_decomp"]["ok"] for r in verified)
     show = lambda rows: [[GF2.show(x) for x in row] for row in rows]
     got = [{"degrees": dict(zip(s.frame.labels, s.frame.degrees)),
             "aplus_basis": show(s.aplus.space.basis), "aminus_basis": show(s.aminus.space.basis)}
            for s in found]
     pinned = read_json(GOLDEN / "corpus.diamond-gf2-search.json")["found"]
+    assert got == [{k: e[k] for k in ("degrees", "aplus_basis", "aminus_basis")} for e in pinned]
+
+
+def test_heuristic_search_decides_each_pair_once(monkeypatch, GF2):
+    """Diamond over GF(2), heuristic mode: closures with equal spaces are
+    one object, so each distinct pair (A+, A-) is decomposed once over all
+    degree functions, verify_reedy included; the result is the pinned one."""
+    algebra, frame = rl.build_quiver_algebra(rl.diamond_presentation(), GF2)
+    pairs, decompositions = [], []
+    real_full, real_decomposition = rl.reedy._full_decomposition, rl.reedy._decomposition
+    monkeypatch.setattr(rl.reedy, "_full_decomposition",
+                        lambda fr, p, m: pairs.append((p.space, m.space)) or real_full(fr, p, m))
+    monkeypatch.setattr(rl.reedy, "_decomposition",
+                        lambda *args: decompositions.append(1) or real_decomposition(*args))
+    found = rl.search_reedy(algebra, frame, mode="heuristic")
+    assert len(decompositions) == len(set(pairs)) < len(pairs)
+    show = lambda rows: [[GF2.show(x) for x in row] for row in rows]
+    got = [{"degrees": dict(zip(s.frame.labels, s.frame.degrees)),
+            "aplus_basis": show(s.aplus.space.basis), "aminus_basis": show(s.aminus.space.basis)}
+           for s in found]
+    pinned = read_json(GOLDEN / "search.diamond.gf2.json")["found"]
     assert got == [{k: e[k] for k in ("degrees", "aplus_basis", "aminus_basis")} for e in pinned]
 
 
