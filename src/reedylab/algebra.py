@@ -6,8 +6,11 @@ given one at a time (units, frame idempotents) are dense tuples of field
 scalars; subspaces keep sparse echelon rows (dicts index -> scalar), and
 everything that walks a span works on those rows.
 
-All objects here are immutable after construction (tuples throughout);
-derived data is memoised in a private per-instance cache.
+All objects here are immutable after construction (tuples throughout).
+Derived data is memoised by ``memo`` on the object it is a function of:
+the radical on the algebra; the idempotent lines, S, the Peirce tables and
+everything else read against a frame on the frame, keyed by the subspace's
+space (None for A); a subspace's extraction and radical on the subspace.
 """
 
 from __future__ import annotations
@@ -29,6 +32,15 @@ from .linalg import (
 
 class AlgebraError(Exception):
     pass
+
+
+def memo(owner, key, compute):
+    """The value of ``compute()``, computed once per ``key`` and kept in the
+    private cache of ``owner``, the object it is a function of."""
+    cache = owner._cache
+    if key not in cache:
+        cache[key] = compute()
+    return cache[key]
 
 
 class Algebra:
@@ -275,31 +287,25 @@ class IdempotentFrame:
     def lines(self) -> tuple:
         """Each idempotent's span as a sparse Subspace (zero for a zero
         idempotent), built once per frame."""
-        if "lines" not in self._cache:
-            f, n = self.algebra.field, self.algebra.dim
-            self._cache["lines"] = tuple(sparse_span(f, n, [sparse(f, e)]) for e in self.idempotents)
-        return self._cache["lines"]
+        f, n = self.algebra.field, self.algebra.dim
+        return memo(self, "lines",
+                    lambda: tuple(sparse_span(f, n, [sparse(f, e)]) for e in self.idempotents))
 
     def semisimple_span(self) -> Subspace:
-        key = "S"
-        if key not in self._cache:
-            self._cache[key] = span(self.algebra.field, self.algebra.dim, self.idempotents)
-        return self._cache[key]
+        return memo(self, "S", lambda: span(self.algebra.field, self.algebra.dim, self.idempotents))
 
 
 def peirce_blocks(frame: IdempotentFrame, sub: AlgSubspace | None = None) -> dict:
-    """All blocks e_j X e_i of the algebra or of a subspace, cached: the
-    columns (e_j X) e_i of the rows e_j X."""
-    if sub is None:
-        cache, key, space = frame._cache, "peirce_full", None
-    else:
-        cache, key, space = sub._cache, ("peirce", frame.idempotents), sub.space
-    if key not in cache:
+    """All blocks e_j X e_i of the algebra or of a subspace, kept on the
+    frame: the columns (e_j X) e_i of the rows e_j X."""
+    space = None if sub is None else sub.space
+
+    def blocks():
         a, lines = frame.algebra, frame.lines()
         rows = [row_span(a, line, space) for line in lines]
-        cache[key] = {(j, i): column_span(a, rows[j], line)
-                      for j in range(len(lines)) for i, line in enumerate(lines)}
-    return cache[key]
+        return {(j, i): column_span(a, rows[j], line)
+                for j in range(len(lines)) for i, line in enumerate(lines)}
+    return memo(frame, ("peirce", space), blocks)
 
 
 def peirce_dim(frame: IdempotentFrame, sub: AlgSubspace | None, i: int, side: str = "left") -> int:
@@ -332,13 +338,6 @@ class AlgSubspace:
 
     def __repr__(self):
         return f"AlgSubspace(dim={self.dim}, kind={self.closure_kind})"
-
-    def memo(self, key, compute):
-        """The value of ``compute()``, computed once per ``key`` and kept on
-        this subspace."""
-        if key not in self._cache:
-            self._cache[key] = compute()
-        return self._cache[key]
 
     def contains(self, vec) -> bool:
         """Whether a dense element lies in the space."""
@@ -374,15 +373,12 @@ class AlgSubspace:
         Requires a verified multiplicative closure (subalgebra flag for a
         unital result; the unit of an extracted ideal is not defined).
         """
-        if "extracted" in self._cache:
-            return self._cache["extracted"]
         if self.closure_kind != AlgSubspace.SUBALGEBRA:
             raise AlgebraError("extraction needs a verified subalgebra")
-        a = self.algebra
-        labels = [f"s{i}_{a.labels[p]}" for i, p in enumerate(self.space.rows)]
-        sub = _on_rows(a, self.space, a.unit, labels)
-        self._cache["extracted"] = (sub, tuple(self.space.rows.values()))
-        return self._cache["extracted"]
+        a, rows = self.algebra, self.space.rows
+        return memo(self, "extracted", lambda: (
+            _on_rows(a, self.space, a.unit, [f"s{i}_{a.labels[p]}" for i, p in enumerate(rows)]),
+            tuple(rows.values())))
 
 
 def _on_rows(a: Algebra, space: Subspace, unit, labels) -> Algebra:
@@ -735,14 +731,13 @@ def _check_nilpotent(a: Algebra, sub: Subspace) -> bool:
 
 def radical(a: Algebra) -> AlgSubspace:
     """The Jacobson radical as a verified two-sided ideal (see
-    ``radical_generic``, which checks it nilpotent), cached on A."""
-    if "radical" in a._cache:
-        return a._cache["radical"]
-    result = AlgSubspace(a, radical_generic(a), AlgSubspace.IDEAL)
-    if not result.is_ideal():
-        raise AlgebraError("radical candidate not an ideal (unsupported input)")
-    a._cache["radical"] = result
-    return result
+    ``radical_generic``, which checks it nilpotent), kept on A."""
+    def compute():
+        result = AlgSubspace(a, radical_generic(a), AlgSubspace.IDEAL)
+        if not result.is_ideal():
+            raise AlgebraError("radical candidate not an ideal (unsupported input)")
+        return result
+    return memo(a, "radical", compute)
 
 
 def radical_generic(a: Algebra) -> Subspace:
@@ -765,16 +760,15 @@ def radical_generic(a: Algebra) -> Subspace:
 def radical_space(a: Algebra, sub: AlgSubspace | None = None) -> Subspace:
     """rad(X) as a subspace of A, for X = A or a verified subalgebra ``sub``:
     rad(B) is the radical of B extracted as an algebra, embedded back along
-    B's rows and cached on ``sub``."""
+    B's rows and kept on ``sub``."""
     if sub is None:
         return radical(a).space
-    if "radical" not in sub._cache:
+
+    def embedded():
         sub_alg, rows = sub.extracted()
         coords = radical(sub_alg).space.rows.values()
-        sub._cache["radical"] = sparse_span(
-            a.field, a.dim, (_combination(a.field, c, rows) for c in coords)
-        )
-    return sub._cache["radical"]
+        return sparse_span(a.field, a.dim, (_combination(a.field, c, rows) for c in coords))
+    return memo(sub, "radical", embedded)
 
 
 def is_elementary(a: Algebra, frame: IdempotentFrame, sub: AlgSubspace | None = None,
@@ -785,18 +779,18 @@ def is_elementary(a: Algebra, frame: IdempotentFrame, sub: AlgSubspace | None = 
     idempotents that sum to 1, so the count forces its corners to be k*e_i.
     With ``below`` = J, X is A/J in residue rows modulo J: rad(A/J) is
     (rad A + J)/J and the frame idempotents in J, which vanish, are skipped.
-    Verdicts without J are cached on X per frame."""
-    cache = {} if below is not None else a._cache if sub is None else sub._cache
-    key = ("elementary", frame.idempotents)
-    if key not in cache:
+    Verdicts without J are kept on the frame."""
+    def decide():
         lines, dim = frame.lines(), a.dim if sub is None else sub.dim
         if below is not None:
             lines = [line for line in lines if not all(map(below.contains, line.rows.values()))]
             dim -= below.dim
         ok = all(line.dim for line in lines) and (
             sub is None or all(sub.space.contains(v) for line in lines for v in line.rows.values()))
-        cache[key] = ok and dim - modulo(radical_space(a, sub), below).dim == len(lines)
-    return cache[key]
+        return ok and dim - modulo(radical_space(a, sub), below).dim == len(lines)
+    if below is not None:
+        return decide()
+    return memo(frame, ("elementary", None if sub is None else sub.space), decide)
 
 
 def is_primitive_idempotent(a: Algebra, e) -> bool:

@@ -190,18 +190,13 @@ class Echelon:
     seeds the basis with (a copy of) a subspace's rows.
     """
 
-    __slots__ = ("field", "ambient_dim", "rows", "_col_index")
+    __slots__ = ("field", "ambient_dim", "rows")
 
     def __init__(self, field: Field, ambient_dim: int, start: Subspace | None = None):
         self.field = field
         self.ambient_dim = ambient_dim
-        self.rows: dict[int, dict] = {}
-        self._col_index: dict[int, set] = {}
-        if start is not None:
-            for pivot, row in start.rows.items():
-                self.rows[pivot] = dict(row)
-                for c in row:
-                    self._col_index.setdefault(c, set()).add(pivot)
+        rows = start.rows if start is not None else {}
+        self.rows: dict[int, dict] = {p: dict(row) for p, row in rows.items()}
 
     @property
     def dim(self) -> int:
@@ -217,24 +212,15 @@ class Echelon:
         if not v:
             return False
         pivot = min(v)
-        inv = f.inv(v[pivot])
-        if inv != f.one:
+        if v[pivot] != f.one:
+            inv = f.inv(v[pivot])
             v = {c: f.mul(inv, x) for c, x in v.items()}
-        # Back-eliminate the new pivot from stored rows.
-        for rp in list(self._col_index.get(pivot, ())):
-            row = self.rows[rp]
+        # Back-eliminate the new pivot from the stored rows that have it.
+        for row in self.rows.values():
             coeff = row.get(pivot)
-            if coeff is None:
-                continue
-            before = set(row)
-            add_scaled(f, row, f.neg(coeff), v)
-            for c in before - set(row):
-                self._col_index[c].discard(rp)
-            for c in set(row) - before:
-                self._col_index.setdefault(c, set()).add(rp)
+            if coeff is not None:
+                add_scaled(f, row, f.neg(coeff), v)
         self.rows[pivot] = v
-        for c in v:
-            self._col_index.setdefault(c, set()).add(pivot)
         return True
 
     def to_subspace(self) -> Subspace:
@@ -272,16 +258,14 @@ def null_space(field: Field, ncols: int, rows) -> Subspace:
     ech = Echelon(field, ncols)
     for r in rows:
         ech.insert(r)
-    out = Echelon(field, ncols)
-    for fc in range(ncols):
-        if fc in ech.rows:
-            continue
-        # x_fc = 1, every other free coordinate 0, pivots solved from their rows
-        vec = {fc: field.one}
-        for p in ech._col_index.get(fc, ()):
-            vec[p] = field.neg(ech.rows[p][fc])
-        out.insert(vec)
-    return out.to_subspace()
+    # per free coordinate c: x_c = 1, every other free coordinate 0, pivots
+    # solved from their rows, which are zero at every other pivot
+    free = {c: {c: field.one} for c in range(ncols) if c not in ech.rows}
+    for p, row in ech.rows.items():
+        for c, x in row.items():
+            if c != p:
+                free[c][p] = field.neg(x)
+    return sparse_span(field, ncols, free.values())
 
 
 def kernel(m: Matrix) -> Subspace:

@@ -18,6 +18,7 @@ from .algebra import (
     column_span,
     element_line,
     is_elementary,
+    memo,
     peirce_dim,
     product_rank,
     product_span,
@@ -63,9 +64,7 @@ class ModuleRep:
     def _acting_on_carrier(self, xs: Subspace) -> tuple:
         """The pair whose products span X*U (U*X for right modules) modulo
         K, with U held by its residue rows modulo K since X*K lies in K."""
-        if "residue" not in self._cache:
-            self._cache["residue"] = modulo(self.carrier, self.killed)
-        rows = self._cache["residue"]
+        rows = memo(self, "residue", lambda: modulo(self.carrier, self.killed))
         return (xs, rows) if self.side == "left" else (rows, xs)
 
     def _rank_modulo(self, line: Subspace, base: Subspace) -> int:
@@ -76,12 +75,9 @@ class ModuleRep:
     def radical_submodule(self) -> Subspace:
         """rad(X)*U + K (U*rad(X) + K for right modules), whose quotient of
         the module is its top."""
-        if "radical_submodule" not in self._cache:
-            rad = radical_space(self.ambient, self.acting)
-            self._cache["radical_submodule"] = subspace_sum(
-                self.killed, product_span(self.ambient, *self._acting_on_carrier(rad), self.killed)
-            )
-        return self._cache["radical_submodule"]
+        return memo(self, "radical_submodule", lambda: subspace_sum(self.killed, product_span(
+            self.ambient, *self._acting_on_carrier(radical_space(self.ambient, self.acting)),
+            self.killed)))
 
     def top_multiplicities(self, frame: IdempotentFrame) -> tuple[int, ...]:
         """dim e_i * top(M) per frame index (top(M)*e_i for right modules)."""

@@ -21,6 +21,7 @@ from .algebra import (
     element_line,
     ideal_closure,
     is_elementary,
+    memo,
     peirce_blocks,
     product_span,
     radical,
@@ -129,8 +130,9 @@ def _directed(blocks: dict, indices, labels, levels, raising: bool) -> dict:
 
 
 class LevelChain(NamedTuple):
-    """Cached data of the candidate chain 0 <= J_0 <= J_1 <= ... <= A: the
-    ideals J_l of A and, per level, the residue rows of J_l modulo J_(l-1)."""
+    """Data of the candidate chain 0 <= J_0 <= J_1 <= ... <= A, kept on the
+    frame per order: the ideals J_l of A and, per level, the residue rows of
+    J_l modulo J_(l-1)."""
 
     frame: IdempotentFrame
     levels: tuple
@@ -139,9 +141,10 @@ class LevelChain(NamedTuple):
 
 
 def level_chain(a: Algebra, frame: IdempotentFrame, order: WeightOrder) -> LevelChain:
-    key = ("level_chain", frame.idempotents, order.levels)
-    if key in a._cache:
-        return a._cache[key]
+    return memo(frame, ("level_chain", order.levels), lambda: _level_chain(a, frame, order))
+
+
+def _level_chain(a: Algebra, frame: IdempotentFrame, order: WeightOrder) -> LevelChain:
     levels = tuple(sorted(set(order.levels)))
     work = frame.with_degrees(order.levels)
     ideals, layers = [], []
@@ -153,9 +156,7 @@ def level_chain(a: Algebra, frame: IdempotentFrame, order: WeightOrder) -> Level
         below = subspace_sum(below, layer)
         layers.append(layer)
         ideals.append(AlgSubspace(a, below, AlgSubspace.IDEAL))
-    chain = LevelChain(work, levels, tuple(ideals), tuple(layers))
-    a._cache[key] = chain
-    return chain
+    return LevelChain(work, levels, tuple(ideals), tuple(layers))
 
 
 def heredity_ideal_check(a: Algebra, frame: IdempotentFrame, eps) -> dict:
@@ -314,14 +315,10 @@ def _elementary_candidate(a: Algebra, frame: IdempotentFrame, b: AlgSubspace, re
 
 def _standards(a: Algebra, frame: IdempotentFrame, order: WeightOrder) -> tuple:
     """The standard modules, or the layer quotients when A is not elementary;
-    cached on A like the level chain."""
-    key = ("standards", frame.idempotents, order.levels)
-    if key not in a._cache:
-        if is_elementary(a, frame):
-            a._cache[key] = standard_modules(a, frame, order).standards
-        else:
-            a._cache[key] = tuple(layer_quotient_module(a, frame, order, i) for i in range(len(frame)))
-    return a._cache[key]
+    kept on the frame per order like the level chain."""
+    return memo(frame, ("standards", order.levels), lambda: (
+        standard_modules(a, frame, order).standards if is_elementary(a, frame)
+        else tuple(layer_quotient_module(a, frame, order, i) for i in range(len(frame)))))
 
 
 def _same_invariants(m: ModuleRep, n: ModuleRep, frame: IdempotentFrame) -> bool:

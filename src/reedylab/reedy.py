@@ -20,6 +20,7 @@ from .algebra import (
     corner,
     corner_span,
     is_elementary,
+    memo,
     peirce_blocks,
     peirce_dim,
     peirce_two_sided,
@@ -47,7 +48,7 @@ from .qh import (
     order_from_degrees,
 )
 
-# search_reedy's bound on dim A - |E| in exhaustive mode
+# search_reedy's exhaustive mode needs q^(dim A - |E|) <= 2^EXHAUSTIVE_BOUND
 EXHAUSTIVE_BOUND = 8
 
 
@@ -92,9 +93,7 @@ class ReedyStructure:
 
 def verify_reedy(r: ReedyStructure) -> dict:
     """Full check of the three decomposition conditions, with per-pair data."""
-    if "verify" not in r._cache:
-        r._cache["verify"] = _conditions(r, range(len(r.frame)))
-    return r._cache["verify"]
+    return memo(r, "verify", lambda: _conditions(r, range(len(r.frame))))
 
 
 def _conditions(r: ReedyStructure, indices, below: Subspace | None = None) -> dict:
@@ -117,8 +116,7 @@ def _conditions(r: ReedyStructure, indices, below: Subspace | None = None) -> di
         counts = _decomposition(r.algebra, indices, full, plus, minus, below)
     pairs = [{"from": frame.labels[i], "to": frame.labels[j], "domain_dim": domain,
               "block_dim": block_dim, "rank": rank, "ok": domain == block_dim == rank}
-             for (j, i), (domain, block_dim, rank)
-             in zip(iter_product(indices, indices), _triples(counts))]
+             for (j, i), (domain, block_dim, rank) in zip(iter_product(indices, indices), counts)]
     cond_decomp = {"ok": all(p["ok"] for p in pairs), "pairs": pairs}
     return {"cond_plus": cond_plus, "cond_minus": cond_minus, "cond_decomp": cond_decomp,
             "overall": cond_plus["ok"] and cond_minus["ok"] and cond_decomp["ok"]}
@@ -131,28 +129,20 @@ def _decomposition(a: Algebra, indices, full: dict, plus: dict, minus: dict,
     dimension, block dimension and rank of multiplication from the sum over
     l of e_jA+e_l (x) e_lA-e_i to e_jAe_i, on the Peirce blocks of A, A+
     and A- (``full``, ``plus``, ``minus``) with every rank read modulo
-    ``below``.  The condition holds where the three agree.  The counts are
-    one flat tuple (``_triples`` splits it), since a search keeps one per
-    pair (A+, A-) it tests."""
+    ``below``.  The condition holds where the three agree."""
     counts = []
     for j, i in iter_product(indices, indices):
         domain, rank = product_rank(a, [(plus[(j, l)], minus[(l, i)]) for l in indices], below)
-        counts += (domain, full[(j, i)].dim, rank)
+        counts.append((domain, full[(j, i)].dim, rank))
     return tuple(counts)
-
-
-def _triples(counts: tuple):
-    """The (domain, block dim, rank) of each pair of ``_decomposition``."""
-    return zip(counts[::3], counts[1::3], counts[2::3])
 
 
 def _full_decomposition(frame: IdempotentFrame, aplus: AlgSubspace, aminus: AlgSubspace) -> tuple:
     """``_decomposition`` on the whole frame, decided once per frame and
-    pair (A+, A-) and kept on A+."""
-    return aplus.memo(
-        ("decomposition", frame.idempotents, aminus.space),
-        lambda: _decomposition(frame.algebra, range(len(frame)), peirce_blocks(frame),
-                               peirce_blocks(frame, aplus), peirce_blocks(frame, aminus)))
+    pair (A+, A-) and kept on the frame."""
+    return memo(frame, ("decomposition", aplus.space, aminus.space),
+                lambda: _decomposition(frame.algebra, range(len(frame)), peirce_blocks(frame),
+                                       peirce_blocks(frame, aplus), peirce_blocks(frame, aminus)))
 
 
 def _require_setup(r: ReedyStructure) -> None:
@@ -475,7 +465,7 @@ def search_reedy(a: Algebra, frame: IdempotentFrame, mode: str = "heuristic",
     Heuristic mode closes the degree-raising and degree-lowering block
     spans; exhaustive mode (finite fields) enumerates every subalgebra
     between S and A.  The decomposition condition reads no degrees, so it
-    is decided once per pair (A+, A-), kept on A+ for ``verify_reedy``;
+    is decided once per pair (A+, A-), kept on the frame for ``verify_reedy``;
     heuristic closures with equal spaces are one object, so the pair is
     decided once over all degree functions.  Results are deduplicated and
     ordered by degree function and canonical bases.
@@ -489,10 +479,9 @@ def search_reedy(a: Algebra, frame: IdempotentFrame, mode: str = "heuristic",
     if mode == "exhaustive":
         if f.characteristic == 0:
             raise AlgebraError("exhaustive search requires a finite field")
-        if a.dim - n > EXHAUSTIVE_BOUND:
-            raise AlgebraError(
-                f"dim A - |E| = {a.dim - n} exceeds exhaustive bound {EXHAUSTIVE_BOUND}"
-            )
+        if f.characteristic ** (a.dim - n) > 2 ** EXHAUSTIVE_BOUND:
+            raise AlgebraError(f"q^(dim A - |E|) = {f.characteristic}^{a.dim - n} "
+                               f"exceeds exhaustive bound 2^{EXHAUSTIVE_BOUND}")
         candidates = _candidate_subalgebras(a, frame)
     else:
         s_sub = subalgebra_closure(a, frame.idempotents)
@@ -516,7 +505,7 @@ def search_reedy(a: Algebra, frame: IdempotentFrame, mode: str = "heuristic",
             pair_list = [(p, m) for p in plus_list for m in minus_list]
         for aplus, aminus in pair_list:
             counts = _full_decomposition(frame, aplus, aminus)
-            if not all(domain == block_dim == rank for domain, block_dim, rank in _triples(counts)):
+            if not all(domain == block_dim == rank for domain, block_dim, rank in counts):
                 continue
             structure = ReedyStructure(a, work, aplus, aminus, check=False)
             if verify_reedy(structure)["overall"]:

@@ -1,7 +1,9 @@
 """Algebra core: validation, closures, quotients, corners, radicals, tensors."""
 
+import ast
 import random
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -139,6 +141,63 @@ def test_frame_with_other_degrees_shares_the_cache(diamond):
     assert work._cache is frame._cache
     assert work.without_degrees()._cache is frame._cache
     assert work.lines() is frame.lines()
+
+
+def test_frame_data_is_shared_by_degree_variants(Q):
+    """Peirce tables, level chains and elementarity are functions of the
+    frame and are kept on it, so a degree variant reads the same objects."""
+    s = rl.build_simplex_algebra(1, Q)
+    frame, order = s.frame.without_degrees(), rl.order_from_degrees(s.frame)
+    work = frame.with_degrees([0] * len(frame))
+    for sub in (None, s.aplus, s.aminus):
+        assert peirce_blocks(work, sub) is peirce_blocks(frame, sub)
+    assert level_chain(s.algebra, work, order) is level_chain(s.algebra, frame, order)
+    assert level_chain(s.algebra, s.frame, order) is level_chain(s.algebra, frame, order)
+
+
+def test_is_elementary_extracts_a_subalgebra_once(monkeypatch, Q):
+    """The elementarity of B is kept on the frame and rad(B) on B: deciding
+    it for every degree variant of the frame extracts B once."""
+    s = rl.build_simplex_algebra(1, Q)
+    calls = []
+    real_radical_space, real_extracted = algebra_module.radical_space, rl.AlgSubspace.extracted
+    monkeypatch.setattr(algebra_module, "radical_space",
+                        lambda a, sub=None: calls.append("radical_space") or real_radical_space(a, sub))
+    monkeypatch.setattr(rl.AlgSubspace, "extracted",
+                        lambda self: calls.append("extracted") or real_extracted(self))
+    for frame in (s.frame, s.frame.without_degrees(), s.frame.with_degrees([1] * len(s.frame))):
+        assert rl.is_elementary(s.algebra, frame, s.aplus)
+    assert calls == ["radical_space", "extracted"]
+
+
+def _qualified_cache_uses(tree):
+    """(qualified name of the enclosing function or class, line) of every
+    ``_cache`` attribute in a module's syntax tree."""
+    uses = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        if isinstance(node, ast.Attribute) and node.attr == "_cache":
+            uses.append((scope, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+    visit(tree, "")
+    return uses
+
+
+def test_only_memo_reads_or_writes_a_cache():
+    """Derived data is kept by ``algebra.memo``: apart from it, only the
+    constructors that create a cache and ``with_degrees``, which shares the
+    frame's, touch a ``_cache``."""
+    allowed = {("algebra.py", "memo"), ("algebra.py", "IdempotentFrame.with_degrees")}
+    offenders = []
+    for path in sorted(Path(algebra_module.__file__).parent.glob("*.py")):
+        for scope, line in _qualified_cache_uses(ast.parse(path.read_text())):
+            if (path.name, scope) not in allowed and not scope.endswith(".__init__"):
+                offenders.append(f"{path.name}:{line} in {scope or 'module'}")
+    assert offenders == []
+    assert not hasattr(rl.AlgSubspace, "memo")
 
 
 def _rank_contains(space, vec):

@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -467,6 +468,18 @@ def test_search_exit_codes(capsys):
     report = json.loads(stdout)
     assert report["count"] == 1
     assert report["found"][0]["aplus_dim"] == 4
+
+
+def test_exhaustive_search_over_a_large_field_exits_2_at_once(tmp_path, capsys):
+    base = tmp_path / "s1p"
+    code, _, _ = run(capsys, "construct", "simplex", "--n", "1", "--field", "GF:2147483629",
+                     "-o", str(base))
+    assert code == 0
+    start = time.perf_counter()
+    code, stdout, stderr = run(capsys, "search", f"{base}.alg.json", "--mode", "exhaustive")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and stdout == ""
+    assert "2147483629^5 exceeds exhaustive bound 2^8" in stderr
 
 
 def test_search_diamond_gf2(capsys):

@@ -553,6 +553,27 @@ def test_search_mode_bounds(diamond, simplex2):
         )
 
 
+def test_exhaustive_search_bounds_the_enumerated_space(monkeypatch):
+    """Exhaustive mode enumerates the subspaces of F_q^m, m = dim A - |E|,
+    so it needs q^m <= 2^8: over GF(2) that is m <= 8 as before, and over a
+    large field it refuses at once instead of enumerating."""
+    for p, allowed in ((13, True), (17, False)):  # M2 with its diagonal frame: m = 2
+        m2 = rl.build_matrix_algebra(2, rl.prime_field(p))
+        frame = rl.matrix_diag_frame(m2, 2).without_degrees()
+        if allowed:
+            assert rl.search_reedy(m2, frame, mode="exhaustive") == []
+        else:
+            with pytest.raises(AlgebraError, match=rf"{p}\^2 exceeds exhaustive bound 2\^8"):
+                rl.search_reedy(m2, frame, mode="exhaustive")
+    big = rl.build_simplex_algebra(1, rl.prime_field(2147483629))
+    with pytest.raises(AlgebraError, match=r"2147483629\^5 exceeds exhaustive bound 2\^8"):
+        rl.search_reedy(big.algebra, big.frame.without_degrees(), mode="exhaustive")
+    # M3 over GF(2) with the unit as frame: m = 8 is admitted (not enumerated here)
+    monkeypatch.setattr(rl.reedy, "_candidate_subalgebras", lambda a, frame: [])
+    m3 = rl.build_matrix_algebra(3, rl.prime_field(2))
+    assert rl.search_reedy(m3, rl.IdempotentFrame(m3, [m3.unit], ["one"]), mode="exhaustive") == []
+
+
 def test_search_results_deterministic(diamond_gf2):
     algebra, frame = diamond_gf2
     first = rl.search_reedy(algebra, frame, mode="exhaustive")
