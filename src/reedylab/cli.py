@@ -120,8 +120,6 @@ def _basis(sub) -> list:
 
 
 def cmd_search(args) -> int:
-    if args.max_levels is not None and args.max_levels < 1:
-        raise FormatError(f"--max-levels must be at least 1, got {args.max_levels}")
     entries = [
         {
             "degrees": dict(zip(s.frame.labels, s.frame.degrees)),
@@ -130,7 +128,7 @@ def cmd_search(args) -> int:
             "aplus_basis": _basis(s.aplus),
             "aminus_basis": _basis(s.aminus),
         }
-        for s in run_search(args.algebra, args.mode, args.max_levels)
+        for s in run_search(args.algebra, args.mode, args.max_levels, "--max-levels")
     ]
     _emit({"count": len(entries), "found": entries}, args.out)
     return EXIT_TRUE if entries else EXIT_FALSE

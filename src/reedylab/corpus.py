@@ -57,8 +57,12 @@ def run_qh(algebra_path, order_path) -> dict:
     return heredity_chain_verify(algebra, frame, load_order(order_path, frame))
 
 
-def run_search(algebra_path, mode: str, max_levels: int | None) -> list:
-    """The verified Reedy structures on an algebra file's frame, any degrees."""
+def run_search(algebra_path, mode: str, max_levels: int | None, name: str) -> list:
+    """The verified Reedy structures on an algebra file's frame, any degrees.
+    A ``max_levels`` below 1 admits no degree function; it is refused with
+    a FormatError that calls it ``name``."""
+    if max_levels is not None and max_levels < 1:
+        raise FormatError(f"{name} must be at least 1, got {max_levels}")
     algebra, frame = load_framed_algebra(algebra_path)
     return search_reedy(algebra, frame.without_degrees(), mode=mode, max_levels=max_levels)
 
@@ -76,7 +80,7 @@ def _search_summary(entry: dict, base: Path) -> dict:
     excludes = _field(entry, "excludes_degrees", [])
     contains = _field(entry, "contains_pairs", [])
     found = run_search(base / _field(entry, "algebra"), entry.get("mode", "heuristic"),
-                       _field(entry, "max_levels"))
+                       _field(entry, "max_levels"), "entry field 'max_levels'")
     report = {
         "count": len(found),
         "degree_functions": [list(d) for d in sorted({s.frame.degrees for s in found})],

@@ -10,6 +10,7 @@ report data, never exceptions.
 from __future__ import annotations
 
 from itertools import combinations, product as iter_product
+from operator import mul
 
 from .algebra import (
     Algebra,
@@ -40,7 +41,6 @@ from .qh import (
     WeightOrder,
     _directed,
     delta_subalgebra_check,
-    directedness,
     exact_borel_check,
     heredity_chain_verify,
     level_chain,
@@ -48,7 +48,8 @@ from .qh import (
     order_from_degrees,
 )
 
-# search_reedy's exhaustive mode needs q^(dim A - |E|) <= 2^EXHAUSTIVE_BOUND
+# search_reedy's exhaustive mode needs q^(dim A - |E|) <= 2^EXHAUSTIVE_BOUND; with
+# nonzero idempotents, the off-diagonal Peirce blocks it enumerates span at most dim A - |E|
 EXHAUSTIVE_BOUND = 8
 
 
@@ -438,20 +439,68 @@ def _all_subspaces(field: Field, m: int):
                 yield [tuple(row) for row in basis]
 
 
-def _candidate_subalgebras(a: Algebra, frame: IdempotentFrame) -> list[AlgSubspace]:
-    """All multiplicatively closed subspaces between S and A (finite field)."""
-    f = a.field
+def _combination(f: Field, coeffs, rows) -> dict:
+    """The sparse vector sum of c * row over ``coeffs`` and ``rows``."""
+    v: dict = {}
+    for c, row in zip(coeffs, rows):
+        add_scaled(f, v, c, row)
+    return v
+
+
+def _candidate_subalgebras(a: Algebra, frame: IdempotentFrame) -> list[tuple]:
+    """Every subalgebra X between S and A with e_iXe_i = k e_i for all i
+    (finite field, nonzero frame idempotents), with its block dimensions
+    D_X[j][i] = dim e_jXe_i, as pairs (X, D_X).
+
+    X contains S, so it is the direct sum of its blocks e_jXe_i: S plus one
+    subspace of each nonzero off-diagonal block of A, enumerated in the
+    block's row coordinates.  These are the subalgebras directedness can
+    admit; D_X is read off the chosen pieces."""
+    f, n = a.field, len(frame)
+    off = [(key, list(blk.rows.values())) for key, blk in peirce_blocks(frame).items()
+           if key[0] != key[1] and blk.dim]
+    # per block: the sparse rows of each of its subspaces
+    choices = [[[_combination(f, coeffs, rows) for coeffs in basis]
+                for basis in _all_subspaces(f, len(rows))] for _, rows in off]
     s_space = frame.semisimple_span()
-    comp = s_space.complement_coords()
     out = []
-    for rows in _all_subspaces(f, len(comp)):
+    for pieces in iter_product(*choices):
         acc = Echelon(f, a.dim, s_space)
-        for row in rows:
-            acc.insert({c: x for c, x in zip(comp, row) if x})
+        for piece in pieces:
+            for v in piece:
+                acc.insert(v)
         cand = AlgSubspace(a, acc.to_subspace(), AlgSubspace.PLAIN)
         if cand.is_subalgebra():
-            out.append(AlgSubspace(a, cand.space, AlgSubspace.SUBALGEBRA))
+            dims = [[int(i == j) for i in range(n)] for j in range(n)]
+            for ((j, i), _), piece in zip(off, pieces):
+                dims[j][i] = len(piece)
+            out.append((AlgSubspace(a, cand.space, AlgSubspace.SUBALGEBRA),
+                        tuple(map(tuple, dims))))
     return out
+
+
+def _peirce_dims(frame: IdempotentFrame, sub: AlgSubspace | None) -> tuple:
+    """D_X[j][i] = dim e_jXe_i, from the Peirce table of X (of A when None)."""
+    blocks, n = peirce_blocks(frame, sub), range(len(frame))
+    return tuple(tuple(blocks[(j, i)].dim for i in n) for j in n)
+
+
+def _support(dims: tuple) -> frozenset:
+    """The off-diagonal blocks (j, i) where the block dimensions ``dims``
+    are nonzero.  A subspace with e_iXe_i = k e_i is directed (raising)
+    under a degree function exactly when every block of its support raises
+    the level."""
+    return frozenset((j, i) for j, row in enumerate(dims) for i, d in enumerate(row)
+                     if d and i != j)
+
+
+def _multiply_to(plus: tuple, minus: tuple, target: tuple) -> bool:
+    """Whether the block dimensions multiply to ``target``, D_+ . D_- = D_A:
+    entry (j, i) of the product is the domain dimension of the
+    decomposition's pair (j, i), and ``target``'s its block dimension."""
+    cols = tuple(zip(*minus))
+    return all(sum(map(mul, row, col)) == d
+               for row, target_row in zip(plus, target) for col, d in zip(cols, target_row))
 
 
 def _basis_key(field: Field, basis) -> tuple:
@@ -464,11 +513,14 @@ def search_reedy(a: Algebra, frame: IdempotentFrame, mode: str = "heuristic",
 
     Heuristic mode closes the degree-raising and degree-lowering block
     spans; exhaustive mode (finite fields) enumerates every subalgebra
-    between S and A.  The decomposition condition reads no degrees, so it
-    is decided once per pair (A+, A-), kept on the frame for ``verify_reedy``;
-    heuristic closures with equal spaces are one object, so the pair is
-    decided once over all degree functions.  Results are deduplicated and
-    ordered by degree function and canonical bases.
+    between S and A whose diagonal blocks are the lines k e_i, each with
+    its block dimensions, which decide its directedness under every degree
+    function.  The decomposition condition reads no degrees, so it is
+    decided once per pair (A+, A-), kept on the frame for ``verify_reedy``,
+    and only for a pair whose block dimensions multiply to A's,
+    D_+ . D_- = D_A (the domain and block dimensions agree on every
+    Peirce pair).  Results are deduplicated and ordered by degree function
+    and canonical bases.
     """
     n = len(frame)
     if n > MAX_WEIGHTS:
@@ -482,10 +534,20 @@ def search_reedy(a: Algebra, frame: IdempotentFrame, mode: str = "heuristic",
         if f.characteristic ** (a.dim - n) > 2 ** EXHAUSTIVE_BOUND:
             raise AlgebraError(f"q^(dim A - |E|) = {f.characteristic}^{a.dim - n} "
                                f"exceeds exhaustive bound 2^{EXHAUSTIVE_BOUND}")
+    if any(not line.dim for line in frame.lines()):
+        return []  # e_zXe_z = 0 for a zero idempotent e_z: no X is directed
+    if mode == "exhaustive":
         candidates = _candidate_subalgebras(a, frame)
+        supports = [_support(dims) for _, dims in candidates]
     else:
-        s_sub = subalgebra_closure(a, frame.idempotents)
-        closures = {s_sub.space: s_sub}
+        closures = {}  # space -> (the closure with that space, its block dimensions)
+
+        def closure(gens) -> tuple:
+            c = subalgebra_closure(a, gens)
+            return closures.setdefault(c.space, (c, _peirce_dims(frame, c)))
+        s_pair = closure(frame.idempotents)
+    d_a = _peirce_dims(frame, None)
+    decomposes = {}  # (A+, A-) -> whether the pair decomposes; one object per space
     found = {}
     blocks_full = peirce_blocks(frame)
     for levels in normalized_level_functions(n, max_levels):
@@ -496,16 +558,21 @@ def search_reedy(a: Algebra, frame: IdempotentFrame, mode: str = "heuristic",
             for (j, i), blk in blocks_full.items():
                 if i != j:
                     gens[levels[j] > levels[i]].extend(blk.rows.values())
-            d_plus, d_minus = (closures.setdefault(c.space, c) for c in
-                               (subalgebra_closure(a, gens[True]), subalgebra_closure(a, gens[False])))
-            pair_list = [(d_plus, d_minus), (d_plus, s_sub), (s_sub, d_minus)]
+            c_plus, c_minus = closure(gens[True]), closure(gens[False])
+            pair_list = [(c_plus, c_minus), (c_plus, s_pair), (s_pair, c_minus)]
         else:
-            plus_list = [c for c in candidates if directedness(work, levels, True, c)["ok"]]
-            minus_list = [c for c in candidates if directedness(work, levels, False, c)["ok"]]
+            up = frozenset((j, i) for j in range(n) for i in range(n) if levels[j] > levels[i])
+            down = frozenset((i, j) for j, i in up)
+            plus_list = [c for c, sup in zip(candidates, supports) if sup <= up]
+            minus_list = [c for c, sup in zip(candidates, supports) if sup <= down]
             pair_list = [(p, m) for p in plus_list for m in minus_list]
-        for aplus, aminus in pair_list:
-            counts = _full_decomposition(frame, aplus, aminus)
-            if not all(domain == block_dim == rank for domain, block_dim, rank in counts):
+        for (aplus, d_plus), (aminus, d_minus) in pair_list:
+            pair = (aplus, aminus)
+            if pair not in decomposes:
+                decomposes[pair] = _multiply_to(d_plus, d_minus, d_a) and all(
+                    domain == block_dim == rank
+                    for domain, block_dim, rank in _full_decomposition(frame, aplus, aminus))
+            if not decomposes[pair]:
                 continue
             structure = ReedyStructure(a, work, aplus, aminus, check=False)
             if verify_reedy(structure)["overall"]:

@@ -560,6 +560,11 @@ MALFORMED_CORPUS = [
     (_one_entry("simplex1-search-heuristic", max_levels="2"), 1,
      "'max_levels' must be an integer or null, got \"2\""),
     (_one_entry("k-trivial", name=[1]), 1, "'name' must be a string, got [1]"),
+    # no degree function has fewer than 1 level: such a search used to pass with count 0
+    (_one_entry("diamond-gf2-search", max_levels=0, expected={"count": 0}), 1,
+     "error: entry field 'max_levels' must be at least 1, got 0"),
+    (_one_entry("diamond-gf2-search", max_levels=-2, expected={"count": 0}), 1,
+     "error: entry field 'max_levels' must be at least 1, got -2"),
 ]
 
 

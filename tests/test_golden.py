@@ -6,6 +6,8 @@
   ``reedylab verify`` and ``corpus run`` share (the CLI ``search`` output
   for search entries), plus a heuristic search on every bundled algebra
   with a frame below dimension 40;
+- the CLI ``search`` output in both modes for diamond, simplex1 and
+  uppertri over GF(3), built by the constructors (``GF3_SEARCHES``);
 - ``layer_check``, ``reedy_heredity_bottom``, ``recursive_check`` at every
   cut and ``characterization_crosscheck`` for every bundled Reedy file (the
   last two only below dimension 40);
@@ -26,9 +28,11 @@ from __future__ import annotations
 import contextlib
 import io
 import sys
+import tempfile
 from pathlib import Path
 
-from reedylab import AlgebraError, serialize
+from reedylab import (AlgebraError, a2_presentation, build_quiver_algebra,
+                      build_simplex_algebra, diamond_presentation, prime_field, serialize)
 from reedylab.cli import main
 from reedylab.corpus import default_corpus_dir, entry_report
 from reedylab.qh import delta_subalgebra_check, exact_borel_check
@@ -43,9 +47,16 @@ CORPUS = default_corpus_dir()
 GOLDEN = Path(__file__).resolve().parent / "golden"
 SMALL_DIM = 40
 
+# stem -> (algebra, frame) over GF(3), saved to a temporary file and searched in both modes
+GF3_SEARCHES = {
+    "diamond.gf3": lambda f: build_quiver_algebra(diamond_presentation(), f),
+    "simplex1.gf3": lambda f: (lambda r: (r.algebra, r.frame))(build_simplex_algebra(1, f)),
+    "uppertri.gf3": lambda f: build_quiver_algebra(a2_presentation(), f),
+}
 
-def _search(algebra: str, mode: str, max_levels=None) -> str:
-    argv = ["search", str(CORPUS / algebra), "--mode", mode]
+
+def _search(algebra, mode: str, max_levels=None, base: Path = CORPUS) -> str:
+    argv = ["search", str(base / algebra), "--mode", mode]
     if max_levels is not None:
         argv += ["--max-levels", str(max_levels)]
     buf = io.StringIO()
@@ -100,6 +111,11 @@ def golden_reports() -> dict[str, str]:
         data = serialize.read_json(path)
         if "idempotents" in data and data["dim"] < SMALL_DIM:
             out[f"search.{path.name[:-len('.alg.json')]}.json"] = _search(path.name, "heuristic")
+    with tempfile.TemporaryDirectory() as tmp:
+        for stem, build in GF3_SEARCHES.items():
+            serialize.save_algebra(Path(tmp) / f"{stem}.alg.json", *build(prime_field(3)))
+            for mode in ("heuristic", "exhaustive"):
+                out[f"search.{stem}.{mode}.json"] = _search(f"{stem}.alg.json", mode, base=Path(tmp))
     for path in sorted(CORPUS.glob("*.reedy.json")):
         stem = path.name[:-len('.reedy.json')]
         out[f"structure.{stem}.json"] = _structure_report(path)

@@ -4,6 +4,7 @@ import pytest
 
 import reedylab as rl
 from dense_modules import subalgebra_with_frame
+from search_oracle import all_subalgebras_over_s
 from reedylab.algebra import AlgebraError
 from reedylab.corpus import default_corpus_dir
 from reedylab.qh import (
@@ -391,12 +392,10 @@ def test_delta_fails_in_matrix_algebra(m2q):
 def test_no_exact_borel_for_4312_order(diamond_gf2):
     """The (4,3,1,2) order admits no exact Borel among all GF(2) candidates."""
     algebra, frame = diamond_gf2
-    from reedylab.reedy import _candidate_subalgebras
-
     work = frame.with_degrees([4, 3, 1, 2])
     order = order_from_degrees(work)
     assert rl.heredity_chain_verify(algebra, work, order)["overall"]
-    for cand in _candidate_subalgebras(algebra, frame):
+    for cand in all_subalgebras_over_s(algebra, frame):
         verdict = rl.exact_borel_check(algebra, work, cand, order)
         assert not verdict["overall"]
 

@@ -7,15 +7,17 @@ import pytest
 
 import reedylab as rl
 from dense_modules import subalgebra_with_frame
+from search_oracle import all_subalgebras_over_s
 from reedylab.algebra import (AlgebraError, column_span, corner_span, peirce_two_sided,
                               product_rank, product_span, row_span)
 from reedylab.corpus import default_corpus_dir
 from reedylab.linalg import densify, modulo, span, sparse, sparse_span, subspace_intersect
 from reedylab.qh import level_chain, order_from_degrees, peirce_blocks
 from reedylab.reedy import _center_dim
-from reedylab.serialize import load_reedy, read_json
+from reedylab.serialize import load_algebra, load_reedy, read_json
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+CORPUS = default_corpus_dir()
 
 
 def verified(structures):
@@ -464,39 +466,125 @@ def test_exhaustive_search_computes_the_peirce_blocks_of_a_once(monkeypatch, GF2
     assert len(rows_of_a) == len(frame)
 
 
+def _block_dims(frame, sub):
+    """D_X[j][i] = dim e_jXe_i (X = A when ``sub`` is None)."""
+    blocks, n = peirce_blocks(frame, sub), range(len(frame))
+    return [[blocks[(j, i)].dim for i in n] for j in n]
+
+
+def _multiplies_to_a(frame, aplus, aminus):
+    """D_+ . D_- = D_A: on every Peirce pair (j, i), the domain dimension
+    sum_l dim e_jA+e_l * dim e_lA-e_i is dim e_jAe_i."""
+    plus, minus, full = (_block_dims(frame, sub) for sub in (aplus, aminus, None))
+    n = range(len(frame))
+    return all(sum(plus[j][l] * minus[l][i] for l in n) == full[j][i] for j in n for i in n)
+
+
 def test_exhaustive_search_decides_each_pair_once(monkeypatch, GF2):
     """Diamond over GF(2): the decomposition condition reads no degrees, so
-    the search tests it once per distinct pair (A+, A-) that directedness
-    admits under some degree function, verify_reedy included, and
-    verify_reedy only sees pairs that decompose; the result is the pinned
-    one."""
+    the search decides it once per distinct pair (A+, A-) that directedness
+    admits under some degree function, verify_reedy included, and only for
+    the pairs whose block dimensions multiply to A's, D_+ . D_- = D_A.  The
+    screen is sound: every admitted pair it drops fails the decomposition.
+    Directedness is read off each candidate's block dimensions, with no
+    directedness test per degree function and candidate: only verify_reedy
+    runs one, and it sees only pairs that decompose.  The result is the
+    pinned one."""
     algebra, frame = rl.build_quiver_algebra(rl.diamond_presentation(), GF2)
-    admitted = set()
-    candidates = rl.reedy._candidate_subalgebras(algebra, frame)
+    n = range(len(frame))
+    admitted = {}
+    candidates = all_subalgebras_over_s(algebra, frame)
     for levels in rl.qh.normalized_level_functions(len(frame)):
         work = frame.with_degrees(levels)
         plus = [c for c in candidates if rl.qh.directedness(work, levels, True, c)["ok"]]
         minus = [c for c in candidates if rl.qh.directedness(work, levels, False, c)["ok"]]
-        admitted.update((p.space, m.space) for p in plus for m in minus)
+        admitted.update(((p.space, m.space), (p, m)) for p in plus for m in minus)
+    screened = [pair for pair in admitted.values() if _multiplies_to_a(frame, *pair)]
 
-    decompositions, verified = [], []
+    decompositions, verified, directed = [], [], []
     real_decomposition = rl.reedy._decomposition
     monkeypatch.setattr(rl.reedy, "_decomposition",
                         lambda *args: decompositions.append(1) or real_decomposition(*args))
     real_verify = rl.reedy.verify_reedy
     monkeypatch.setattr(rl.reedy, "verify_reedy",
                         lambda r: verified.append(r) or real_verify(r))
+    real_directed = rl.qh._directed
+    for module in (rl.qh, rl.reedy):
+        monkeypatch.setattr(module, "_directed",
+                            lambda *args: directed.append(1) or real_directed(*args))
     found = rl.search_reedy(algebra, frame, mode="exhaustive")
 
-    # one decomposition per distinct pair, which verify_reedy reuses
-    assert len(decompositions) == 177 <= len(admitted)
+    # one decomposition per distinct screened pair, which verify_reedy reuses
+    assert len(decompositions) == len(screened) == 10 < 177 <= len(admitted)
+    assert len(directed) == 2 * len(verified)  # cond_plus and cond_minus of each report
     assert verified and all(real_verify(r)["cond_decomp"]["ok"] for r in verified)
+    for aplus, aminus in admitted.values():
+        if not _multiplies_to_a(frame, aplus, aminus):
+            counts = real_decomposition(algebra, n, peirce_blocks(frame),
+                                        peirce_blocks(frame, aplus), peirce_blocks(frame, aminus))
+            assert not all(domain == block == rank for domain, block, rank in counts)
     show = lambda rows: [[GF2.show(x) for x in row] for row in rows]
     got = [{"degrees": dict(zip(s.frame.labels, s.frame.degrees)),
             "aplus_basis": show(s.aplus.space.basis), "aminus_basis": show(s.aminus.space.basis)}
            for s in found]
     pinned = read_json(GOLDEN / "corpus.diamond-gf2-search.json")["found"]
     assert got == [{k: e[k] for k in ("degrees", "aplus_basis", "aminus_basis")} for e in pinned]
+
+
+# the bundled algebras over GF(q), and diamond, simplex1 and uppertri over GF(2) and GF(3)
+GF_ALGEBRAS = [path.name for path in sorted(CORPUS.glob("*.gf*.alg.json"))] + [
+    f"{stem}.gf{p}" for stem in ("diamond", "simplex1", "uppertri") for p in (2, 3)]
+
+
+def _gf_algebra(name):
+    """(A, frame without degrees) of a bundled file or of a constructor over GF(p)."""
+    if name.endswith(".alg.json"):
+        algebra, frame = load_algebra(CORPUS / name)
+    else:
+        stem, p = name.split(".gf")
+        f = rl.prime_field(int(p))
+        if stem == "simplex1":
+            simplex1 = rl.build_simplex_algebra(1, f)
+            algebra, frame = simplex1.algebra, simplex1.frame
+        else:
+            presentation = rl.diamond_presentation() if stem == "diamond" else rl.a2_presentation()
+            algebra, frame = rl.build_quiver_algebra(presentation, f)
+    return algebra, frame.without_degrees()
+
+
+@pytest.mark.parametrize("name", GF_ALGEBRAS)
+def test_graded_candidates_are_the_directable_subalgebras(name):
+    """The candidates built block by block from the Peirce decomposition are,
+    as spaces, the subalgebras between S and A (all of them, enumerated on
+    the coordinates off S) whose diagonal blocks are the lines k e_i, each
+    once, with its block dimensions."""
+    algebra, frame = _gf_algebra(name)
+    n = range(len(frame))
+    graded = rl.reedy._candidate_subalgebras(algebra, frame)
+    spaces = [c.space for c, _ in graded]
+    assert len(set(spaces)) == len(spaces)
+    assert set(spaces) == {c.space for c in all_subalgebras_over_s(algebra, frame)
+                           if all(_block_dims(frame, c)[i][i] == 1 for i in n)}
+    for c, dims in graded:
+        assert c.closure_kind == rl.AlgSubspace.SUBALGEBRA
+        assert [list(row) for row in dims] == _block_dims(frame, c)
+
+
+def test_all_subspaces_counts_every_subspace_once():
+    """F_q^m has sum over d of the Gaussian binomials [m, d]_q subspaces."""
+    def gaussian(m, d, q):
+        num = den = 1
+        for k in range(d):
+            num *= q ** (m - k) - 1
+            den *= q ** (k + 1) - 1
+        return num // den
+
+    for q in (2, 3):
+        f = rl.prime_field(q)
+        for m in range(5):
+            spaces = [span(f, m, basis) for basis in rl.reedy._all_subspaces(f, m)]
+            assert len(spaces) == len(set(spaces)) == sum(gaussian(m, d, q) for d in range(m + 1))
+            assert all(s.basis == tuple(b) for s, b in zip(spaces, rl.reedy._all_subspaces(f, m)))
 
 
 def test_heuristic_search_decides_each_pair_once(monkeypatch, GF2):
@@ -574,6 +662,41 @@ def test_exhaustive_search_bounds_the_enumerated_space(monkeypatch):
     assert rl.search_reedy(m3, rl.IdempotentFrame(m3, [m3.unit], ["one"]), mode="exhaustive") == []
 
 
+def test_search_on_a_zero_idempotent_finds_nothing_at_once(monkeypatch):
+    """A zero frame idempotent e_z leaves e_zXe_z = 0 for every X, so no
+    subspace is directed and both modes return [] without building a
+    candidate (for M3 over GF(2) with the unit and a zero idempotent,
+    enumerating F_2^8 would take seconds); the exhaustive bound still
+    refuses first."""
+    def refuse(*args):
+        raise AssertionError("no candidate should be built")
+    monkeypatch.setattr(rl.reedy, "_candidate_subalgebras", refuse)
+    monkeypatch.setattr(rl.reedy, "subalgebra_closure", refuse)
+    for p, allowed in ((2, True), (3, False)):
+        m3 = rl.build_matrix_algebra(3, rl.prime_field(p))
+        frame = rl.IdempotentFrame(m3, [m3.unit, [m3.field.zero] * m3.dim], ["one", "zero"])
+        assert rl.search_reedy(m3, frame, mode="heuristic") == []
+        if allowed:
+            assert rl.search_reedy(m3, frame, mode="exhaustive") == []
+        else:
+            with pytest.raises(AlgebraError, match=r"3\^7 exceeds exhaustive bound 2\^8"):
+                rl.search_reedy(m3, frame, mode="exhaustive")
+
+
+@pytest.mark.parametrize("name", GF_ALGEBRAS)
+def test_graded_enumeration_stays_within_the_bound(monkeypatch, name):
+    """With nonzero frame idempotents, the off-diagonal blocks the candidates
+    are enumerated in span dim A - sum dim e_iAe_i <= dim A - |E|, the
+    dimension EXHAUSTIVE_BOUND is checked against."""
+    algebra, frame = _gf_algebra(name)
+    enumerated = []
+    real = rl.reedy._all_subspaces
+    monkeypatch.setattr(rl.reedy, "_all_subspaces",
+                        lambda f, m: enumerated.append(m) or real(f, m))
+    rl.reedy._candidate_subalgebras(algebra, frame)
+    assert sum(enumerated) <= algebra.dim - len(frame)
+
+
 def test_search_results_deterministic(diamond_gf2):
     algebra, frame = diamond_gf2
     first = rl.search_reedy(algebra, frame, mode="exhaustive")
@@ -632,12 +755,11 @@ def test_crosscheck_all_candidate_pairs_fail_for_impossible_order(diamond_gf2):
     """For the order where no decomposition exists, every directedness-
     compatible candidate pair yields an all-false crosscheck row."""
     from reedylab.qh import directedness
-    from reedylab.reedy import _candidate_subalgebras
 
     algebra, frame = diamond_gf2
     levels = (3, 2, 0, 1)
     work = frame.with_degrees(levels)
-    candidates = _candidate_subalgebras(algebra, frame)
+    candidates = all_subalgebras_over_s(algebra, frame)
     plus_list = [c for c in candidates if directedness(work, levels, True, c)["ok"]]
     minus_list = [c for c in candidates if directedness(work, levels, False, c)["ok"]]
     assert plus_list and minus_list
