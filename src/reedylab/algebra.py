@@ -355,16 +355,19 @@ class AlgSubspace:
     def is_subalgebra(self) -> bool:
         return self.contains(self.algebra.unit) and self.is_multiplicatively_closed()
 
-    def is_ideal(self) -> bool:
-        a = self.algebra
-        f = a.field
-        units = [{k: f.one} for k in range(a.dim)]
-        return self._contains_all(
-            prod
-            for v in self.space.rows.values()
-            for bk in units
-            for prod in (a.mul_sparse(bk, v), a.mul_sparse(v, bk))
-        )
+    def is_ideal(self, square: Subspace | None = None) -> bool:
+        """Whether X is a two-sided ideal.  Being one is linear in the
+        multiplier, and the rows of X with the unit vectors b_c at the
+        coordinates c off X's pivots span A, so X is an ideal exactly when
+        span(X*X) lies in X and so do b_c*X and X*b_c for those c:
+        |X|^2 + 2(dim A - |X|)|X| products, with no associativity assumed.
+        ``square`` is span(X*X) when the caller has formed it already."""
+        if square is None:
+            closed = self.is_multiplicatively_closed()
+        else:
+            closed = self._contains_all(square.rows.values())
+        return closed and self._contains_all(_unit_products(
+            self.algebra, self.space.rows.values(), self.space.complement_coords()))
 
     def extracted(self):
         """The subspace as a standalone algebra plus its embedding rows
@@ -379,6 +382,33 @@ class AlgSubspace:
         return memo(self, "extracted", lambda: (
             _on_rows(a, self.space, a.unit, [f"s{i}_{a.labels[p]}" for i, p in enumerate(rows)]),
             tuple(rows.values())))
+
+
+def _unit_products(a: Algebra, vectors, coords):
+    """b_c*v and v*b_c for each sparse v in ``vectors`` and c in ``coords``,
+    read off the structure constants in one pass over v:
+    b_c*v = sum_i v_i mult[c][i] and v*b_c = sum_i v_i mult[i][c].  The
+    nonzero cells at each i are gathered once per call."""
+    f, mult = a.field, a.mult
+    cells: dict = {}  # i -> ([(c, mult[c][i])], [(c, mult[i][c])]) over c in coords, cells nonzero
+    for v in vectors:
+        left: dict = {}
+        right: dict = {}
+        for i, x in v.items():
+            if i not in cells:
+                cells[i] = ([(c, mult[c][i]) for c in coords if mult[c][i]],
+                            [(c, mult[i][c]) for c in coords if mult[i][c]])
+            for out, at in zip((left, right), cells[i]):
+                for c, pairs in at:
+                    prod = out.setdefault(c, {})
+                    for k, m in pairs:
+                        val = f.add(prod.get(k, f.zero), f.mul(x, m))
+                        if val == f.zero:
+                            prod.pop(k, None)
+                        else:
+                            prod[k] = val
+        yield from left.values()
+        yield from right.values()
 
 
 def _on_rows(a: Algebra, space: Subspace, unit, labels) -> Algebra:
@@ -712,48 +742,53 @@ def _combination(f, coords: dict, rows) -> dict:
     return vec
 
 
-def _check_nilpotent(a: Algebra, sub: Subspace) -> bool:
-    """Whether some power of ``sub`` vanishes, where J^(k+1) = span(J^k * J).
+def _check_nilpotent(a: Algebra, sub: Subspace, square: Subspace | None = None) -> bool:
+    """Whether some power of ``sub`` vanishes, where J^(k+1) = span(J^k * J);
+    ``square`` is J^2 when the caller has formed it already.
 
     A nonzero power that repeats (J^(k+1) = J^k) repeats forever, so the
     check stops there with False.
     """
-    power = sub
+    power, nxt = sub, square
     for _ in range(a.dim + 1):
         if power.dim == 0:
             return True
-        nxt = product_span(a, power, sub)
+        if nxt is None:
+            nxt = product_span(a, power, sub)
         if nxt == power:
             return False
-        power = nxt
+        power, nxt = nxt, None
     return power.dim == 0
 
 
 def radical(a: Algebra) -> AlgSubspace:
     """The Jacobson radical as a verified two-sided ideal (see
-    ``radical_generic``, which checks it nilpotent), kept on A."""
-    def compute():
-        result = AlgSubspace(a, radical_generic(a), AlgSubspace.IDEAL)
-        if not result.is_ideal():
-            raise AlgebraError("radical candidate not an ideal (unsupported input)")
-        return result
-    return memo(a, "radical", compute)
+    ``radical_generic``, which certifies it a nilpotent ideal), kept on A."""
+    return memo(a, "radical", lambda: AlgSubspace(a, radical_generic(a), AlgSubspace.IDEAL))
 
 
 def radical_generic(a: Algebra) -> Subspace:
-    """The radical by trace forms, returned only once checked nilpotent.
+    """The radical by trace forms, returned only once certified a nilpotent
+    two-sided ideal.
 
     The trace-form kernel K is an ideal containing rad A.  In characteristic
     0 or p > dim A, Newton's identities make every element of K nilpotent,
     so K is the radical.  Otherwise the p-power trace chain continues from
     K; each of its forms vanishes on rad A, so a K that is already the
     radical comes back unchanged.
+
+    Both certificates read one span K^2 = span(K*K): the nilpotency chain
+    starts from it, and then the ideal test (``AlgSubspace.is_ideal``) asks
+    K^2 in K and multiplies K only by the unit vectors off K's pivots.
     """
     k = _trace_form_kernel(a)
     if 0 < a.field.characteristic <= a.dim:
         k = _radical_charp(a, k)
-    if not _check_nilpotent(a, k):
+    square = product_span(a, k, k)
+    if not _check_nilpotent(a, k, square):
         raise AlgebraError("radical candidate not nilpotent (unsupported input)")
+    if not AlgSubspace(a, k).is_ideal(square):
+        raise AlgebraError("radical candidate not an ideal (unsupported input)")
     return k
 
 

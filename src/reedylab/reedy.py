@@ -9,6 +9,7 @@ report data, never exceptions.
 
 from __future__ import annotations
 
+from functools import partial
 from itertools import combinations, product as iter_product
 from operator import mul
 
@@ -403,13 +404,19 @@ def _bimodule_bijective(r: ReedyStructure) -> dict:
 def _center_dim(a: Algebra, rad: Subspace) -> int:
     """Dimension of the centre of A/rad (counts the simple blocks when A/rad
     is split semisimple): the nullity of x -> ([x, c] mod rad)_c on the
-    residue rows c of A modulo rad, the unit rows off rad's pivots."""
-    f, comp, rows = a.field, rad.complement_coords(), []
+    residue rows c of A modulo rad, the unit rows off rad's pivots, with
+    [b_s, b_k] = mult[s][k] - mult[k][s] read off the table."""
+    f, mult, comp, rows = a.field, a.mult, rad.complement_coords(), []
     for k in comp:
         by_t: dict = {}  # coefficient of b_t in [b_s, b_k] mod rad, as rows indexed by t
         for col, s in enumerate(comp):
-            comm = a.mul_sparse({s: f.one}, {k: f.one})
-            add_scaled(f, comm, f.neg(f.one), a.mul_sparse({k: f.one}, {s: f.one}))
+            if s == k or not (mult[s][k] or mult[k][s]):
+                continue
+            comm: dict = {}
+            for t, c in mult[s][k]:
+                comm[t] = f.add(comm.get(t, f.zero), c)
+            for t, c in mult[k][s]:
+                comm[t] = f.sub(comm.get(t, f.zero), c)
             for t, c in rad.reduce(comm).items():
                 by_t.setdefault(t, {})[col] = c
         rows.extend(by_t.values())
@@ -450,12 +457,14 @@ def _combination(f: Field, coeffs, rows) -> dict:
 def _candidate_subalgebras(a: Algebra, frame: IdempotentFrame) -> list[tuple]:
     """Every subalgebra X between S and A with e_iXe_i = k e_i for all i
     (finite field, nonzero frame idempotents), with its block dimensions
-    D_X[j][i] = dim e_jXe_i, as pairs (X, D_X).
+    D_X[j][i] = dim e_jXe_i and its pieces {(j, i): the sparse rows chosen
+    in e_jAe_i}, as triples (X, D_X, pieces).
 
     X contains S, so it is the direct sum of its blocks e_jXe_i: S plus one
     subspace of each nonzero off-diagonal block of A, enumerated in the
     block's row coordinates.  These are the subalgebras directedness can
-    admit; D_X is read off the chosen pieces."""
+    admit; D_X and the Peirce table of X (``_piece_table``) are read off
+    the chosen pieces."""
     f, n = a.field, len(frame)
     off = [(key, list(blk.rows.values())) for key, blk in peirce_blocks(frame).items()
            if key[0] != key[1] and blk.dim]
@@ -475,8 +484,20 @@ def _candidate_subalgebras(a: Algebra, frame: IdempotentFrame) -> list[tuple]:
             for ((j, i), _), piece in zip(off, pieces):
                 dims[j][i] = len(piece)
             out.append((AlgSubspace(a, cand.space, AlgSubspace.SUBALGEBRA),
-                        tuple(map(tuple, dims))))
+                        tuple(map(tuple, dims)),
+                        {key: piece for (key, _), piece in zip(off, pieces)}))
     return out
+
+
+def _piece_table(frame: IdempotentFrame, pieces: dict) -> dict:
+    """The Peirce table of a candidate X = S + ``pieces`` read off its
+    pieces: e_jXe_i is the span of the piece at (j, i) off the diagonal
+    (zero where none was chosen) and the line k e_i on it, which is the
+    table ``peirce_blocks`` builds by products when A is associative."""
+    f, dim, lines = frame.algebra.field, frame.algebra.dim, frame.lines()
+    n = range(len(lines))
+    return {(j, i): lines[i] if i == j else sparse_span(f, dim, pieces.get((j, i), ()))
+            for j in n for i in n}
 
 
 def _peirce_dims(frame: IdempotentFrame, sub: AlgSubspace | None) -> tuple:
@@ -519,8 +540,9 @@ def search_reedy(a: Algebra, frame: IdempotentFrame, mode: str = "heuristic",
     decided once per pair (A+, A-), kept on the frame for ``verify_reedy``,
     and only for a pair whose block dimensions multiply to A's,
     D_+ . D_- = D_A (the domain and block dimensions agree on every
-    Peirce pair).  Results are deduplicated and ordered by degree function
-    and canonical bases.
+    Peirce pair); an exhaustive candidate in such a pair gets its Peirce
+    table from its chosen pieces.  Results are deduplicated and ordered by
+    degree function and canonical bases.
     """
     n = len(frame)
     if n > MAX_WEIGHTS:
@@ -536,8 +558,11 @@ def search_reedy(a: Algebra, frame: IdempotentFrame, mode: str = "heuristic",
                                f"exceeds exhaustive bound 2^{EXHAUSTIVE_BOUND}")
     if any(not line.dim for line in frame.lines()):
         return []  # e_zXe_z = 0 for a zero idempotent e_z: no X is directed
+    pieces_of = {}  # exhaustive candidate -> its pieces, which give its Peirce table
     if mode == "exhaustive":
-        candidates = _candidate_subalgebras(a, frame)
+        triples = _candidate_subalgebras(a, frame)
+        candidates = [(cand, dims) for cand, dims, _ in triples]
+        pieces_of = {cand: pieces for cand, _, pieces in triples}
         supports = [_support(dims) for _, dims in candidates]
     else:
         closures = {}  # space -> (the closure with that space, its block dimensions)
@@ -569,7 +594,12 @@ def search_reedy(a: Algebra, frame: IdempotentFrame, mode: str = "heuristic",
         for (aplus, d_plus), (aminus, d_minus) in pair_list:
             pair = (aplus, aminus)
             if pair not in decomposes:
-                decomposes[pair] = _multiply_to(d_plus, d_minus, d_a) and all(
+                screened = _multiply_to(d_plus, d_minus, d_a)
+                for sub in pair if screened else ():
+                    if sub in pieces_of:  # kept where peirce_blocks reads it
+                        memo(frame, ("peirce", sub.space),
+                             partial(_piece_table, frame, pieces_of[sub]))
+                decomposes[pair] = screened and all(
                     domain == block_dim == rank
                     for domain, block_dim, rank in _full_decomposition(frame, aplus, aminus))
             if not decomposes[pair]:

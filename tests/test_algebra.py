@@ -527,14 +527,58 @@ def test_radical_certifies_nilpotency_once(monkeypatch):
     calls = []
     check = algebra_module._check_nilpotent
     monkeypatch.setattr(algebra_module, "_check_nilpotent",
-                        lambda a, sub: calls.append(sub) or check(a, sub))
-    algebras = [load_algebra(default_corpus_dir() / f"{name}.alg.json")[0]
-                for name in ("diamond.gf2", "m2.gf2", "m2unit.gf3")]
-    algebras.append(rl.build_simplex_algebra(2, rl.rationals()).algebra)
-    for algebra in algebras:
+                        lambda a, sub, square=None: calls.append(sub) or check(a, sub, square))
+    for algebra in certificate_algebras():
         calls.clear()
         rl.radical(algebra)
         assert len(calls) == 1, algebra
+
+
+def certificate_algebras():
+    algebras = [load_algebra(default_corpus_dir() / f"{name}.alg.json")[0]
+                for name in ("diamond.gf2", "m2.gf2", "m2unit.gf3")]
+    return algebras + [rl.build_simplex_algebra(2, rl.rationals()).algebra]
+
+
+def test_radical_forms_k_times_k_once(monkeypatch):
+    """Both certificates read one span K*K: the nilpotency chain starts from
+    it and the ideal test asks it to lie in K, so each product of two rows
+    of K is taken once per radical."""
+    real = rl.Algebra.mul_sparse
+    products = []
+    monkeypatch.setattr(rl.Algebra, "mul_sparse",
+                        lambda a, u, w: products.append((id(u), id(w))) or real(a, u, w))
+    for algebra in certificate_algebras():
+        products.clear()
+        rad = rl.radical(algebra).space
+        rows = {id(row) for row in rad.rows.values()}
+        pairs = [p for p in products if p[0] in rows and p[1] in rows]
+        assert len(pairs) == len(set(pairs)) == rad.dim ** 2, algebra
+
+
+def diamond_with_kernel(monkeypatch, labels):
+    """Diamond over Q with the trace-form kernel replaced by the span of
+    the basis vectors at ``labels``."""
+    algebra, _ = rl.build_quiver_algebra(rl.diamond_presentation(), rl.rationals())
+    vectors = [algebra.basis_vector(algebra.labels.index(lab)) for lab in labels]
+    monkeypatch.setattr(algebra_module, "_trace_form_kernel",
+                        lambda a: span(a.field, a.dim, vectors))
+    return algebra
+
+
+def test_radical_refuses_a_nilpotent_candidate_that_is_no_ideal(monkeypatch):
+    # the arrow ab squares to zero, but ab*bd leaves its line
+    algebra = diamond_with_kernel(monkeypatch, ["ab"])
+    with pytest.raises(rl.AlgebraError, match=r"^radical candidate not an ideal \(unsupported input\)$"):
+        rl.radical(algebra)
+
+
+def test_radical_checks_nilpotency_before_the_ideal(monkeypatch):
+    # the vertex a is idempotent, so its line is not nilpotent, nor an ideal
+    algebra = diamond_with_kernel(monkeypatch, ["a"])
+    assert not rl.AlgSubspace(algebra, algebra_module._trace_form_kernel(algebra)).is_ideal()
+    with pytest.raises(rl.AlgebraError, match=r"^radical candidate not nilpotent \(unsupported input\)$"):
+        rl.radical(algebra)
 
 
 # --- elementary and primitivity ----------------------------------------------

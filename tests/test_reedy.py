@@ -561,13 +561,41 @@ def test_graded_candidates_are_the_directable_subalgebras(name):
     algebra, frame = _gf_algebra(name)
     n = range(len(frame))
     graded = rl.reedy._candidate_subalgebras(algebra, frame)
-    spaces = [c.space for c, _ in graded]
+    spaces = [c.space for c, _, _ in graded]
     assert len(set(spaces)) == len(spaces)
     assert set(spaces) == {c.space for c in all_subalgebras_over_s(algebra, frame)
                            if all(_block_dims(frame, c)[i][i] == 1 for i in n)}
-    for c, dims in graded:
+    for c, dims, _ in graded:
         assert c.closure_kind == rl.AlgSubspace.SUBALGEBRA
         assert [list(row) for row in dims] == _block_dims(frame, c)
+
+
+@pytest.mark.parametrize("name", GF_ALGEBRAS)
+def test_piece_tables_are_the_product_tables(name):
+    """Each candidate's Peirce table read off its chosen pieces is the table
+    ``peirce_blocks`` builds by products, block for block and in its order."""
+    algebra, frame = _gf_algebra(name)
+    for c, dims, pieces in rl.reedy._candidate_subalgebras(algebra, frame):
+        table = rl.reedy._piece_table(frame, pieces)
+        by_products = peirce_blocks(frame, c)
+        assert list(table.items()) == list(by_products.items())
+        assert all(table[key].dim == len(rows) for key, rows in pieces.items())
+
+
+def test_exhaustive_search_reads_candidate_tables_off_their_pieces(monkeypatch, diamond_gf2):
+    """Diamond over GF(2): the search builds the Peirce table of A by
+    products and those of the candidates in screened pairs from their
+    pieces, with the same structures found."""
+    algebra, frame = diamond_gf2
+    expected = [(s.frame.degrees, s.aplus.space, s.aminus.space)
+                for s in rl.search_reedy(algebra, frame, mode="exhaustive")]
+    fresh = rl.IdempotentFrame(algebra, frame.idempotents, frame.labels)
+    built = []
+    real = rl.algebra.row_span
+    monkeypatch.setattr(rl.algebra, "row_span", lambda a, e, space: built.append(space) or real(a, e, space))
+    found = rl.search_reedy(algebra, fresh, mode="exhaustive")
+    assert [(s.frame.degrees, s.aplus.space, s.aminus.space) for s in found] == expected
+    assert built == [None] * len(frame)
 
 
 def test_all_subspaces_counts_every_subspace_once():
