@@ -526,11 +526,20 @@ def corner_span(a: Algebra, e, space: Subspace | None, base: Subspace | None = N
 def peirce_two_sided(frame: IdempotentFrame, inside, sub: AlgSubspace | None = None) -> Subspace:
     """Span of X*e*X for X = A (the ideal AeA) or a subalgebra ``sub``
     holding the frame, and e the sum of the frame idempotents at
-    ``inside``: the span of the block products (e_hXe_i)(e_iXe_h') over i
-    inside and every h, h', from the cached Peirce table of X."""
+    ``inside``, from the cached Peirce table of X.  Its block at (h, g) is
+    all of e_hXe_g when h or g is inside, since e_h = e_h e e_h lies in X
+    and e_hXe_g = e_h e (e_hXe_g); for h and g outside it is the span of
+    the products (e_hXe_i)(e_iXe_g) over i inside.  Both read X's table
+    as associative, which a loaded file does not yet prove."""
     blocks, n = peirce_blocks(frame, sub), range(len(frame))
-    pairs = [(blocks[(h, i)], blocks[(i, g)]) for i in inside for h in n for g in n]
-    return _product_echelon(frame.algebra, pairs)[1].to_subspace()
+    outside = [h for h in n if h not in inside]
+    pairs = [(blocks[(h, i)], blocks[(i, g)]) for h in outside for g in outside for i in inside]
+    acc = _product_echelon(frame.algebra, pairs)[1]
+    for (h, g), block in blocks.items():
+        if h in inside or g in inside:
+            for row in block.rows.values():
+                acc.insert(row)
+    return acc.to_subspace()
 
 
 def product_rank(a: Algebra, pairs, base: Subspace | None = None) -> tuple[int, int]:
@@ -886,7 +895,11 @@ def tensor_dim_over_corner(frame: IdempotentFrame, inside, below: Subspace | Non
     the sum over i inside of e_hAe_i (x) e_iAe_g modulo the relations
     x r (x) y - x (x) r y for r in e_iAe_k (i, k inside); it maps onto
     e_h(AeA)e_g, so the relations stop once their rank is the width less
-    that image's rank.  With ``below`` = J, an ideal, all is read in A/J:
+    that image's rank, and the products x r and r y of a corner row r are
+    formed only when the first relation from r is asked for, once per
+    outside index, so rows past that point cost nothing.  The block and
+    bound identities read A's table as associative, which a loaded file
+    does not yet prove.  With ``below`` = J, an ideal, all is read in A/J:
     blocks as residue rows modulo J, products reduced modulo J."""
     a, lines, n = frame.algebra, frame.lines(), range(len(frame))
     inside = sorted(inside)
@@ -904,12 +917,20 @@ def tensor_dim_over_corner(frame: IdempotentFrame, inside, below: Subspace | Non
         blocks.update({(h, i): product_span(a, lines[h], columns[i], below) for h in outside})
         blocks.update({(i, h): product_span(a, rows[i], lines[h], below) for h in outside})
     corner = [(i, k, r) for i in inside for k in inside for r in blocks[(i, k)].rows.values()]
-    # per corner row r in e_iAe_k: x*r in e_hAe_k for the rows x of e_hAe_i, r*y in e_iAe_g
-    # for the rows y of e_kAe_g, in block coordinates
-    xr = {h: [[blocks[(h, k)].coords(reduce(a.mul_sparse(x, r))) for x in blocks[(h, i)].rows.values()]
-              for i, k, r in corner] for h in outside}
-    ry = {g: [[blocks[(i, g)].coords(reduce(a.mul_sparse(r, y))) for y in blocks[(k, g)].rows.values()]
-              for i, k, r in corner] for g in outside}
+    products = {}
+
+    def times(side, h, t):
+        """For the t-th corner row r in e_iAe_k, in block coordinates: x*r in
+        e_hAe_k for the rows x of e_hAe_i (side "x"), or r*y in e_iAe_h for
+        the rows y of e_kAe_h (side "y"); formed once, when first asked for."""
+        if (side, h, t) not in products:
+            i, k, r = corner[t]
+            products[side, h, t] = (
+                [blocks[(h, k)].coords(reduce(a.mul_sparse(x, r))) for x in blocks[(h, i)].rows.values()]
+                if side == "x" else
+                [blocks[(i, h)].coords(reduce(a.mul_sparse(r, y))) for y in blocks[(k, h)].rows.values()])
+        return products[side, h, t]
+
     for h in outside:
         for g in outside:
             pairs = [(blocks[(h, i)], blocks[(i, g)]) for i in inside]
@@ -918,12 +939,14 @@ def tensor_dim_over_corner(frame: IdempotentFrame, inside, below: Subspace | Non
                 offsets[i] = (width, y.dim)
                 width += x.dim * y.dim
             relations, bound = Echelon(a.field, width), None
-            for vec in _balancing(a.field, corner, xr[h], ry[g], offsets):
+            for vec in _balancing(a.field, corner, lambda t: times("x", h, t),
+                                  lambda t: times("y", g, t), offsets):
                 if bound is None:
                     bound = width - product_rank(a, pairs, below)[1]
+                if relations.dim < bound:
+                    relations.insert(vec)
                 if relations.dim == bound:
                     break
-                relations.insert(vec)
             total += width - relations.dim
     return total
 
@@ -932,9 +955,11 @@ def _balancing(f, corner, xr, ry, offsets):
     """The nonzero relations x r (x) y - x (x) r y, where x r (x) y sits at
     the column offset + c * step + j for ``offsets[k]`` = (offset, step),
     c the coordinate of x*r and j the index of y, and x (x) r y likewise at
-    ``offsets[i]``."""
-    for (i, k, _), per_x, per_y in zip(corner, xr, ry):
+    ``offsets[i]``; ``xr(t)`` and ``ry(t)`` give the products x*r and r*y
+    for the t-th corner row, asked for only as the relations reach it."""
+    for t, (i, k, _) in enumerate(corner):
         (at_i, step_i), (at_k, step_k) = offsets[i], offsets[k]
+        per_x, per_y = xr(t), ry(t)
         for xi, x_r in enumerate(per_x):
             for yj, r_y in enumerate(per_y):
                 vec = {at_k + c * step_k + yj: v for c, v in x_r.items()}

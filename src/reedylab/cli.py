@@ -89,6 +89,8 @@ def cmd_construct(args) -> int:
 
 def cmd_verify(args) -> int:
     what = args.what
+    if args.cut is not None and what != "theorem53":
+        raise FormatError("--cut applies only to verify theorem53")
     if what == "qh":
         if len(args.files) != 2:
             raise FormatError("verify qh needs an algebra file and an order file")

@@ -96,6 +96,8 @@ def _search_summary(entry: dict, base: Path) -> dict:
 def entry_report(entry: dict, base: Path) -> dict:
     """The report of a corpus entry's check (one of ``CHECKS``) on its files."""
     check = entry["check"]
+    if "cut" in entry and check != "theorem53":
+        raise FormatError("entry field 'cut' applies only to check theorem53")
     if check == "qh":
         return run_qh(base / _field(entry, "algebra"), base / _field(entry, "order"))
     if check == "search":

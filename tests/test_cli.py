@@ -456,6 +456,18 @@ def test_verify_missing_cut_is_usage_error(capsys):
     assert code == 2 and "cut" in stderr
 
 
+@pytest.mark.parametrize("what, files", [
+    *((what, ["uppertri.ss.reedy.json"]) for what in ("reedy", "borel", "delta", "theorem41")),
+    ("qh", ["uppertri.alg.json", "uppertri.order01.order.json"]),
+])
+def test_verify_cut_on_another_check_is_usage_error(capsys, what, files):
+    """Only theorem53 reads --cut; any other check refuses it rather than
+    ignoring it, before reading its files."""
+    code, stdout, stderr = run(capsys, "verify", what, *(str(CORPUS / f) for f in files), "--cut", "3")
+    assert (code, stdout) == (2, "")
+    assert stderr == "error: --cut applies only to verify theorem53\n"
+
+
 def test_search_exit_codes(capsys):
     code, stdout, _ = run(
         capsys, "search", str(CORPUS / "m2.gf2.alg.json"), "--mode", "exhaustive"
@@ -565,6 +577,9 @@ MALFORMED_CORPUS = [
      "error: entry field 'max_levels' must be at least 1, got 0"),
     (_one_entry("diamond-gf2-search", max_levels=-2, expected={"count": 0}), 1,
      "error: entry field 'max_levels' must be at least 1, got -2"),
+    # only theorem53 reads a cut; any other check refuses one
+    *((_one_entry(bundled, cut=0), 1, "error: entry field 'cut' applies only to check theorem53")
+      for bundled in ("k-trivial", "k-trivial-t41", "uppertri-qh-01", "simplex1-search-heuristic")),
 ]
 
 

@@ -16,7 +16,7 @@ from reedylab.qh import (
     order_from_degrees,
     trace_subspace,
 )
-from reedylab.serialize import load_algebra
+from reedylab.serialize import load_algebra, load_order, load_reedy
 
 
 def vertex_span(algebra, frame):
@@ -216,6 +216,25 @@ def test_chain_computes_the_radical_once(monkeypatch, Q):
     s2 = rl.build_simplex_algebra(2, Q)
     assert rl.heredity_chain_verify(s2.algebra, s2.frame)["overall"]
     assert dims == [s2.algebra.dim]
+
+
+def test_chain_product_counts(monkeypatch):
+    """mul_sparse calls per heredity chain, which repeat exactly.  The chain
+    forms no XeX of its own, and Theorem 5.3's multiplication test must not
+    reach for the frame's whole Peirce table on its behalf."""
+    corpus = default_corpus_dir()
+    tensor49 = load_reedy(corpus / "tensor49.reedy.json")
+    cases = [(tensor49.algebra, tensor49.frame, tensor49.order(), 1494)]
+    for stem, order_stem, count in (("diamond", "diamond.order0123", 309),
+                                    ("uppertri", "uppertri.order01", 45)):
+        algebra, frame = load_algebra(corpus / f"{stem}.alg.json")
+        cases.append((algebra, frame, load_order(corpus / f"{order_stem}.order.json", frame), count))
+    real, calls = rl.Algebra.mul_sparse, []
+    monkeypatch.setattr(rl.Algebra, "mul_sparse", lambda a, u, w: calls.append(1) or real(a, u, w))
+    for algebra, frame, order, count in cases:
+        calls.clear()
+        assert rl.heredity_chain_verify(algebra, frame, order)["overall"]
+        assert len(calls) == count, algebra
 
 
 def test_chain_trivial_frame(Q):

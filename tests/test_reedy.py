@@ -1,5 +1,6 @@
 """Reedy verification, layers, recursion, induced structures, search, crosscheck."""
 
+from fractions import Fraction
 from itertools import permutations
 from pathlib import Path
 
@@ -15,6 +16,7 @@ from reedylab.linalg import densify, modulo, span, sparse, sparse_span, subspace
 from reedylab.qh import level_chain, order_from_degrees, peirce_blocks
 from reedylab.reedy import _center_dim
 from reedylab.serialize import load_algebra, load_reedy, read_json
+from test_serialize import rescaled
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 CORPUS = default_corpus_dir()
@@ -163,19 +165,50 @@ def two_sided_span(a, e, space):
     return product_span(a, column_span(a, space, e), space)
 
 
+def _rescaled_structure(r, scales):
+    """``r`` on the basis scales[i] * b_i, A+ and A- included."""
+    algebra, frame = rescaled(r, scales)
+    f = algebra.field
+
+    def sub(x):
+        rows = ({i: f.div(v, scales[i]) for i, v in row.items()} for row in x.space.rows.values())
+        return rl.AlgSubspace(algebra, sparse_span(f, algebra.dim, rows), rl.AlgSubspace.SUBALGEBRA)
+    return rl.ReedyStructure(algebra, frame, sub(r.aplus), sub(r.aminus))
+
+
+def _two_sided_cases():
+    """Every corpus Reedy file; simplex2 over GF(2) and GF(3); and simplex2
+    over Q on a basis rescaled by non-integral constants."""
+    for path in sorted(CORPUS.glob("*.reedy.json")):
+        yield path.name, load_reedy(path)
+    for p in (2, 3):
+        yield f"simplex2-GF{p}", rl.build_simplex_algebra(2, rl.prime_field(p))
+    cycle = [Fraction(1, 2), Fraction(2, 3), 3, Fraction(5, 4)]
+    simplex2 = rl.build_simplex_algebra(2, rl.rationals())
+    yield "simplex2-rescaled", _rescaled_structure(
+        simplex2, [cycle[i % 4] for i in range(simplex2.algebra.dim)])
+
+
 def test_peirce_two_sided_matches_products_at_every_cut():
     """XeX from the Peirce table of X equals its product span, for X = A,
-    A+ and A- of every corpus Reedy file, e the idempotents up to each level."""
-    for path in sorted(default_corpus_dir().glob("*.reedy.json")):
-        r = load_reedy(path)
-        a, levels = r.algebra, r.order().levels
+    A+ and A-, e the idempotents up to each level.  Its dimension is that
+    of the blocks e_hXe_g with h or g inside, taken whole, plus the rank
+    of (e_hXe_i)(e_iXe_g) over i inside for each pair h, g outside."""
+    for name, r in _two_sided_cases():
+        a, levels, n = r.algebra, r.order().levels, range(len(r.frame))
         for cut in [-1, *sorted(set(levels))]:
             inside = [i for i, level in enumerate(levels) if level <= cut]
+            outside = [h for h in n if h not in inside]
             e = r.frame.sum_of(inside)
             for sub in (None, r.aplus, r.aminus):
                 space = None if sub is None else sub.space
-                assert peirce_two_sided(r.frame, inside, sub) == two_sided_span(a, e, space), (
-                    path.name, cut)
+                two_sided = peirce_two_sided(r.frame, inside, sub)
+                assert two_sided == two_sided_span(a, e, space), (name, cut)
+                blocks = peirce_blocks(r.frame, sub)
+                touching = sum(b.dim for (h, g), b in blocks.items() if h in inside or g in inside)
+                ranks = sum(product_rank(a, [(blocks[(h, i)], blocks[(i, g)]) for i in inside])[1]
+                            for h in outside for g in outside)
+                assert two_sided.dim == touching + ranks, (name, cut)
 
 
 def _quotient_form_reference(r):
@@ -345,6 +378,36 @@ def test_recursive_equivalence_per_cut_on_corpus(corpus_structures):
             if overall:
                 # (i) => (iii): every cut must produce a true triple
                 assert all(report["triple"]), (name, cut)
+
+
+# mul_sparse calls per recursive_check at each cut, after verify_reedy, against those
+# made when XeX took every block product and the corner products were formed up front
+RECURSIVE_CHECK_PRODUCTS = {
+    "simplex2-GFp": ([92, 271, 279], [109, 409, 710]),
+    "simplex3-GFp": ([361, 1045, 2166, 1452], [388, 1338, 3804, 6956]),
+    "tensor49": ([145, 640, 588], [170, 960, 1316]),
+}
+
+
+def test_recursive_check_product_counts(monkeypatch):
+    """A count, unlike a time, repeats exactly: the guard that each cut
+    forms only the products XeX and the relation rank need."""
+    field = rl.prime_field(2147483629)
+    structures = {"simplex2-GFp": rl.build_simplex_algebra(2, field),
+                  "simplex3-GFp": rl.build_simplex_algebra(3, field),
+                  "tensor49": load_reedy(CORPUS / "tensor49.reedy.json")}
+    real, calls = rl.Algebra.mul_sparse, []
+    monkeypatch.setattr(rl.Algebra, "mul_sparse", lambda a, u, w: calls.append(1) or real(a, u, w))
+    for name, r in structures.items():
+        rl.verify_reedy(r)
+        counts = []
+        for cut in sorted(set(r.order().levels)):
+            calls.clear()
+            rl.recursive_check(r, cut)
+            counts.append(len(calls))
+        now, before = RECURSIVE_CHECK_PRODUCTS[name]
+        assert counts == now, name
+        assert all(c < b for c, b in zip(now, before)), name
 
 
 def _standalone(r, cut):
