@@ -103,15 +103,32 @@ class Algebra:
 def validate(a: Algebra) -> dict:
     """Check associativity and the unit laws, listing every violation.
 
-    Associativity is first checked on a generating set.  Write
-    assoc(x, y, z) = (xy)z - x(yz).  If the unit laws hold, assoc(g, y, z)
-    vanishes for every g in a set G and all basis y, z, and the
-    right-nested words g1(g2(...(gk*1))) span A, then A is associative, by
-    induction on word length: for x = g*w,
+    Write assoc(x, y, z) = (xy)z - x(yz).  The unit laws are checked first,
+    on every basis element.  Associativity is then certified on a
+    generating set G: if the unit laws hold, assoc(g, y, z) vanishes for
+    every g in G and all basis y, z, and the right-nested words
+    g1(g2(...(gk*1))) span A, then A is associative, by induction on word
+    length: for x = g*w,
     ((gw)y)z = (g(wy))z = g((wy)z) = g(w(yz)) = (gw)(yz).
-    So a valid algebra costs |G| * dim^2 triples instead of dim^3.  When
-    that certificate fails, the full scan runs, so the violations listed
-    are always those of every triple.
+    The induction starts at the empty word 1, where assoc(1, y, z) = 0
+    follows from the left unit law; without that check a corrupted table
+    can pass the certificate (a copy of diamond with d*bd = bd + cd does).
+
+    The certificate visits only the triples that chain in the table's own
+    grading.  Each basis index t gets a row class R(t) and a column class
+    C(t), the finest partition with C(s) = R(t) whenever b_s b_t has a
+    nonzero term, and R(k) = R(s), C(k) = C(t) for every nonzero term
+    c b_k of b_s b_t.  Reading the table alone, a nonzero term b_m of
+    b_i b_j with b_m b_k nonzero gives C(i) = R(j) and
+    C(j) = C(m) = R(k), and likewise for b_i (b_j b_k).  So both sides
+    of assoc(i, j, k) are 0 unless R(j) = C(i) and R(k) = C(j), with no
+    associativity assumed, and for each g in G only j in the class C(g)
+    and k in the class C(j) are scanned.  Terms with a zero coefficient,
+    which a loaded table may keep, add nothing to a product and join no
+    classes.
+
+    When the certificate fails, the full scan runs, so the violations
+    listed are always those of every triple.
     """
     f = a.field
     violations = []
@@ -123,26 +140,59 @@ def validate(a: Algebra) -> dict:
         if a.mul_sparse(bi, unit) != bi:
             violations.append({"kind": "unit-right", "index": i})
     if not violations:
-        gens = _word_generators(a, unit)
-        if gens is not None and not _associativity_violations(a, gens):
+        gens, chained = _word_generators(a, unit)
+        if gens is not None and not _associativity_violations(a, gens, chained):
             return {"valid": True, "violations": []}
     violations.extend(_associativity_violations(a, range(a.dim)))
     return {"valid": not violations, "violations": violations}
 
 
 def _word_generators(a: Algebra, unit: dict):
-    """Basis indices G whose right-nested words g1(g2(...(gk*1))) span A,
-    or None if even the words in all basis elements do not.
+    """Basis indices G whose right-nested words g1(g2(...(gk*1))) span A
+    (None if even the words in all basis elements do not), and ``chained``:
+    for each basis index t, the indices s with R(s) = C(t) in the grading
+    of ``validate``, in increasing order.
 
-    Indices that occur least often as a product term come first, and one
-    is kept only if its basis vector is not yet a combination of words.
+    One pass over the table counts each index's uses as a product term and
+    joins the classes, by union-find over the nodes R(t) = t and
+    C(t) = dim + t.  Indices that occur least often as a product term come
+    first, and one is kept only if its basis vector is not yet a
+    combination of words.
     """
     f = a.field
-    uses = [0] * a.dim
-    for row in a.mult:
-        for pairs in row:
-            for k, _ in pairs:
+    n = a.dim
+    uses = [0] * n
+    parent = list(range(2 * n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def join(x, y):
+        x, y = find(x), find(y)
+        if x != y:
+            parent[x] = y
+
+    for s, row in enumerate(a.mult):
+        for t, pairs in enumerate(row):
+            for k, c in pairs:
                 uses[k] += 1
+                if c == f.zero:
+                    continue
+                # most joins repeat one already made; equal parents skip the call
+                if parent[n + s] != parent[t]:
+                    join(n + s, t)
+                if parent[k] != parent[s]:
+                    join(k, s)
+                if parent[n + k] != parent[n + t]:
+                    join(n + k, n + t)
+    rows: dict = {}
+    for s in range(n):
+        rows.setdefault(find(s), []).append(s)
+    chained = [rows.get(find(n + t), ()) for t in range(n)]
+
     words = Echelon(f, a.dim)
     found = [unit] if words.insert(unit) else []
     gens = []
@@ -159,20 +209,23 @@ def _word_generators(a: Algebra, unit: dict):
             if words.insert(gw):
                 found.append(gw)
                 pending.extend((h, gw) for h in gens)
-    return gens if words.dim == a.dim else None
+    return (gens if words.dim == a.dim else None), chained
 
 
-def _associativity_violations(a: Algebra, firsts) -> list:
+def _associativity_violations(a: Algebra, firsts, chained=None) -> list:
     """The triples (i, j, k) with i in ``firsts`` where (b_i b_j) b_k and
-    b_i (b_j b_k) differ, in scan order."""
+    b_i (b_j b_k) differ, in scan order.  j runs over ``chained[i]`` and k
+    over ``chained[j]``; by default both run over every basis index."""
     f = a.field
+    if chained is None:
+        chained = (range(a.dim),) * a.dim
     violations = []
     for i in firsts:
         row_i = a.mult[i]
-        for j in range(a.dim):
+        for j in chained[i]:
             ij = row_i[j]
             row_j = a.mult[j]
-            for k in range(a.dim):
+            for k in chained[j]:
                 jk = row_j[k]
                 if not ij and not jk:
                     continue

@@ -15,6 +15,7 @@ from reedylab.algebra import (
     _associativity_violations,
     _check_nilpotent,
     _radical_charp,
+    _word_generators,
     corner_span,
     peirce_two_sided,
     product_rank,
@@ -77,6 +78,66 @@ def test_validate_reports_the_corrupted_diamond_in_full():
     )
     triples = [v["triple"] for v in report["violations"] if v["kind"] == "associativity"]
     assert (d, bd, 2) in triples and (d, bd, 6) in triples
+
+
+def grading(a):
+    """G and ``chained`` from ``validate``'s one pass over the table."""
+    return _word_generators(a, sparse(a.field, a.unit))
+
+
+def test_certificate_visits_only_chained_triples(simplex2):
+    """Pinned counts of the triples (g, j, k) the certificate scans: j in
+    the class C(g) and k in the class C(j), against |G| * dim^2."""
+    cases = (
+        (simplex2.algebra, 1335, 8649),
+        (rl.build_simplex_algebra(3, rl.prime_field(2147483629)).algebra, 23255, 219615),
+        (load_algebra(default_corpus_dir() / "tensor49.alg.json")[0], 2063, 26411),
+    )
+    for a, pinned, every in cases:
+        gens, chained = grading(a)
+        assert len(gens) * a.dim ** 2 == every
+        visited = sum(len(chained[j]) for g in gens for j in chained[g])
+        assert visited <= pinned < every
+        assert rl.validate(a)["valid"]
+
+
+def test_explicit_zero_terms_do_not_coarsen_the_grading():
+    """A copy of tensor49 with a kept [0, "0"] term in every empty cell has
+    the same classes and the same report as the original."""
+    data = read_json(default_corpus_dir() / "tensor49.alg.json")
+    original, _ = algebra_from_json(data)
+    n = original.dim
+    filled = {(i, j) for i, j, _ in data["mult"]}
+    data["mult"] += [[i, j, [[0, "0"]]] for i in range(n) for j in range(n) if (i, j) not in filled]
+    padded, _ = algebra_from_json(data)
+    assert all(padded.mult[i][j] for i in range(n) for j in range(n))
+    assert grading(padded)[1] == grading(original)[1]
+    assert rl.validate(padded) == rl.validate(original) == {"valid": True, "violations": []}
+
+
+@pytest.mark.parametrize("cell, terms", [
+    (("ab", "bd"), [["ab", "1"]]),
+    (("cd", "ac"), [["ac*cd", "1"], ["ac", "1"]]),
+])
+def test_validate_reads_the_grading_from_the_table_as_given(cell, terms):
+    """A term added to diamond's product of two arrows keeps the unit laws
+    and breaks associativity only where a certificate graded by the
+    unperturbed table does not look: ab * bd = ab fills an empty cell, and
+    every failing triple is unchained in the old grading; cd * ac gains ac,
+    whose row class the old grading keeps apart from cd's."""
+    data = read_json(default_corpus_dir() / "diamond.alg.json")
+    good, _ = algebra_from_json(data)
+    i, j = (data["labels"].index(x) for x in cell)
+    data["mult"] = [row for row in data["mult"] if row[:2] != [i, j]]
+    data["mult"].append([i, j, [[data["labels"].index(k), c] for k, c in terms]])
+    bad, _ = algebra_from_json(data)
+    full = _associativity_violations(bad, range(bad.dim))
+    gens, stale = grading(good)
+    assert full and not _associativity_violations(bad, gens, stale)
+    if not good.mult[i][j]:
+        assert all(y not in stale[x] or z not in stale[y] for x, y, z in (
+            v["triple"] for v in full))
+    assert rl.validate(bad) == {"valid": False, "violations": full}
 
 
 # --- closures ----------------------------------------------------------------

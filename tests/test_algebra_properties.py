@@ -7,10 +7,12 @@ the algebra, some leave it valid; either way ``validate`` must return the
 report of the full scan.
 """
 
+from itertools import product
+
 import pytest
 
 import reedylab as rl
-from reedylab.algebra import _associativity_violations
+from reedylab.algebra import _associativity_violations, _word_generators
 from reedylab.corpus import default_corpus_dir
 from reedylab.linalg import sparse
 from reedylab.serialize import load_algebra
@@ -67,3 +69,54 @@ def perturbed(draw):
 @hypothesis.given(perturbed())
 def test_validate_matches_the_full_scan(a):
     assert rl.validate(a) == full_scan(a)
+
+
+@hypothesis.settings(SETTINGS, max_examples=30)
+@hypothesis.given(perturbed())
+def test_unchained_triples_vanish(a):
+    """The lemma behind the graded certificate holds on any table, unit laws
+    or not: (b_i b_j) b_k and b_i (b_j b_k) are both 0 unless j is chained
+    after i and k after j."""
+    f = a.field
+    _, chained = _word_generators(a, sparse(f, a.unit))
+    basis = [{t: f.one} for t in range(a.dim)]
+    prod = [[a.mul_sparse(x, y) for y in basis] for x in basis]
+    for i, j, k in product(range(a.dim), repeat=3):
+        if ((prod[i][j] and a.mul_sparse(prod[i][j], basis[k]))
+                or (prod[j][k] and a.mul_sparse(basis[i], prod[j][k]))):
+            assert j in chained[i] and k in chained[j], (i, j, k)
+
+
+def truncated_polynomials(field):
+    """k[x]/(x^3) on one vertex with a loop x; dim 3, basis x*x, x, v."""
+    pres = rl.QuiverPresentation(["v"], [["v", "v", "x"]], [[("1", ["x", "x", "x"])]],
+                                 nilpotency_bound=4)
+    return rl.build_quiver_algebra(pres, field)[0]
+
+
+def test_one_class_grading_scans_every_triple(Q):
+    a = truncated_polynomials(Q)
+    assert a.dim == 3
+    _, chained = _word_generators(a, sparse(Q, a.unit))
+    assert all(list(row) == [0, 1, 2] for row in chained)
+    assert rl.validate(a) == {"valid": True, "violations": []}
+
+
+def test_one_class_grading_perturbed_off_the_unit(Q):
+    """Every change of one cell (i, j) with i, j off the unit's support to a
+    combination of x and x*x keeps the unit laws; validate gives the full
+    scan's report, valid or not."""
+    a = truncated_polynomials(Q)
+    off = [t for t in range(a.dim) if a.unit[t] == Q.zero]
+    assert len(off) == 2
+    valid = set()
+    for i in off:
+        for j in off:
+            for coeffs in ((0, 0), (1, 0), (0, 1), (1, 1), (2, -1)):
+                mult = [list(row) for row in a.mult]
+                mult[i][j] = [(k, Q.of(c)) for k, c in zip(off, coeffs) if c]
+                b = rl.Algebra(Q, a.labels, mult, a.unit)
+                report = rl.validate(b)
+                assert report == full_scan(b)
+                valid.add(report["valid"])
+    assert valid == {True, False}
