@@ -199,6 +199,9 @@ def algebra_from_json(data: dict):
     if not isinstance(mult_rows, list):
         raise FormatError(f"'mult' must be a list of rows, got {json.dumps(mult_rows)}")
     seen = set()
+    # the literals of nonzero coefficients, so that each entry's zero test is
+    # a lookup in the common case; a zero literal takes the slow path every time
+    nonzero: dict = {}
     for row in mult_rows:
         if not (isinstance(row, list) and len(row) == 3 and isinstance(row[2], list)):
             raise FormatError(f"bad mult row {json.dumps(row)}: expected [i, j, [[k, c], ...]]")
@@ -213,6 +216,7 @@ def algebra_from_json(data: dict):
                 raise FormatError("[i, j] appears more than once")
             seen.add((i, j))
             entries = []
+            zeros = False
             for pair in pairs:
                 if not (isinstance(pair, list) and len(pair) == 2):
                     raise FormatError(f"entry {json.dumps(pair)} is not a [k, c] pair")
@@ -220,9 +224,14 @@ def algebra_from_json(data: dict):
                 if not (type(k) is int and 0 <= k < dim):
                     k = index(k, dim)
                 try:
-                    entries.append((k, memo[c]))
-                except (KeyError, TypeError):  # inlines _memo_scalar's first step
-                    entries.append((k, _memo_scalar(f, c, memo)))
+                    x = nonzero[c]
+                except (KeyError, TypeError):
+                    x = _memo_scalar(f, c, memo)
+                    if x:
+                        nonzero[c] = x
+                    else:
+                        zeros = True
+                entries.append((k, x))
             if len(entries) > 1:
                 entries.sort()
                 for (k, _), (k2, _) in zip(entries, entries[1:]):
@@ -230,7 +239,9 @@ def algebra_from_json(data: dict):
                         raise FormatError(f"k = {k} appears more than once")
         except FormatError as exc:
             raise FormatError(f"mult row {json.dumps(row[:2])}: {exc}") from None
-        mult[i][j] = tuple(entries)
+        # zero terms are dropped only after the duplicate check has seen them,
+        # so the table holds exactly the nonzero terms, as a built one does
+        mult[i][j] = tuple(e for e in entries if e[1]) if zeros else tuple(entries)
     a = Algebra(f, labels, mult, unit)
     frame = None
     if "idempotents" in data:

@@ -102,14 +102,13 @@ def test_certificate_visits_only_chained_triples(simplex2):
 
 
 def test_explicit_zero_terms_do_not_coarsen_the_grading():
-    """A copy of tensor49 with a kept [0, "0"] term in every empty cell has
-    the same classes and the same report as the original."""
-    data = read_json(default_corpus_dir() / "tensor49.alg.json")
-    original, _ = algebra_from_json(data)
+    """A copy of tensor49 with a kept (0, 0) term in every empty cell has
+    the same classes and the same report as the original.  The loader drops
+    zero terms, so the copy is built with ``Algebra``, which keeps them."""
+    original, _ = algebra_from_json(read_json(default_corpus_dir() / "tensor49.alg.json"))
     n = original.dim
-    filled = {(i, j) for i, j, _ in data["mult"]}
-    data["mult"] += [[i, j, [[0, "0"]]] for i in range(n) for j in range(n) if (i, j) not in filled]
-    padded, _ = algebra_from_json(data)
+    mult = [[cell or ((0, 0),) for cell in row] for row in original.mult]
+    padded = rl.Algebra(original.field, original.labels, mult, original.unit)
     assert all(padded.mult[i][j] for i in range(n) for j in range(n))
     assert grading(padded)[1] == grading(original)[1]
     assert rl.validate(padded) == rl.validate(original) == {"valid": True, "violations": []}

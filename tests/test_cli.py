@@ -225,6 +225,8 @@ MALFORMED_ALGEBRA = [
     (["mult", 0, 2, 0, 1], "1/0", "mult row [0, 1]: '1/0' is not a scalar of Q"),
     (["mult", 1], [0, 1, []], "mult row [0, 1]: [i, j] appears more than once"),
     (["mult", 0, 2], [[0, "1"], [0, "1"]], "mult row [0, 1]: k = 0 appears more than once"),
+    # zero terms are dropped at load, but only after the duplicate check
+    (["mult", 0, 2], [[2, "0"], [2, "1"]], "mult row [0, 1]: k = 2 appears more than once"),
 ]
 
 

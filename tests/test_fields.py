@@ -1,11 +1,14 @@
-"""Scalars: the normal form of the rationals and the prime-field parser."""
+"""Scalars: the normal form of the rationals, the rational kernel against
+``fractions.Fraction``, and the prime-field parser."""
 
 import operator
 import random
 from fractions import Fraction
 from itertools import product
 
+import hypothesis
 import pytest
+from hypothesis import strategies as st
 
 import reedylab as rl
 
@@ -85,3 +88,63 @@ def test_show_prints_both_forms_alike():
     assert Q.show(Q.of(3)) == str(Fraction(3)) == "3"
     assert Q.show(Q.parse("-2/4")) == str(Fraction(-1, 2)) == "-1/2"
     assert hash(Q.parse("6/3")) == hash(Fraction(2))
+
+
+# Operands for the kernel: ints small and beyond 2^64, Fractions in lowest
+# terms, and integral Fractions such as Fraction(6, 3), which are not in
+# normal form and must still give normal-form results.
+BIG = 1 << 70
+integers = st.one_of(st.integers(-30, 30), st.integers(-BIG, BIG))
+denominators = st.one_of(st.integers(1, 30), st.integers(1, BIG))
+fractions = st.builds(Fraction, integers, denominators)
+integral_fractions = st.builds(lambda n, d: Fraction(n * d, d), integers, st.integers(1, 30))
+operands = st.one_of(integers, fractions, integral_fractions)
+KERNEL = hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+
+
+def expected_form(x):
+    """The normal form of a Fraction result: an int when integral."""
+    return x.numerator if x.denominator == 1 else x
+
+
+def assert_same_scalar(got, want):
+    want = expected_form(want)
+    assert type(got) is type(want)
+    assert (got == want and hash(got) == hash(want) and str(got) == str(want)
+            and repr(got) == repr(want)), (got, want)
+    if type(got) is Fraction:
+        assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+        assert got.denominator > 1
+        # a kernel-built Fraction works with Fraction's own operators
+        third = Fraction(1, 3)
+        assert got + third == want + third and got * got == want * want
+        assert got - 1 < want < got + 1 and not got < want
+        assert Fraction(str(got)) == got
+
+
+@KERNEL
+@hypothesis.given(operands, operands)
+@hypothesis.example(Fraction(6, 3), Fraction(-4, 2))
+@hypothesis.example(Fraction(1, 6), Fraction(5, 6))
+def test_binary_kernel_agrees_with_fraction(a, b):
+    fa, fb = Fraction(a), Fraction(b)
+    assert_same_scalar(Q.add(a, b), fa + fb)
+    assert_same_scalar(Q.sub(a, b), fa - fb)
+    assert_same_scalar(Q.mul(a, b), fa * fb)
+    if b != 0:
+        assert_same_scalar(Q.div(a, b), fa / fb)
+
+
+@KERNEL
+@hypothesis.given(operands)
+@hypothesis.example(Fraction(6, 3))
+@hypothesis.example(Fraction(-1, 3))
+def test_unary_kernel_agrees_with_fraction(a):
+    fa = Fraction(a)
+    assert_same_scalar(Q.neg(a), -fa)
+    assert_same_scalar(Q.add(a, Q.neg(a)), Fraction(0))
+    if a != 0:
+        assert_same_scalar(Q.inv(a), 1 / fa)
+    else:
+        with pytest.raises(ZeroDivisionError):
+            Q.inv(a)

@@ -38,6 +38,14 @@ def matrices(draw, field, max_rows=12, max_cols=12):
 field_names = st.sampled_from(sorted(FIELDS))
 
 
+def dot(field, u, v):
+    acc = field.zero
+    for a, b in zip(u, v):
+        if a != field.zero and b != field.zero:
+            acc = field.add(acc, field.mul(a, b))
+    return acc
+
+
 def dense_solve(field, basis, vec):
     """Coefficients x with sum x_t * basis[t] = vec by dense RREF of the
     augmented transposed system, or None when there is none."""
@@ -86,7 +94,7 @@ def test_kernel_rows_are_annihilated(data):
     _, rank = rl.rref(Matrix(field, rows))
     assert ker.dim + rank == len(rows[0])
     for v in ker.basis:
-        assert all(field.dot(r, v) == field.zero for r in rows)
+        assert all(dot(field, r, v) == field.zero for r in rows)
 
 
 @SETTINGS

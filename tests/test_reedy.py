@@ -15,7 +15,7 @@ from reedylab.corpus import default_corpus_dir
 from reedylab.linalg import densify, modulo, span, sparse, sparse_span, subspace_intersect
 from reedylab.qh import level_chain, order_from_degrees, peirce_blocks
 from reedylab.reedy import _center_dim
-from reedylab.serialize import load_algebra, load_reedy, read_json
+from reedylab.serialize import dumps, load_algebra, load_reedy, read_json
 from test_serialize import rescaled
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -176,6 +176,34 @@ def _rescaled_structure(r, scales):
     return rl.ReedyStructure(algebra, frame, sub(r.aplus), sub(r.aminus))
 
 
+NON_INTEGRAL_SCALES = [Fraction(1, 2), Fraction(2, 3), 3, Fraction(5, 4)]
+
+
+def _rescaled_by_cycle(r):
+    return _rescaled_structure(r, [NON_INTEGRAL_SCALES[i % 4] for i in range(r.algebra.dim)])
+
+
+def _report_bytes(r):
+    """Every check's report on ``r`` as serialized bytes, each cut included."""
+    a = r.algebra
+    reports = [rl.validate(a), rl.verify_reedy(r), rl.layer_check(r),
+               rl.characterization_crosscheck(r)]
+    reports += [rl.recursive_check(r, cut) for cut in sorted(set(r.order().levels))]
+    reports.append(rl.heredity_chain_verify(a, r.frame))
+    return [dumps(report) for report in reports]
+
+
+@pytest.mark.parametrize("name", ["simplex2", "tensor49"])
+def test_rescaled_structures_give_the_same_report_bytes(request, name):
+    """On a basis rescaled by non-integral constants every structure
+    constant and subspace row is a general rational, so the fractional
+    scalar path carries each check; the reports do not depend on the basis."""
+    r = request.getfixturevalue(name)
+    scaled = _rescaled_by_cycle(r)
+    assert any(type(c) is Fraction for row in scaled.algebra.mult for cell in row for _, c in cell)
+    assert _report_bytes(scaled) == _report_bytes(r)
+
+
 def _two_sided_cases():
     """Every corpus Reedy file; simplex2 over GF(2) and GF(3); and simplex2
     over Q on a basis rescaled by non-integral constants."""
@@ -183,10 +211,7 @@ def _two_sided_cases():
         yield path.name, load_reedy(path)
     for p in (2, 3):
         yield f"simplex2-GF{p}", rl.build_simplex_algebra(2, rl.prime_field(p))
-    cycle = [Fraction(1, 2), Fraction(2, 3), 3, Fraction(5, 4)]
-    simplex2 = rl.build_simplex_algebra(2, rl.rationals())
-    yield "simplex2-rescaled", _rescaled_structure(
-        simplex2, [cycle[i % 4] for i in range(simplex2.algebra.dim)])
+    yield "simplex2-rescaled", _rescaled_by_cycle(rl.build_simplex_algebra(2, rl.rationals()))
 
 
 def test_peirce_two_sided_matches_products_at_every_cut():

@@ -67,6 +67,32 @@ def test_corpus_algebras_reload_to_the_same_bytes(path):
     assert dumps(algebra_to_json(*load_algebra(path))) == path.read_text(encoding="utf-8")
 
 
+def _pad_empty_cells(doc, literal):
+    """``doc`` with the term [0, literal] in every cell of its table that had none."""
+    filled = [row for row in doc["mult"] if row[2]]
+    taken = {(i, j) for i, j, _ in filled}
+    n = doc["dim"]
+    doc["mult"] = filled + [[i, j, [[0, literal]]]
+                            for i in range(n) for j in range(n) if (i, j) not in taken]
+
+
+def test_zero_terms_are_dropped_at_load(tmp_path):
+    """A table padded with zero terms, [0, "0"] over Q and [0, "2"] over
+    GF(2), loads to the table without them and gives the same reports."""
+    corpus = default_corpus_dir()
+    for stem, literal in [("tensor49", "0"), ("diamond.gf2", "2")]:
+        doc = read_json(corpus / f"{stem}.alg.json")
+        _pad_empty_cells(doc, literal)
+        write_json(tmp_path / f"{stem}.alg.json", doc)
+        (padded, _), (plain, _) = (load_algebra(d / f"{stem}.alg.json") for d in (tmp_path, corpus))
+        assert padded.mult == plain.mult, stem
+        assert dumps(rl.validate(padded)) == dumps(rl.validate(plain)), stem
+    (tmp_path / "tensor49.reedy.json").write_bytes((corpus / "tensor49.reedy.json").read_bytes())
+    padded, plain = (load_reedy(d / "tensor49.reedy.json") for d in (tmp_path, corpus))
+    for check in (rl.verify_reedy, rl.layer_check, rl.characterization_crosscheck):
+        assert dumps(check(padded)) == dumps(check(plain)), check.__name__
+
+
 def rescaled(structure, scales):
     """The algebra and frame of ``structure`` on the basis scales[i] * b_i."""
     a, f = structure.algebra, structure.algebra.field
