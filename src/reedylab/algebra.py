@@ -78,7 +78,7 @@ class Algebra:
                 ab = f.mul(a, b)
                 for k, c in pairs:
                     val = f.add(acc.get(k, f.zero), f.mul(ab, c))
-                    if val == f.zero:
+                    if not val:
                         acc.pop(k, None)
                     else:
                         acc[k] = val
@@ -179,7 +179,7 @@ def _word_generators(a: Algebra, unit: dict):
         for t, pairs in enumerate(row):
             for k, c in pairs:
                 uses[k] += 1
-                if c == f.zero:
+                if not c:
                     continue
                 # most joins repeat one already made; equal parents skip the call
                 if parent[n + s] != parent[t]:
@@ -233,7 +233,7 @@ def _associativity_violations(a: Algebra, firsts, chained=None) -> list:
                 for m, c in ij:
                     for t, d in a.mult[m][k]:
                         val = f.add(lhs.get(t, f.zero), f.mul(c, d))
-                        if val == f.zero:
+                        if not val:
                             lhs.pop(t, None)
                         else:
                             lhs[t] = val
@@ -241,7 +241,7 @@ def _associativity_violations(a: Algebra, firsts, chained=None) -> list:
                 for m, c in jk:
                     for t, d in row_i[m]:
                         val = f.add(rhs.get(t, f.zero), f.mul(c, d))
-                        if val == f.zero:
+                        if not val:
                             rhs.pop(t, None)
                         else:
                             rhs[t] = val
@@ -272,17 +272,16 @@ class IdempotentFrame:
     def _check(self):
         a = self.algebra
         f = a.field
-        for idx, e in enumerate(self.idempotents):
-            if a.mul(e, e) != e:
+        vecs = [sparse(f, e) for e in self.idempotents]
+        for idx, e in enumerate(vecs):
+            if a.mul_sparse(e, e) != e:
                 raise AlgebraError(f"element {self.labels[idx]} is not idempotent")
-        for i in range(len(self.idempotents)):
-            for j in range(len(self.idempotents)):
-                if i != j:
-                    prod = a.mul(self.idempotents[i], self.idempotents[j])
-                    if any(x != f.zero for x in prod):
-                        raise AlgebraError(
-                            f"idempotents {self.labels[i]}, {self.labels[j]} not orthogonal"
-                        )
+        for i, u in enumerate(vecs):
+            for j, w in enumerate(vecs):
+                if i != j and a.mul_sparse(u, w):
+                    raise AlgebraError(
+                        f"idempotents {self.labels[i]}, {self.labels[j]} not orthogonal"
+                    )
         total = [f.zero] * a.dim
         for e in self.idempotents:
             total = [f.add(x, y) for x, y in zip(total, e)]
@@ -456,7 +455,7 @@ def _unit_products(a: Algebra, vectors, coords):
                     prod = out.setdefault(c, {})
                     for k, m in pairs:
                         val = f.add(prod.get(k, f.zero), f.mul(x, m))
-                        if val == f.zero:
+                        if not val:
                             prod.pop(k, None)
                         else:
                             prod[k] = val

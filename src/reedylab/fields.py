@@ -16,7 +16,9 @@ A non-integral result is a real ``Fraction``, built by filling its slots
 with the already reduced numerator and denominator (``_ratio``).
 
 Over GF(p) scalars are plain ints in ``range(p)``.  All arithmetic is exact;
-there is no floating point anywhere in the package.
+there is no floating point anywhere in the package.  In either field a
+scalar is zero exactly when it is false, so hot loops test ``not x``
+rather than ``x == field.zero``, which a ``Fraction`` answers in Python.
 """
 
 from __future__ import annotations

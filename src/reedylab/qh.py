@@ -88,6 +88,9 @@ class WeightOrder:
         missing = [lab for lab in labels if lab not in levels]
         if missing:
             raise ValueError(f"order is missing levels for {missing}")
+        unknown = [lab for lab in levels if lab not in labels]
+        if unknown:
+            raise ValueError(f"order gives levels for unknown idempotents {unknown}")
         return cls(tuple(labels), tuple(levels[lab] for lab in labels))
 
 

@@ -181,8 +181,24 @@ def algebra_to_json(a: Algebra, frame: IdempotentFrame | None = None) -> dict:
     return data
 
 
+def _known_labels(degree_map: dict, labels) -> None:
+    """A FormatError naming the first label of ``degree_map`` not in ``labels``."""
+    for lab in degree_map:
+        if lab not in labels:
+            raise FormatError(f"degrees given for unknown idempotent {lab!r}")
+
+
 def algebra_from_json(data: dict):
-    """Parse an algebra document; returns (algebra, frame-or-None)."""
+    """Parse an algebra document; returns (algebra, frame-or-None).
+
+    The ``mult`` rows are read in one pass: each row's indices are checked
+    and its terms are appended in place to its cell of the table, which
+    starts as ``()``.  A row with several terms is then sorted and checked
+    for a repeated ``k``, and only then are zero terms dropped.  JSON
+    yields exact ``list`` and ``int`` values, so exact type tests pass every
+    valid entry at once and ``index`` judges the rest (a boolean index
+    among them).
+    """
     document(data, "algebra")
     try:
         f = field_from_json(data["field"])
@@ -198,50 +214,52 @@ def algebra_from_json(data: dict):
     mult_rows = data.get("mult", [])
     if not isinstance(mult_rows, list):
         raise FormatError(f"'mult' must be a list of rows, got {json.dumps(mult_rows)}")
-    seen = set()
+    # one flag per cell, so that a repeat is caught even after a row with no terms
+    seen = bytearray(dim * dim)
     # the literals of nonzero coefficients, so that each entry's zero test is
     # a lookup in the common case; a zero literal takes the slow path every time
     nonzero: dict = {}
     for row in mult_rows:
-        if not (isinstance(row, list) and len(row) == 3 and isinstance(row[2], list)):
+        if type(row) is not list or len(row) != 3 or type(row[2]) is not list:
             raise FormatError(f"bad mult row {json.dumps(row)}: expected [i, j, [[k, c], ...]]")
         i, j, pairs = row
         try:
-            # a plain int in range passes at once; ``index`` judges the rest
-            if not (type(i) is int and 0 <= i < dim):
+            if type(i) is not int or not 0 <= i < dim:
                 i = index(i, dim)
-            if not (type(j) is int and 0 <= j < dim):
+            if type(j) is not int or not 0 <= j < dim:
                 j = index(j, dim)
-            if (i, j) in seen:
+            ij = i * dim + j
+            if seen[ij]:
                 raise FormatError("[i, j] appears more than once")
-            seen.add((i, j))
-            entries = []
+            seen[ij] = 1
+            cells = mult[i]
             zeros = False
             for pair in pairs:
-                if not (isinstance(pair, list) and len(pair) == 2):
+                if type(pair) is not list or len(pair) != 2:
                     raise FormatError(f"entry {json.dumps(pair)} is not a [k, c] pair")
                 k, c = pair
-                if not (type(k) is int and 0 <= k < dim):
+                if type(k) is not int or not 0 <= k < dim:
                     k = index(k, dim)
                 try:
-                    x = nonzero[c]
+                    cells[j] += ((k, nonzero[c]),)
                 except (KeyError, TypeError):
                     x = _memo_scalar(f, c, memo)
                     if x:
                         nonzero[c] = x
                     else:
                         zeros = True
-                entries.append((k, x))
-            if len(entries) > 1:
-                entries.sort()
-                for (k, _), (k2, _) in zip(entries, entries[1:]):
+                    cells[j] += ((k, x),)
+            if len(pairs) > 1:
+                cell = cells[j] = tuple(sorted(cells[j]))
+                for (k, _), (k2, _) in zip(cell, cell[1:]):
                     if k == k2:
                         raise FormatError(f"k = {k} appears more than once")
         except FormatError as exc:
             raise FormatError(f"mult row {json.dumps(row[:2])}: {exc}") from None
         # zero terms are dropped only after the duplicate check has seen them,
         # so the table holds exactly the nonzero terms, as a built one does
-        mult[i][j] = tuple(e for e in entries if e[1]) if zeros else tuple(entries)
+        if zeros:
+            cells[j] = tuple(e for e in cells[j] if e[1])
     a = Algebra(f, labels, mult, unit)
     frame = None
     if "idempotents" in data:
@@ -257,6 +275,7 @@ def algebra_from_json(data: dict):
                 degrees = [natural(degree_map[lab], f"degree of {lab!r}") for lab in idem_labels]
             except KeyError as exc:
                 raise FormatError(f"degrees missing for idempotent {exc}") from exc
+            _known_labels(degree_map, idem_labels)
         try:
             frame = IdempotentFrame(a, idems, idem_labels, degrees)
         except AlgebraError as exc:
@@ -329,6 +348,7 @@ def reedy_from_json(data: dict, base_dir) -> ReedyStructure:
             degs = [natural(degrees_map[lab], f"degree of {lab!r}") for lab in frame.labels]
         except KeyError as exc:
             raise FormatError(f"degrees missing for idempotent {exc}") from exc
+        _known_labels(degrees_map, frame.labels)
         work = frame.with_degrees(degs)
     memo: dict = {}
     aplus = _subspace_from_json(a, data.get("aplus", {}), "aplus", memo)

@@ -167,6 +167,29 @@ def test_non_object_degrees_in_reedy_file_exits_2(tmp_path, capsys, value):
     assert code == 2 and "'degrees' must be an object" in stderr
 
 
+# a label that is not a frame idempotent, beside every label that is
+UNKNOWN_LABEL = [
+    ("simplex1.alg.json", "degrees", "simplex1.reedy.json",
+     "degrees given for unknown idempotent 'zz'"),
+    ("diamond.deg1234.reedy.json", "degrees", "diamond.alg.json",
+     "degrees given for unknown idempotent 'zz'"),
+    ("diamond.order0123.order.json", "levels", "diamond.alg.json",
+     "order gives levels for unknown idempotents ['zz']"),
+]
+
+
+@pytest.mark.parametrize("name, key, other, message", UNKNOWN_LABEL)
+def test_unknown_label_exits_2(tmp_path, capsys, name, key, other, message):
+    edited = _edit_copy(tmp_path, name, _set([key, "zz"], 7))
+    shutil.copy(CORPUS / other, tmp_path)
+    if key == "levels":
+        argv = ["qh", str(tmp_path / other), str(edited)]
+    else:
+        argv = ["reedy", str(tmp_path / (other if name.endswith(".alg.json") else name))]
+    code, _, stderr = run(capsys, "verify", *argv)
+    assert code == 2 and message in stderr
+
+
 def test_reedy_file_with_non_string_algebra_exits_2(tmp_path, capsys):
     reedy = tmp_path / "bad.reedy.json"
     write_json(reedy, {"algebra": 5})
@@ -227,6 +250,19 @@ MALFORMED_ALGEBRA = [
     (["mult", 0, 2], [[0, "1"], [0, "1"]], "mult row [0, 1]: k = 0 appears more than once"),
     # zero terms are dropped at load, but only after the duplicate check
     (["mult", 0, 2], [[2, "0"], [2, "1"]], "mult row [0, 1]: k = 2 appears more than once"),
+    # a cell stays () after a row with no terms, so a repeat is not seen in the table
+    (["mult"], [[0, 2, []], [0, 2, [[0, "1"]]]], "mult row [0, 2]: [i, j] appears more than once"),
+    (["mult", 0, 2, 0], 5, "mult row [0, 1]: entry 5 is not a [k, c] pair"),
+    (["mult", 0], [True, 0, []],
+     "mult row [true, 0]: index must be an integer in [0, 3), got true"),
+    (["mult", 0, 2, 0, 0], 3, "mult row [0, 1]: index must be an integer in [0, 3), got 3"),
+    # the frame check: x + v0 is idempotent, and v1 (x + v0) = x
+    (["idempotents", "v0"], ["0", "2", "0"],
+     "invalid idempotent frame: element v0 is not idempotent"),
+    (["idempotents", "v0"], ["1", "1", "0"],
+     "invalid idempotent frame: idempotents v1, v0 not orthogonal"),
+    (["idempotents"], {"v0": ["0", "1", "0"]},
+     "invalid idempotent frame: idempotents do not sum to the unit"),
 ]
 
 

@@ -22,6 +22,7 @@ from reedylab.serialize import (
     write_json,
 )
 from reedylab.corpus import default_corpus_dir
+from reedylab.linalg import densify, sparse
 
 
 def test_field_flag_parsing():
@@ -158,6 +159,69 @@ def test_loading_parses_each_distinct_literal_once_per_document(tmp_path, simple
     assert sum(len(list(scalar_literals(doc))) for doc in docs) > 10_000
     assert len(calls) <= sum(len(set(scalar_literals(doc))) for doc in docs)
     assert loaded.algebra.mult == simplex3.algebra.mult
+
+
+def sheared(a, frame, s, t):
+    """The algebra and frame of ``a`` on the basis with b_s replaced by
+    b_s + b_t: old coordinates v become v with v_t - v_s at t."""
+    f = a.field
+
+    def new(v: dict) -> dict:
+        v = dict(v)
+        v[t] = f.sub(v.get(t, f.zero), v.get(s, f.zero))
+        return {k: x for k, x in v.items() if x}
+
+    def old_basis(i):
+        return {i: f.one, t: f.one} if i == s else {i: f.one}
+
+    mult = [
+        [tuple(sorted(new(a.mul_sparse(old_basis(i), old_basis(j))).items()))
+         for j in range(a.dim)]
+        for i in range(a.dim)
+    ]
+    b = rl.Algebra(f, a.labels, mult, densify(f, new(sparse(f, a.unit)), a.dim))
+    idems = [densify(f, new(sparse(f, e)), a.dim) for e in frame.idempotents]
+    return b, rl.IdempotentFrame(b, idems, frame.labels, frame.degrees)
+
+
+def peirce_block(a, frame, i):
+    """The (x, y) with e_x b_i e_y = b_i, for a basis vector b_i in one block."""
+    f = a.field
+    bi = {i: f.one}
+    idems = [sparse(f, e) for e in frame.idempotents]
+    return next((x, y) for x, ex in enumerate(idems) for y, ey in enumerate(idems)
+                if a.mul_sparse(a.mul_sparse(ex, bi), ey) == bi)
+
+
+@pytest.mark.parametrize("field", [{"kind": "Q"}, {"kind": "GF", "p": 3}])
+def test_several_term_rows_load_to_the_built_table(tmp_path, field):
+    """simplex1 with one basis vector sheared inside its Peirce block has
+    cells of two terms; saved and reloaded, it is the table that was built."""
+    doc = read_json(default_corpus_dir() / "simplex1.alg.json")
+    doc["field"] = field
+    a, frame = algebra_from_json(doc)
+    blocks = [peirce_block(a, frame, i) for i in range(a.dim)]
+    s, t = next((s, t) for s in range(a.dim) for t in range(a.dim)
+                if s != t and blocks[s] == blocks[t])
+    b, bframe = sheared(a, frame, s, t)
+    assert rl.validate(b)["valid"]
+    assert max(len(cell) for row in b.mult for cell in row) >= 2
+    save_algebra(tmp_path / "s.alg.json", b, bframe)
+    loaded, lframe = load_algebra(tmp_path / "s.alg.json")
+    assert loaded.mult == b.mult
+    assert loaded.unit == b.unit
+    assert lframe.idempotents == bframe.idempotents
+    assert lframe.degrees == bframe.degrees
+
+
+def test_several_term_row_is_sorted_and_stripped_of_zero_terms():
+    doc = read_json(default_corpus_dir() / "uppertri.alg.json")
+    doc["mult"][0][2] = [[2, "0"], [1, "1"]]
+    a, _ = algebra_from_json(doc)
+    assert a.mult[0][1] == ((1, 1),)
+    doc["mult"][0][2] = [[2, "1"], [1, "1"]]
+    a, _ = algebra_from_json(doc)
+    assert a.mult[0][1] == ((1, 1), (2, 1))
 
 
 def test_reedy_roundtrip(tmp_path, corpus_structures):
