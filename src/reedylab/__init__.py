@@ -35,7 +35,6 @@ from .modules import (
     simple_module,
 )
 from .qh import (
-    StandardFamily,
     WeightOrder,
     delta_subalgebra_check,
     exact_borel_check,

@@ -47,12 +47,12 @@ class Algebra:
     __slots__ = ("field", "dim", "labels", "mult", "unit", "_cache")
 
     def __init__(self, field: Field, labels, mult, unit):
-        """``mult[i][j]`` is a sequence of ``(k, c)`` tuples with an int ``k``;
-        each cell is stored as a tuple of the pairs given."""
+        """``mult[i][j]`` is a tuple of ``(k, c)`` tuples with an int ``k``;
+        each row is stored as a tuple of the cells given."""
         self.field = field
         self.labels = tuple(labels)
         self.dim = len(self.labels)
-        self.mult = tuple(tuple(map(tuple, per_i)) for per_i in mult)
+        self.mult = tuple(map(tuple, mult))
         self.unit = tuple(unit)
         if len(self.mult) != self.dim or any(len(r) != self.dim for r in self.mult):
             raise ValueError("structure constant table has wrong shape")
@@ -282,10 +282,7 @@ class IdempotentFrame:
                     raise AlgebraError(
                         f"idempotents {self.labels[i]}, {self.labels[j]} not orthogonal"
                     )
-        total = [f.zero] * a.dim
-        for e in self.idempotents:
-            total = [f.add(x, y) for x, y in zip(total, e)]
-        if tuple(total) != a.unit:
+        if self.sum_of(range(len(self))) != a.unit:
             raise AlgebraError("idempotents do not sum to the unit")
         if self.degrees is not None and any(d < 0 for d in self.degrees):
             raise AlgebraError("degrees must be natural numbers")

@@ -15,8 +15,8 @@ from .algebra import AlgebraError, radical
 from .constructors import (build_dual_extension, build_matrix_algebra, build_quiver_algebra,
                            build_simplex_algebra, build_tensor_reedy, matrix_diag_frame)
 from .corpus import REEDY_CHECKS, run_corpus, run_qh, run_search
-from .serialize import (FormatError, dumps, load_algebra, load_quiver, load_reedy, parse_field_flag,
-                        read_json, reedy_from_json, save_algebra, save_reedy)
+from .serialize import (FormatError, basis_to_json, dumps, load_algebra, load_quiver, load_reedy,
+                        parse_field_flag, read_json, reedy_from_json, save_algebra, save_reedy)
 
 EXIT_TRUE = 0
 EXIT_FALSE = 1
@@ -116,19 +116,14 @@ def cmd_verify(args) -> int:
     return EXIT_TRUE if report["overall"] else EXIT_FALSE
 
 
-def _basis(sub) -> list:
-    show = sub.algebra.field.show
-    return [[show(x) for x in row] for row in sub.space.basis]
-
-
 def cmd_search(args) -> int:
     entries = [
         {
             "degrees": dict(zip(s.frame.labels, s.frame.degrees)),
             "aplus_dim": s.aplus.dim,
             "aminus_dim": s.aminus.dim,
-            "aplus_basis": _basis(s.aplus),
-            "aminus_basis": _basis(s.aminus),
+            "aplus_basis": basis_to_json(s.aplus),
+            "aminus_basis": basis_to_json(s.aminus),
         }
         for s in run_search(args.algebra, args.mode, args.max_levels, "--max-levels")
     ]

@@ -23,6 +23,7 @@ from .algebra import (
     is_elementary,
     memo,
     peirce_blocks,
+    peirce_two_sided,
     product_span,
     radical,
     tensor_dim_over_corner,
@@ -239,52 +240,23 @@ def heredity_chain_verify(a: Algebra, frame: IdempotentFrame, order: WeightOrder
     return {"overall": ok and complete, "complete": complete, "layers": layers}
 
 
-class StandardFamily:
-    """Projectives, standard modules and simples over an elementary algebra."""
-
-    __slots__ = ("algebra", "frame", "order", "projectives", "standards", "simples",
-                 "comp_vectors", "top_vectors", "factor_bound_ok")
-
-    def __init__(self, **kw):
-        for name in self.__slots__:
-            setattr(self, name, kw[name])
-
-
 def trace_subspace(a: Algebra, frame: IdempotentFrame, order: WeightOrder, i: int) -> Subspace:
     """Sum over weights j not below-or-equal i of A e_j A e_i, inside A e_i.
 
-    The sum of the ideals A e_j A is the ideal of their generators, so this
-    is one column of one ideal closure."""
-    gens = [e for j, e in enumerate(frame.idempotents) if not order.leq(j, i)]
-    return column_span(a, ideal_closure(a, gens).space, frame.idempotents[i])
+    The sum of the ideals A e_j A is the ideal A eps A for eps the sum of
+    those e_j, so this is the column at e_i of the two-sided span that
+    ``peirce_two_sided`` reads off A's Peirce table."""
+    outside = [j for j in range(len(frame)) if not order.leq(j, i)]
+    return column_span(a, peirce_two_sided(frame, outside), frame.idempotents[i])
 
 
-def standard_modules(a: Algebra, frame: IdempotentFrame, order: WeightOrder) -> StandardFamily:
+def standard_modules(a: Algebra, frame: IdempotentFrame, order: WeightOrder) -> tuple:
+    """The standard modules Delta(i) = A e_i / (trace at i) of an elementary
+    algebra, one per frame idempotent."""
     if not is_elementary(a, frame):
         raise AlgebraError("standard modules via frames require an elementary algebra")
-    projectives = tuple(projective_module(a, e, "left") for e in frame.idempotents)
-    standards = tuple(
-        quotient_module(proj, trace_subspace(a, frame, order, i))
-        for i, proj in enumerate(projectives)
-    )
-    comp_vectors = tuple(delta.comp_dim_vector(frame) for delta in standards)
-    return StandardFamily(
-        algebra=a,
-        frame=frame,
-        order=order,
-        projectives=projectives,
-        standards=standards,
-        simples=tuple(quotient_module(proj, proj.radical_submodule()) for proj in projectives),
-        comp_vectors=comp_vectors,
-        top_vectors=tuple(delta.top_multiplicities(frame) for delta in standards),
-        # no composition factor of Delta(i) above i
-        factor_bound_ok=all(
-            comp[j] == 0
-            for i, comp in enumerate(comp_vectors)
-            for j in range(len(frame))
-            if not order.leq(j, i)
-        ),
-    )
+    return tuple(quotient_module(projective_module(a, e, "left"), trace_subspace(a, frame, order, i))
+                 for i, e in enumerate(frame.idempotents))
 
 
 def layer_quotient_module(a: Algebra, frame: IdempotentFrame, order: WeightOrder, i: int) -> ModuleRep:
@@ -320,7 +292,7 @@ def _standards(a: Algebra, frame: IdempotentFrame, order: WeightOrder) -> tuple:
     """The standard modules, or the layer quotients when A is not elementary;
     kept on the frame per order like the level chain."""
     return memo(frame, ("standards", order.levels), lambda: (
-        standard_modules(a, frame, order).standards if is_elementary(a, frame)
+        standard_modules(a, frame, order) if is_elementary(a, frame)
         else tuple(layer_quotient_module(a, frame, order, i) for i in range(len(frame)))))
 
 

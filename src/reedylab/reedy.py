@@ -18,7 +18,7 @@ from .algebra import (
     AlgebraError,
     AlgSubspace,
     IdempotentFrame,
-    column_span,
+    _combination,
     corner,
     corner_span,
     is_elementary,
@@ -30,13 +30,12 @@ from .algebra import (
     quotient,
     quotient_frame,
     radical,
-    row_span,
     subalgebra_closure,
     tensor_dim_over_corner,
 )
 from .fields import Field
-from .linalg import (Echelon, Subspace, add_scaled, densify, modulo, null_space, sparse,
-                     sparse_span, subspace_intersect)
+from .linalg import (Echelon, Subspace, densify, modulo, null_space, sparse, sparse_span,
+                     subspace_intersect)
 from .qh import (
     MAX_WEIGHTS,
     WeightOrder,
@@ -159,54 +158,42 @@ def _require_verified(r: ReedyStructure) -> None:
 
 
 def layer_check(r: ReedyStructure) -> dict:
-    """Per-level layer isomorphisms, in both the direct and the quotient form.
+    """Per-level layer isomorphisms, in the direct and the quotient form.
 
-    Level l compares dim J_l/J_{l-1} against the blockwise tensor data,
-    once with the columns A+e_i and rows e_iA- taken in A and once with
-    their images in A+/K+ and A-/K-, for K = X*eps_(<l)*X in X = A+ or A-,
-    from the Peirce tables of A+ and A-.
-    K lies in J_{l-1}, with K+e_i in A+e_i and e_iK- in e_iA-, so modulo
-    J_{l-1} both forms have one image: they differ only in the domain.
-    The direct form multiplies the Peirce blocks e_jA+e_i (x) e_iA-e_k,
-    whose sum over j and k is A+e_i (x) e_iA-.
+    Level l compares dim J_l/J_{l-1} against the rank, modulo J_{l-1}, of
+    multiplication from A+e_i (x) e_iA- over the e_i at level l: the
+    direct form, from the Peirce blocks e_jA+e_i (x) e_iA-e_k, whose sum
+    over j and k is A+e_i (x) e_iA-.  The quotient form takes A+e_i and
+    e_iA- modulo K+ and K-, for K = X*eps_(<l)*X in X = A+ or A-.  Under
+    the directedness that ``_require_setup`` guarantees, K+e_i = 0: it is
+    spanned by (A+e_g)(e_gA+e_i) over g below level l, and a nonzero
+    e_gA+e_i with g != i needs level g > level i.  Likewise e_iK- = 0.  So
+    the two forms have one domain and one rank, computed once per level
+    and reported under both sets of keys.
     """
     _require_setup(r)
     a = r.algebra
     frame = r.frame
     order = r.order()
     chain = level_chain(a, frame, order)
-    lines = frame.lines()
     plus, minus = peirce_blocks(frame, r.aplus), peirce_blocks(frame, r.aminus)
     n = range(len(frame))
 
     levels_report = []
     all_ok = True
-    prev = k_plus = k_minus = Subspace(a.field, a.dim)
+    prev = Subspace(a.field, a.dim)
     for rank, lev in enumerate(chain.levels):
         j_here = chain.ideals[rank]
         layer_dim = j_here.dim - prev.dim
-        idx_here = [i for i in range(len(frame)) if order.levels[i] == lev]
-
-        # direct form: A+ e_i (x) e_i A- -> J_l / J_{l-1}, block by block
-        domain3, rank3 = product_rank(
+        idx_here = [i for i in n if order.levels[i] == lev]
+        domain, image = product_rank(
             a, [(plus[(j, i)], minus[(i, k)]) for i in idx_here for j in n for k in n], prev)
-        ok3 = domain3 == layer_dim == rank3
-
-        # quotient form: (A+/K+) e_i (x) e_i (A-/K-) -> J_l / J_{l-1}
-        domain2 = sum((peirce_dim(frame, r.aplus, i) - column_span(a, k_plus, lines[i]).dim)
-                      * (peirce_dim(frame, r.aminus, i, "right") - row_span(a, lines[i], k_minus).dim)
-                      for i in idx_here)
-        ok2 = domain2 == layer_dim == rank3
-
-        levels_report.append({"level": lev, "layer_dim": layer_dim, "direct_domain": domain3,
-                              "direct_rank": rank3, "direct_ok": ok3, "quotient_domain": domain2,
-                              "quotient_rank": rank3, "quotient_ok": ok2, "agree": ok2 == ok3})
-        all_ok = all_ok and ok2 and ok3
+        ok = domain == layer_dim == image
+        levels_report.append({"level": lev, "layer_dim": layer_dim, "direct_domain": domain,
+                              "direct_rank": image, "direct_ok": ok, "quotient_domain": domain,
+                              "quotient_rank": image, "quotient_ok": ok, "agree": True})
+        all_ok = all_ok and ok
         prev = j_here.space
-        if rank + 1 < len(chain.levels):
-            upto = [i for i in n if order.levels[i] <= lev]
-            k_plus = peirce_two_sided(frame, upto, r.aplus)
-            k_minus = peirce_two_sided(frame, upto, r.aminus)
     overall = verify_reedy(r)["overall"]
     return {
         "levels": levels_report,
@@ -446,14 +433,6 @@ def _all_subspaces(field: Field, m: int):
                 yield [tuple(row) for row in basis]
 
 
-def _combination(f: Field, coeffs, rows) -> dict:
-    """The sparse vector sum of c * row over ``coeffs`` and ``rows``."""
-    v: dict = {}
-    for c, row in zip(coeffs, rows):
-        add_scaled(f, v, c, row)
-    return v
-
-
 def _candidate_subalgebras(a: Algebra, frame: IdempotentFrame) -> list[tuple]:
     """Every subalgebra X between S and A with e_iXe_i = k e_i for all i
     (finite field, nonzero frame idempotents), with its block dimensions
@@ -469,7 +448,7 @@ def _candidate_subalgebras(a: Algebra, frame: IdempotentFrame) -> list[tuple]:
     off = [(key, list(blk.rows.values())) for key, blk in peirce_blocks(frame).items()
            if key[0] != key[1] and blk.dim]
     # per block: the sparse rows of each of its subspaces
-    choices = [[[_combination(f, coeffs, rows) for coeffs in basis]
+    choices = [[[_combination(f, dict(enumerate(coeffs)), rows) for coeffs in basis]
                 for basis in _all_subspaces(f, len(rows))] for _, rows in off]
     s_space = frame.semisimple_span()
     out = []

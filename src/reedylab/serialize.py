@@ -291,17 +291,18 @@ def save_algebra(path, a: Algebra, frame: IdempotentFrame | None = None) -> None
     write_json(path, algebra_to_json(a, frame))
 
 
-def _subspace_to_json(field: Field, sub: AlgSubspace) -> dict:
-    return {"basis": [[field.show(x) for x in row] for row in sub.space.basis]}
+def basis_to_json(sub: AlgSubspace) -> list:
+    """The canonical basis rows of ``sub``, each scalar as its field shows it."""
+    show = sub.algebra.field.show
+    return [[show(x) for x in row] for row in sub.space.basis]
 
 
 def reedy_to_json(r: ReedyStructure, algebra_ref: str) -> dict:
-    f = r.algebra.field
     return {
         "algebra": algebra_ref,
         "degrees": {lab: d for lab, d in zip(r.frame.labels, r.frame.degrees)},
-        "aplus": _subspace_to_json(f, r.aplus),
-        "aminus": _subspace_to_json(f, r.aminus),
+        "aplus": {"basis": basis_to_json(r.aplus)},
+        "aminus": {"basis": basis_to_json(r.aminus)},
     }
 
 

@@ -139,6 +139,23 @@ def test_validate_reads_the_grading_from_the_table_as_given(cell, terms):
     assert rl.validate(bad) == {"valid": False, "violations": full}
 
 
+def test_every_builder_passes_tuple_cells(Q, diamond, simplex1):
+    """``Algebra`` stores the cells it is given, so every table in the
+    package holds tuples of (k, c) tuples: the loader's, each
+    constructor's, and those of corners, quotients and tensor products."""
+    algebra, frame = diamond
+    e = frame.sum_of([0])
+    tables = [load_algebra(path)[0] for path in sorted(default_corpus_dir().glob("*.alg.json"))]
+    tables += [algebra, simplex1.algebra, rl.build_matrix_algebra(2, Q),
+               rl.build_tensor_reedy(simplex1, simplex1).algebra,
+               rl.tensor_algebras(algebra, simplex1.algebra), rl.corner(algebra, e)[0],
+               rl.quotient(algebra, rl.ideal_closure(algebra, [e]))[0]]
+    for a in tables:
+        assert type(a.mult) is tuple and all(type(row) is tuple for row in a.mult), a
+        assert all(type(cell) is tuple and all(type(t) is tuple and len(t) == 2 for t in cell)
+                   for row in a.mult for cell in row), a
+
+
 # --- closures ----------------------------------------------------------------
 
 
@@ -536,7 +553,7 @@ def test_radical_follows_a_random_change_of_basis(p):
             if span(field, n, new_basis).dim == n:
                 break
         inv = inverse_rows(field, new_basis)
-        mult = [[sparse(field, times(field, algebra.mul(u, v), inv)).items() for v in new_basis]
+        mult = [[tuple(sparse(field, times(field, algebra.mul(u, v), inv)).items()) for v in new_basis]
                 for u in new_basis]
         changed = rl.Algebra(field, algebra.labels, mult, times(field, algebra.unit, inv))
         assert rl.validate(changed)["valid"]

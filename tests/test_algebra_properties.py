@@ -61,7 +61,7 @@ def perturbed(draw):
             mult[i][j][k] = draw(st.integers(0, f.characteristic - 1))
         else:
             mult[i][j][k] = f.div(f.of(draw(st.integers(-2, 2))), f.of(draw(st.integers(1, 2))))
-    rows = [[sorted((k, c) for k, c in d.items() if c != f.zero) for d in row] for row in mult]
+    rows = [[tuple(sorted((k, c) for k, c in d.items() if c != f.zero)) for d in row] for row in mult]
     return rl.Algebra(f, a.labels, rows, a.unit)
 
 
@@ -114,7 +114,7 @@ def test_one_class_grading_perturbed_off_the_unit(Q):
         for j in off:
             for coeffs in ((0, 0), (1, 0), (0, 1), (1, 1), (2, -1)):
                 mult = [list(row) for row in a.mult]
-                mult[i][j] = [(k, Q.of(c)) for k, c in zip(off, coeffs) if c]
+                mult[i][j] = tuple((k, Q.of(c)) for k, c in zip(off, coeffs) if c)
                 b = rl.Algebra(Q, a.labels, mult, a.unit)
                 report = rl.validate(b)
                 assert report == full_scan(b)

@@ -90,7 +90,7 @@ def two_dim_algebra(field):
     """k[x]/(x^2) on the basis (x, 1), so the unit sits off the pivot of any
     line through x + 1."""
     f = field
-    mult = [[[], [(0, f.one)]], [[(0, f.one)], [(1, f.one)]]]
+    mult = [[(), ((0, f.one),)], [((0, f.one),), ((1, f.one),)]]
     return rl.Algebra(f, ["x", "1"], mult, [f.zero, f.one])
 
 

@@ -255,17 +255,19 @@ def test_chain_simplex_levels(simplex1, simplex2):
 def test_standard_modules_diamond(diamond):
     algebra, frame = diamond
     work = frame.with_degrees([1, 2, 3, 4])
-    fam = rl.standard_modules(algebra, work, order_from_degrees(work))
-    dims = tuple(m.dim for m in fam.standards)
-    assert dims == (4, 2, 2, 1)
-    assert fam.factor_bound_ok
-    for i, delta in enumerate(fam.standards):
-        assert fam.top_vectors[i] == tuple(1 if j == i else 0 for j in range(4))
-    # trace-subspace oracle: only weights strictly below contribute
     order = order_from_degrees(work)
-    for i in range(4):
+    standards = rl.standard_modules(algebra, work, order)
+    dims = tuple(m.dim for m in standards)
+    assert dims == (4, 2, 2, 1)
+    for i, delta in enumerate(standards):
+        # no composition factor of Delta(i) above i
+        comp = delta.comp_dim_vector(work)
+        assert all(comp[j] == 0 for j in range(4) if not order.leq(j, i))
+        assert delta.top_multiplicities(work) == tuple(1 if j == i else 0 for j in range(4))
+    # trace-subspace oracle: only weights strictly below contribute
+    for i, e in enumerate(work.idempotents):
         tr = trace_subspace(algebra, work, order, i)
-        assert fam.standards[i].dim == fam.projectives[i].dim - tr.dim
+        assert standards[i].dim == rl.projective_module(algebra, e, "left").dim - tr.dim
 
 
 @pytest.mark.parametrize("name", ["diamond", "simplex2"])
@@ -298,9 +300,10 @@ def test_trace_subspace_matches_explicit_sum(name, diamond, simplex2):
 def test_standard_modules_semisimple(Q):
     s, frame = rl.build_quiver_algebra(rl.QuiverPresentation(["p", "q"], [], [], 1), Q)
     work = frame.with_degrees([0, 0])
-    fam = rl.standard_modules(s, work, order_from_degrees(work))
-    for i in range(2):
-        assert fam.standards[i].dim == fam.simples[i].dim == fam.projectives[i].dim == 1
+    standards = rl.standard_modules(s, work, order_from_degrees(work))
+    for i, e in enumerate(work.idempotents):
+        simple = rl.simple_module(s, work, i, "left")
+        assert standards[i].dim == simple.dim == rl.projective_module(s, e, "left").dim == 1
 
 
 def test_standard_modules_reject_non_elementary(simplex1):
@@ -312,20 +315,20 @@ def test_layer_quotient_matches_standard_on_elementary(diamond):
     algebra, frame = diamond
     work = frame.with_degrees([1, 2, 3, 4])
     order = order_from_degrees(work)
-    fam = rl.standard_modules(algebra, work, order)
+    standards = rl.standard_modules(algebra, work, order)
     for i in range(4):
         q = layer_quotient_module(algebra, work, order, i)
-        assert q.dim == fam.standards[i].dim
-        assert q.comp_dim_vector(work) == fam.standards[i].comp_dim_vector(work)
+        assert q.dim == standards[i].dim
+        assert q.comp_dim_vector(work) == standards[i].comp_dim_vector(work)
 
 
 def test_standard_factor_bound_vanishing(diamond):
     algebra, frame = diamond
     work = frame.with_degrees([1, 2, 3, 4])
     order = order_from_degrees(work)
-    fam = rl.standard_modules(algebra, work, order)
+    standards = rl.standard_modules(algebra, work, order)
     for i in range(4):
-        comp = fam.comp_vectors[i]
+        comp = standards[i].comp_dim_vector(work)
         for j in range(4):
             if not order.leq(j, i):
                 assert comp[j] == 0

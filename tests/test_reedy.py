@@ -160,6 +160,65 @@ def test_layer_threeway_agreement_on_corpus(corpus_structures):
         assert report["matches_reedy"], name
 
 
+def _layer_lemma_cases():
+    """Every corpus Reedy file, and simplex1-3 over Q, GF(2) and GF(3)."""
+    for path in sorted(CORPUS.glob("*.reedy.json")):
+        yield path.name, load_reedy(path)
+    for field in (rl.rationals(), rl.prime_field(2), rl.prime_field(3)):
+        for n in (1, 2, 3):
+            yield f"simplex{n}-{field!r}", rl.build_simplex_algebra(n, field)
+
+
+def test_layer_correction_spans_vanish_under_directedness():
+    """The lemma layer_check rests on: when A+ raises and A- lowers the
+    level, K+e_i = 0 and e_iK- = 0 for K = X*eps*X in X = A+ or A-, eps the
+    sum of the idempotents below the level of e_i.  So the quotient form's
+    domain, which subtracts these spans, is the direct form's."""
+    checked = 0
+    for name, r in _layer_lemma_cases():
+        if not setup_holds(r):
+            continue
+        a, levels, lines = r.algebra, r.order().levels, r.frame.lines()
+        for lev in sorted(set(levels)):
+            below = [g for g, level in enumerate(levels) if level < lev]
+            k_plus = peirce_two_sided(r.frame, below, r.aplus)
+            k_minus = peirce_two_sided(r.frame, below, r.aminus)
+            for i in (i for i, level in enumerate(levels) if level == lev):
+                assert column_span(a, k_plus, lines[i]).dim == 0, (name, lev, i)
+                assert row_span(a, lines[i], k_minus).dim == 0, (name, lev, i)
+                checked += 1
+    assert checked == 69  # (structure, level, e_i) triples, every case passing the setup
+
+
+# mul_sparse calls per layer_check, after verify_reedy, against those made when
+# each level also built K+ and K- and subtracted their spans at e_i
+LAYER_CHECK_PRODUCTS = {"simplex2-GFp": (315, 340), "simplex3-GFp": (2471, 2554),
+                        "tensor49": (632, 681)}
+
+
+def _product_count_structures():
+    """Fresh structures, with no cached table, for the pinned product counts."""
+    field = rl.prime_field(2147483629)
+    return {"simplex2-GFp": rl.build_simplex_algebra(2, field),
+            "simplex3-GFp": rl.build_simplex_algebra(3, field),
+            "tensor49": load_reedy(CORPUS / "tensor49.reedy.json")}
+
+
+def test_layer_check_product_counts(monkeypatch):
+    """One product rank per level: the guard that layer_check forms no
+    product its report does not read."""
+    structures = _product_count_structures()
+    real, calls = rl.Algebra.mul_sparse, []
+    monkeypatch.setattr(rl.Algebra, "mul_sparse", lambda a, u, w: calls.append(1) or real(a, u, w))
+    for name, r in structures.items():
+        rl.verify_reedy(r)
+        calls.clear()
+        rl.layer_check(r)
+        now, before = LAYER_CHECK_PRODUCTS[name]
+        assert len(calls) == now, name
+        assert now < before, name
+
+
 def two_sided_span(a, e, space):
     """Span of X*e*X for X a subspace (the ideal AeA when None), by products."""
     return product_span(a, column_span(a, space, e), space)
@@ -417,10 +476,7 @@ RECURSIVE_CHECK_PRODUCTS = {
 def test_recursive_check_product_counts(monkeypatch):
     """A count, unlike a time, repeats exactly: the guard that each cut
     forms only the products XeX and the relation rank need."""
-    field = rl.prime_field(2147483629)
-    structures = {"simplex2-GFp": rl.build_simplex_algebra(2, field),
-                  "simplex3-GFp": rl.build_simplex_algebra(3, field),
-                  "tensor49": load_reedy(CORPUS / "tensor49.reedy.json")}
+    structures = _product_count_structures()
     real, calls = rl.Algebra.mul_sparse, []
     monkeypatch.setattr(rl.Algebra, "mul_sparse", lambda a, u, w: calls.append(1) or real(a, u, w))
     for name, r in structures.items():
