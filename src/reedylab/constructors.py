@@ -146,12 +146,7 @@ def build_quiver_algebra(pres: QuiverPresentation, field: Field):
                 vec: dict = {}
                 for coeff, path in rel:
                     key = (y_src, x_tgt, y_labs + path + x_labs)
-                    c = coord[key]
-                    val = field.add(vec.get(c, field.zero), coeff)
-                    if val == field.zero:
-                        vec.pop(c, None)
-                    else:
-                        vec[c] = val
+                    add_scaled(field, vec, coeff, {coord[key]: field.one})
                 if vec:
                     rel_space.insert(vec)
     rel_sub = rel_space.to_subspace()
@@ -182,14 +177,8 @@ def build_quiver_algebra(pres: QuiverPresentation, field: Field):
             chunk = reduce_path(src, head_tgt, head)
             out = {}
             for cls_idx, cval in chunk.items():
-                c_src, c_tgt, c_labs = ordered[comp[cls_idx]]
-                piece = reduce_path(src, tgt, c_labs + labs[len(head):])
-                for t, v in piece.items():
-                    val = field.add(out.get(t, field.zero), field.mul(cval, v))
-                    if val == field.zero:
-                        out.pop(t, None)
-                    else:
-                        out[t] = val
+                c_labs = ordered[comp[cls_idx]][2]
+                add_scaled(field, out, cval, reduce_path(src, tgt, c_labs + labs[len(head):]))
         reduce_memo[key] = out
         return out
 

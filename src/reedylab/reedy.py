@@ -9,9 +9,7 @@ report data, never exceptions.
 
 from __future__ import annotations
 
-from functools import partial
 from itertools import combinations, product as iter_product
-from operator import mul
 
 from .algebra import (
     Algebra,
@@ -436,14 +434,12 @@ def _all_subspaces(field: Field, m: int):
 def _candidate_subalgebras(a: Algebra, frame: IdempotentFrame) -> list[tuple]:
     """Every subalgebra X between S and A with e_iXe_i = k e_i for all i
     (finite field, nonzero frame idempotents), with its block dimensions
-    D_X[j][i] = dim e_jXe_i and its pieces {(j, i): the sparse rows chosen
-    in e_jAe_i}, as triples (X, D_X, pieces).
+    D_X[j][i] = dim e_jXe_i, as pairs (X, D_X).
 
     X contains S, so it is the direct sum of its blocks e_jXe_i: S plus one
     subspace of each nonzero off-diagonal block of A, enumerated in the
     block's row coordinates.  These are the subalgebras directedness can
-    admit; D_X and the Peirce table of X (``_piece_table``) are read off
-    the chosen pieces."""
+    admit; D_X is read off the chosen pieces."""
     f, n = a.field, len(frame)
     off = [(key, list(blk.rows.values())) for key, blk in peirce_blocks(frame).items()
            if key[0] != key[1] and blk.dim]
@@ -463,20 +459,8 @@ def _candidate_subalgebras(a: Algebra, frame: IdempotentFrame) -> list[tuple]:
             for ((j, i), _), piece in zip(off, pieces):
                 dims[j][i] = len(piece)
             out.append((AlgSubspace(a, cand.space, AlgSubspace.SUBALGEBRA),
-                        tuple(map(tuple, dims)),
-                        {key: piece for (key, _), piece in zip(off, pieces)}))
+                        tuple(map(tuple, dims))))
     return out
-
-
-def _piece_table(frame: IdempotentFrame, pieces: dict) -> dict:
-    """The Peirce table of a candidate X = S + ``pieces`` read off its
-    pieces: e_jXe_i is the span of the piece at (j, i) off the diagonal
-    (zero where none was chosen) and the line k e_i on it, which is the
-    table ``peirce_blocks`` builds by products when A is associative."""
-    f, dim, lines = frame.algebra.field, frame.algebra.dim, frame.lines()
-    n = range(len(lines))
-    return {(j, i): lines[i] if i == j else sparse_span(f, dim, pieces.get((j, i), ()))
-            for j in n for i in n}
 
 
 def _peirce_dims(frame: IdempotentFrame, sub: AlgSubspace | None) -> tuple:
@@ -485,22 +469,27 @@ def _peirce_dims(frame: IdempotentFrame, sub: AlgSubspace | None) -> tuple:
     return tuple(tuple(blocks[(j, i)].dim for i in n) for j in n)
 
 
-def _support(dims: tuple) -> frozenset:
-    """The off-diagonal blocks (j, i) where the block dimensions ``dims``
-    are nonzero.  A subspace with e_iXe_i = k e_i is directed (raising)
-    under a degree function exactly when every block of its support raises
-    the level."""
-    return frozenset((j, i) for j, row in enumerate(dims) for i, d in enumerate(row)
-                     if d and i != j)
+def _forced_dims(d_a: tuple, levels) -> tuple | None:
+    """The block dimensions (D_+, D_-) that A+ and A- of a Reedy structure
+    under ``levels`` must have, or None when no pair can have them.
 
-
-def _multiply_to(plus: tuple, minus: tuple, target: tuple) -> bool:
-    """Whether the block dimensions multiply to ``target``, D_+ . D_- = D_A:
-    entry (j, i) of the product is the domain dimension of the
-    decomposition's pair (j, i), and ``target``'s its block dimension."""
-    cols = tuple(zip(*minus))
-    return all(sum(map(mul, row, col)) == d
-               for row, target_row in zip(plus, target) for col, d in zip(cols, target_row))
+    D_+ and D_- are 1 on the diagonal; off it, D_+[j][i] is nonzero only
+    where level j > level i and D_-[j][i] only where level j < level i.
+    Entry (j, i) of D_+ . D_- = D_A is then [i = j] + D_+[j][i] + D_-[j][i]
+    plus D_+[j][l] D_-[l][i] over the l with level l < min(level j,
+    level i), so taking the pairs by that minimum solves for each entry:
+    a block LU factorisation, unique when it exists."""
+    n = range(len(levels))
+    plus = [[int(i == j) for i in n] for j in n]
+    minus = [row[:] for row in plus]
+    for j, i in sorted(iter_product(n, n), key=lambda ji: min(levels[ji[0]], levels[ji[1]])):
+        low = min(levels[j], levels[i])
+        rest = d_a[j][i] - sum(plus[j][l] * minus[l][i] for l in n if levels[l] < low)
+        if rest < 0 or levels[j] == levels[i] and rest != (i == j):
+            return None
+        if levels[j] != levels[i]:
+            (plus if levels[j] > levels[i] else minus)[j][i] = rest
+    return tuple(map(tuple, plus)), tuple(map(tuple, minus))
 
 
 def _basis_key(field: Field, basis) -> tuple:
@@ -511,17 +500,16 @@ def search_reedy(a: Algebra, frame: IdempotentFrame, mode: str = "heuristic",
                  max_levels: int | None = None) -> list[ReedyStructure]:
     """Search for verified Reedy structures over normalized degree functions.
 
-    Heuristic mode closes the degree-raising and degree-lowering block
-    spans; exhaustive mode (finite fields) enumerates every subalgebra
-    between S and A whose diagonal blocks are the lines k e_i, each with
-    its block dimensions, which decide its directedness under every degree
-    function.  The decomposition condition reads no degrees, so it is
-    decided once per pair (A+, A-), kept on the frame for ``verify_reedy``,
-    and only for a pair whose block dimensions multiply to A's,
-    D_+ . D_- = D_A (the domain and block dimensions agree on every
-    Peirce pair); an exhaustive candidate in such a pair gets its Peirce
-    table from its chosen pieces.  Results are deduplicated and ordered by
-    degree function and canonical bases.
+    A degree function forces the block dimensions of A+ and A-
+    (``_forced_dims``); one with none admits no structure and is skipped.
+    Otherwise the candidates for A+ (A-) are those whose block dimensions
+    equal the forced D_+ (D_-).  Heuristic mode offers S and the closures
+    of the degree-raising and degree-lowering block spans; exhaustive mode
+    (finite fields) offers every subalgebra between S and A whose diagonal
+    blocks are the lines k e_i.  The decomposition condition reads no
+    degrees, so it is decided once per pair (A+, A-) and kept on the frame
+    for ``verify_reedy``.  Results are deduplicated and ordered by degree
+    function and canonical bases.
     """
     n = len(frame)
     if n > MAX_WEIGHTS:
@@ -537,12 +525,8 @@ def search_reedy(a: Algebra, frame: IdempotentFrame, mode: str = "heuristic",
                                f"exceeds exhaustive bound 2^{EXHAUSTIVE_BOUND}")
     if any(not line.dim for line in frame.lines()):
         return []  # e_zXe_z = 0 for a zero idempotent e_z: no X is directed
-    pieces_of = {}  # exhaustive candidate -> its pieces, which give its Peirce table
     if mode == "exhaustive":
-        triples = _candidate_subalgebras(a, frame)
-        candidates = [(cand, dims) for cand, dims, _ in triples]
-        pieces_of = {cand: pieces for cand, _, pieces in triples}
-        supports = [_support(dims) for _, dims in candidates]
+        candidates = _candidate_subalgebras(a, frame)
     else:
         closures = {}  # space -> (the closure with that space, its block dimensions)
 
@@ -551,37 +535,27 @@ def search_reedy(a: Algebra, frame: IdempotentFrame, mode: str = "heuristic",
             return closures.setdefault(c.space, (c, _peirce_dims(frame, c)))
         s_pair = closure(frame.idempotents)
     d_a = _peirce_dims(frame, None)
-    decomposes = {}  # (A+, A-) -> whether the pair decomposes; one object per space
     found = {}
     blocks_full = peirce_blocks(frame)
     for levels in normalized_level_functions(n, max_levels):
-        work = frame.with_degrees(levels)
+        forced = _forced_dims(d_a, levels)
+        if forced is None:
+            continue
         if mode == "heuristic":
             # the off-diagonal blocks of A that raise the level, and the rest
             gens = {True: list(frame.idempotents), False: list(frame.idempotents)}
             for (j, i), blk in blocks_full.items():
                 if i != j:
                     gens[levels[j] > levels[i]].extend(blk.rows.values())
-            c_plus, c_minus = closure(gens[True]), closure(gens[False])
-            pair_list = [(c_plus, c_minus), (c_plus, s_pair), (s_pair, c_minus)]
+            offers = ([closure(gens[True]), s_pair], [s_pair, closure(gens[False])])
         else:
-            up = frozenset((j, i) for j in range(n) for i in range(n) if levels[j] > levels[i])
-            down = frozenset((i, j) for j, i in up)
-            plus_list = [c for c, sup in zip(candidates, supports) if sup <= up]
-            minus_list = [c for c, sup in zip(candidates, supports) if sup <= down]
-            pair_list = [(p, m) for p in plus_list for m in minus_list]
-        for (aplus, d_plus), (aminus, d_minus) in pair_list:
-            pair = (aplus, aminus)
-            if pair not in decomposes:
-                screened = _multiply_to(d_plus, d_minus, d_a)
-                for sub in pair if screened else ():
-                    if sub in pieces_of:  # kept where peirce_blocks reads it
-                        memo(frame, ("peirce", sub.space),
-                             partial(_piece_table, frame, pieces_of[sub]))
-                decomposes[pair] = screened and all(
-                    domain == block_dim == rank
-                    for domain, block_dim, rank in _full_decomposition(frame, aplus, aminus))
-            if not decomposes[pair]:
+            offers = (candidates, candidates)
+        plus_list, minus_list = ([c for c, dims in offer if dims == want]
+                                 for offer, want in zip(offers, forced))
+        work = frame.with_degrees(levels)
+        for aplus, aminus in iter_product(plus_list, minus_list):
+            if not all(domain == block_dim == rank
+                       for domain, block_dim, rank in _full_decomposition(frame, aplus, aminus)):
                 continue
             structure = ReedyStructure(a, work, aplus, aminus, check=False)
             if verify_reedy(structure)["overall"]:

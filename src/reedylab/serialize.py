@@ -181,11 +181,18 @@ def algebra_to_json(a: Algebra, frame: IdempotentFrame | None = None) -> dict:
     return data
 
 
-def _known_labels(degree_map: dict, labels) -> None:
-    """A FormatError naming the first label of ``degree_map`` not in ``labels``."""
+def _degrees(value, labels) -> list:
+    """The degrees of a "degrees" object, in the order of ``labels``, or a
+    FormatError naming the first label it misses or has beyond ``labels``."""
+    degree_map = json_object(value, "degrees", "natural numbers")
+    try:
+        degrees = [natural(degree_map[lab], f"degree of {lab!r}") for lab in labels]
+    except KeyError as exc:
+        raise FormatError(f"degrees missing for idempotent {exc}") from exc
     for lab in degree_map:
         if lab not in labels:
             raise FormatError(f"degrees given for unknown idempotent {lab!r}")
+    return degrees
 
 
 def algebra_from_json(data: dict):
@@ -268,14 +275,7 @@ def algebra_from_json(data: dict):
         idems = []
         for lab in idem_labels:
             idems.append(vector(f, idem_map[lab], dim, f"idempotent {lab!r}", memo))
-        degrees = None
-        if "degrees" in data:
-            degree_map = json_object(data["degrees"], "degrees", "natural numbers")
-            try:
-                degrees = [natural(degree_map[lab], f"degree of {lab!r}") for lab in idem_labels]
-            except KeyError as exc:
-                raise FormatError(f"degrees missing for idempotent {exc}") from exc
-            _known_labels(degree_map, idem_labels)
+        degrees = _degrees(data["degrees"], idem_labels) if "degrees" in data else None
         try:
             frame = IdempotentFrame(a, idems, idem_labels, degrees)
         except AlgebraError as exc:
@@ -344,13 +344,7 @@ def reedy_from_json(data: dict, base_dir) -> ReedyStructure:
             raise FormatError("no degree function given (reedy file or algebra file)")
         work = frame
     else:
-        json_object(degrees_map, "degrees", "natural numbers")
-        try:
-            degs = [natural(degrees_map[lab], f"degree of {lab!r}") for lab in frame.labels]
-        except KeyError as exc:
-            raise FormatError(f"degrees missing for idempotent {exc}") from exc
-        _known_labels(degrees_map, frame.labels)
-        work = frame.with_degrees(degs)
+        work = frame.with_degrees(_degrees(degrees_map, frame.labels))
     memo: dict = {}
     aplus = _subspace_from_json(a, data.get("aplus", {}), "aplus", memo)
     aminus = _subspace_from_json(a, data.get("aminus", {}), "aminus", memo)

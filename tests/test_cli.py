@@ -379,6 +379,7 @@ MALFORMED_SUBSPACE = [
     (5, "'aplus' must be an object"),
     ({"basis": 5}, "aplus.basis must be a list of vectors"),
     ({"basis": [["1", "0"]]}, "aplus.basis[0] must be a list of 3 scalars, got 2 entries"),
+    ({"basis": [["0", "1", "1"]]}, "aplus does not contain idempotent v0"),  # only the unit
 ]
 
 

@@ -66,6 +66,18 @@ def test_quiver_loop_with_nilpotency_relation(Q):
     assert all(x == 0 for x in algebra.mul(t, t))
 
 
+def test_quiver_products_beyond_the_window_reduce_by_chunks(GF2, Q):
+    # x^3 = 0 at bound 2: the basis is v, x, x*x, and x*x times x*x is a path
+    # of length 4, reduced through its first 3 arrows
+    pres = rl.QuiverPresentation(["v"], [["v", "v", "x"]], [[("1", ("x", "x", "x"))]], 2)
+    for field in (GF2, Q):
+        algebra, _ = rl.build_quiver_algebra(pres, field)
+        assert algebra.labels == ("x*x", "x", "v")
+        xx = algebra.basis_vector(algebra.labels.index("x*x"))
+        assert not any(algebra.mul(xx, xx))
+        assert rl.validate(algebra)["valid"]
+
+
 def test_quiver_relation_mixing_endpoints_rejected(Q):
     with pytest.raises(AlgebraError, match="relation 0"):
         rl.QuiverPresentation(

@@ -431,6 +431,19 @@ def test_borel_rejects_unflagged_candidate(diamond):
     assert not verdict["overall"] and "reason" in verdict
 
 
+def test_borel_and_delta_reject_a_candidate_without_the_frame(uppertri):
+    """The span of the unit is a subalgebra, but without the idempotents."""
+    algebra, frame = uppertri
+    work = frame.with_degrees([0, 1])
+    order = order_from_degrees(work)
+    unit_only = rl.subalgebra_closure(algebra, [algebra.unit])
+    assert unit_only.dim == 1
+    for check in (rl.exact_borel_check, rl.delta_subalgebra_check):
+        verdict = check(algebra, work, unit_only, order)
+        assert not verdict["overall"]
+        assert verdict["reason"] == "candidate does not contain the frame idempotents"
+
+
 # --- order search -----------------------------------------------------------
 
 

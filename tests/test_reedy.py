@@ -596,6 +596,15 @@ def test_search_diamond_gf2(diamond_gf2):
         assert rl.verify_reedy(s)["overall"]
 
 
+def test_search_max_levels_keeps_the_structures_with_that_many_levels(diamond_gf2):
+    algebra, frame = diamond_gf2
+    key = lambda s: (s.frame.degrees, s.aplus.space, s.aminus.space)
+    every = rl.search_reedy(algebra, frame, mode="exhaustive")
+    capped = rl.search_reedy(algebra, frame, mode="exhaustive", max_levels=3)
+    assert len(every) == 22 and len(capped) == 6
+    assert list(map(key, capped)) == [key(s) for s in every if max(s.frame.degrees) < 3]
+
+
 def test_exhaustive_search_computes_the_peirce_blocks_of_a_once(monkeypatch, GF2):
     algebra, frame = rl.build_quiver_algebra(rl.diamond_presentation(), GF2)
     rows_of_a = []
@@ -705,31 +714,65 @@ def test_graded_candidates_are_the_directable_subalgebras(name):
     algebra, frame = _gf_algebra(name)
     n = range(len(frame))
     graded = rl.reedy._candidate_subalgebras(algebra, frame)
-    spaces = [c.space for c, _, _ in graded]
+    spaces = [c.space for c, _ in graded]
     assert len(set(spaces)) == len(spaces)
     assert set(spaces) == {c.space for c in all_subalgebras_over_s(algebra, frame)
                            if all(_block_dims(frame, c)[i][i] == 1 for i in n)}
-    for c, dims, _ in graded:
+    for c, dims in graded:
         assert c.closure_kind == rl.AlgSubspace.SUBALGEBRA
         assert [list(row) for row in dims] == _block_dims(frame, c)
 
 
 @pytest.mark.parametrize("name", GF_ALGEBRAS)
-def test_piece_tables_are_the_product_tables(name):
-    """Each candidate's Peirce table read off its chosen pieces is the table
-    ``peirce_blocks`` builds by products, block for block and in its order."""
+def test_forced_dims_decide_the_product_screen(name):
+    """Under every degree function, a candidate pair whose supports raise
+    and lower the level has block dimensions D_+ . D_- = D_A exactly when
+    they are the forced factors: the block LU factorisation is unique."""
     algebra, frame = _gf_algebra(name)
-    for c, dims, pieces in rl.reedy._candidate_subalgebras(algebra, frame):
-        table = rl.reedy._piece_table(frame, pieces)
-        by_products = peirce_blocks(frame, c)
-        assert list(table.items()) == list(by_products.items())
-        assert all(table[key].dim == len(rows) for key, rows in pieces.items())
+    n = range(len(frame))
+    candidates = rl.reedy._candidate_subalgebras(algebra, frame)
+    d_a = tuple(map(tuple, _block_dims(frame, None)))
+    pairs = screened = 0
+    for levels in rl.qh.normalized_level_functions(len(frame)):
+        forced = rl.reedy._forced_dims(d_a, levels)
+        directed = {raising: [dims for _, dims in candidates
+                              if all(not dims[j][i] or i == j or
+                                     (levels[j] > levels[i] if raising else levels[j] < levels[i])
+                                     for j in n for i in n)]
+                    for raising in (True, False)}
+        for plus in directed[True]:
+            for minus in directed[False]:
+                product = all(sum(plus[j][l] * minus[l][i] for l in n) == d_a[j][i]
+                              for j in n for i in n)
+                assert product == ((plus, minus) == forced), (levels, plus, minus)
+                pairs += 1
+                screened += product
+    assert pairs > screened
 
 
-def test_exhaustive_search_reads_candidate_tables_off_their_pieces(monkeypatch, diamond_gf2):
-    """Diamond over GF(2): the search builds the Peirce table of A by
-    products and those of the candidates in screened pairs from their
-    pieces, with the same structures found."""
+def test_forced_dims_of_the_verified_structures(corpus_structures, diamond, tensor49, simplex2):
+    """The forced factors of every verified structure are the block
+    dimensions of its A+ and A-; diamond, tensor49 and simplex2 have them
+    under 26 of 75, 3 of 75 and 1 of 13 normalized degree functions."""
+    structures = verified(corpus_structures)
+    assert len(structures) == 10
+    dims = lambda frame, sub: tuple(map(tuple, _block_dims(frame, sub)))
+    for name, s in structures.items():
+        forced = rl.reedy._forced_dims(dims(s.frame, None), s.frame.degrees)
+        assert forced == (dims(s.frame, s.aplus), dims(s.frame, s.aminus)), name
+    for frame, count, total in ((diamond[1], 26, 75), (tensor49.frame, 3, 75),
+                                (simplex2.frame, 1, 13)):
+        levels = rl.qh.normalized_level_functions(len(frame))
+        d_a = dims(frame, None)
+        assert (sum(rl.reedy._forced_dims(d_a, lv) is not None for lv in levels),
+                len(levels)) == (count, total)
+
+
+def test_exhaustive_search_builds_candidate_tables_by_products(monkeypatch, diamond_gf2):
+    """Diamond over GF(2): every Peirce table comes from ``peirce_blocks``;
+    from a fresh frame the search builds the table of A and those of the 16
+    candidates in pairs with the forced block dimensions, with the same
+    structures found."""
     algebra, frame = diamond_gf2
     expected = [(s.frame.degrees, s.aplus.space, s.aminus.space)
                 for s in rl.search_reedy(algebra, frame, mode="exhaustive")]
@@ -739,7 +782,9 @@ def test_exhaustive_search_reads_candidate_tables_off_their_pieces(monkeypatch, 
     monkeypatch.setattr(rl.algebra, "row_span", lambda a, e, space: built.append(space) or real(a, e, space))
     found = rl.search_reedy(algebra, fresh, mode="exhaustive")
     assert [(s.frame.degrees, s.aplus.space, s.aminus.space) for s in found] == expected
-    assert built == [None] * len(frame)
+    assert built.count(None) == len(frame)
+    tables = [space for space in built if space is not None]
+    assert len(tables) == 16 * len(frame) and len(set(tables)) == 16
 
 
 def test_all_subspaces_counts_every_subspace_once():
