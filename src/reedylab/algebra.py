@@ -696,7 +696,8 @@ def _trace_form_kernel(a: Algebra) -> Subspace:
 
 
 def _trace_power_mod(rows, exp: int, modulus: int) -> int:
-    """tr(M**exp) mod modulus for an integer matrix M given by sparse rows."""
+    """tr(M**exp) mod modulus for an integer matrix M given by sparse rows
+    and an exponent exp >= 1."""
 
     def reduced(acc: dict) -> dict:
         out = {}
@@ -727,8 +728,6 @@ def _trace_power_mod(rows, exp: int, modulus: int) -> int:
             base = matmul(base, base)
             if not any(base):
                 return 0  # every later factor is a power of the zero matrix
-    if result is None:
-        return len(rows) % modulus
     return sum(row.get(r, 0) for r, row in enumerate(result)) % modulus
 
 

@@ -20,7 +20,6 @@ from .algebra import (
     IdempotentFrame,
     column_span,
     is_elementary,
-    radical,
     row_span,
     tensor_algebras,
     validate,
@@ -159,34 +158,22 @@ def build_quiver_algebra(pres: QuiverPresentation, field: Field):
         )
 
     index = {c: t for t, c in enumerate(comp)}
-
-    def reduce_coord_vec(vec: dict) -> dict:
-        return {index[c]: x for c, x in rel_sub.reduce(vec).items()}
-
     reduce_memo: dict = {}
 
     def reduce_path(src, tgt, labs) -> dict:
+        """The class of a path.  A path longer than bound + 1 is 0.  Its head
+        of length bound + 1 could only be congruent to shorter paths through
+        an inhomogeneous relation translate reaching length bound + 1, and
+        extending that translate by the path's next arrow gives one that the
+        relation loop above refuses, so the head is 0."""
         key = (src, tgt, labs)
-        if key in reduce_memo:
-            return reduce_memo[key]
-        if len(labs) <= bound + 1:
-            out = reduce_coord_vec({coord[key]: field.one})
-        else:
-            head = labs[: bound + 1]
-            head_tgt = arrow_map[head[-1]][1]
-            chunk = reduce_path(src, head_tgt, head)
-            out = {}
-            for cls_idx, cval in chunk.items():
-                c_labs = ordered[comp[cls_idx]][2]
-                add_scaled(field, out, cval, reduce_path(src, tgt, c_labs + labs[len(head):]))
-        reduce_memo[key] = out
-        return out
+        if key not in reduce_memo:
+            reduce_memo[key] = {} if len(labs) > bound + 1 else {
+                index[c]: x for c, x in rel_sub.reduce({coord[key]: field.one}).items()}
+        return reduce_memo[key]
 
-    labels = []
-    for c in comp:
-        src, tgt, labs = ordered[c]
-        labels.append("*".join(labs) if labs else str(src))
     basis_paths = [ordered[c] for c in comp]
+    labels = ["*".join(labs) if labs else str(src) for src, _, labs in basis_paths]
     mult = []
     for x_src, x_tgt, x_labs in basis_paths:
         per = []
@@ -384,120 +371,83 @@ def build_dual_extension(aplus_alg: Algebra, plus_frame: IdempotentFrame,
         if not rep["ok"]:
             raise AlgebraError(f"{name} factor violates directedness")
 
-    # Columns A+ e_l and rows e_l A-, with sparse frame idempotents.
+    # Columns A+ e_l and rows e_l A-, with sparse frame idempotents.  Their
+    # corners are the lines k e_l, so x in A+ e_l is mu e_l + x_rad with
+    # e_l x = mu e_l, and y in e_l A- is lam e_l + y_rad with y e_l = lam e_l.
     e_plus = [sparse(f, e) for e in plus_frame.idempotents]
     e_minus = [sparse(f, e) for e in minus_frame.idempotents]
     cols = [column_span(aplus_alg, None, e) for e in e_plus]
     rows = [row_span(aminus_alg, e, None) for e in e_minus]
-    col_rows = [list(c.rows.values()) for c in cols]
-    row_rows = [list(r.rows.values()) for r in rows]
 
-    offsets = []
-    total = 0
-    for l in range(n):
-        offsets.append(total)
-        total += cols[l].dim * rows[l].dim
-
-    def slot(l, xi, yj):
-        return offsets[l] + xi * rows[l].dim + yj
-
-    def split(rad: AlgSubspace, e: dict, v: dict, name: str):
-        """v in e X (or X e) as lam * e + a radical part: (lam, v - lam * e)."""
-        e_resid = rad.space.reduce(e)
-        if not e_resid:
-            raise AlgebraError(f"degenerate idempotent in {name} factor")
-        c = min(e_resid)
-        lam = f.div(rad.space.reduce(v).get(c, f.zero), e_resid[c])
+    def line_part(v: dict, ev: dict, e: dict):
+        """(c, v - c e) for ev = c e."""
+        k = min(e)
+        c = f.div(ev.get(k, f.zero), e[k])
         rest = dict(v)
-        add_scaled(f, rest, f.neg(lam), e)
-        return lam, rest
+        add_scaled(f, rest, f.neg(c), e)
+        return c, rest
 
-    rad_plus = radical(aplus_alg)
-    rad_minus = radical(aminus_alg)
-    # x in A+ e_m contributes its scalar mu; y in e_l A- its scalar and radical part
-    mus = [[split(rad_plus, e_plus[m], x, "raising")[0] for x in col_rows[m]] for m in range(n)]
-    minus_parts = [[split(rad_minus, e_minus[l], y, "lowering") for y in row_rows[l]]
-                   for l in range(n)]
+    xs = [[(x, *line_part(x, aplus_alg.mul_sparse(e, x), e)) for x in c.rows.values()]
+          for e, c in zip(e_plus, cols)]
+    ys = [[(y, *line_part(y, aminus_alg.mul_sparse(y, e), e)) for y in r.rows.values()]
+          for e, r in zip(e_minus, rows)]
 
-    labels = []
-    for l in range(n):
-        for xi in range(cols[l].dim):
-            for yj in range(rows[l].dim):
-                labels.append(f"t{l}_{xi}_{yj}")
+    basis = [(l, xi, yj) for l in range(n) for xi in range(cols[l].dim)
+             for yj in range(rows[l].dim)]
+    pos = {b: t for t, b in enumerate(basis)}
+    total = len(basis)
 
     def span_coords(space, prod: dict, what: str) -> dict:
+        """Coordinates in a factor's span, which a loaded factor that is not
+        associative may leave."""
         coords = space.coords(prod)
         if coords is None:
             raise AlgebraError(f"{what} span not closed (unexpected)")
         return coords
 
-    mult = [[{} for _ in range(total)] for _ in range(total)]
-    for l in range(n):
-        for m in range(n):
-            for xi, x in enumerate(col_rows[l]):
-                for yj, (lam, y_rad) in enumerate(minus_parts[l]):
-                    for xk, xp in enumerate(col_rows[m]):
-                        mu = mus[m][xk]
-                        for yl, yp in enumerate(row_rows[m]):
-                            acc: dict = {}
-                            # mu * x (x) (y_rad * y')   [component l]
-                            if mu and y_rad:
-                                prod = aminus_alg.mul_sparse(y_rad, yp)
-                                for c, v in span_coords(rows[l], prod, "row").items():
-                                    acc[slot(l, xi, c)] = f.mul(mu, v)
-                            # lam * (x * x') (x) y'    [component m]
-                            if lam:
-                                prod = aplus_alg.mul_sparse(x, xp)
-                                coords = span_coords(cols[m], prod, "column")
-                                add_scaled(f, acc, lam, {slot(m, c, yl): v for c, v in coords.items()})
-                            if acc:
-                                mult[slot(l, xi, yj)][slot(m, xk, yl)] = acc
-    mult_rows = tuple(
-        tuple(tuple(sorted(mult[x][y].items())) for y in range(total)) for x in range(total)
-    )
+    # (x (x) y)(x' (x) y') = mu(x') x (x) (y_rad y') + lam(y) (x x') (x) y'
+    mult = []
+    for l, xi, yj in basis:
+        x = xs[l][xi][0]
+        _, lam, y_rad = ys[l][yj]
+        per = []
+        for m, xk, yk in basis:
+            xp, mu, _ = xs[m][xk]
+            acc: dict = {}
+            if mu and y_rad:
+                prod = span_coords(rows[l], aminus_alg.mul_sparse(y_rad, ys[m][yk][0]), "row")
+                add_scaled(f, acc, mu, {pos[l, xi, c]: v for c, v in prod.items()})
+            if lam:
+                prod = span_coords(cols[m], aplus_alg.mul_sparse(x, xp), "column")
+                add_scaled(f, acc, lam, {pos[m, c, yk]: v for c, v in prod.items()})
+            per.append(tuple(sorted(acc.items())))
+        mult.append(tuple(per))
 
-    def embed_pair(l, pvec: dict, mvec: dict) -> dict:
-        pc = cols[l].coords(pvec)
-        mc = rows[l].coords(mvec)
-        if pc is None or mc is None:
-            raise AlgebraError("embedding outside the component spans")
-        return {slot(l, xi, yj): f.mul(va, vb) for xi, va in pc.items() for yj, vb in mc.items()}
-
-    idems = [embed_pair(i, e_plus[i], e_minus[i]) for i in range(n)]
-    unit_vec: dict = {}
-    for e in idems:
-        add_scaled(f, unit_vec, f.one, e)
-    algebra = Algebra(f, labels, mult_rows, densify(f, unit_vec, total))
+    # e_l lies in A+ e_l and in e_l A-: idempotents e_l (x) e_l, A+ spanned
+    # by the x (x) e_l and A- by the e_l (x) y
+    e_cols = [c.coords(e) for c, e in zip(cols, e_plus)]
+    e_rows = [r.coords(e) for r, e in zip(rows, e_minus)]
+    idems = [{pos[l, xi, yj]: f.mul(a, b) for xi, a in e_cols[l].items()
+              for yj, b in e_rows[l].items()} for l in range(n)]
+    unit_vec = {k: v for e in idems for k, v in e.items()}  # disjoint supports
+    algebra = Algebra(f, [f"t{l}_{xi}_{yj}" for l, xi, yj in basis], mult,
+                      densify(f, unit_vec, total))
     diag = validate(algebra)
     if not diag["valid"]:
         raise AlgebraError(f"dual extension failed associativity: {diag['violations'][:3]}")
     frame = IdempotentFrame(
         algebra, [densify(f, e, total) for e in idems], plus_frame.labels, plus_frame.degrees
     )
-
-    def embed(b: dict, plus: bool) -> dict:
-        """b in A+ as the sum of b e_l (x) e_l, or c in A- as the sum of e_l (x) e_l c."""
-        out: dict = {}
-        for l in range(n):
-            if plus:
-                piece = aplus_alg.mul_sparse(b, e_plus[l])
-                pair = (piece, e_minus[l])
-            else:
-                piece = aminus_alg.mul_sparse(e_minus[l], b)
-                pair = (e_plus[l], piece)
-            if piece:
-                add_scaled(f, out, f.one, embed_pair(l, *pair))
-        return out
-
-    plus_span = sparse_span(f, total, (embed({k: f.one}, True) for k in range(aplus_alg.dim)))
-    minus_span = sparse_span(f, total, (embed({k: f.one}, False) for k in range(aminus_alg.dim)))
+    plus_span = sparse_span(f, total, ({pos[l, xi, yj]: v for yj, v in e_rows[l].items()}
+                                       for l in range(n) for xi in range(cols[l].dim)))
+    minus_span = sparse_span(f, total, ({pos[l, xi, yj]: v for xi, v in e_cols[l].items()}
+                                        for l in range(n) for yj in range(rows[l].dim)))
     aplus = AlgSubspace(algebra, plus_span, AlgSubspace.SUBALGEBRA)
     aminus = AlgSubspace(algebra, minus_span, AlgSubspace.SUBALGEBRA)
     if not (aplus.is_subalgebra() and aminus.is_subalgebra()):
         raise AlgebraError("embedded factors are not subalgebras (unexpected)")
     structure = ReedyStructure(algebra, frame, aplus, aminus)
-    report = verify_reedy(structure)
-    if not report["overall"]:
+    if not verify_reedy(structure)["overall"]:
         raise AlgebraError("dual extension does not verify (unexpected)")
     return algebra, structure
 

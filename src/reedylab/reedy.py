@@ -550,7 +550,8 @@ def search_reedy(a: Algebra, frame: IdempotentFrame, mode: str = "heuristic",
             offers = ([closure(gens[True]), s_pair], [s_pair, closure(gens[False])])
         else:
             offers = (candidates, candidates)
-        plus_list, minus_list = ([c for c, dims in offer if dims == want]
+        # a closure equal to S is S's own object: offer each candidate once
+        plus_list, minus_list = (list(dict.fromkeys(c for c, dims in offer if dims == want))
                                  for offer, want in zip(offers, forced))
         work = frame.with_degrees(levels)
         for aplus, aminus in iter_product(plus_list, minus_list):

@@ -7,6 +7,7 @@ from math import comb
 import pytest
 
 import reedylab as rl
+from reedylab import serialize
 from reedylab.algebra import AlgebraError
 from reedylab.qh import peirce_blocks
 from reedylab.reedy import verify_reedy
@@ -66,9 +67,9 @@ def test_quiver_loop_with_nilpotency_relation(Q):
     assert all(x == 0 for x in algebra.mul(t, t))
 
 
-def test_quiver_products_beyond_the_window_reduce_by_chunks(GF2, Q):
+def test_quiver_products_beyond_the_window_vanish(GF2, Q):
     # x^3 = 0 at bound 2: the basis is v, x, x*x, and x*x times x*x is a path
-    # of length 4, reduced through its first 3 arrows
+    # of length 4, past the window of length 3, hence 0
     pres = rl.QuiverPresentation(["v"], [["v", "v", "x"]], [[("1", ("x", "x", "x"))]], 2)
     for field in (GF2, Q):
         algebra, _ = rl.build_quiver_algebra(pres, field)
@@ -76,6 +77,31 @@ def test_quiver_products_beyond_the_window_reduce_by_chunks(GF2, Q):
         xx = algebra.basis_vector(algebra.labels.index("x*x"))
         assert not any(algebra.mul(xx, xx))
         assert rl.validate(algebra)["valid"]
+
+
+LOOP = (["v"], [["v", "v", "x"]])
+A3_ARROWS = [["v0", "v1", "x"], ["v1", "v2", "y"]]
+
+
+@pytest.mark.parametrize("pres", [
+    rl.QuiverPresentation(*LOOP, [[("1", ("x", "x", "x"))]], 2),
+    rl.QuiverPresentation(*LOOP, [[("1", ("x", "x", "x", "x"))]], 3),
+    rl.diamond_presentation(),
+    rl.QuiverPresentation(["v0", "v1", "v2"], A3_ARROWS, [[("1", ("x", "y"))]], 1),
+    rl.QuiverPresentation(["a", "b", "c"], [["a", "b", "x"], ["b", "c", "y"], ["a", "c", "z"]],
+                          [[("1", ("x", "y")), ("-1", ("z",))]], 1),
+], ids=["x3", "x4", "diamond", "a3-xy", "xy-z"])
+def test_quiver_algebra_is_the_same_at_twice_the_bound(Q, GF2, GF3, pres):
+    # Basis paths have length at most the bound b, so at bound 2b every
+    # product of two lies in the window and is reduced there; equal tables
+    # show that the products the build at b sends past its window are 0.
+    for field in (Q, GF2, GF3):
+        tables = []
+        for b in (pres.nilpotency_bound, 2 * pres.nilpotency_bound):
+            algebra, frame = rl.build_quiver_algebra(
+                rl.QuiverPresentation(pres.vertices, pres.arrows, pres.relations, b), field)
+            tables.append(serialize.dumps(serialize.algebra_to_json(algebra, frame)))
+        assert tables[0] == tables[1]
 
 
 def test_quiver_relation_mixing_endpoints_rejected(Q):

@@ -13,7 +13,9 @@
   last two only below dimension 40);
 - the full ``exact_borel_check`` and ``delta_subalgebra_check`` reports for
   every bundled Reedy file below dimension 40, with A+ and A- as given
-  (Borel on A-, Delta on A+) and swapped.
+  (Borel on A-, Delta on A+) and swapped;
+- the algebra and Reedy files of ``build_dual_extension`` on three pairs of
+  quiver algebras (``DUAL_EXTENSIONS``).
 
 Dimension 40 keeps the suite fast: it leaves out the tensor examples.
 
@@ -31,8 +33,9 @@ import sys
 import tempfile
 from pathlib import Path
 
-from reedylab import (AlgebraError, a2_presentation, build_quiver_algebra,
-                      build_simplex_algebra, diamond_presentation, prime_field, serialize)
+from reedylab import (AlgebraError, QuiverPresentation, a2_presentation, build_dual_extension,
+                      build_quiver_algebra, build_simplex_algebra, diamond_presentation,
+                      prime_field, rationals, serialize)
 from reedylab.cli import main
 from reedylab.corpus import default_corpus_dir, entry_report
 from reedylab.qh import delta_subalgebra_check, exact_borel_check
@@ -53,6 +56,44 @@ GF3_SEARCHES = {
     "simplex1.gf3": lambda f: (lambda r: (r.algebra, r.frame))(build_simplex_algebra(1, f)),
     "uppertri.gf3": lambda f: build_quiver_algebra(a2_presentation(), f),
 }
+
+
+def _opposite(pres: QuiverPresentation) -> QuiverPresentation:
+    """The mirrored quiver: every arrow and every relation path reversed."""
+    return QuiverPresentation(
+        pres.vertices,
+        [(tgt, src, label) for src, tgt, label in pres.arrows],
+        [[(coeff, path[::-1]) for coeff, path in rel] for rel in pres.relations],
+        pres.nilpotency_bound,
+    )
+
+
+A3_ARROWS = [["v0", "v1", "x"], ["v1", "v2", "y"]]
+
+# stem -> (field, raising presentation, lowering presentation, degrees), glued by
+# build_dual_extension
+DUAL_EXTENSIONS = {
+    "diamond.q": (rationals(), diamond_presentation(), _opposite(diamond_presentation()),
+                  [0, 1, 1, 2]),
+    "a3.gf3": (prime_field(3),
+               QuiverPresentation(["v0", "v1", "v2"], A3_ARROWS, [[("1", ("x", "y"))]], 1),
+               _opposite(QuiverPresentation(["v0", "v1", "v2"], A3_ARROWS, [], 2)),
+               [0, 1, 2]),
+    "parallel.gf2": (prime_field(2),
+                     QuiverPresentation(["a", "b"], [["a", "b", "u1"], ["a", "b", "u2"]], [], 1),
+                     QuiverPresentation(["a", "b"], [["b", "a", "d"]], [], 1), [0, 1]),
+}
+
+
+def _dual_extension_report(field, up, down, degrees) -> str:
+    ap, apf = build_quiver_algebra(up, field)
+    am, amf = build_quiver_algebra(down, field)
+    algebra, structure = build_dual_extension(ap, apf.with_degrees(degrees),
+                                              am, amf.with_degrees(degrees))
+    return serialize.dumps({
+        "algebra": serialize.algebra_to_json(algebra, structure.frame),
+        "reedy": serialize.reedy_to_json(structure, "algebra"),
+    })
 
 
 def _search(algebra, mode: str, max_levels=None, base: Path = CORPUS) -> str:
@@ -122,6 +163,8 @@ def golden_reports() -> dict[str, str]:
         r = serialize.load_reedy(path)
         if r.algebra.dim < SMALL_DIM:
             out[f"borel_delta.{stem}.json"] = _borel_delta_report(r)
+    for stem, args in DUAL_EXTENSIONS.items():
+        out[f"dualext.{stem}.json"] = _dual_extension_report(*args)
     return out
 
 

@@ -825,6 +825,19 @@ def test_heuristic_search_decides_each_pair_once(monkeypatch, GF2):
     assert got == [{k: e[k] for k in ("degrees", "aplus_basis", "aminus_basis")} for e in pinned]
 
 
+@pytest.mark.parametrize("name", ["k", "uppertri", "diamond"])
+def test_heuristic_search_builds_each_structure_once(monkeypatch, name):
+    """A raising or lowering closure equal to S is offered once, not beside
+    S again, so every ReedyStructure built is a structure found."""
+    algebra, frame = load_algebra(CORPUS / f"{name}.alg.json")
+    built = []
+    real = rl.reedy.ReedyStructure
+    monkeypatch.setattr(rl.reedy, "ReedyStructure",
+                        lambda *args, **kwargs: built.append(1) or real(*args, **kwargs))
+    found = rl.search_reedy(algebra, frame, mode="heuristic")
+    assert len(built) == len(found) == {"k": 1, "uppertri": 2, "diamond": 16}[name]
+
+
 def test_search_heuristic_simplex1(simplex1):
     found = rl.search_reedy(simplex1.algebra, simplex1.frame.without_degrees(), mode="heuristic")
     assert len(found) == 1
