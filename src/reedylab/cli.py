@@ -3,11 +3,17 @@
 Exit codes: 0 = verified / nonempty result, 1 = falsified / empty result,
 2 = input or usage error.  All reports are JSON on stdout and are
 byte-identical across runs on the same inputs.
+
+``main`` may be called many times in one process, as the tests and the
+benchmark do.  The argument parser is built once per process, on the
+first call, and every later call parses with the same one: ``parse_args``
+only reads the parser and returns a fresh namespace each time.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -135,7 +141,9 @@ def cmd_corpus(args) -> int:
     return run_corpus(args.dir, sys.stdout)
 
 
+@functools.cache
 def make_parser() -> argparse.ArgumentParser:
+    """The reedylab parser, built on the first call; later calls return it."""
     parser = argparse.ArgumentParser(
         prog="reedylab",
         description="Exact verification and search for triangular decompositions "

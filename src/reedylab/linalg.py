@@ -87,7 +87,7 @@ def rref(m: Matrix) -> tuple[Matrix, int]:
 
 
 def sparse(field: Field, vec) -> dict:
-    return {c: x for c, x in enumerate(vec) if x != field.zero}
+    return {c: x for c, x in enumerate(vec) if x}
 
 
 def densify(field: Field, vec: dict, n: int) -> tuple:
@@ -212,8 +212,11 @@ class Echelon:
         if not v:
             return False
         pivot = min(v)
-        if v[pivot] != f.one:
-            inv = f.inv(v[pivot])
+        lead = v[pivot]
+        # A scalar equal to 1 is the int 1 (the normal form in fields.py),
+        # so a fractional lead is never 1 and is not compared in fractions.py.
+        if type(lead) is not int or lead != f.one:
+            inv = f.inv(lead)
             v = {c: f.mul(inv, x) for c, x in v.items()}
         # Back-eliminate the new pivot from the stored rows that have it.
         for row in self.rows.values():

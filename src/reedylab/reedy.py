@@ -555,9 +555,6 @@ def search_reedy(a: Algebra, frame: IdempotentFrame, mode: str = "heuristic",
                                  for offer, want in zip(offers, forced))
         work = frame.with_degrees(levels)
         for aplus, aminus in iter_product(plus_list, minus_list):
-            if not all(domain == block_dim == rank
-                       for domain, block_dim, rank in _full_decomposition(frame, aplus, aminus)):
-                continue
             structure = ReedyStructure(a, work, aplus, aminus, check=False)
             if verify_reedy(structure)["overall"]:
                 key = (

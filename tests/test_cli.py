@@ -1,5 +1,6 @@
 """CLI contract: subcommands, exit codes, deterministic reports."""
 
+import argparse
 import json
 import os
 import shutil
@@ -680,6 +681,63 @@ def test_python_dash_m_runs_the_cli():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip().splitlines()[-1].endswith("corpus entries match")
+
+
+@pytest.fixture
+def parser_builds(monkeypatch):
+    """The top-level reedylab parsers constructed while the test runs."""
+    builds = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        if self.prog == "reedylab":
+            builds.append(self)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    return builds
+
+
+def test_main_builds_its_parser_at_most_once(tmp_path, capsys, parser_builds):
+    diamond = str(CORPUS / "diamond.deg1234.reedy.json")
+    calls = [
+        (0, ["verify", "reedy", diamond]),
+        (0, ["build", str(CORPUS / "diamond.quiver.json"), "-o", str(tmp_path / "d.alg.json")]),
+        (0, ["construct", "matrix", "--n", "2", "-o", str(tmp_path / "m2")]),
+        (0, ["search", str(CORPUS / "simplex1.alg.json")]),
+        (2, ["verify", "reedy", "--cut", "3", diamond]),
+    ]
+    for expected, argv in calls:
+        assert run(capsys, *argv)[0] == expected, argv
+    assert len(parser_builds) <= 1
+
+
+def test_a_usage_error_leaves_the_next_call_unchanged(capsys, parser_builds):
+    argv = ["verify", "reedy", str(CORPUS / "diamond.deg1234.reedy.json")]
+    before = run(capsys, *argv)
+    with pytest.raises(SystemExit) as exc:
+        main(["verify"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.startswith("usage: reedylab verify ")
+    assert run(capsys, *argv) == before
+    assert before[0] == 0
+    assert len(parser_builds) <= 1
+
+
+def test_one_call_per_process_writes_the_in_process_bytes(capsys):
+    """A shell run is one call in a fresh process; its report equals the one
+    a call makes after earlier calls in the same process."""
+    simplex1 = str(CORPUS / "simplex1.reedy.json")
+    for argv in (["verify", "borel", simplex1], ["verify", "reedy", simplex1],
+                 ["search", str(CORPUS / "simplex1.alg.json")]):
+        run(capsys, *argv)
+    code, stdout, _ = run(capsys, "verify", "theorem41", simplex1)
+    proc = subprocess.run(
+        [sys.executable, "-m", "reedylab", "verify", "theorem41", simplex1],
+        capture_output=True, text=True, env=_src_env(), timeout=300,
+    )
+    assert (proc.returncode, proc.stdout) == (code, stdout), proc.stderr
+    assert code == 0
 
 
 def test_verifies_without_numpy_and_sympy():
