@@ -1,10 +1,12 @@
 """Property tests: ``validate``'s generating-set certificate against the
-full scan of every triple.
+full scan of every triple, and the triple check against a reference loop.
 
 The corpus algebras of dimension at most 40, over Q, GF(2) and GF(3), with
 one or two structure constants changed at random.  Most perturbations break
 the algebra, some leave it valid; either way ``validate`` must return the
-report of the full scan.
+report of the full scan, and ``_associativity_violations``, which decides
+most triples by table lookup, must list what ``reference_violations``
+lists from the exact sums of both sides.
 """
 
 from itertools import product
@@ -28,9 +30,48 @@ ALGEBRAS = [
 ]
 
 
+def reference_violations(a, firsts, chained=None):
+    """The triples (i, j, k) with i in ``firsts`` where (b_i b_j) b_k and
+    b_i (b_j b_k) differ, in scan order, each side summed term by term into
+    a dict; j runs over ``chained[i]`` and k over ``chained[j]``, by
+    default both over every basis index."""
+    f = a.field
+    if chained is None:
+        chained = (range(a.dim),) * a.dim
+    violations = []
+    for i in firsts:
+        row_i = a.mult[i]
+        for j in chained[i]:
+            ij = row_i[j]
+            row_j = a.mult[j]
+            for k in chained[j]:
+                jk = row_j[k]
+                if not ij and not jk:
+                    continue
+                lhs: dict = {}
+                for m, c in ij:
+                    for t, d in a.mult[m][k]:
+                        val = f.add(lhs.get(t, f.zero), f.mul(c, d))
+                        if not val:
+                            lhs.pop(t, None)
+                        else:
+                            lhs[t] = val
+                rhs: dict = {}
+                for m, c in jk:
+                    for t, d in row_i[m]:
+                        val = f.add(rhs.get(t, f.zero), f.mul(c, d))
+                        if not val:
+                            rhs.pop(t, None)
+                        else:
+                            rhs[t] = val
+                if lhs != rhs:
+                    violations.append({"kind": "associativity", "triple": (i, j, k)})
+    return violations
+
+
 def full_scan(a):
     """The validate report from every triple: the unit checks, then
-    associativity with every basis index first."""
+    associativity with every basis index first, by the reference loop."""
     f = a.field
     unit = sparse(f, a.unit)
     violations = []
@@ -40,7 +81,7 @@ def full_scan(a):
             violations.append({"kind": "unit-left", "index": i})
         if a.mul_sparse(bi, unit) != bi:
             violations.append({"kind": "unit-right", "index": i})
-    violations += _associativity_violations(a, range(a.dim))
+    violations += reference_violations(a, range(a.dim))
     return {"valid": not violations, "violations": violations}
 
 
@@ -65,10 +106,54 @@ def perturbed(draw):
     return rl.Algebra(f, a.labels, rows, a.unit)
 
 
+@st.composite
+def one_term_changed(draw):
+    """A corpus algebra, every cell of which has at most one term, with one
+    or two cells changed in one way each: a term c b_k gets another scalar
+    (zero included, kept as a term) or another index, or an empty cell gets
+    a term 0 b_k.  ``Algebra`` keeps the zero terms as given."""
+    a = draw(st.sampled_from(ALGEBRAS))
+    f = a.field
+    mult = [list(row) for row in a.mult]
+    index = st.integers(0, a.dim - 1)
+    for _ in range(draw(st.integers(1, 2))):
+        i, j = draw(index), draw(index)
+        change = draw(st.sampled_from(("scalar", "index") if mult[i][j] else ("zero",)))
+        if change == "zero":
+            mult[i][j] = ((draw(index), f.zero),)
+            continue
+        (k, c), = mult[i][j]
+        if change == "index":
+            mult[i][j] = ((draw(index), c),)
+        elif f.characteristic:
+            mult[i][j] = ((k, draw(st.integers(0, f.characteristic - 1))),)
+        else:
+            mult[i][j] = ((k, f.div(f.of(draw(st.integers(-2, 2))), f.of(draw(st.integers(1, 2))))),)
+    return rl.Algebra(f, a.labels, mult, a.unit)
+
+
+def assert_matches_the_reference(a):
+    """``validate`` gives the full scan's report, and the triple check lists
+    the reference's triples on every triple and, when the words span A, on
+    the certificate's scan."""
+    gens, chained = _word_generators(a, sparse(a.field, a.unit))
+    if gens is not None:
+        assert (_associativity_violations(a, gens, chained)
+                == reference_violations(a, gens, chained))
+    assert _associativity_violations(a, range(a.dim)) == reference_violations(a, range(a.dim))
+    assert rl.validate(a) == full_scan(a)
+
+
 @SETTINGS
 @hypothesis.given(perturbed())
 def test_validate_matches_the_full_scan(a):
-    assert rl.validate(a) == full_scan(a)
+    assert_matches_the_reference(a)
+
+
+@SETTINGS
+@hypothesis.given(one_term_changed())
+def test_one_term_changes_match_the_reference(a):
+    assert_matches_the_reference(a)
 
 
 @hypothesis.settings(SETTINGS, max_examples=30)
@@ -85,6 +170,27 @@ def test_unchained_triples_vanish(a):
         if ((prod[i][j] and a.mul_sparse(prod[i][j], basis[k]))
                 or (prod[j][k] and a.mul_sparse(basis[i], prod[j][k]))):
             assert j in chained[i] and k in chained[j], (i, j, k)
+
+
+@pytest.mark.parametrize("field", [rl.rationals(), rl.prime_field(3)], ids=["Q", "GF3"])
+def test_one_scalar_changed_breaks_only_associativity(field):
+    """simplex2 with b_i b_j = 2 b_m in place of b_m, for the maps
+    i = [0]->[1]:0 and j = [1]->[0]:00, neither idempotent, and their
+    composite m = [1]->[1]:00.  Every cell keeps one term, the unit laws
+    hold, the certificate's scan finds a failing triple, and validate gives
+    the reference's report."""
+    a = rl.build_simplex_algebra(2, field).algebra
+    i, j, m = (a.labels.index(x) for x in ("[0]->[1]:0", "[1]->[0]:00", "[1]->[1]:00"))
+    assert a.mult[i][j] == ((m, field.one),)
+    mult = [list(row) for row in a.mult]
+    mult[i][j] = ((m, field.of(2)),)
+    bad = rl.Algebra(field, a.labels, mult, a.unit)
+    gens, chained = _word_generators(bad, sparse(field, bad.unit))
+    assert _associativity_violations(bad, gens, chained)
+    report = rl.validate(bad)
+    assert report == full_scan(bad)
+    assert len(report["violations"]) == 27
+    assert all(v["kind"] == "associativity" for v in report["violations"])
 
 
 def truncated_polynomials(field):
