@@ -19,7 +19,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import reedylab as rl
 from reedylab.reedy import verify_reedy, recursive_check, search_reedy
-from reedylab.qh import heredity_chain_verify, WeightOrder
+from reedylab.qh import heredity_chain_verify, order_from_degrees
 from reedylab.serialize import (
     algebra_to_json,
     reedy_to_json,
@@ -125,11 +125,11 @@ for levels, expected, prov in [
     ((0, 1, 2, 3), True, "PAPER"),
     ((0, 0, 0, 0), False, "TRIVIAL"),
 ]:
-    order = WeightOrder(dframe.labels, levels)
-    got = heredity_chain_verify(diamond, dframe, order)["overall"]
+    work = dframe.with_degrees(levels)
+    got = heredity_chain_verify(work)["overall"]
     assert got == expected, (levels, got)
     fn = "diamond.order" + "".join(str(l) for l in levels) + ".order.json"
-    write_json(OUT / fn, order.to_json())
+    write_json(OUT / fn, order_from_degrees(work).to_json())
     entries.append(
         {
             "name": f"diamond-qh-{''.join(str(l) for l in levels)}",
@@ -176,10 +176,10 @@ save_reedy_file("uppertri.as.reedy.json", ut_as, "uppertri.alg.json")
 add_reedy_entry("uppertri-as", "uppertri.as.reedy.json", True, "DERIVED")
 
 for levels, prov in [((0, 1), "DERIVED"), ((1, 0), "DERIVED")]:
-    order = WeightOrder(ut_frame0.labels, levels)
-    assert heredity_chain_verify(ut, ut_frame0, order)["overall"]
+    work = ut_frame0.with_degrees(levels)
+    assert heredity_chain_verify(work)["overall"]
     fn = "uppertri.order" + "".join(str(l) for l in levels) + ".order.json"
-    write_json(OUT / fn, order.to_json())
+    write_json(OUT / fn, order_from_degrees(work).to_json())
     entries.append(
         {
             "name": f"uppertri-qh-{''.join(str(l) for l in levels)}",
@@ -202,7 +202,7 @@ for field, tag in ((GF2, "gf2"), (GF3, "gf3")):
         (f"m2.{tag}.alg.json", diag, f"m2-{tag}-diag"),
         (f"m2unit.{tag}.alg.json", unit_frame, f"m2-{tag}-unit"),
     ):
-        found = search_reedy(m2, frame.without_degrees(), mode="exhaustive")
+        found = search_reedy(frame.without_degrees(), mode="exhaustive")
         assert not found, label
         entries.append(
             {
@@ -230,7 +230,7 @@ add_t41_entry("m2-three-dim-pair-t41", "m2.pair.reedy.json", False, "PAPER")
 # --- diamond over GF(2): exhaustive search ----------------------------------
 diamond2, dframe2 = rl.build_quiver_algebra(pres, GF2)
 save_alg("diamond.gf2.alg.json", diamond2, dframe2)
-found = search_reedy(diamond2, dframe2, mode="exhaustive")
+found = search_reedy(dframe2, mode="exhaustive")
 pairs = sorted([list(s.frame.degrees), s.aplus.dim, s.aminus.dim] for s in found)
 assert [[0, 1, 2, 3], 9, 4] in pairs
 assert [[3, 1, 2, 0], 4, 9] in pairs
@@ -277,7 +277,7 @@ down = rl.QuiverPresentation(["a", "b"], [["b", "a", "v"]], [], 1)
 ap, apf = rl.build_quiver_algebra(up, Q)
 am, amf = rl.build_quiver_algebra(down, Q)
 dual_alg, dual_struct = rl.build_dual_extension(
-    ap, apf.with_degrees([0, 1]), am, amf.with_degrees([0, 1])
+    apf.with_degrees([0, 1]), amf.with_degrees([0, 1])
 )
 assert dual_alg.dim == 5
 save_alg("dualext.a2.alg.json", dual_alg, dual_struct.frame)

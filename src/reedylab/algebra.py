@@ -127,8 +127,9 @@ def validate(a: Algebra) -> dict:
     which a loaded table may keep, add nothing to a product and join no
     classes.
 
-    When the certificate fails, the full scan runs, so the violations
-    listed are always those of every triple.
+    When the unit laws or the certificate fail, the full scan runs over
+    every i and, by the same lemma, over the chained j and k only, so the
+    violations listed are always those of every triple.
 
     Both scans decide a triple by table lookup when its cells have one term
     each, as every shipped or generated table's do, and by summing both
@@ -144,11 +145,10 @@ def validate(a: Algebra) -> dict:
             violations.append({"kind": "unit-left", "index": i})
         if a.mul_sparse(bi, unit) != bi:
             violations.append({"kind": "unit-right", "index": i})
-    if not violations:
-        gens, chained = _word_generators(a, unit)
-        if gens is not None and not _associativity_violations(a, gens, chained):
-            return {"valid": True, "violations": []}
-    violations.extend(_associativity_violations(a, range(a.dim)))
+    gens, chained = _word_generators(a, unit)
+    if not violations and gens is not None and not _associativity_violations(a, gens, chained):
+        return {"valid": True, "violations": []}
+    violations.extend(_associativity_violations(a, range(a.dim), chained))
     return {"valid": not violations, "violations": violations}
 
 
@@ -218,10 +218,10 @@ def _word_generators(a: Algebra, unit: dict):
     return (gens if words.dim == a.dim else None), chained
 
 
-def _associativity_violations(a: Algebra, firsts, chained=None) -> list:
+def _associativity_violations(a: Algebra, firsts, chained) -> list:
     """The triples (i, j, k) with i in ``firsts`` where (b_i b_j) b_k and
     b_i (b_j b_k) differ, in scan order.  j runs over ``chained[i]`` and k
-    over ``chained[j]``; by default both run over every basis index.
+    over ``chained[j]``.
 
     A triple is decided by lookup when its four cells have at most one term
     each: b_i b_j = c b_m, b_m b_k = d b_t, b_j b_k = c' b_m' and
@@ -233,8 +233,6 @@ def _associativity_violations(a: Algebra, firsts, chained=None) -> list:
     f = a.field
     mul, zero = f.mul, f.zero
     mult = a.mult
-    if chained is None:
-        chained = (range(a.dim),) * a.dim
     violations = []
     for i in firsts:
         row_i = mult[i]
@@ -351,19 +349,15 @@ class IdempotentFrame:
             raise AlgebraError("frame has no degree function")
         return tuple(sorted(set(self.degrees)))
 
-    def normalized_degrees(self) -> tuple[int, ...]:
+    def normalized(self) -> "IdempotentFrame":
+        """The frame with each degree replaced by its rank among the
+        occupied degrees, 0 for the lowest."""
         ranks = {d: r for r, d in enumerate(self.levels())}
-        return tuple(ranks[d] for d in self.degrees)
+        return self.with_degrees([ranks[d] for d in self.degrees])
 
     def eps(self, level: int) -> tuple:
         """Sum of the idempotents of the given degree (zero if none)."""
-        return self._degree_sum(lambda d: d == level)
-
-    def eps_upto(self, level: int) -> tuple:
-        return self._degree_sum(lambda d: d <= level)
-
-    def _degree_sum(self, keep) -> tuple:
-        return self.sum_of(i for i, d in enumerate(self.degrees) if keep(d))
+        return self.sum_of(i for i, d in enumerate(self.degrees) if d == level)
 
     def sum_of(self, indices) -> tuple:
         """Sum of the idempotents at ``indices`` (zero if none)."""
@@ -903,7 +897,7 @@ def radical_space(a: Algebra, sub: AlgSubspace | None = None) -> Subspace:
     return memo(sub, "radical", embedded)
 
 
-def is_elementary(a: Algebra, frame: IdempotentFrame, sub: AlgSubspace | None = None,
+def is_elementary(frame: IdempotentFrame, sub: AlgSubspace | None = None,
                   below: Subspace | None = None) -> bool:
     """Whether X = A (or the verified subalgebra ``sub``) is elementary for
     the frame: every frame idempotent lies in X and is nonzero, and
@@ -912,6 +906,8 @@ def is_elementary(a: Algebra, frame: IdempotentFrame, sub: AlgSubspace | None = 
     With ``below`` = J, X is A/J in residue rows modulo J: rad(A/J) is
     (rad A + J)/J and the frame idempotents in J, which vanish, are skipped.
     Verdicts without J are kept on the frame."""
+    a = frame.algebra
+
     def decide():
         lines, dim = frame.lines(), a.dim if sub is None else sub.dim
         if below is not None:

@@ -72,10 +72,10 @@ def cmd_construct(args) -> int:
     elif kind == "dualext":
         if len(args.files) != 2:
             raise FormatError("construct dualext needs two algebra files")
-        (ap, apf), (am, amf) = (load_algebra(name) for name in args.files)
-        if apf is None or amf is None or apf.degrees is None or amf.degrees is None:
+        frames = [load_algebra(name)[1] for name in args.files]
+        if any(frame is None or frame.degrees is None for frame in frames):
             raise FormatError("dualext inputs need idempotents and degrees")
-        _, structure = build_dual_extension(ap, apf, am, amf)
+        _, structure = build_dual_extension(*frames)
         base = "dualext"
     else:
         if len(args.files) != 2:

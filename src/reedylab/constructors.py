@@ -340,13 +340,14 @@ def matrix_diag_frame(a: Algebra, n: int) -> IdempotentFrame:
     )
 
 
-def build_dual_extension(aplus_alg: Algebra, plus_frame: IdempotentFrame,
-                         aminus_alg: Algebra, minus_frame: IdempotentFrame):
-    """Glue oppositely directed elementary algebras over their common
-    semisimple base, with radical-times-radical products set to zero.
+def build_dual_extension(plus_frame: IdempotentFrame, minus_frame: IdempotentFrame):
+    """Glue oppositely directed elementary algebras, given by their framed
+    factors, over their common semisimple base, with radical-times-radical
+    products set to zero.
 
     Returns the glued algebra and its verified Reedy structure.
     """
+    aplus_alg, aminus_alg = plus_frame.algebra, minus_frame.algebra
     if aplus_alg.field != aminus_alg.field:
         raise AlgebraError("dual extension factors must share the field")
     if len(plus_frame) != len(minus_frame):
@@ -357,13 +358,13 @@ def build_dual_extension(aplus_alg: Algebra, plus_frame: IdempotentFrame,
         raise AlgebraError("frames must carry the same degree function")
     f = aplus_alg.field
     n = len(plus_frame)
-    if not is_elementary(aplus_alg, plus_frame):
+    if not is_elementary(plus_frame):
         raise AlgebraError("raising factor is not elementary")
-    if not is_elementary(aminus_alg, minus_frame):
+    if not is_elementary(minus_frame):
         raise AlgebraError("lowering factor is not elementary")
     reports = {
-        "raising": directedness(plus_frame, plus_frame.degrees, True),
-        "lowering": directedness(minus_frame, minus_frame.degrees, False),
+        "raising": directedness(plus_frame, True),
+        "lowering": directedness(minus_frame, False),
     }
     if any(v["kind"] == "diagonal" for rep in reports.values() for v in rep["violations"]):
         raise AlgebraError("diagonal blocks must be one-dimensional")

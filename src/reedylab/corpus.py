@@ -23,8 +23,8 @@ PROVENANCE_TAGS = ("PAPER", "TRIVIAL", "DERIVED")
 # check -> its report on a loaded ReedyStructure r; only theorem53 reads the cut
 REEDY_CHECKS = {
     "reedy": lambda r, cut: verify_reedy(r),
-    "borel": lambda r, cut: exact_borel_check(r.algebra, r.frame, r.aminus, r.order()),
-    "delta": lambda r, cut: delta_subalgebra_check(r.algebra, r.frame, r.aplus, r.order()),
+    "borel": lambda r, cut: exact_borel_check(r.frame.normalized(), r.aminus),
+    "delta": lambda r, cut: delta_subalgebra_check(r.frame.normalized(), r.aplus),
     "theorem41": lambda r, cut: characterization_crosscheck(r),
     "theorem53": lambda r, cut: recursive_check(r, cut),
 }
@@ -43,18 +43,19 @@ def default_corpus_dir() -> Path:
     return Path(__file__).parent / "corpus"
 
 
-def load_framed_algebra(path):
-    """An algebra file's (algebra, frame); the file must carry a frame."""
-    algebra, frame = load_algebra(path)
+def load_frame(path):
+    """An algebra file's frame, on its algebra; the file must carry one."""
+    frame = load_algebra(path)[1]
     if frame is None:
         raise FormatError("algebra file carries no idempotent frame")
-    return algebra, frame
+    return frame
 
 
 def run_qh(algebra_path, order_path) -> dict:
-    """The heredity chain report of an algebra file under an order file."""
-    algebra, frame = load_framed_algebra(algebra_path)
-    return heredity_chain_verify(algebra, frame, load_order(order_path, frame))
+    """The heredity chain report of an algebra file under an order file,
+    whose levels become the frame's degrees."""
+    frame = load_frame(algebra_path)
+    return heredity_chain_verify(frame.with_degrees(load_order(order_path, frame).levels))
 
 
 def run_search(algebra_path, mode: str, max_levels: int | None, name: str) -> list:
@@ -63,8 +64,8 @@ def run_search(algebra_path, mode: str, max_levels: int | None, name: str) -> li
     a FormatError that calls it ``name``."""
     if max_levels is not None and max_levels < 1:
         raise FormatError(f"{name} must be at least 1, got {max_levels}")
-    algebra, frame = load_framed_algebra(algebra_path)
-    return search_reedy(algebra, frame.without_degrees(), mode=mode, max_levels=max_levels)
+    return search_reedy(load_frame(algebra_path).without_degrees(), mode=mode,
+                        max_levels=max_levels)
 
 
 def _field(entry: dict, key: str, default=None):

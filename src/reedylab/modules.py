@@ -119,7 +119,7 @@ def quotient_module(m: ModuleRep, sub: Subspace) -> ModuleRep:
                      m.acting, m.line)
 
 
-def simple_module(a: Algebra, frame: IdempotentFrame, index: int, side: str = "left",
+def simple_module(frame: IdempotentFrame, index: int, side: str = "left",
                   sub: AlgSubspace | None = None) -> ModuleRep:
     """The simple top of the cyclic projective at a frame idempotent, over
     X = A or the verified subalgebra ``sub``.
@@ -127,9 +127,9 @@ def simple_module(a: Algebra, frame: IdempotentFrame, index: int, side: str = "l
     Requires X to be elementary with respect to the frame, so the result is
     one-dimensional.
     """
-    if not is_elementary(a, frame, sub):
+    if not is_elementary(frame, sub):
         raise AlgebraError("simple modules via frames need an elementary algebra")
-    proj = projective_module(a, frame.lines()[index], side, sub)
+    proj = projective_module(frame.algebra, frame.lines()[index], side, sub)
     simple = quotient_module(proj, proj.radical_submodule())
     if simple.dim != 1:
         raise AlgebraError("top of the cyclic projective is not one-dimensional")
@@ -166,7 +166,7 @@ def is_projective_module(m: ModuleRep, frame: IdempotentFrame) -> bool:
     """Projective-cover dimension test over an elementary acting algebra X,
     which holds the frame, so its projectives X*e_i (e_i*X on the right)
     have the dimensions of their Peirce blocks."""
-    if not is_elementary(m.ambient, frame, m.acting):
+    if not is_elementary(frame, m.acting):
         raise AlgebraError("projectivity test supported for elementary algebras only")
     tops = m.top_multiplicities(frame)
     return m.dim == sum(mult * peirce_dim(frame, m.acting, i, m.side) for i, mult in enumerate(tops))

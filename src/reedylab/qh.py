@@ -1,9 +1,10 @@
 """Heredity ideals and chains, standard modules, and directed-subalgebra tests.
 
-Weight orders are level functions on the frame idempotents: i is strictly
-below j exactly when level(i) > level(j), matching the order a heredity
-chain induces (lower chain layer = larger weight).  Same-level distinct
-weights are incomparable.
+The weight order is the frame's degree function: i is strictly below j
+exactly when degree(i) > degree(j), matching the order a heredity chain
+induces (lower chain layer = larger weight).  Distinct weights of one
+degree are incomparable.  Every check here takes the frame alone, reads
+its algebra from ``frame.algebra`` and its levels from ``frame.degrees``.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from itertools import product as iter_product
 from typing import NamedTuple
 
 from .algebra import (
-    Algebra,
     AlgebraError,
     AlgSubspace,
     IdempotentFrame,
@@ -45,7 +45,8 @@ MAX_WEIGHTS = 7
 
 
 class WeightOrder:
-    """A partial order on weights induced by a level function."""
+    """The value of an order file: a level per weight label, which
+    ``frame.with_degrees(order.levels)`` makes the frame's degrees."""
 
     __slots__ = ("labels", "levels")
 
@@ -56,29 +57,6 @@ class WeightOrder:
             raise ValueError("labels/levels length mismatch")
         if any(l < 0 for l in self.levels):
             raise ValueError("levels must be natural numbers")
-
-    def __len__(self):
-        return len(self.labels)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, WeightOrder)
-            and self.labels == other.labels
-            and self.levels == other.levels
-        )
-
-    def __hash__(self):
-        return hash((self.labels, self.levels))
-
-    def __repr__(self):
-        return f"WeightOrder({dict(zip(self.labels, self.levels))})"
-
-    def lt(self, i: int, j: int) -> bool:
-        """i strictly below j (i appears in a later chain layer)."""
-        return self.levels[i] > self.levels[j]
-
-    def leq(self, i: int, j: int) -> bool:
-        return i == j or self.lt(i, j)
 
     def to_json(self) -> dict:
         return {"levels": {lab: lev for lab, lev in zip(self.labels, self.levels)}}
@@ -96,20 +74,19 @@ class WeightOrder:
 
 
 def order_from_degrees(frame: IdempotentFrame) -> WeightOrder:
-    if frame.degrees is None:
-        raise AlgebraError("frame carries no degree function")
-    return WeightOrder(frame.labels, frame.normalized_degrees())
+    """The order file value of the frame's normalized degrees."""
+    return WeightOrder(frame.labels, frame.normalized().degrees)
 
 
-def directedness(frame: IdempotentFrame, levels, raising: bool,
-                 sub: AlgSubspace | None = None) -> dict:
+def directedness(frame: IdempotentFrame, raising: bool, sub: AlgSubspace | None = None) -> dict:
     """Directedness of the Peirce blocks of ``sub`` (of A when None).
 
     Every diagonal block e_i X e_i must be one-dimensional, and a nonzero
-    block e_j X e_i with i != j must raise the level (level j > level i) when
-    ``raising``, lower it otherwise: Definition conditions (i) and (ii).
+    block e_j X e_i with i != j must raise the degree (degree j > degree i)
+    when ``raising``, lower it otherwise: Definition conditions (i) and (ii).
     """
-    return _directed(peirce_blocks(frame, sub), range(len(frame)), frame.labels, levels, raising)
+    return _directed(peirce_blocks(frame, sub), range(len(frame)), frame.labels, frame.degrees,
+                     raising)
 
 
 def _directed(blocks: dict, indices, labels, levels, raising: bool) -> dict:
@@ -135,51 +112,52 @@ def _directed(blocks: dict, indices, labels, levels, raising: bool) -> dict:
 
 class LevelChain(NamedTuple):
     """Data of the candidate chain 0 <= J_0 <= J_1 <= ... <= A, kept on the
-    frame per order: the ideals J_l of A and, per level, the residue rows of
-    J_l modulo J_(l-1)."""
+    frame per degree function: the occupied degrees l, the ideals J_l of A
+    and, per level, the residue rows of J_l modulo J_(l-1)."""
 
-    frame: IdempotentFrame
     levels: tuple
     ideals: tuple
     layers: tuple
 
 
-def level_chain(a: Algebra, frame: IdempotentFrame, order: WeightOrder) -> LevelChain:
-    return memo(frame, ("level_chain", order.levels), lambda: _level_chain(a, frame, order))
+def level_chain(frame: IdempotentFrame) -> LevelChain:
+    return memo(frame, ("level_chain", frame.degrees), lambda: _level_chain(frame))
 
 
-def _level_chain(a: Algebra, frame: IdempotentFrame, order: WeightOrder) -> LevelChain:
-    levels = tuple(sorted(set(order.levels)))
-    work = frame.with_degrees(order.levels)
+def _level_chain(frame: IdempotentFrame) -> LevelChain:
+    a = frame.algebra
+    levels = frame.levels()
     ideals, layers = [], []
     below = Subspace(a.field, a.dim)
     for lev in levels:
         # J_l = J_(l-1) + (C*eps_l)*C for C the residue rows of A modulo J_(l-1)
-        layer = product_span(a, product_span(a, None, element_line(a, work.eps(lev)), below),
+        layer = product_span(a, product_span(a, None, element_line(a, frame.eps(lev)), below),
                              None, below)
         below = subspace_sum(below, layer)
         layers.append(layer)
         ideals.append(AlgSubspace(a, below, AlgSubspace.IDEAL))
-    return LevelChain(work, levels, tuple(ideals), tuple(layers))
+    return LevelChain(levels, tuple(ideals), tuple(layers))
 
 
-def heredity_ideal_check(a: Algebra, frame: IdempotentFrame, eps) -> dict:
+def heredity_ideal_check(frame: IdempotentFrame, eps) -> dict:
     """Corner criterion for J = A*eps*A being a heredity ideal."""
+    a = frame.algebra
     eps = tuple(eps)
     if not a.is_idempotent(eps):
         raise AlgebraError("heredity_ideal_check requires an idempotent")
     f = a.field
     split = IdempotentFrame(a, [eps, tuple(f.sub(u, x) for u, x in zip(a.unit, eps))], check=False)
-    return _heredity_report(a, frame, split, [0], ideal_closure(a, [eps]).space, None)
+    return _heredity_report(frame, split, [0], ideal_closure(a, [eps]).space, None)
 
 
-def _heredity_report(a: Algebra, frame: IdempotentFrame, split: IdempotentFrame, inside,
+def _heredity_report(frame: IdempotentFrame, split: IdempotentFrame, inside,
                      layer: Subspace, below: Subspace | None) -> dict:
     """``heredity_ideal_check`` in A/J' for J' = ``below`` (0 when None): the
     idempotent eps of A that sums the idempotents of the frame ``split`` at
     ``inside``, and ``layer``, the residue rows modulo J' of the ideal J
     generated by eps and J'.  The radical of A/J' is (rad A + J')/J', so
     only A's radical is ever computed."""
+    a = frame.algebra
     if layer.dim == 0:
         return {"overall": True, "trivial": True, "ideal_dim": 0, "corner_semisimple": True,
                 "tensor_bijective": True}
@@ -197,16 +175,17 @@ def _heredity_report(a: Algebra, frame: IdempotentFrame, split: IdempotentFrame,
         "tensor_dim": tens,
         "tensor_bijective": tensor_ok,
     }
-    if is_elementary(a, frame, below=below):
-        report["cross_checks"] = _heredity_cross_checks(a, frame, layer, rad, below)
+    if is_elementary(frame, below=below):
+        report["cross_checks"] = _heredity_cross_checks(frame, layer, rad, below)
     return report
 
 
-def _heredity_cross_checks(a: Algebra, frame, layer: Subspace, rad: Subspace,
+def _heredity_cross_checks(frame: IdempotentFrame, layer: Subspace, rad: Subspace,
                            below: Subspace | None) -> dict:
     """J/J' idempotent, (J/J')*rad*(J/J') zero and J/J' a projective left
     A/J'-module, every product taken modulo J'; the projective of A/J' at
     e_i is (A*e_i + J')/J', of dim A*e_i - dim J'*e_i."""
+    a = frame.algebra
     idempotent_ideal = product_span(a, layer, layer, below).dim == layer.dim
     jrj = product_span(a, product_span(a, layer, rad, below), layer, below)
     killed = below if below is not None else Subspace(a.field, a.dim)
@@ -222,16 +201,15 @@ def _heredity_cross_checks(a: Algebra, frame, layer: Subspace, rad: Subspace,
     }
 
 
-def heredity_chain_verify(a: Algebra, frame: IdempotentFrame, order: WeightOrder | None = None) -> dict:
-    """Layer-by-layer verification of the chain induced by the degree levels."""
-    if order is None:
-        order = order_from_degrees(frame)
-    chain = level_chain(a, frame, order)
+def heredity_chain_verify(frame: IdempotentFrame) -> dict:
+    """Layer-by-layer verification of the chain induced by the degrees."""
+    a = frame.algebra
+    chain = level_chain(frame)
     layers, ok = [], True
     for rank, (lev, layer) in enumerate(zip(chain.levels, chain.layers)):
         below = chain.ideals[rank - 1].space if rank else None
-        inside = [i for i, level in enumerate(chain.frame.degrees) if level == lev]
-        verdict = _heredity_report(a, chain.frame, chain.frame, inside, layer, below)
+        inside = [i for i, level in enumerate(frame.degrees) if level == lev]
+        verdict = _heredity_report(frame, frame, inside, layer, below)
         layers.append({"level": lev, "ideal_dim": chain.ideals[rank].dim, "layer_dim": layer.dim,
                        "verdict": bool(verdict["overall"]), "strictly_increasing": layer.dim > 0,
                        "detail": verdict})
@@ -240,33 +218,37 @@ def heredity_chain_verify(a: Algebra, frame: IdempotentFrame, order: WeightOrder
     return {"overall": ok and complete, "complete": complete, "layers": layers}
 
 
-def trace_subspace(a: Algebra, frame: IdempotentFrame, order: WeightOrder, i: int) -> Subspace:
-    """Sum over weights j not below-or-equal i of A e_j A e_i, inside A e_i.
+def trace_subspace(frame: IdempotentFrame, i: int) -> Subspace:
+    """Sum over weights j not below-or-equal i of A e_j A e_i, inside A e_i:
+    j != i with degree j <= degree i.
 
     The sum of the ideals A e_j A is the ideal A eps A for eps the sum of
     those e_j, so this is the column at e_i of the two-sided span that
     ``peirce_two_sided`` reads off A's Peirce table."""
-    outside = [j for j in range(len(frame)) if not order.leq(j, i)]
-    return column_span(a, peirce_two_sided(frame, outside), frame.idempotents[i])
+    degrees = frame.degrees
+    outside = [j for j in range(len(frame)) if j != i and degrees[j] <= degrees[i]]
+    return column_span(frame.algebra, peirce_two_sided(frame, outside), frame.idempotents[i])
 
 
-def standard_modules(a: Algebra, frame: IdempotentFrame, order: WeightOrder) -> tuple:
+def standard_modules(frame: IdempotentFrame) -> tuple:
     """The standard modules Delta(i) = A e_i / (trace at i) of an elementary
     algebra, one per frame idempotent."""
-    if not is_elementary(a, frame):
+    a = frame.algebra
+    if not is_elementary(frame):
         raise AlgebraError("standard modules via frames require an elementary algebra")
-    return tuple(quotient_module(projective_module(a, e, "left"), trace_subspace(a, frame, order, i))
+    return tuple(quotient_module(projective_module(a, e, "left"), trace_subspace(frame, i))
                  for i, e in enumerate(frame.idempotents))
 
 
-def layer_quotient_module(a: Algebra, frame: IdempotentFrame, order: WeightOrder, i: int) -> ModuleRep:
-    """The module A e_i / J_{l-1} e_i for l the level of weight i.
+def layer_quotient_module(frame: IdempotentFrame, i: int) -> ModuleRep:
+    """The module A e_i / J_{l-1} e_i for l the degree of weight i.
 
     For a valid heredity chain this is the standard module at i (and is
     computable without primitive idempotents of A).
     """
-    chain = level_chain(a, frame, order)
-    rank = chain.levels.index(order.levels[i])
+    a = frame.algebra
+    chain = level_chain(frame)
+    rank = chain.levels.index(frame.degrees[i])
     e = frame.idempotents[i]
     proj = projective_module(a, e, "left")
     if rank == 0:
@@ -274,26 +256,26 @@ def layer_quotient_module(a: Algebra, frame: IdempotentFrame, order: WeightOrder
     return quotient_module(proj, column_span(a, chain.ideals[rank - 1].space, e))
 
 
-def _elementary_candidate(a: Algebra, frame: IdempotentFrame, b: AlgSubspace, report: dict) -> bool:
+def _elementary_candidate(frame: IdempotentFrame, b: AlgSubspace, report: dict) -> bool:
     """Whether ``b`` is an elementary subalgebra for the frame; when not,
     ``report["reason"]`` says why."""
     if b.closure_kind != AlgSubspace.SUBALGEBRA:
         report["reason"] = "candidate is not a verified subalgebra"
     elif not all(b.contains(e) for e in frame.idempotents):
         report["reason"] = "candidate does not contain the frame idempotents"
-    elif not is_elementary(a, frame, b):
+    elif not is_elementary(frame, b):
         report["reason"] = "candidate subalgebra is not elementary"
     else:
         return True
     return False
 
 
-def _standards(a: Algebra, frame: IdempotentFrame, order: WeightOrder) -> tuple:
+def _standards(frame: IdempotentFrame) -> tuple:
     """The standard modules, or the layer quotients when A is not elementary;
-    kept on the frame per order like the level chain."""
-    return memo(frame, ("standards", order.levels), lambda: (
-        standard_modules(a, frame, order) if is_elementary(a, frame)
-        else tuple(layer_quotient_module(a, frame, order, i) for i in range(len(frame)))))
+    kept on the frame per degree function like the level chain."""
+    return memo(frame, ("standards", frame.degrees), lambda: (
+        standard_modules(frame) if is_elementary(frame)
+        else tuple(layer_quotient_module(frame, i) for i in range(len(frame)))))
 
 
 def _same_invariants(m: ModuleRep, n: ModuleRep, frame: IdempotentFrame) -> bool:
@@ -305,24 +287,25 @@ def _same_invariants(m: ModuleRep, n: ModuleRep, frame: IdempotentFrame) -> bool
     )
 
 
-def exact_borel_check(a: Algebra, frame: IdempotentFrame, b: AlgSubspace, order: WeightOrder) -> dict:
+def exact_borel_check(frame: IdempotentFrame, b: AlgSubspace) -> dict:
     """Exact-Borel test: directed subalgebra, exact induction, simples -> standards.
 
     The per-weight ``match`` compares the invariants of A (x)_B L(i) and of
     the standard module (dimension, composition vector, top); it is not an
     isomorphism test.
     """
+    a = frame.algebra
     report: dict = {"overall": False}
-    if not _elementary_candidate(a, frame, b, report):
+    if not _elementary_candidate(frame, b, report):
         return report
-    directed = directedness(frame, order.levels, False, b)["ok"]
+    directed = directedness(frame, False, b)["ok"]
     report["directed_simple"] = directed
     right_reg = restrict_module(regular_module(a, "right"), b)
     report["right_projective"] = is_projective_module(right_reg, frame)
     induced_match = True
     per_weight = []
-    for i, target in enumerate(_standards(a, frame, order)):
-        induced = induce_module(a, b, simple_module(a, frame, i, "left", b))
+    for i, target in enumerate(_standards(frame)):
+        induced = induce_module(a, b, simple_module(frame, i, "left", b))
         same = _same_invariants(induced, target, frame)
         induced_match = induced_match and same
         per_weight.append(
@@ -339,7 +322,7 @@ def exact_borel_check(a: Algebra, frame: IdempotentFrame, b: AlgSubspace, order:
     return report
 
 
-def delta_subalgebra_check(a: Algebra, frame: IdempotentFrame, c: AlgSubspace, order: WeightOrder) -> dict:
+def delta_subalgebra_check(frame: IdempotentFrame, c: AlgSubspace) -> dict:
     """Delta-subalgebra test: standards restrict to the projectives of c.
 
     When ``restrictions_projective`` holds, the per-weight top match already
@@ -347,17 +330,17 @@ def delta_subalgebra_check(a: Algebra, frame: IdempotentFrame, c: AlgSubspace, o
     projective module is determined by its top.
     """
     report: dict = {"overall": False}
-    if not _elementary_candidate(a, frame, c, report):
+    if not _elementary_candidate(frame, c, report):
         return report
-    directed = directedness(frame, order.levels, True, c)["ok"]
+    directed = directedness(frame, True, c)["ok"]
     report["directed_projective"] = directed
     all_proj = True
     all_match = True
     per_weight = []
-    for i, delta in enumerate(_standards(a, frame, order)):
+    for i, delta in enumerate(_standards(frame)):
         restricted = restrict_module(delta, c)
         proj_ok = is_projective_module(restricted, frame)
-        proj_c = projective_module(a, frame.lines()[i], "left", c)
+        proj_c = projective_module(frame.algebra, frame.lines()[i], "left", c)
         same = _same_invariants(restricted, proj_c, frame)
         all_proj = all_proj and proj_ok
         all_match = all_match and same
@@ -390,14 +373,12 @@ def normalized_level_functions(n: int, max_levels: int | None = None):
     return out
 
 
-def qh_order_search(a: Algebra, frame: IdempotentFrame) -> list[WeightOrder]:
-    """All level functions whose candidate chain verifies, in lex order."""
+def qh_order_search(frame: IdempotentFrame) -> list[IdempotentFrame]:
+    """The frame under every normalized degree function whose candidate
+    chain verifies, in lex order of the degrees; the frame's own degrees
+    are not read."""
     n = len(frame)
     if n > MAX_WEIGHTS:
         raise AlgebraError(f"frame has {n} weights, search bound is {MAX_WEIGHTS}")
-    found = []
-    for levels in normalized_level_functions(n):
-        order = WeightOrder(frame.labels, levels)
-        if heredity_chain_verify(a, frame, order)["overall"]:
-            found.append(order)
-    return found
+    return [work for work in map(frame.with_degrees, normalized_level_functions(n))
+            if heredity_chain_verify(work)["overall"]]

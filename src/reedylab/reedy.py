@@ -36,14 +36,12 @@ from .linalg import (Echelon, Subspace, densify, modulo, null_space, sparse, spa
                      subspace_intersect)
 from .qh import (
     MAX_WEIGHTS,
-    WeightOrder,
     _directed,
     delta_subalgebra_check,
     exact_borel_check,
     heredity_chain_verify,
     level_chain,
     normalized_level_functions,
-    order_from_degrees,
 )
 
 # search_reedy's exhaustive mode needs q^(dim A - |E|) <= 2^EXHAUSTIVE_BOUND; with
@@ -52,7 +50,10 @@ EXHAUSTIVE_BOUND = 8
 
 
 class ReedyStructure:
-    """Candidate data (E, deg, A+, A-) over an algebra."""
+    """Candidate data (E, deg, A+, A-) over an algebra, which must be the
+    frame's.  The checks here hand ``qh`` the frame with its normalized
+    degrees (``frame.normalized()``), the levels of the order file that
+    ``qh.order_from_degrees`` writes."""
 
     __slots__ = ("algebra", "frame", "aplus", "aminus", "_cache")
 
@@ -69,6 +70,8 @@ class ReedyStructure:
             self._check_structure()
 
     def _check_structure(self):
+        if self.frame.algebra is not self.algebra:
+            raise AlgebraError("the frame belongs to another algebra")
         for name, sub in (("aplus", self.aplus), ("aminus", self.aminus)):
             if sub.closure_kind != AlgSubspace.SUBALGEBRA:
                 raise AlgebraError(f"{name} is not flagged as a subalgebra")
@@ -79,9 +82,6 @@ class ReedyStructure:
                     raise AlgebraError(
                         f"{name} does not contain idempotent {self.frame.labels[idx]}"
                     )
-
-    def order(self) -> WeightOrder:
-        return order_from_degrees(self.frame)
 
     def __repr__(self):
         return (
@@ -171,9 +171,8 @@ def layer_check(r: ReedyStructure) -> dict:
     """
     _require_setup(r)
     a = r.algebra
-    frame = r.frame
-    order = r.order()
-    chain = level_chain(a, frame, order)
+    frame = r.frame.normalized()
+    chain = level_chain(frame)
     plus, minus = peirce_blocks(frame, r.aplus), peirce_blocks(frame, r.aminus)
     n = range(len(frame))
 
@@ -183,7 +182,7 @@ def layer_check(r: ReedyStructure) -> dict:
     for rank, lev in enumerate(chain.levels):
         j_here = chain.ideals[rank]
         layer_dim = j_here.dim - prev.dim
-        idx_here = [i for i in n if order.levels[i] == lev]
+        idx_here = [i for i in n if frame.degrees[i] == lev]
         domain, image = product_rank(
             a, [(plus[(j, i)], minus[(i, k)]) for i in idx_here for j in n for k in n], prev)
         ok = domain == layer_dim == image
@@ -204,12 +203,12 @@ def layer_check(r: ReedyStructure) -> dict:
 def reedy_heredity_bottom(r: ReedyStructure) -> dict:
     """Bottom-layer bimodule identity at the minimal occupied degree."""
     _require_verified(r)
-    order = r.order()
-    t = min(order.levels)
-    idx = [i for i in range(len(r.frame)) if order.levels[i] == t]
-    lhs = sum(peirce_dim(r.frame, r.aplus, i) * peirce_dim(r.frame, r.aminus, i, "right")
+    frame = r.frame.normalized()
+    t = min(frame.degrees)
+    idx = [i for i in range(len(frame)) if frame.degrees[i] == t]
+    lhs = sum(peirce_dim(frame, r.aplus, i) * peirce_dim(frame, r.aminus, i, "right")
               for i in idx)
-    rhs = level_chain(r.algebra, r.frame, order).ideals[0].dim
+    rhs = level_chain(frame).ideals[0].dim
     return {"level": t, "tensor_dim": lhs, "ideal_dim": rhs, "overall": lhs == rhs}
 
 
@@ -218,10 +217,10 @@ def induced_corner(r: ReedyStructure, cut: int) -> ReedyStructure:
     _require_verified(r)
     a = r.algebra
     f = a.field
-    order = r.order()
-    e = r.frame.with_degrees(order.levels).eps_upto(cut)
+    levels = r.frame.normalized().degrees
+    keep = [i for i in range(len(r.frame)) if levels[i] <= cut]
+    e = r.frame.sum_of(keep)
     c_alg, carrier = corner(a, e)
-    keep = [i for i in range(len(r.frame)) if order.levels[i] <= cut]
     idems = [densify(f, carrier.coords(sparse(f, r.frame.idempotents[i])), c_alg.dim) for i in keep]
     c_frame = IdempotentFrame(c_alg, idems, [r.frame.labels[i] for i in keep],
                               [r.frame.degrees[i] for i in keep], check=False)
@@ -249,16 +248,15 @@ def induced_quotient(r: ReedyStructure, cut: int) -> ReedyStructure:
     """The quotient structure by the ideal of idempotents of level <= cut."""
     _require_verified(r)
     a = r.algebra
-    order = r.order()
-    work = r.frame.with_degrees(order.levels)
-    inside = [i for i, level in enumerate(order.levels) if level <= cut]
+    work = r.frame.normalized()
+    inside = [i for i, level in enumerate(work.degrees) if level <= cut]
     j = AlgSubspace(a, peirce_two_sided(work, inside), AlgSubspace.IDEAL)
     if not all(_image_diagnostics(work, inside, j.space, sub)["injective"]
                for sub in (r.aplus, r.aminus)):
         raise AlgebraError("quotient subalgebra images are not embeddings (unexpected)")
     q_alg, qmap = quotient(a, j)
     q_frame = quotient_frame(work, qmap)
-    if len(q_frame) != sum(level > cut for level in order.levels):
+    if len(q_frame) != sum(level > cut for level in work.degrees):
         raise AlgebraError("an idempotent above the cut dies in the quotient (unexpected)")
 
     def image_sub(sub: AlgSubspace) -> AlgSubspace:
@@ -281,7 +279,7 @@ def recursive_check(r: ReedyStructure, cut: int) -> dict:
     # The frame lies in A+ and A-, so A+.A- is the direct sum of the pair images.
     hypothesis = sum(p["rank"] for p in report_r["cond_decomp"]["pairs"]) == a.dim
 
-    levels = r.order().levels
+    levels = r.frame.normalized().degrees
     inside = [i for i, level in enumerate(levels) if level <= cut]
     j = peirce_two_sided(r.frame, inside)
     corner_ok = _conditions(r, inside)["overall"]
@@ -313,15 +311,14 @@ def recursive_check(r: ReedyStructure, cut: int) -> dict:
 def characterization_crosscheck(r: ReedyStructure) -> dict:
     """Three-route equivalence: decomposition, bimodule form, Borel/Delta form."""
     a = r.algebra
-    frame = r.frame
-    order = r.order()
+    frame = r.frame.normalized()
     report_i = verify_reedy(r)
     route_i = report_i["overall"]
 
     # Route (ii): elementary subalgebras, S maximal semisimple, C (x)_S B = A.
     detail_ii: dict = {}
     try:
-        elem = is_elementary(a, frame, r.aplus) and is_elementary(a, frame, r.aminus)
+        elem = is_elementary(frame, r.aplus) and is_elementary(frame, r.aminus)
         detail_ii["subalgebras_elementary"] = elem
         inter = subspace_intersect(r.aplus.space, r.aminus.space)
         s_ok = inter == frame.semisimple_span() and inter.dim == len(frame)
@@ -338,7 +335,7 @@ def characterization_crosscheck(r: ReedyStructure) -> dict:
     # Route (iii): quasi-heredity with exact Borel and Delta subalgebras.
     detail_iii: dict = {}
     try:
-        if is_elementary(a, frame):
+        if is_elementary(frame):
             weight_bijection = True
             detail_iii["weights"] = "frame indexes the simple modules"
         else:
@@ -347,9 +344,9 @@ def characterization_crosscheck(r: ReedyStructure) -> dict:
             detail_iii["weights"] = f"center of A/rad has dim {zdim} vs |E| = {len(frame)}"
         detail_iii["weight_bijection"] = weight_bijection
         if weight_bijection:
-            qh_ok = heredity_chain_verify(a, frame, order)["overall"]
-            borel = exact_borel_check(a, frame, r.aminus, order)
-            delta = delta_subalgebra_check(a, frame, r.aplus, order)
+            qh_ok = heredity_chain_verify(frame)["overall"]
+            borel = exact_borel_check(frame, r.aminus)
+            delta = delta_subalgebra_check(frame, r.aplus)
             detail_iii["quasi_hereditary"] = qh_ok
             detail_iii["exact_borel"] = borel["overall"]
             detail_iii["delta_subalgebra"] = delta["overall"]
@@ -431,7 +428,7 @@ def _all_subspaces(field: Field, m: int):
                 yield [tuple(row) for row in basis]
 
 
-def _candidate_subalgebras(a: Algebra, frame: IdempotentFrame) -> list[tuple]:
+def _candidate_subalgebras(frame: IdempotentFrame) -> list[tuple]:
     """Every subalgebra X between S and A with e_iXe_i = k e_i for all i
     (finite field, nonzero frame idempotents), with its block dimensions
     D_X[j][i] = dim e_jXe_i, as pairs (X, D_X).
@@ -440,6 +437,7 @@ def _candidate_subalgebras(a: Algebra, frame: IdempotentFrame) -> list[tuple]:
     subspace of each nonzero off-diagonal block of A, enumerated in the
     block's row coordinates.  These are the subalgebras directedness can
     admit; D_X is read off the chosen pieces."""
+    a = frame.algebra
     f, n = a.field, len(frame)
     off = [(key, list(blk.rows.values())) for key, blk in peirce_blocks(frame).items()
            if key[0] != key[1] and blk.dim]
@@ -496,7 +494,7 @@ def _basis_key(field: Field, basis) -> tuple:
     return tuple(tuple(field.show(x) for x in row) for row in basis)
 
 
-def search_reedy(a: Algebra, frame: IdempotentFrame, mode: str = "heuristic",
+def search_reedy(frame: IdempotentFrame, mode: str = "heuristic",
                  max_levels: int | None = None) -> list[ReedyStructure]:
     """Search for verified Reedy structures over normalized degree functions.
 
@@ -511,6 +509,7 @@ def search_reedy(a: Algebra, frame: IdempotentFrame, mode: str = "heuristic",
     for ``verify_reedy``.  Results are deduplicated and ordered by degree
     function and canonical bases.
     """
+    a = frame.algebra
     n = len(frame)
     if n > MAX_WEIGHTS:
         raise AlgebraError(f"frame has {n} weights, search bound is {MAX_WEIGHTS}")
@@ -526,7 +525,7 @@ def search_reedy(a: Algebra, frame: IdempotentFrame, mode: str = "heuristic",
     if any(not line.dim for line in frame.lines()):
         return []  # e_zXe_z = 0 for a zero idempotent e_z: no X is directed
     if mode == "exhaustive":
-        candidates = _candidate_subalgebras(a, frame)
+        candidates = _candidate_subalgebras(frame)
     else:
         closures = {}  # space -> (the closure with that space, its block dimensions)
 

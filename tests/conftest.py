@@ -93,7 +93,7 @@ def dualext_a2(Q):
     down = rl.QuiverPresentation(["a", "b"], [["b", "a", "v"]], [], 1)
     ap, apf = rl.build_quiver_algebra(up, Q)
     am, amf = rl.build_quiver_algebra(down, Q)
-    return rl.build_dual_extension(ap, apf.with_degrees([0, 1]), am, amf.with_degrees([0, 1]))
+    return rl.build_dual_extension(apf.with_degrees([0, 1]), amf.with_degrees([0, 1]))
 
 
 @pytest.fixture(scope="session")

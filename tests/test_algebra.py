@@ -74,7 +74,7 @@ def test_validate_reports_the_corrupted_diamond_in_full():
     assert not report["valid"]
     assert {"kind": "unit-left", "index": bd} in report["violations"]
     assert [v for v in report["violations"] if v["kind"] == "associativity"] == (
-        _associativity_violations(bad, range(bad.dim))
+        _associativity_violations(bad, range(bad.dim), [range(bad.dim)] * bad.dim)
     )
     triples = [v["triple"] for v in report["violations"] if v["kind"] == "associativity"]
     assert (d, bd, 2) in triples and (d, bd, 6) in triples
@@ -142,7 +142,7 @@ def test_validate_reads_the_grading_from_the_table_as_given(cell, terms):
     data["mult"] = [row for row in data["mult"] if row[:2] != [i, j]]
     data["mult"].append([i, j, [[data["labels"].index(k), c] for k, c in terms]])
     bad, _ = algebra_from_json(data)
-    full = _associativity_violations(bad, range(bad.dim))
+    full = _associativity_violations(bad, range(bad.dim), [range(bad.dim)] * bad.dim)
     gens, stale = grading(good)
     assert full and not _associativity_violations(bad, gens, stale)
     if not good.mult[i][j]:
@@ -236,12 +236,12 @@ def test_frame_data_is_shared_by_degree_variants(Q):
     """Peirce tables, level chains and elementarity are functions of the
     frame and are kept on it, so a degree variant reads the same objects."""
     s = rl.build_simplex_algebra(1, Q)
-    frame, order = s.frame.without_degrees(), rl.order_from_degrees(s.frame)
+    frame, levels = s.frame.without_degrees(), s.frame.normalized().degrees
     work = frame.with_degrees([0] * len(frame))
     for sub in (None, s.aplus, s.aminus):
         assert peirce_blocks(work, sub) is peirce_blocks(frame, sub)
-    assert level_chain(s.algebra, work, order) is level_chain(s.algebra, frame, order)
-    assert level_chain(s.algebra, s.frame, order) is level_chain(s.algebra, frame, order)
+    assert level_chain(work.with_degrees(levels)) is level_chain(frame.with_degrees(levels))
+    assert level_chain(s.frame.normalized()) is level_chain(frame.with_degrees(levels))
 
 
 def test_is_elementary_extracts_a_subalgebra_once(monkeypatch, Q):
@@ -255,7 +255,7 @@ def test_is_elementary_extracts_a_subalgebra_once(monkeypatch, Q):
     monkeypatch.setattr(rl.AlgSubspace, "extracted",
                         lambda self: calls.append("extracted") or real_extracted(self))
     for frame in (s.frame, s.frame.without_degrees(), s.frame.with_degrees([1] * len(s.frame))):
-        assert rl.is_elementary(s.algebra, frame, s.aplus)
+        assert rl.is_elementary(frame, s.aplus)
     assert calls == ["radical_space", "extracted"]
 
 
@@ -601,7 +601,7 @@ def test_one_pass_radical_decides_qh_and_crosscheck(monkeypatch):
     monkeypatch.setattr(algebra_module, "_radical_charp", forbidden)
     for field in (rl.rationals(), rl.prime_field(2147483629)):
         r = rl.build_simplex_algebra(2, field)
-        assert rl.heredity_chain_verify(r.algebra, r.frame)["overall"]
+        assert rl.heredity_chain_verify(r.frame)["overall"]
         report = rl.characterization_crosscheck(r)
         assert report["overall"] and report["route_reedy"], field
         assert "error" not in report["detail_bimodule"]
@@ -675,16 +675,16 @@ def test_radical_checks_nilpotency_before_the_ideal(monkeypatch):
 
 def test_is_elementary(diamond, m2q, simplex1, Q):
     algebra, frame = diamond
-    assert rl.is_elementary(algebra, frame)
+    assert rl.is_elementary(frame)
     m2, diag = m2q
     unit_frame = rl.IdempotentFrame(m2, [m2.unit], ["one"])
-    assert not rl.is_elementary(m2, unit_frame)
-    assert not rl.is_elementary(m2, diag)  # M2 is not elementary for any frame
+    assert not rl.is_elementary(unit_frame)
+    assert not rl.is_elementary(diag)  # M2 is not elementary for any frame
     kk, kk_frame = rl.build_quiver_algebra(rl.QuiverPresentation(["p", "q"], [], [], 1), Q)
-    assert rl.is_elementary(kk, kk_frame)
+    assert rl.is_elementary(kk_frame)
     # k x k has two simple modules, but a zero idempotent indexes none
-    assert not rl.is_elementary(kk, rl.IdempotentFrame(kk, [kk.unit, kk.zero_vector()]))
-    assert not rl.is_elementary(simplex1.algebra, simplex1.frame)
+    assert not rl.is_elementary(rl.IdempotentFrame(kk, [kk.unit, kk.zero_vector()]))
+    assert not rl.is_elementary(simplex1.frame)
 
 
 def _elementary_by_quotient(a, frame):
@@ -719,7 +719,7 @@ def test_is_elementary_matches_quotient_definition(corpus_structures, m2q, simpl
             else:
                 extracted = subalgebra_with_frame(sub, frame)
                 expected = extracted is not None and _elementary_by_quotient(*extracted)
-            assert rl.is_elementary(a, frame, sub) == expected, (a, sub)
+            assert rl.is_elementary(frame, sub) == expected, (a, sub)
             seen.add(expected)
     assert seen == {True, False}
 
@@ -729,10 +729,10 @@ def test_is_elementary_matches_quotient_definition(corpus_structures, m2q, simpl
         structures += [s2, rl.build_tensor_reedy(s1, s1)]
     seen = set()
     for r in structures:
-        for j in level_chain(r.algebra, r.frame, r.order()).ideals[:-1]:
+        for j in level_chain(r.frame.normalized()).ideals[:-1]:
             q, qmap = rl.quotient(r.algebra, j)
             expected = _elementary_by_quotient(q, rl.quotient_frame(r.frame, qmap))
-            assert rl.is_elementary(r.algebra, r.frame, below=j.space) == expected, (r, j.dim)
+            assert rl.is_elementary(r.frame, below=j.space) == expected, (r, j.dim)
             seen.add(expected)
     assert seen == {True, False}
 
@@ -923,7 +923,7 @@ def test_tensor_dim_requires_idempotent(diamond):
     one that is not idempotent before any tensor is built."""
     algebra, frame = diamond
     with pytest.raises(AlgebraError):
-        rl.heredity_ideal_check(algebra, frame, basis_by_label(algebra, "ab"))
+        rl.heredity_ideal_check(frame, basis_by_label(algebra, "ab"))
 
 
 # --- product_rank ---------------------------------------------------------------

@@ -3,8 +3,8 @@ full scan of every triple, and the triple check against a reference loop.
 
 The corpus algebras of dimension at most 40, over Q, GF(2) and GF(3), with
 one or two structure constants changed at random.  Most perturbations break
-the algebra, some leave it valid; either way ``validate`` must return the
-report of the full scan, and ``_associativity_violations``, which decides
+the algebra, many of them the unit laws, some leave it valid; either way
+``validate`` must return the report of the full scan, and ``_associativity_violations``, which decides
 most triples by table lookup, must list what ``reference_violations``
 lists from the exact sums of both sides.
 """
@@ -133,14 +133,16 @@ def one_term_changed(draw):
 
 
 def assert_matches_the_reference(a):
-    """``validate`` gives the full scan's report, and the triple check lists
-    the reference's triples on every triple and, when the words span A, on
-    the certificate's scan."""
+    """``validate`` gives the full scan's report, unit-law violations
+    included, and the triple check lists the reference's triples: on the
+    certificate's scan when the words span A, and, scanning only the
+    chained j and k, on every triple."""
     gens, chained = _word_generators(a, sparse(a.field, a.unit))
     if gens is not None:
         assert (_associativity_violations(a, gens, chained)
                 == reference_violations(a, gens, chained))
-    assert _associativity_violations(a, range(a.dim)) == reference_violations(a, range(a.dim))
+    assert (_associativity_violations(a, range(a.dim), chained)
+            == reference_violations(a, range(a.dim)))
     assert rl.validate(a) == full_scan(a)
 
 

@@ -223,7 +223,7 @@ def test_matrix_units_multiply(Q):
 def test_dual_extension_of_semisimple_is_semisimple(Q):
     s, sf = rl.build_quiver_algebra(rl.QuiverPresentation(["a", "b"], [], [], 1), Q)
     algebra, structure = rl.build_dual_extension(
-        s, sf.with_degrees([0, 1]), s, sf.with_degrees([0, 1])
+        sf.with_degrees([0, 1]), sf.with_degrees([0, 1])
     )
     assert algebra.dim == 2
     assert rl.radical(algebra).dim == 0
@@ -256,7 +256,7 @@ def test_dual_extension_with_semisimple_lowering_is_identity(Q):
     ap, apf = rl.build_quiver_algebra(up, Q)
     s, sf = rl.build_quiver_algebra(rl.QuiverPresentation(["a", "b"], [], [], 1), Q)
     algebra, structure = rl.build_dual_extension(
-        ap, apf.with_degrees([0, 1]), s, sf.with_degrees([0, 1])
+        apf.with_degrees([0, 1]), sf.with_degrees([0, 1])
     )
     assert algebra.dim == ap.dim == 3
     assert verify_reedy(structure)["overall"]
@@ -267,7 +267,7 @@ def test_dual_extension_rejects_wrong_direction(Q):
     up = rl.QuiverPresentation(["a", "b"], [["a", "b", "u"]], [], 1)
     ap, apf = rl.build_quiver_algebra(up, Q)
     with pytest.raises(AlgebraError, match="directedness"):
-        rl.build_dual_extension(ap, apf.with_degrees([0, 1]), ap, apf.with_degrees([0, 1]))
+        rl.build_dual_extension(apf.with_degrees([0, 1]), apf.with_degrees([0, 1]))
 
 
 def test_dual_extension_rejects_degree_mismatch(Q):
@@ -276,7 +276,7 @@ def test_dual_extension_rejects_degree_mismatch(Q):
     ap, apf = rl.build_quiver_algebra(up, Q)
     am, amf = rl.build_quiver_algebra(down, Q)
     with pytest.raises(AlgebraError, match="degree"):
-        rl.build_dual_extension(ap, apf.with_degrees([0, 1]), am, amf.with_degrees([0, 2]))
+        rl.build_dual_extension(apf.with_degrees([0, 1]), amf.with_degrees([0, 2]))
 
 
 # --- tensor structures ---------------------------------------------------------

@@ -86,10 +86,8 @@ DUAL_EXTENSIONS = {
 
 
 def _dual_extension_report(field, up, down, degrees) -> str:
-    ap, apf = build_quiver_algebra(up, field)
-    am, amf = build_quiver_algebra(down, field)
-    algebra, structure = build_dual_extension(ap, apf.with_degrees(degrees),
-                                              am, amf.with_degrees(degrees))
+    (_, apf), (_, amf) = (build_quiver_algebra(pres, field) for pres in (up, down))
+    algebra, structure = build_dual_extension(apf.with_degrees(degrees), amf.with_degrees(degrees))
     return serialize.dumps({
         "algebra": serialize.algebra_to_json(algebra, structure.frame),
         "reedy": serialize.reedy_to_json(structure, "algebra"),
@@ -126,19 +124,19 @@ def _structure_report(path: Path) -> str:
         "heredity_bottom": _or_error(reedy_heredity_bottom, r),
     }
     if r.algebra.dim < SMALL_DIM:
-        cuts = sorted(set(r.order().levels))
+        cuts = r.frame.normalized().levels()
         report["recursive_check"] = [_or_error(recursive_check, r, cut) for cut in cuts]
         report["theorem41"] = _or_error(characterization_crosscheck, r)
     return serialize.dumps(report)
 
 
 def _borel_delta_report(r) -> str:
-    a, frame, order = r.algebra, r.frame, r.order()
+    frame = r.frame.normalized()
     report = {}
     for name, borel, delta in (("given", r.aminus, r.aplus), ("swapped", r.aplus, r.aminus)):
         report[name] = {
-            "exact_borel": _or_error(exact_borel_check, a, frame, borel, order),
-            "delta_subalgebra": _or_error(delta_subalgebra_check, a, frame, delta, order),
+            "exact_borel": _or_error(exact_borel_check, frame, borel),
+            "delta_subalgebra": _or_error(delta_subalgebra_check, frame, delta),
         }
     return serialize.dumps(report)
 

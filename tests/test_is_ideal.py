@@ -51,7 +51,7 @@ def corpus_cases():
     for path in sorted(CORPUS.glob("*.reedy.json")):
         r = load_reedy(path)
         cases += [(f"{path.name}:A+", r.aplus), (f"{path.name}:A-", r.aminus)]
-        levels = r.order().levels
+        levels = r.frame.normalized().degrees
         for cut in sorted(set(levels)):
             inside = [i for i, level in enumerate(levels) if level <= cut]
             space = peirce_two_sided(r.frame, inside)

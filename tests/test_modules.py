@@ -7,7 +7,7 @@ import dense_modules as dense
 import reedylab as rl
 from reedylab.algebra import AlgebraError
 from reedylab.modules import projective_module, quotient_module, regular_module
-from reedylab.qh import layer_quotient_module, level_chain, order_from_degrees, trace_subspace
+from reedylab.qh import layer_quotient_module, level_chain, trace_subspace
 
 
 def test_regular_module_invariants(diamond, uppertri):
@@ -52,7 +52,7 @@ def test_quotient_module_by_radical(diamond):
 def test_simple_modules_one_dimensional(diamond):
     algebra, frame = diamond
     for i in range(len(frame)):
-        simple = rl.simple_module(algebra, frame, i)
+        simple = rl.simple_module(frame, i)
         assert simple.dim == 1
         assert simple.comp_dim_vector(frame) == tuple(
             1 if j == i else 0 for j in range(len(frame))
@@ -61,7 +61,7 @@ def test_simple_modules_one_dimensional(diamond):
 
 def test_simple_module_requires_elementary(simplex1):
     with pytest.raises(AlgebraError):
-        rl.simple_module(simplex1.algebra, simplex1.frame, 0)
+        rl.simple_module(simplex1.frame, 0)
 
 
 # --- induction ------------------------------------------------------------
@@ -91,7 +91,7 @@ def test_induction_from_diagonal_subalgebra(uppertri):
     diag = rl.subalgebra_closure(algebra, list(frame.idempotents))
     # v1 is the matrix-unit E11 vertex: its column A*e_v1 is one-dimensional
     i = frame.index_of("v1")
-    simple = rl.simple_module(algebra, frame, i, sub=diag)
+    simple = rl.simple_module(frame, i, sub=diag)
     assert (simple.acting, simple.dim) == (diag, 1)
     induced = rl.induce_module(algebra, diag, simple)
     assert induced.dim == 1
@@ -102,7 +102,7 @@ def test_induction_from_vertex_span_gives_projectives(diamond):
     algebra, frame = diamond
     s = rl.subalgebra_closure(algebra, list(frame.idempotents))
     i = frame.index_of("a")
-    induced = rl.induce_module(algebra, s, rl.simple_module(algebra, frame, i, sub=s))
+    induced = rl.induce_module(algebra, s, rl.simple_module(frame, i, sub=s))
     assert induced.dim == 4
     assert induced.carrier == projective_module(algebra, frame.idempotents[i], "left").carrier
     assert induced.comp_dim_vector(frame) == (1, 1, 1, 1)
@@ -142,7 +142,7 @@ def test_simple_at_sink_not_projective(diamond):
     algebra, frame = diamond
     # L(d) has dim 1 but P(d) sits inside longer columns; compare with P(a)
     i = frame.index_of("a")
-    simple = rl.simple_module(algebra, frame, i)
+    simple = rl.simple_module(frame, i)
     assert not rl.is_projective_module(simple, frame)
 
 
@@ -201,32 +201,31 @@ def test_subquotients_match_dense_oracle(corpus_structures):
     the oracle builds them over B extracted as an algebra."""
     visited, restricted_to = [], set()
     for name, r in corpus_structures.items():
-        a, frame = r.algebra, r.frame
+        a, frame = r.algebra, r.frame.normalized()
         if a.dim >= 40:
             continue
         visited.append(name)
-        order = order_from_degrees(frame)
         below = rl.Subspace(a.field, a.dim)
-        for ideal in level_chain(a, frame, order).ideals:
+        for ideal in level_chain(frame).ideals:
             # the chain layer J_l/J_(l-1) as a subquotient of A
             _compare(rl.ModuleRep(a, "left", ideal.space, below),
                      dense.quotient(dense.from_subspace(a, ideal.space),
                                     ideal.space.coords_span(below)), frame)
             below = ideal.space
         # standard modules (layer quotients when A is not elementary)
-        elementary = rl.is_elementary(a, frame)
+        elementary = rl.is_elementary(frame)
         deltas = []
         for i, e in enumerate(frame.idempotents):
             if elementary:
-                new = quotient_module(projective_module(a, e), trace_subspace(a, frame, order, i))
+                new = quotient_module(projective_module(a, e), trace_subspace(frame, i))
             else:
-                new = layer_quotient_module(a, frame, order, i)
+                new = layer_quotient_module(frame, i)
             dproj, carrier = dense.projective(a, e)
             old = dense.quotient(dproj, carrier.coords_span(new.killed))
             _compare(new, old, frame)
             deltas.append((new, old))
         for kind, b in (("borel", r.aminus), ("delta", r.aplus)):
-            if not rl.is_elementary(a, frame, b):
+            if not rl.is_elementary(frame, b):
                 continue
             restricted_to.add((kind, name))
             sub_alg, sub_frame = dense.subalgebra_with_frame(b, frame)
@@ -237,7 +236,7 @@ def test_subquotients_match_dense_oracle(corpus_structures):
                 for side in ("left", "right"):
                     _compare(projective_module(a, frame.idempotents[i], side, b),
                              dense.projective(sub_alg, e, side)[0], frame, sub_frame)
-                simple = rl.simple_module(a, frame, i, "left", b)
+                simple = rl.simple_module(frame, i, "left", b)
                 assert simple.acting is b
                 dproj, _ = dense.projective(sub_alg, e)
                 old_simple = dense.quotient(dproj, dproj.radical_submodule())

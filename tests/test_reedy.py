@@ -13,7 +13,7 @@ from reedylab.algebra import (AlgebraError, column_span, corner_span, peirce_two
                               product_rank, product_span, row_span)
 from reedylab.corpus import default_corpus_dir
 from reedylab.linalg import densify, modulo, span, sparse, sparse_span, subspace_intersect
-from reedylab.qh import level_chain, order_from_degrees, peirce_blocks
+from reedylab.qh import level_chain, peirce_blocks
 from reedylab.reedy import _center_dim
 from reedylab.serialize import dumps, load_algebra, load_reedy, read_json
 from test_serialize import rescaled
@@ -39,8 +39,8 @@ def setup_holds(structure):
     from reedylab.qh import directedness
 
     frame = structure.frame
-    plus = directedness(frame, frame.degrees, True, structure.aplus)
-    minus = directedness(frame, frame.degrees, False, structure.aminus)
+    plus = directedness(frame, True, structure.aplus)
+    minus = directedness(frame, False, structure.aminus)
     return plus["ok"] and minus["ok"]
 
 
@@ -53,6 +53,17 @@ def test_trivial_field_structure(Q):
         k_alg, k_frame.with_degrees([0]), rl.full_subalgebra(k_alg), rl.full_subalgebra(k_alg)
     )
     assert rl.verify_reedy(s)["overall"]
+
+
+def test_structure_refuses_a_frame_of_another_algebra(diamond, diamond_gf2):
+    """Diamond over GF(2) with the frame of diamond over Q: the idempotents
+    have the same coordinates, but the frame's algebra is not the one the
+    subalgebras live in."""
+    algebra, _ = diamond_gf2
+    _, q_frame = diamond
+    full = rl.full_subalgebra(algebra)
+    with pytest.raises(AlgebraError, match="frame belongs to another algebra"):
+        rl.ReedyStructure(algebra, q_frame.with_degrees([1, 2, 3, 4]), full, full)
 
 
 def test_diamond_degree_cases(corpus_structures):
@@ -91,9 +102,9 @@ def test_simplex_structures_verify(simplex1, simplex2, simplex3):
 def test_directed_factors_elementary_with_primitive_frame(corpus_structures):
     for name, s in verified(corpus_structures).items():
         for sub in (s.aplus, s.aminus):
-            assert rl.is_elementary(s.algebra, s.frame, sub), name
+            assert rl.is_elementary(s.frame, sub), name
             sub_alg, sub_frame = subalgebra_with_frame(sub, s.frame)
-            assert rl.is_elementary(sub_alg, sub_frame), name
+            assert rl.is_elementary(sub_frame), name
             for e in sub_frame.idempotents:
                 assert rl.is_primitive_idempotent(sub_alg, e), name
 
@@ -178,7 +189,7 @@ def test_layer_correction_spans_vanish_under_directedness():
     for name, r in _layer_lemma_cases():
         if not setup_holds(r):
             continue
-        a, levels, lines = r.algebra, r.order().levels, r.frame.lines()
+        a, levels, lines = r.algebra, r.frame.normalized().degrees, r.frame.lines()
         for lev in sorted(set(levels)):
             below = [g for g, level in enumerate(levels) if level < lev]
             k_plus = peirce_two_sided(r.frame, below, r.aplus)
@@ -247,8 +258,8 @@ def _report_bytes(r):
     a = r.algebra
     reports = [rl.validate(a), rl.verify_reedy(r), rl.layer_check(r),
                rl.characterization_crosscheck(r)]
-    reports += [rl.recursive_check(r, cut) for cut in sorted(set(r.order().levels))]
-    reports.append(rl.heredity_chain_verify(a, r.frame))
+    reports += [rl.recursive_check(r, cut) for cut in r.frame.normalized().levels()]
+    reports.append(rl.heredity_chain_verify(r.frame.normalized()))
     return [dumps(report) for report in reports]
 
 
@@ -279,7 +290,7 @@ def test_peirce_two_sided_matches_products_at_every_cut():
     of the blocks e_hXe_g with h or g inside, taken whole, plus the rank
     of (e_hXe_i)(e_iXe_g) over i inside for each pair h, g outside."""
     for name, r in _two_sided_cases():
-        a, levels, n = r.algebra, r.order().levels, range(len(r.frame))
+        a, levels, n = r.algebra, r.frame.normalized().degrees, range(len(r.frame))
         for cut in [-1, *sorted(set(levels))]:
             inside = [i for i, level in enumerate(levels) if level <= cut]
             outside = [h for h in n if h not in inside]
@@ -299,8 +310,8 @@ def _quotient_form_reference(r):
     """(domain, rank) per level of the quotient layer form, computed as
     written: the residue pairs of A+e_i modulo K+e_i and e_iA- modulo e_iK-,
     for K = X*eps_(<l)*X, ranked modulo J_(l-1)."""
-    a, frame, order = r.algebra, r.frame, r.order()
-    chain = level_chain(a, frame, order)
+    a, frame = r.algebra, r.frame.normalized()
+    chain = level_chain(frame)
     lines = frame.lines()
     prev, eps_prev, out = span(a.field, a.dim, []), a.zero_vector(), []
     for rank, lev in enumerate(chain.levels):
@@ -308,9 +319,10 @@ def _quotient_form_reference(r):
         k_minus = two_sided_span(a, eps_prev, r.aminus.space)
         pairs = [(modulo(column_span(a, r.aplus.space, lines[i]), column_span(a, k_plus, lines[i])),
                   modulo(row_span(a, lines[i], r.aminus.space), row_span(a, lines[i], k_minus)))
-                 for i in range(len(frame)) if order.levels[i] == lev]
+                 for i in range(len(frame)) if frame.degrees[i] == lev]
         out.append(product_rank(a, pairs, prev))
-        prev, eps_prev = chain.ideals[rank].space, chain.frame.eps_upto(lev)
+        prev = chain.ideals[rank].space
+        eps_prev = frame.sum_of(i for i, d in enumerate(frame.degrees) if d <= lev)
     return out
 
 
@@ -356,7 +368,7 @@ def test_bottom_layer_identities(corpus_structures, simplex1):
 
 def test_chains_on_verified_structures(corpus_structures):
     for name, s in verified(corpus_structures).items():
-        report = rl.heredity_chain_verify(s.algebra, s.frame)
+        report = rl.heredity_chain_verify(s.frame)
         assert report["overall"], name
 
 
@@ -370,7 +382,7 @@ def test_bottom_requires_verified(uppertri_ss):
 
 def test_corner_at_top_level_is_whole(corpus_structures):
     s = corpus_structures["diamond-1234-AS"]
-    top = max(order_from_degrees(s.frame).levels)
+    top = max(s.frame.normalized().degrees)
     c = rl.induced_corner(s, top)
     assert c.algebra.dim == s.algebra.dim
     assert rl.verify_reedy(c)["overall"]
@@ -414,7 +426,7 @@ def test_simplex2_quotient_cut0(simplex2):
 
 def test_all_cuts_reverify(corpus_structures):
     for name, s in verified(corpus_structures).items():
-        for cut in sorted(set(order_from_degrees(s.frame).levels)):
+        for cut in s.frame.normalized().levels():
             c = rl.induced_corner(s, cut)
             q = rl.induced_quotient(s, cut)
             assert rl.verify_reedy(c)["overall"], (name, cut)
@@ -453,7 +465,7 @@ def test_recursive_equivalence_per_cut_on_corpus(corpus_structures):
     for name, s in corpus_structures.items():
         if not setup_holds(s):
             continue
-        levels = sorted(set(order_from_degrees(s.frame).levels))
+        levels = s.frame.normalized().levels()
         overall = rl.verify_reedy(s)["overall"]
         for cut in levels:
             report = rl.recursive_check(s, cut)
@@ -482,7 +494,7 @@ def test_recursive_check_product_counts(monkeypatch):
     for name, r in structures.items():
         rl.verify_reedy(r)
         counts = []
-        for cut in sorted(set(r.order().levels)):
+        for cut in r.frame.normalized().levels():
             calls.clear()
             rl.recursive_check(r, cut)
             counts.append(len(calls))
@@ -496,8 +508,8 @@ def _standalone(r, cut):
     own, built with the public ``corner`` and ``quotient``.  The quotient
     frame keeps every idempotent above the cut, a dead one as zero."""
     a, f = r.algebra, r.algebra.field
-    levels = r.order().levels
-    e = r.frame.with_degrees(levels).eps_upto(cut)
+    levels = r.frame.normalized().degrees
+    e = r.frame.sum_of(i for i, level in enumerate(levels) if level <= cut)
 
     def structure(alg, keep, image, to_new):
         frame = rl.IdempotentFrame(
@@ -557,7 +569,7 @@ def test_theorem53_and_route_ii_in_a_match_standalone_oracles():
         if not setup_holds(r):
             continue
         hypothesis = product_rank(a, [(r.aplus.space, r.aminus.space)])[1] == a.dim
-        for cut in range(-1, max(r.order().levels) + 2):
+        for cut in range(-1, max(r.frame.normalized().degrees) + 2):
             report = rl.recursive_check(r, cut)
             corner_s, quotient_s = _standalone(r, cut)
             assert report["hypothesis_product_spans"] == hypothesis, (name, cut)
@@ -581,12 +593,12 @@ def test_search_m2_empty(GF2, GF3):
             rl.matrix_diag_frame(m2, 2),
             rl.IdempotentFrame(m2, [m2.unit], ["one"]),
         ):
-            assert rl.search_reedy(m2, frame.without_degrees(), mode="exhaustive") == []
+            assert rl.search_reedy(frame.without_degrees(), mode="exhaustive") == []
 
 
 def test_search_diamond_gf2(diamond_gf2):
     algebra, frame = diamond_gf2
-    found = rl.search_reedy(algebra, frame, mode="exhaustive")
+    found = rl.search_reedy(frame, mode="exhaustive")
     assert found
     keyed = {(s.frame.degrees, s.aplus.dim, s.aminus.dim) for s in found}
     assert ((0, 1, 2, 3), 9, 4) in keyed
@@ -599,8 +611,8 @@ def test_search_diamond_gf2(diamond_gf2):
 def test_search_max_levels_keeps_the_structures_with_that_many_levels(diamond_gf2):
     algebra, frame = diamond_gf2
     key = lambda s: (s.frame.degrees, s.aplus.space, s.aminus.space)
-    every = rl.search_reedy(algebra, frame, mode="exhaustive")
-    capped = rl.search_reedy(algebra, frame, mode="exhaustive", max_levels=3)
+    every = rl.search_reedy(frame, mode="exhaustive")
+    capped = rl.search_reedy(frame, mode="exhaustive", max_levels=3)
     assert len(every) == 22 and len(capped) == 6
     assert list(map(key, capped)) == [key(s) for s in every if max(s.frame.degrees) < 3]
 
@@ -615,7 +627,7 @@ def test_exhaustive_search_computes_the_peirce_blocks_of_a_once(monkeypatch, GF2
         return row_span(a, e, space)
 
     monkeypatch.setattr(rl.algebra, "row_span", counting)
-    assert rl.search_reedy(algebra, frame, mode="exhaustive")
+    assert rl.search_reedy(frame, mode="exhaustive")
     assert len(rows_of_a) == len(frame)
 
 
@@ -649,8 +661,8 @@ def test_exhaustive_search_decides_each_pair_once(monkeypatch, GF2):
     candidates = all_subalgebras_over_s(algebra, frame)
     for levels in rl.qh.normalized_level_functions(len(frame)):
         work = frame.with_degrees(levels)
-        plus = [c for c in candidates if rl.qh.directedness(work, levels, True, c)["ok"]]
-        minus = [c for c in candidates if rl.qh.directedness(work, levels, False, c)["ok"]]
+        plus = [c for c in candidates if rl.qh.directedness(work, True, c)["ok"]]
+        minus = [c for c in candidates if rl.qh.directedness(work, False, c)["ok"]]
         admitted.update(((p.space, m.space), (p, m)) for p in plus for m in minus)
     screened = [pair for pair in admitted.values() if _multiplies_to_a(frame, *pair)]
 
@@ -665,7 +677,7 @@ def test_exhaustive_search_decides_each_pair_once(monkeypatch, GF2):
     for module in (rl.qh, rl.reedy):
         monkeypatch.setattr(module, "_directed",
                             lambda *args: directed.append(1) or real_directed(*args))
-    found = rl.search_reedy(algebra, frame, mode="exhaustive")
+    found = rl.search_reedy(frame, mode="exhaustive")
 
     # one decomposition per distinct screened pair, which verify_reedy reuses
     assert len(decompositions) == len(screened) == 10 < 177 <= len(admitted)
@@ -713,7 +725,7 @@ def test_graded_candidates_are_the_directable_subalgebras(name):
     once, with its block dimensions."""
     algebra, frame = _gf_algebra(name)
     n = range(len(frame))
-    graded = rl.reedy._candidate_subalgebras(algebra, frame)
+    graded = rl.reedy._candidate_subalgebras(frame)
     spaces = [c.space for c, _ in graded]
     assert len(set(spaces)) == len(spaces)
     assert set(spaces) == {c.space for c in all_subalgebras_over_s(algebra, frame)
@@ -730,7 +742,7 @@ def test_forced_dims_decide_the_product_screen(name):
     they are the forced factors: the block LU factorisation is unique."""
     algebra, frame = _gf_algebra(name)
     n = range(len(frame))
-    candidates = rl.reedy._candidate_subalgebras(algebra, frame)
+    candidates = rl.reedy._candidate_subalgebras(frame)
     d_a = tuple(map(tuple, _block_dims(frame, None)))
     pairs = screened = 0
     for levels in rl.qh.normalized_level_functions(len(frame)):
@@ -775,12 +787,12 @@ def test_exhaustive_search_builds_candidate_tables_by_products(monkeypatch, diam
     structures found."""
     algebra, frame = diamond_gf2
     expected = [(s.frame.degrees, s.aplus.space, s.aminus.space)
-                for s in rl.search_reedy(algebra, frame, mode="exhaustive")]
+                for s in rl.search_reedy(frame, mode="exhaustive")]
     fresh = rl.IdempotentFrame(algebra, frame.idempotents, frame.labels)
     built = []
     real = rl.algebra.row_span
     monkeypatch.setattr(rl.algebra, "row_span", lambda a, e, space: built.append(space) or real(a, e, space))
-    found = rl.search_reedy(algebra, fresh, mode="exhaustive")
+    found = rl.search_reedy(fresh, mode="exhaustive")
     assert [(s.frame.degrees, s.aplus.space, s.aminus.space) for s in found] == expected
     assert built.count(None) == len(frame)
     tables = [space for space in built if space is not None]
@@ -815,7 +827,7 @@ def test_heuristic_search_decides_each_pair_once(monkeypatch, GF2):
                         lambda fr, p, m: pairs.append((p.space, m.space)) or real_full(fr, p, m))
     monkeypatch.setattr(rl.reedy, "_decomposition",
                         lambda *args: decompositions.append(1) or real_decomposition(*args))
-    found = rl.search_reedy(algebra, frame, mode="heuristic")
+    found = rl.search_reedy(frame, mode="heuristic")
     assert len(decompositions) == len(set(pairs)) < len(pairs)
     show = lambda rows: [[GF2.show(x) for x in row] for row in rows]
     got = [{"degrees": dict(zip(s.frame.labels, s.frame.degrees)),
@@ -834,12 +846,12 @@ def test_heuristic_search_builds_each_structure_once(monkeypatch, name):
     real = rl.reedy.ReedyStructure
     monkeypatch.setattr(rl.reedy, "ReedyStructure",
                         lambda *args, **kwargs: built.append(1) or real(*args, **kwargs))
-    found = rl.search_reedy(algebra, frame, mode="heuristic")
+    found = rl.search_reedy(frame, mode="heuristic")
     assert len(built) == len(found) == {"k": 1, "uppertri": 2, "diamond": 16}[name]
 
 
 def test_search_heuristic_simplex1(simplex1):
-    found = rl.search_reedy(simplex1.algebra, simplex1.frame.without_degrees(), mode="heuristic")
+    found = rl.search_reedy(simplex1.frame.without_degrees(), mode="heuristic")
     assert len(found) == 1
     s = found[0]
     assert s.aplus.space == simplex1.aplus.space
@@ -848,7 +860,7 @@ def test_search_heuristic_simplex1(simplex1):
 
 def test_search_heuristic_diamond(diamond):
     algebra, frame = diamond
-    found = rl.search_reedy(algebra, frame, mode="heuristic")
+    found = rl.search_reedy(frame, mode="heuristic")
     keyed = {(s.frame.degrees, s.aplus.dim, s.aminus.dim) for s in found}
     assert ((0, 1, 2, 3), 9, 4) in keyed
     assert all(s.frame.degrees != (3, 2, 0, 1) for s in found)
@@ -857,18 +869,11 @@ def test_search_heuristic_diamond(diamond):
 def test_search_mode_bounds(diamond, simplex2):
     algebra, frame = diamond
     with pytest.raises(AlgebraError):
-        rl.search_reedy(algebra, frame, mode="exhaustive")  # infinite field
+        rl.search_reedy(frame, mode="exhaustive")  # infinite field
     s2 = simplex2
+    m4 = rl.build_matrix_algebra(4, rl.prime_field(2))
     with pytest.raises(AlgebraError):
-        rl.search_reedy(
-            rl.build_matrix_algebra(4, rl.prime_field(2)),
-            rl.IdempotentFrame(
-                rl.build_matrix_algebra(4, rl.prime_field(2)),
-                [rl.build_matrix_algebra(4, rl.prime_field(2)).unit],
-                ["one"],
-            ),
-            mode="exhaustive",
-        )
+        rl.search_reedy(rl.IdempotentFrame(m4, [m4.unit], ["one"]), mode="exhaustive")
 
 
 def test_exhaustive_search_bounds_the_enumerated_space(monkeypatch):
@@ -879,17 +884,17 @@ def test_exhaustive_search_bounds_the_enumerated_space(monkeypatch):
         m2 = rl.build_matrix_algebra(2, rl.prime_field(p))
         frame = rl.matrix_diag_frame(m2, 2).without_degrees()
         if allowed:
-            assert rl.search_reedy(m2, frame, mode="exhaustive") == []
+            assert rl.search_reedy(frame, mode="exhaustive") == []
         else:
             with pytest.raises(AlgebraError, match=rf"{p}\^2 exceeds exhaustive bound 2\^8"):
-                rl.search_reedy(m2, frame, mode="exhaustive")
+                rl.search_reedy(frame, mode="exhaustive")
     big = rl.build_simplex_algebra(1, rl.prime_field(2147483629))
     with pytest.raises(AlgebraError, match=r"2147483629\^5 exceeds exhaustive bound 2\^8"):
-        rl.search_reedy(big.algebra, big.frame.without_degrees(), mode="exhaustive")
+        rl.search_reedy(big.frame.without_degrees(), mode="exhaustive")
     # M3 over GF(2) with the unit as frame: m = 8 is admitted (not enumerated here)
-    monkeypatch.setattr(rl.reedy, "_candidate_subalgebras", lambda a, frame: [])
+    monkeypatch.setattr(rl.reedy, "_candidate_subalgebras", lambda frame: [])
     m3 = rl.build_matrix_algebra(3, rl.prime_field(2))
-    assert rl.search_reedy(m3, rl.IdempotentFrame(m3, [m3.unit], ["one"]), mode="exhaustive") == []
+    assert rl.search_reedy(rl.IdempotentFrame(m3, [m3.unit], ["one"]), mode="exhaustive") == []
 
 
 def test_search_on_a_zero_idempotent_finds_nothing_at_once(monkeypatch):
@@ -905,12 +910,12 @@ def test_search_on_a_zero_idempotent_finds_nothing_at_once(monkeypatch):
     for p, allowed in ((2, True), (3, False)):
         m3 = rl.build_matrix_algebra(3, rl.prime_field(p))
         frame = rl.IdempotentFrame(m3, [m3.unit, [m3.field.zero] * m3.dim], ["one", "zero"])
-        assert rl.search_reedy(m3, frame, mode="heuristic") == []
+        assert rl.search_reedy(frame, mode="heuristic") == []
         if allowed:
-            assert rl.search_reedy(m3, frame, mode="exhaustive") == []
+            assert rl.search_reedy(frame, mode="exhaustive") == []
         else:
             with pytest.raises(AlgebraError, match=r"3\^7 exceeds exhaustive bound 2\^8"):
-                rl.search_reedy(m3, frame, mode="exhaustive")
+                rl.search_reedy(frame, mode="exhaustive")
 
 
 @pytest.mark.parametrize("name", GF_ALGEBRAS)
@@ -923,14 +928,14 @@ def test_graded_enumeration_stays_within_the_bound(monkeypatch, name):
     real = rl.reedy._all_subspaces
     monkeypatch.setattr(rl.reedy, "_all_subspaces",
                         lambda f, m: enumerated.append(m) or real(f, m))
-    rl.reedy._candidate_subalgebras(algebra, frame)
+    rl.reedy._candidate_subalgebras(frame)
     assert sum(enumerated) <= algebra.dim - len(frame)
 
 
 def test_search_results_deterministic(diamond_gf2):
     algebra, frame = diamond_gf2
-    first = rl.search_reedy(algebra, frame, mode="exhaustive")
-    second = rl.search_reedy(algebra, frame, mode="exhaustive")
+    first = rl.search_reedy(frame, mode="exhaustive")
+    second = rl.search_reedy(frame, mode="exhaustive")
     assert [(s.frame.degrees, s.aplus.space.basis, s.aminus.space.basis) for s in first] == [
         (s.frame.degrees, s.aplus.space.basis, s.aminus.space.basis) for s in second
     ]
@@ -974,7 +979,7 @@ def test_crosscheck_negative_instances(corpus_structures, uppertri_ss, m2_gf2_pa
 
 def test_crosscheck_on_search_results(diamond_gf2):
     algebra, frame = diamond_gf2
-    found = rl.search_reedy(algebra, frame, mode="exhaustive")
+    found = rl.search_reedy(frame, mode="exhaustive")
     # every structure found by the search passes all three routes
     for s in found[:6]:
         report = rl.characterization_crosscheck(s)
@@ -990,8 +995,8 @@ def test_crosscheck_all_candidate_pairs_fail_for_impossible_order(diamond_gf2):
     levels = (3, 2, 0, 1)
     work = frame.with_degrees(levels)
     candidates = all_subalgebras_over_s(algebra, frame)
-    plus_list = [c for c in candidates if directedness(work, levels, True, c)["ok"]]
-    minus_list = [c for c in candidates if directedness(work, levels, False, c)["ok"]]
+    plus_list = [c for c in candidates if directedness(work, True, c)["ok"]]
+    minus_list = [c for c in candidates if directedness(work, False, c)["ok"]]
     assert plus_list and minus_list
     rows = 0
     for aplus in plus_list:
