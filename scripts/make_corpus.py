@@ -21,9 +21,9 @@ import reedylab as rl
 from reedylab.reedy import verify_reedy, recursive_check, search_reedy
 from reedylab.qh import heredity_chain_verify, order_from_degrees
 from reedylab.serialize import (
-    algebra_to_json,
-    reedy_to_json,
     quiver_to_json,
+    save_algebra,
+    save_reedy,
     write_json,
 )
 
@@ -36,14 +36,6 @@ GF2 = rl.prime_field(2)
 GF3 = rl.prime_field(3)
 
 entries = []
-
-
-def save_alg(name, algebra, frame):
-    write_json(OUT / name, algebra_to_json(algebra, frame))
-
-
-def save_reedy_file(name, structure, algebra_ref):
-    write_json(OUT / name, reedy_to_json(structure, algebra_ref))
 
 
 def full(a):
@@ -90,8 +82,8 @@ k_alg, k_frame = rl.build_quiver_algebra(
 k_frame = k_frame.with_degrees([0])
 k_struct = rl.ReedyStructure(k_alg, k_frame, full(k_alg), full(k_alg))
 assert verify_reedy(k_struct)["overall"]
-save_alg("k.alg.json", k_alg, k_frame)
-save_reedy_file("k.reedy.json", k_struct, "k.alg.json")
+save_algebra(OUT / "k.alg.json", k_alg, k_frame)
+save_reedy(OUT / "k.reedy.json", k_struct, "k.alg.json")
 add_reedy_entry("k-trivial", "k.reedy.json", True, "PAPER")
 add_t41_entry("k-trivial-t41", "k.reedy.json", True, "TRIVIAL")
 
@@ -100,7 +92,7 @@ pres = rl.diamond_presentation()
 write_json(OUT / "diamond.quiver.json", quiver_to_json(pres))
 diamond, dframe = rl.build_quiver_algebra(pres, Q)
 assert diamond.dim == 9 and rl.radical(diamond).dim == 5
-save_alg("diamond.alg.json", diamond, dframe)
+save_algebra(OUT / "diamond.alg.json", diamond, dframe)
 
 cases = [
     ("diamond.deg1234", [1, 2, 3, 4], "full", "S", True, "PAPER"),
@@ -114,7 +106,7 @@ for base, degs, plus_kind, minus_kind, expected, prov in cases:
     aminus = full(diamond) if minus_kind == "full" else ssub(diamond, frame)
     structure = rl.ReedyStructure(diamond, frame, aplus, aminus)
     assert verify_reedy(structure)["overall"] == expected, base
-    save_reedy_file(f"{base}.reedy.json", structure, "diamond.alg.json")
+    save_reedy(OUT / f"{base}.reedy.json", structure, "diamond.alg.json")
     add_reedy_entry(base, f"{base}.reedy.json", expected, prov)
 add_t41_entry("diamond.deg1234-t41", "diamond.deg1234.reedy.json", True, "DERIVED")
 add_t41_entry("diamond.deg4312-t41", "diamond.deg4312.reedy.json", False, "DERIVED")
@@ -143,12 +135,12 @@ for levels, expected, prov in [
 
 # --- upper triangular 2x2 (final remark) -----------------------------------
 ut, ut_frame0 = rl.build_quiver_algebra(rl.a2_presentation(), Q)
-save_alg("uppertri.alg.json", ut, ut_frame0)
+save_algebra(OUT / "uppertri.alg.json", ut, ut_frame0)
 frame_ss = ut_frame0.with_degrees([1, 0])
 s_ut = ssub(ut, frame_ss)
 ut_ss = rl.ReedyStructure(ut, frame_ss, s_ut, s_ut)
 assert not verify_reedy(ut_ss)["overall"]
-save_reedy_file("uppertri.ss.reedy.json", ut_ss, "uppertri.alg.json")
+save_reedy(OUT / "uppertri.ss.reedy.json", ut_ss, "uppertri.alg.json")
 add_reedy_entry("uppertri-ss", "uppertri.ss.reedy.json", False, "PAPER")
 add_t41_entry("uppertri-ss-t41", "uppertri.ss.reedy.json", False, "PAPER")
 
@@ -172,7 +164,7 @@ entries.append(
 frame_as = ut_frame0.with_degrees([0, 1])
 ut_as = rl.ReedyStructure(ut, frame_as, full(ut), ssub(ut, frame_as))
 assert verify_reedy(ut_as)["overall"]
-save_reedy_file("uppertri.as.reedy.json", ut_as, "uppertri.alg.json")
+save_reedy(OUT / "uppertri.as.reedy.json", ut_as, "uppertri.alg.json")
 add_reedy_entry("uppertri-as", "uppertri.as.reedy.json", True, "DERIVED")
 
 for levels, prov in [((0, 1), "DERIVED"), ((1, 0), "DERIVED")]:
@@ -195,9 +187,9 @@ for levels, prov in [((0, 1), "DERIVED"), ((1, 0), "DERIVED")]:
 for field, tag in ((GF2, "gf2"), (GF3, "gf3")):
     m2 = rl.build_matrix_algebra(2, field)
     diag = rl.matrix_diag_frame(m2, 2)
-    save_alg(f"m2.{tag}.alg.json", m2, diag)
+    save_algebra(OUT / f"m2.{tag}.alg.json", m2, diag)
     unit_frame = rl.IdempotentFrame(m2, [m2.unit], ["one"])
-    save_alg(f"m2unit.{tag}.alg.json", m2, unit_frame)
+    save_algebra(OUT / f"m2unit.{tag}.alg.json", m2, unit_frame)
     for alg_file, frame, label in (
         (f"m2.{tag}.alg.json", diag, f"m2-{tag}-diag"),
         (f"m2unit.{tag}.alg.json", unit_frame, f"m2-{tag}-unit"),
@@ -223,13 +215,13 @@ lower = rl.subalgebra_closure(m2, list(diag.idempotents) + [m2.basis_vector(2)])
 m2_pair = rl.ReedyStructure(m2, diag, lower, upper)
 assert m2_pair.aplus.dim == 3 and m2_pair.aminus.dim == 3
 assert not verify_reedy(m2_pair)["overall"]
-save_reedy_file("m2.pair.reedy.json", m2_pair, "m2.gf2.alg.json")
+save_reedy(OUT / "m2.pair.reedy.json", m2_pair, "m2.gf2.alg.json")
 add_reedy_entry("m2-three-dim-pair", "m2.pair.reedy.json", False, "PAPER")
 add_t41_entry("m2-three-dim-pair-t41", "m2.pair.reedy.json", False, "PAPER")
 
 # --- diamond over GF(2): exhaustive search ----------------------------------
 diamond2, dframe2 = rl.build_quiver_algebra(pres, GF2)
-save_alg("diamond.gf2.alg.json", diamond2, dframe2)
+save_algebra(OUT / "diamond.gf2.alg.json", diamond2, dframe2)
 found = search_reedy(dframe2, mode="exhaustive")
 pairs = sorted([list(s.frame.degrees), s.aplus.dim, s.aminus.dim] for s in found)
 assert [[0, 1, 2, 3], 9, 4] in pairs
@@ -255,8 +247,8 @@ entries.append(
 # --- simplex truncations -----------------------------------------------------
 for n in (1, 2):
     structure = rl.build_simplex_algebra(n, Q)
-    save_alg(f"simplex{n}.alg.json", structure.algebra, structure.frame)
-    save_reedy_file(f"simplex{n}.reedy.json", structure, f"simplex{n}.alg.json")
+    save_algebra(OUT / f"simplex{n}.alg.json", structure.algebra, structure.frame)
+    save_reedy(OUT / f"simplex{n}.reedy.json", structure, f"simplex{n}.alg.json")
     assert verify_reedy(structure)["overall"]
     add_reedy_entry(f"simplex{n}", f"simplex{n}.reedy.json", True, "PAPER")
 add_t41_entry("simplex1-t41", "simplex1.reedy.json", True, "DERIVED")
@@ -280,8 +272,8 @@ dual_alg, dual_struct = rl.build_dual_extension(
     apf.with_degrees([0, 1]), amf.with_degrees([0, 1])
 )
 assert dual_alg.dim == 5
-save_alg("dualext.a2.alg.json", dual_alg, dual_struct.frame)
-save_reedy_file("dualext.a2.reedy.json", dual_struct, "dualext.a2.alg.json")
+save_algebra(OUT / "dualext.a2.alg.json", dual_alg, dual_struct.frame)
+save_reedy(OUT / "dualext.a2.reedy.json", dual_struct, "dualext.a2.alg.json")
 add_reedy_entry("dualext-a2", "dualext.a2.reedy.json", True, "DERIVED")
 add_t41_entry("dualext-a2-t41", "dualext.a2.reedy.json", True, "DERIVED")
 
@@ -293,14 +285,14 @@ diamond_struct = rl.ReedyStructure(
 simplex1 = rl.build_simplex_algebra(1, Q)
 t63 = rl.build_tensor_reedy(diamond_struct, simplex1)
 assert t63.algebra.dim == 63
-save_alg("tensor63.alg.json", t63.algebra, t63.frame)
-save_reedy_file("tensor63.reedy.json", t63, "tensor63.alg.json")
+save_algebra(OUT / "tensor63.alg.json", t63.algebra, t63.frame)
+save_reedy(OUT / "tensor63.reedy.json", t63, "tensor63.alg.json")
 add_reedy_entry("tensor63", "tensor63.reedy.json", True, "DERIVED")
 
 t49 = rl.build_tensor_reedy(simplex1, simplex1)
 assert t49.algebra.dim == 49
-save_alg("tensor49.alg.json", t49.algebra, t49.frame)
-save_reedy_file("tensor49.reedy.json", t49, "tensor49.alg.json")
+save_algebra(OUT / "tensor49.alg.json", t49.algebra, t49.frame)
+save_reedy(OUT / "tensor49.reedy.json", t49, "tensor49.alg.json")
 add_reedy_entry("tensor49", "tensor49.reedy.json", True, "DERIVED")
 
 write_json(OUT / "entries.json", {"entries": entries})

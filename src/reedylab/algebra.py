@@ -343,11 +343,15 @@ class IdempotentFrame:
 
     # degree structure -------------------------------------------------
 
-    def levels(self) -> tuple[int, ...]:
-        """Occupied degree values in increasing order."""
+    def degree_function(self) -> tuple[int, ...]:
+        """The degrees, or an AlgebraError when the frame has none."""
         if self.degrees is None:
             raise AlgebraError("frame has no degree function")
-        return tuple(sorted(set(self.degrees)))
+        return self.degrees
+
+    def levels(self) -> tuple[int, ...]:
+        """Occupied degree values in increasing order."""
+        return tuple(sorted(set(self.degree_function())))
 
     def normalized(self) -> "IdempotentFrame":
         """The frame with each degree replaced by its rank among the

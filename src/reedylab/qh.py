@@ -85,8 +85,8 @@ def directedness(frame: IdempotentFrame, raising: bool, sub: AlgSubspace | None 
     block e_j X e_i with i != j must raise the degree (degree j > degree i)
     when ``raising``, lower it otherwise: Definition conditions (i) and (ii).
     """
-    return _directed(peirce_blocks(frame, sub), range(len(frame)), frame.labels, frame.degrees,
-                     raising)
+    degrees = frame.degree_function()
+    return _directed(peirce_blocks(frame, sub), range(len(frame)), frame.labels, degrees, raising)
 
 
 def _directed(blocks: dict, indices, labels, levels, raising: bool) -> dict:
@@ -225,7 +225,7 @@ def trace_subspace(frame: IdempotentFrame, i: int) -> Subspace:
     The sum of the ideals A e_j A is the ideal A eps A for eps the sum of
     those e_j, so this is the column at e_i of the two-sided span that
     ``peirce_two_sided`` reads off A's Peirce table."""
-    degrees = frame.degrees
+    degrees = frame.degree_function()
     outside = [j for j in range(len(frame)) if j != i and degrees[j] <= degrees[i]]
     return column_span(frame.algebra, peirce_two_sided(frame, outside), frame.idempotents[i])
 

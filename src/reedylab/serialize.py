@@ -1,8 +1,13 @@
 """JSON formats for algebras, Reedy data, weight orders and quiver files.
 
 Scalars are decimal strings ("n" or "n/d") so rational data round-trips
-bit-exactly.  Dumps are canonical: fixed key order, two-space indent,
-sorted sparse entries, trailing newline.
+bit-exactly.  Output is canonical (fixed key order, sorted sparse entries,
+trailing newline) in one of two layouts.  Reports, order, quiver and index
+files are indented by two spaces (``dumps``).  Algebra and Reedy files,
+which hold whole tables, put one top-level key per line with its value on
+that line (``write_json_by_key``): the C encoder writes that layout at
+several times the speed, and it is about a quarter of the size.  Any JSON
+layout is read.
 """
 
 from __future__ import annotations
@@ -28,6 +33,12 @@ def dumps(data) -> str:
 
 def write_json(path, data) -> None:
     Path(path).write_text(dumps(data), encoding="utf-8")
+
+
+def write_json_by_key(path, data: dict) -> None:
+    """Write ``data`` with each top-level key and its whole value on one line."""
+    body = ",\n".join(f"  {json.dumps(key)}: {json.dumps(value)}" for key, value in data.items())
+    Path(path).write_text("{\n" + body + "\n}\n", encoding="utf-8")
 
 
 def read_json(path) -> dict:
@@ -288,7 +299,7 @@ def load_algebra(path):
 
 
 def save_algebra(path, a: Algebra, frame: IdempotentFrame | None = None) -> None:
-    write_json(path, algebra_to_json(a, frame))
+    write_json_by_key(path, algebra_to_json(a, frame))
 
 
 def basis_to_json(sub: AlgSubspace) -> list:
@@ -360,7 +371,7 @@ def load_reedy(path) -> ReedyStructure:
 
 
 def save_reedy(path, r: ReedyStructure, algebra_ref: str) -> None:
-    write_json(path, reedy_to_json(r, algebra_ref))
+    write_json_by_key(path, reedy_to_json(r, algebra_ref))
 
 
 def order_from_json(data: dict, frame: IdempotentFrame) -> WeightOrder:

@@ -79,6 +79,19 @@ def test_normalized_level_functions_counts():
     assert len(normalized_level_functions(4)) == 75
 
 
+@pytest.mark.parametrize("check", [
+    rl.heredity_chain_verify,
+    order_from_degrees,
+    rl.standard_modules,
+    lambda frame: trace_subspace(frame, 0),
+    lambda frame: directedness(frame, True),
+], ids=["chain", "order", "standard_modules", "trace_subspace", "directedness"])
+def test_checks_refuse_a_frame_without_degrees(diamond, check):
+    _, frame = diamond
+    with pytest.raises(AlgebraError, match="frame has no degree function"):
+        check(frame.without_degrees())
+
+
 # --- heredity ideals -----------------------------------------------------------
 
 

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 import reedylab as rl
+from reedylab.qh import order_from_degrees
 from reedylab.serialize import (
     FormatError,
     algebra_from_json,
@@ -21,6 +22,7 @@ from reedylab.serialize import (
     save_reedy,
     write_json,
 )
+from reedylab.cli import main
 from reedylab.corpus import default_corpus_dir
 from reedylab.linalg import densify, sparse
 
@@ -61,11 +63,74 @@ def test_algebra_roundtrip_gf(diamond_gf2, tmp_path):
     assert (tmp_path / "d.alg.json").read_text() == (tmp_path / "d2.alg.json").read_text()
 
 
-@pytest.mark.parametrize(
-    "path", sorted(default_corpus_dir().glob("*.alg.json")), ids=lambda p: p.name
-)
-def test_corpus_algebras_reload_to_the_same_bytes(path):
-    assert dumps(algebra_to_json(*load_algebra(path))) == path.read_text(encoding="utf-8")
+CORPUS = default_corpus_dir()
+CORPUS_ALGEBRAS = sorted(CORPUS.glob("*.alg.json"))
+CORPUS_REEDY = sorted(CORPUS.glob("*.reedy.json"))
+
+
+@pytest.mark.parametrize("path", CORPUS_ALGEBRAS, ids=lambda p: p.name)
+def test_corpus_algebras_reload_to_the_same_bytes(path, tmp_path):
+    save_algebra(tmp_path / path.name, *load_algebra(path))
+    assert (tmp_path / path.name).read_bytes() == path.read_bytes()
+
+
+@pytest.mark.parametrize("path", CORPUS_REEDY, ids=lambda p: p.name)
+def test_corpus_reedy_files_reload_to_the_same_bytes(path, tmp_path):
+    save_reedy(tmp_path / path.name, load_reedy(path), read_json(path)["algebra"])
+    assert (tmp_path / path.name).read_bytes() == path.read_bytes()
+
+
+def test_data_files_put_one_key_per_line(tmp_path, diamond):
+    algebra, frame = diamond
+    save_algebra(tmp_path / "d.alg.json", algebra, frame)
+    lines = (tmp_path / "d.alg.json").read_text(encoding="utf-8").splitlines()
+    assert lines[0] == "{" and lines[-1] == "}"
+    assert [line.split(":")[0] for line in lines[1:-1]] == [
+        '  "field"', '  "dim"', '  "labels"', '  "unit"', '  "mult"', '  "idempotents"']
+
+
+@pytest.fixture(scope="module")
+def indented_corpus(tmp_path_factory):
+    """The bundled algebra and Reedy files written with ``dumps``, the
+    two-space indent layout they were bundled in before."""
+    out = tmp_path_factory.mktemp("indented")
+    for path in CORPUS_ALGEBRAS + CORPUS_REEDY:
+        write_json(out / path.name, read_json(path))
+        assert (out / path.name).read_bytes() != path.read_bytes(), path.name
+    return out
+
+
+def frame_data(frame):
+    return None if frame is None else (frame.labels, frame.idempotents, frame.degrees)
+
+
+@pytest.mark.parametrize("path", CORPUS_ALGEBRAS, ids=lambda p: p.name)
+def test_indented_algebra_files_load_to_the_same_algebra(indented_corpus, path):
+    (old, old_frame), (new, new_frame) = (load_algebra(d / path.name)
+                                          for d in (indented_corpus, CORPUS))
+    assert old.mult == new.mult and old.unit == new.unit
+    assert frame_data(old_frame) == frame_data(new_frame)
+
+
+@pytest.mark.parametrize("path", CORPUS_REEDY, ids=lambda p: p.name)
+def test_indented_reedy_files_give_the_same_reports(indented_corpus, path, tmp_path, capsys):
+    old, new = (load_reedy(d / path.name) for d in (indented_corpus, CORPUS))
+    assert old.algebra.mult == new.algebra.mult
+    assert frame_data(old.frame) == frame_data(new.frame)
+    assert old.aplus.space.basis == new.aplus.space.basis
+    assert old.aminus.space.basis == new.aminus.space.basis
+    order = tmp_path / "degrees.order.json"
+    write_json(order, order_from_degrees(new.frame).to_json())
+    alg_name = read_json(path)["algebra"]
+
+    def verify(*argv):
+        code = main(["verify", *map(str, argv)])
+        return code, capsys.readouterr().out
+
+    old_reports, new_reports = ([verify("reedy", d / path.name), verify("qh", d / alg_name, order)]
+                                for d in (indented_corpus, CORPUS))
+    assert old_reports == new_reports
+    assert all(code in (0, 1) and out for code, out in new_reports)
 
 
 def _pad_empty_cells(doc, literal):
