@@ -979,17 +979,27 @@ def tensor_dim_over_corner(frame: IdempotentFrame, inside, below: Subspace | Non
     """dim of Ae (x)_{eAe} eA for e the sum of the frame idempotents at
     ``inside``, one frame pair (h, g) at a time.  eAe holds each e_i, so
     x (x) y vanishes for x in e_hAe_i, y in e_kAe_g and k != i.  If h or g
-    is inside, the part at (h, g) is the block e_hAe_g.  Otherwise it is
-    the sum over i inside of e_hAe_i (x) e_iAe_g modulo the relations
-    x r (x) y - x (x) r y for r in e_iAe_k (i, k inside); it maps onto
-    e_h(AeA)e_g, so the relations stop once their rank is the width less
-    that image's rank, and the products x r and r y of a corner row r are
-    formed only when the first relation from r is asked for, once per
-    outside index, so rows past that point cost nothing.  The block and
-    bound identities read A's table as associative, which a loaded file
-    does not yet prove.  With ``below`` = J, an ideal, all is read in A/J:
-    blocks as residue rows modulo J, products reduced modulo J."""
+    is inside, the part at (h, g) is the block e_hAe_g.  For h and g
+    outside it is e_hAe (x)_C N, for C = eAe and N = eAe_g, read off a
+    projective presentation of N, since (x) is right exact:
+    - generators v_t in e_{k_t}N: the block rows of each e_kAe_g, k by
+      increasing degree (in frame order without degrees), each kept when
+      it is not yet in the C-submodule of N the rows kept so far generate;
+    - P = the sum of the C e_{k_t} maps onto N by c_t -> c_t v_t, and its
+      kernel K is the sum of the e_jK (j inside), each one null space of
+      the sum of the e_jAe_{k_t} -> e_jAe_g;
+    - e_hAe (x)_C N is then the sum of the e_hAe_{k_t} modulo the tuples
+      (m kappa_t)_t, for kappa in a basis of e_jK and m in a basis of
+      e_hAe_j, since m (x) kappa = m e_j (x) kappa.
+    The part maps onto e_h(AeA)e_g, the span of the x v_t for x in
+    e_hAe_{k_t}, so the relations stop once their rank is the width less
+    that span's rank; none is needed when eAe is spanned by the e_i or N
+    is projective (K = 0).  The block and bound identities read A's table
+    as associative, which a loaded file does not yet prove.  With
+    ``below`` = J, an ideal, all is read in A/J: blocks as residue rows
+    modulo J, products reduced modulo J."""
     a, lines, n = frame.algebra, frame.lines(), range(len(frame))
+    f, dim = a.field, a.dim
     inside = sorted(inside)
     outside = [h for h in n if h not in inside]
     reduce = below.reduce if below is not None else dict
@@ -1004,59 +1014,53 @@ def tensor_dim_over_corner(frame: IdempotentFrame, inside, below: Subspace | Non
     for i in inside:
         blocks.update({(h, i): product_span(a, lines[h], columns[i], below) for h in outside})
         blocks.update({(i, h): product_span(a, rows[i], lines[h], below) for h in outside})
-    corner = [(i, k, r) for i in inside for k in inside for r in blocks[(i, k)].rows.values()]
-    products = {}
-
-    def times(side, h, t):
-        """For the t-th corner row r in e_iAe_k, in block coordinates: x*r in
-        e_hAe_k for the rows x of e_hAe_i (side "x"), or r*y in e_iAe_h for
-        the rows y of e_kAe_h (side "y"); formed once, when first asked for."""
-        if (side, h, t) not in products:
-            i, k, r = corner[t]
-            products[side, h, t] = (
-                [blocks[(h, k)].coords(reduce(a.mul_sparse(x, r))) for x in blocks[(h, i)].rows.values()]
-                if side == "x" else
-                [blocks[(i, h)].coords(reduce(a.mul_sparse(r, y))) for y in blocks[(k, h)].rows.values()])
-        return products[side, h, t]
-
-    for h in outside:
-        for g in outside:
-            pairs = [(blocks[(h, i)], blocks[(i, g)]) for i in inside]
-            offsets, width = {}, 0
-            for i, (x, y) in zip(inside, pairs):
-                offsets[i] = (width, y.dim)
-                width += x.dim * y.dim
-            relations, bound = Echelon(a.field, width), None
-            for vec in _balancing(a.field, corner, lambda t: times("x", h, t),
-                                  lambda t: times("y", g, t), offsets):
-                if bound is None:
-                    bound = width - product_rank(a, pairs, below)[1]
-                if relations.dim < bound:
-                    relations.insert(vec)
-                if relations.dim == bound:
+    order = inside if frame.degrees is None else sorted(inside, key=frame.degrees.__getitem__)
+    # the part at (h, g) is 0 when e_hAe is, so N is presented only for the other h
+    left = [h for h in outside if any(blocks[(h, i)].dim for i in inside)]
+    for g in outside if left else ():
+        gens, images = [], {j: [] for j in inside}
+        module = {j: Echelon(f, dim) for j in inside}
+        for k in order:
+            for v in blocks[(k, g)].rows.values():
+                if module[k].contains(v):
+                    continue
+                t = len(gens)
+                gens.append((k, v))
+                for j in inside:
+                    for c in blocks[(j, k)].rows.values():
+                        cv = reduce(a.mul_sparse(c, v))
+                        images[j].append((t, c, cv))
+                        module[j].insert(cv)
+        # (j, kappa) for kappa in a basis of e_jK, as its parts kappa_t in e_jAe_{k_t}
+        kernel = []
+        for j in order:
+            transposed = {}
+            for s, (_, _, cv) in enumerate(images[j]):
+                for p, x in cv.items():
+                    transposed.setdefault(p, {})[s] = x
+            for coords in null_space(f, len(images[j]), transposed.values()).rows.values():
+                kappa = {}
+                for s, x in coords.items():
+                    t, c, _ = images[j][s]
+                    add_scaled(f, kappa.setdefault(t, {}), x, c)
+                kernel.append((j, kappa))
+        for h in left:
+            width = sum(blocks[(h, k)].dim for k, _ in gens)
+            if not kernel:
+                total += width
+                continue
+            image = Echelon(f, dim)
+            for k, v in gens:
+                for x in blocks[(h, k)].rows.values():
+                    image.insert(reduce(a.mul_sparse(x, v)))
+            bound = width - image.dim
+            # m (x) kappa in the sum of the e_hAe_{k_t}, m kappa_t at the columns t * dim + p
+            tuples = ({t * dim + p: x for t, part in kappa.items()
+                       for p, x in reduce(a.mul_sparse(m, part)).items()}
+                      for j, kappa in kernel for m in blocks[(h, j)].rows.values())
+            relations = Echelon(f, len(gens) * dim)
+            for vec in tuples if bound else ():
+                if relations.insert(vec) and relations.dim == bound:
                     break
             total += width - relations.dim
     return total
-
-
-def _balancing(f, corner, xr, ry, offsets):
-    """The nonzero relations x r (x) y - x (x) r y, where x r (x) y sits at
-    the column offset + c * step + j for ``offsets[k]`` = (offset, step),
-    c the coordinate of x*r and j the index of y, and x (x) r y likewise at
-    ``offsets[i]``; ``xr(t)`` and ``ry(t)`` give the products x*r and r*y
-    for the t-th corner row, asked for only as the relations reach it."""
-    for t, (i, k, _) in enumerate(corner):
-        (at_i, step_i), (at_k, step_k) = offsets[i], offsets[k]
-        per_x, per_y = xr(t), ry(t)
-        for xi, x_r in enumerate(per_x):
-            for yj, r_y in enumerate(per_y):
-                vec = {at_k + c * step_k + yj: v for c, v in x_r.items()}
-                for c, v in r_y.items():
-                    key = at_i + xi * step_i + c
-                    val = f.sub(vec.get(key, f.zero), v)
-                    if val:
-                        vec[key] = val
-                    else:
-                        vec.pop(key)
-                if vec:
-                    yield vec

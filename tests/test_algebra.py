@@ -2,6 +2,7 @@
 
 import ast
 import random
+from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
 
@@ -9,6 +10,7 @@ import pytest
 
 import reedylab as rl
 import reedylab.algebra as algebra_module
+import reedylab.qh as qh_module
 from dense_modules import subalgebra_with_frame
 from reedylab.algebra import (
     AlgebraError,
@@ -23,8 +25,10 @@ from reedylab.algebra import (
 )
 from reedylab.corpus import default_corpus_dir
 from reedylab.linalg import Echelon, Matrix, add_scaled, rref, span, sparse
-from reedylab.qh import level_chain, peirce_blocks
+from reedylab.qh import level_chain, normalized_level_functions, peirce_blocks
 from reedylab.serialize import algebra_from_json, load_algebra, read_json
+from tensor_oracle import balanced_tensor_dim
+from test_serialize import rescaled
 
 
 def label_index(algebra, label):
@@ -924,6 +928,95 @@ def test_tensor_dim_requires_idempotent(diamond):
     algebra, frame = diamond
     with pytest.raises(AlgebraError):
         rl.heredity_ideal_check(frame, basis_by_label(algebra, "ab"))
+
+
+# --- tensor over the corner against the balancing oracle ----------------------
+
+
+CORPUS_ALGEBRAS = [path.name for path in sorted(default_corpus_dir().glob("*.alg.json"))]
+
+
+def _oracle_frame(name):
+    """(A, frame) of a bundled algebra, of simplex3 over GF(3), or of
+    simplex3 over Q on a rescaled basis (non-integral constants)."""
+    if name == "simplex3-GF3":
+        simplex3 = rl.build_simplex_algebra(3, rl.prime_field(3))
+        return simplex3.algebra, simplex3.frame
+    if name == "simplex3-Q-rescaled":
+        simplex3 = rl.build_simplex_algebra(3, rl.rationals())
+        cycle = [Fraction(1, 2), Fraction(2, 3), 3, Fraction(5, 4)]
+        return rescaled(simplex3, [cycle[i % 4] for i in range(simplex3.algebra.dim)])
+    return load_algebra(default_corpus_dir() / name)
+
+
+@pytest.mark.parametrize("name", CORPUS_ALGEBRAS + ["simplex3-GF3", "simplex3-Q-rescaled"])
+def test_tensor_dim_matches_the_balancing_oracle(name):
+    """``tensor_dim_over_corner`` against the blockwise balancing system of
+    ``tensor_oracle``, at every subset of the frame."""
+    _, frame = _oracle_frame(name)
+    n = len(frame)
+    for size in range(n + 1):
+        for inside in combinations(range(n), size):
+            assert rl.tensor_dim_over_corner(frame, inside) == balanced_tensor_dim(frame, inside), inside
+
+
+def _random_quiver(rng):
+    """A quiver on 2 or 3 vertices without loops (up to 2 arrows per ordered
+    pair on 2 vertices, 1 on 3), about half its paths of length 2 set to
+    zero, and nilpotency bound 2 or 3."""
+    n = rng.choice((2, 3))
+    vertices = [f"v{i}" for i in range(n)]
+    arrows = [(vertices[i], vertices[j], f"a{i}{j}{k}") for i in range(n) for j in range(n)
+              if i != j for k in range(rng.randrange(3 if n == 2 else 2))]
+    relations = [[("1", (x[2], y[2]))] for x in arrows for y in arrows
+                 if x[1] == y[0] and rng.random() < 0.5]
+    return rl.QuiverPresentation(vertices, arrows, relations, rng.choice((2, 3)))
+
+
+def test_tensor_dim_matches_the_balancing_oracle_on_small_quivers():
+    """A seeded slice of bound quiver algebras over GF(2) and GF(3), where
+    the multiplication Ae (x)_eAe eA -> AeA often fails to be injective:
+    every subset of the frame, with every ideal A e_j A (j outside) as
+    ``below`` too."""
+    rng = random.Random(7)
+    refused, cases, failing = 0, 0, 0
+    for _ in range(100):
+        presentation, field = _random_quiver(rng), rl.prime_field(rng.choice((2, 3)))
+        try:
+            algebra, frame = rl.build_quiver_algebra(presentation, field)
+        except AlgebraError:
+            refused += 1
+            continue
+        n = len(frame)
+        ideals = [rl.ideal_closure(algebra, [e]).space for e in frame.idempotents]
+        for size in range(n + 1):
+            for inside in combinations(range(n), size):
+                for below in [None] + [ideals[j] for j in range(n) if j not in inside]:
+                    tensor = rl.tensor_dim_over_corner(frame, inside, below)
+                    assert tensor == balanced_tensor_dim(frame, inside, below), inside
+                    cases += 1
+                    failing += below is None and tensor != peirce_two_sided(frame, inside).dim
+    assert (refused, cases, failing) == (19, 1164, 101)
+
+
+def test_heredity_tensor_dims_match_the_balancing_oracle(monkeypatch):
+    """Every tensor a heredity layer asks for, modulo the layer below it,
+    under every normalized degree function of each bundled frame with at
+    most 4 weights."""
+    real, calls = qh_module.tensor_dim_over_corner, []
+
+    def both(frame, inside, below=None):
+        tensor = real(frame, inside, below)
+        assert tensor == balanced_tensor_dim(frame, inside, below), (frame.degrees, inside)
+        calls.append(below is not None)
+        return tensor
+    monkeypatch.setattr(qh_module, "tensor_dim_over_corner", both)
+    for name in CORPUS_ALGEBRAS:
+        _, frame = _oracle_frame(name)
+        if len(frame) <= 4:
+            for degrees in normalized_level_functions(len(frame)):
+                rl.heredity_chain_verify(frame.with_degrees(degrees))
+    assert (len(calls), sum(calls)) == (458, 319)
 
 
 # --- product_rank ---------------------------------------------------------------

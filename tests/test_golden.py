@@ -15,7 +15,10 @@
   every bundled Reedy file below dimension 40, with A+ and A- as given
   (Borel on A-, Delta on A+) and swapped;
 - the algebra and Reedy files of ``build_dual_extension`` on three pairs of
-  quiver algebras (``DUAL_EXTENSIONS``).
+  quiver algebras (``DUAL_EXTENSIONS``);
+- ``recursive_check`` on the smallest structure whose multiplication map
+  Ae (x)_eAe eA -> AeA fails while the corner and the quotient are Reedy
+  (``two_cycle_structure``).
 
 Dimension 40 keeps the suite fast: it leaves out the tensor examples.
 
@@ -33,9 +36,9 @@ import sys
 import tempfile
 from pathlib import Path
 
-from reedylab import (AlgebraError, QuiverPresentation, a2_presentation, build_dual_extension,
-                      build_quiver_algebra, build_simplex_algebra, diamond_presentation,
-                      prime_field, rationals, serialize)
+from reedylab import (AlgebraError, QuiverPresentation, ReedyStructure, a2_presentation,
+                      build_dual_extension, build_quiver_algebra, build_simplex_algebra,
+                      diamond_presentation, prime_field, rationals, serialize, subalgebra_closure)
 from reedylab.cli import main
 from reedylab.corpus import default_corpus_dir, entry_report
 from reedylab.qh import delta_subalgebra_check, exact_borel_check
@@ -83,6 +86,21 @@ DUAL_EXTENSIONS = {
                      QuiverPresentation(["a", "b"], [["a", "b", "u1"], ["a", "b", "u2"]], [], 1),
                      QuiverPresentation(["a", "b"], [["b", "a", "d"]], [], 1), [0, 1]),
 }
+
+
+def two_cycle_structure():
+    """The quiver 1 <-> 2 with arrows x: 1 -> 2 and y: 2 -> 1, xy = yx = 0,
+    over GF(2), degrees (0, 1), A+ generated by x and A- by y.  At cut 0
+    the corner k e1 and the quotient k e2 are Reedy, but Ae1 (x)_k e1A has
+    dimension 4 and Ae1A only 3 (e1, x, y), so A is not Reedy."""
+    pres = QuiverPresentation(["1", "2"], [["1", "2", "x"], ["2", "1", "y"]],
+                              [[("1", ("x", "y"))], [("1", ("y", "x"))]], 2)
+    algebra, frame = build_quiver_algebra(pres, prime_field(2))
+
+    def closure(arrow):
+        return subalgebra_closure(algebra, [*frame.idempotents,
+                                            algebra.basis_vector(algebra.labels.index(arrow))])
+    return ReedyStructure(algebra, frame.with_degrees([0, 1]), closure("x"), closure("y"))
 
 
 def _dual_extension_report(field, up, down, degrees) -> str:
@@ -163,6 +181,7 @@ def golden_reports() -> dict[str, str]:
             out[f"borel_delta.{stem}.json"] = _borel_delta_report(r)
     for stem, args in DUAL_EXTENSIONS.items():
         out[f"dualext.{stem}.json"] = _dual_extension_report(*args)
+    out["theorem53.two-cycle.gf2.json"] = serialize.dumps(recursive_check(two_cycle_structure(), 0))
     return out
 
 

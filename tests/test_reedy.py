@@ -16,6 +16,7 @@ from reedylab.linalg import densify, modulo, span, sparse, sparse_span, subspace
 from reedylab.qh import level_chain, peirce_blocks
 from reedylab.reedy import _center_dim
 from reedylab.serialize import dumps, load_algebra, load_reedy, read_json
+from test_golden import two_cycle_structure
 from test_serialize import rescaled
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -479,9 +480,9 @@ def test_recursive_equivalence_per_cut_on_corpus(corpus_structures):
 # mul_sparse calls per recursive_check at each cut, after verify_reedy, against those
 # made when XeX took every block product and the corner products were formed up front
 RECURSIVE_CHECK_PRODUCTS = {
-    "simplex2-GFp": ([92, 271, 279], [109, 409, 710]),
-    "simplex3-GFp": ([361, 1045, 2166, 1452], [388, 1338, 3804, 6956]),
-    "tensor49": ([145, 640, 588], [170, 960, 1316]),
+    "simplex2-GFp": ([92, 257, 279], [109, 409, 710]),
+    "simplex3-GFp": ([361, 1016, 1985, 1452], [388, 1338, 3804, 6956]),
+    "tensor49": ([145, 557, 588], [170, 960, 1316]),
 }
 
 
@@ -501,6 +502,20 @@ def test_recursive_check_product_counts(monkeypatch):
         now, before = RECURSIVE_CHECK_PRODUCTS[name]
         assert counts == now, name
         assert all(c < b for c, b in zip(now, before)), name
+
+
+def test_multiplication_leg_fails_alone_on_the_two_cycle():
+    """The smallest structure where Theorem 5.3 rests on the multiplication
+    map alone: the corner and the quotient are Reedy, Ae (x)_eAe eA has
+    dimension 4 but AeA only 3, and A is not Reedy.  Its report is pinned
+    in tests/golden/theorem53.two-cycle.gf2.json."""
+    r = two_cycle_structure()
+    report = rl.recursive_check(r, 0)
+    assert report["corner_reedy"] and report["quotient_reedy"]
+    assert not report["multiplication_bijective"] and not report["reedy_overall"]
+    assert report["hypothesis_product_spans"] and report["equivalence_holds"]
+    assert rl.tensor_dim_over_corner(r.frame, [0]) == 4
+    assert peirce_two_sided(r.frame, [0]).dim == 3
 
 
 def _standalone(r, cut):
