@@ -975,7 +975,8 @@ def tensor_algebras(a: Algebra, b: Algebra) -> Algebra:
     return Algebra(f, labels, mult, unit)
 
 
-def tensor_dim_over_corner(frame: IdempotentFrame, inside, below: Subspace | None = None) -> int:
+def tensor_dim_over_corner(frame: IdempotentFrame, inside, below: Subspace | None = None,
+                           table: dict | None = None) -> int:
     """dim of Ae (x)_{eAe} eA for e the sum of the frame idempotents at
     ``inside``, one frame pair (h, g) at a time.  eAe holds each e_i, so
     x (x) y vanishes for x in e_hAe_i, y in e_kAe_g and k != i.  If h or g
@@ -997,23 +998,36 @@ def tensor_dim_over_corner(frame: IdempotentFrame, inside, below: Subspace | Non
     is projective (K = 0).  The block and bound identities read A's table
     as associative, which a loaded file does not yet prove.  With
     ``below`` = J, an ideal, all is read in A/J: blocks as residue rows
-    modulo J, products reduced modulo J."""
+    modulo J, products reduced modulo J.  Otherwise a caller that holds
+    A's Peirce table, ``peirce_blocks(frame)``, may hand it in as
+    ``table``; the blocks are then read off it, not formed."""
     a, lines, n = frame.algebra, frame.lines(), range(len(frame))
     f, dim = a.field, a.dim
     inside = sorted(inside)
     outside = [h for h in n if h not in inside]
     reduce = below.reduce if below is not None else dict
-    columns = {i: product_span(a, None, lines[i], below) for i in inside}
-    rows = {i: product_span(a, lines[i], None, below) for i in inside}
-    blocks = {(k, i): product_span(a, lines[k], columns[i], below) for k in inside for i in inside}
-    total = sum(columns[i].dim + rows[i].dim for i in inside) - sum(b.dim for b in blocks.values())
-    if all(b.dim == 0 or (i == k and b.dim == 1) for (i, k), b in blocks.items()):
+    if table is None:
+        columns = {i: product_span(a, None, lines[i], below) for i in inside}
+        rows = {i: product_span(a, lines[i], None, below) for i in inside}
+        blocks = {(k, i): product_span(a, lines[k], columns[i], below)
+                  for k in inside for i in inside}
+        column_dims = {i: columns[i].dim for i in inside}
+        row_dims = {i: rows[i].dim for i in inside}
+    else:
+        # the frame sums to 1, so A e_i and e_i A are the sums of their blocks
+        blocks = table
+        column_dims = {i: sum(table[(j, i)].dim for j in n) for i in inside}
+        row_dims = {i: sum(table[(i, j)].dim for j in n) for i in inside}
+    corner = [(k, i) for k in inside for i in inside]
+    total = sum(column_dims[i] + row_dims[i] for i in inside) - sum(blocks[p].dim for p in corner)
+    if all(blocks[(i, k)].dim == 0 or (i == k and blocks[(i, k)].dim == 1) for i, k in corner):
         # eAe is spanned by the e_i, whose relations vanish: each part is its full width
-        return total + sum((columns[i].dim - blocks[(i, i)].dim) * (rows[i].dim - blocks[(i, i)].dim)
+        return total + sum((column_dims[i] - blocks[(i, i)].dim) * (row_dims[i] - blocks[(i, i)].dim)
                            for i in inside)
-    for i in inside:
-        blocks.update({(h, i): product_span(a, lines[h], columns[i], below) for h in outside})
-        blocks.update({(i, h): product_span(a, rows[i], lines[h], below) for h in outside})
+    if table is None:
+        for i in inside:
+            blocks.update({(h, i): product_span(a, lines[h], columns[i], below) for h in outside})
+            blocks.update({(i, h): product_span(a, rows[i], lines[h], below) for h in outside})
     order = inside if frame.degrees is None else sorted(inside, key=frame.degrees.__getitem__)
     # the part at (h, g) is 0 when e_hAe is, so N is presented only for the other h
     left = [h for h in outside if any(blocks[(h, i)].dim for i in inside)]

@@ -287,8 +287,9 @@ def recursive_check(r: ReedyStructure, cut: int) -> dict:
     qdiag = {"quotient_dim": a.dim - j.dim, "cut": cut,
              "aplus": _image_diagnostics(r.frame, inside, j, r.aplus),
              "aminus": _image_diagnostics(r.frame, inside, j, r.aminus)}
-    # Multiplication Ae (x)_eAe eA -> AeA = J, the ideal the quotient divides out.
-    tens = tensor_dim_over_corner(r.frame, inside)
+    # Multiplication Ae (x)_eAe eA -> AeA = J, the ideal the quotient divides out,
+    # read off the Peirce table that verify_reedy has built.
+    tens = tensor_dim_over_corner(r.frame, inside, table=peirce_blocks(r.frame))
     mult_ok = tens == j.dim
     triple = (corner_ok, quotient_ok, mult_ok)
     overall = report_r["overall"]

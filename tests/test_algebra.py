@@ -28,6 +28,7 @@ from reedylab.linalg import Echelon, Matrix, add_scaled, rref, span, sparse
 from reedylab.qh import level_chain, normalized_level_functions, peirce_blocks
 from reedylab.serialize import algebra_from_json, load_algebra, read_json
 from tensor_oracle import balanced_tensor_dim
+from test_golden import corrupted_diamond_table
 from test_serialize import rescaled
 
 
@@ -69,10 +70,8 @@ def test_validate_diamond(diamond):
 def test_validate_reports_the_corrupted_diamond_in_full():
     """d*bd = bd + cd breaks the unit law at bd and associativity at d,bd,*:
     the certificate fails, and the report is the full scan's."""
-    data = read_json(default_corpus_dir() / "diamond.alg.json")
-    d, bd, cd = (data["labels"].index(x) for x in ("d", "bd", "cd"))
-    data["mult"] = [row for row in data["mult"] if row[:2] != [d, bd]]
-    data["mult"].append([d, bd, [[bd, "1"], [cd, "1"]]])
+    data = corrupted_diamond_table()
+    d, bd = (data["labels"].index(x) for x in ("d", "bd"))
     bad, _ = algebra_from_json(data)
     report = rl.validate(bad)
     assert not report["valid"]
@@ -952,12 +951,15 @@ def _oracle_frame(name):
 @pytest.mark.parametrize("name", CORPUS_ALGEBRAS + ["simplex3-GF3", "simplex3-Q-rescaled"])
 def test_tensor_dim_matches_the_balancing_oracle(name):
     """``tensor_dim_over_corner`` against the blockwise balancing system of
-    ``tensor_oracle``, at every subset of the frame."""
+    ``tensor_oracle``, at every subset of the frame, with the blocks formed
+    and read off A's Peirce table."""
     _, frame = _oracle_frame(name)
-    n = len(frame)
+    n, table = len(frame), peirce_blocks(frame)
     for size in range(n + 1):
         for inside in combinations(range(n), size):
-            assert rl.tensor_dim_over_corner(frame, inside) == balanced_tensor_dim(frame, inside), inside
+            expected = balanced_tensor_dim(frame, inside)
+            assert rl.tensor_dim_over_corner(frame, inside) == expected, inside
+            assert rl.tensor_dim_over_corner(frame, inside, table=table) == expected, inside
 
 
 def _random_quiver(rng):
@@ -977,7 +979,7 @@ def test_tensor_dim_matches_the_balancing_oracle_on_small_quivers():
     """A seeded slice of bound quiver algebras over GF(2) and GF(3), where
     the multiplication Ae (x)_eAe eA -> AeA often fails to be injective:
     every subset of the frame, with every ideal A e_j A (j outside) as
-    ``below`` too."""
+    ``below`` too, and without ``below`` also read off A's Peirce table."""
     rng = random.Random(7)
     refused, cases, failing = 0, 0, 0
     for _ in range(100):
@@ -994,6 +996,9 @@ def test_tensor_dim_matches_the_balancing_oracle_on_small_quivers():
                 for below in [None] + [ideals[j] for j in range(n) if j not in inside]:
                     tensor = rl.tensor_dim_over_corner(frame, inside, below)
                     assert tensor == balanced_tensor_dim(frame, inside, below), inside
+                    if below is None:
+                        table = peirce_blocks(frame)
+                        assert rl.tensor_dim_over_corner(frame, inside, table=table) == tensor
                     cases += 1
                     failing += below is None and tensor != peirce_two_sided(frame, inside).dim
     assert (refused, cases, failing) == (19, 1164, 101)

@@ -18,7 +18,11 @@
   quiver algebras (``DUAL_EXTENSIONS``);
 - ``recursive_check`` on the smallest structure whose multiplication map
   Ae (x)_eAe eA -> AeA fails while the corner and the quotient are Reedy
-  (``two_cycle_structure``).
+  (``two_cycle_structure``);
+- the stdout of ``reedylab verify borel``, ``delta`` and ``theorem41`` on
+  each diamond Reedy file read next to a corrupted diamond table
+  (``corrupted_diamond_table``), whose exit codes are pinned in
+  ``CORRUPTED_DIAMOND_EXITS``: a fast path must not hide a bad table.
 
 Dimension 40 keeps the suite fast: it leaves out the tensor examples.
 
@@ -32,6 +36,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import shutil
 import sys
 import tempfile
 from pathlib import Path
@@ -101,6 +106,41 @@ def two_cycle_structure():
         return subalgebra_closure(algebra, [*frame.idempotents,
                                             algebra.basis_vector(algebra.labels.index(arrow))])
     return ReedyStructure(algebra, frame.with_degrees([0, 1]), closure("x"), closure("y"))
+
+
+# diamond Reedy file -> exit codes of verify borel, delta and theorem41 on the corrupted table
+CORRUPTED_DIAMOND_EXITS = {
+    "diamond.deg1223": {"borel": 0, "delta": 1, "theorem41": 1},
+    "diamond.deg1234": {"borel": 0, "delta": 1, "theorem41": 1},
+    "diamond.deg4231": {"borel": 1, "delta": 0, "theorem41": 1},
+    "diamond.deg4312": {"borel": 1, "delta": 1, "theorem41": 0},
+}
+
+
+def corrupted_diamond_table() -> dict:
+    """diamond.alg.json with d*bd = bd + cd, which breaks the unit law at bd
+    and associativity at (d, bd, *)."""
+    data = serialize.read_json(CORPUS / "diamond.alg.json")
+    d, bd, cd = (data["labels"].index(x) for x in ("d", "bd", "cd"))
+    data["mult"] = [row for row in data["mult"] if row[:2] != [d, bd]]
+    data["mult"].append([d, bd, [[bd, "1"], [cd, "1"]]])
+    return data
+
+
+def corrupted_diamond_runs() -> dict:
+    """(stem, check) -> (exit code, stdout) of ``reedylab verify CHECK`` on a
+    copy of each diamond Reedy file next to the corrupted table."""
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        serialize.write_json(Path(tmp) / "diamond.alg.json", corrupted_diamond_table())
+        for stem, exits in CORRUPTED_DIAMOND_EXITS.items():
+            shutil.copy(CORPUS / f"{stem}.reedy.json", tmp)
+            for check in exits:
+                buf = io.StringIO()
+                with contextlib.redirect_stdout(buf):
+                    code = main(["verify", check, str(Path(tmp) / f"{stem}.reedy.json")])
+                out[(stem, check)] = (code, buf.getvalue())
+    return out
 
 
 def _dual_extension_report(field, up, down, degrees) -> str:
@@ -182,6 +222,8 @@ def golden_reports() -> dict[str, str]:
     for stem, args in DUAL_EXTENSIONS.items():
         out[f"dualext.{stem}.json"] = _dual_extension_report(*args)
     out["theorem53.two-cycle.gf2.json"] = serialize.dumps(recursive_check(two_cycle_structure(), 0))
+    for (stem, check), (_, stdout) in corrupted_diamond_runs().items():
+        out[f"corrupted.{stem}.{check}.json"] = stdout
     return out
 
 
@@ -191,6 +233,12 @@ def test_golden_reports_are_byte_identical():
     changed = [name for name, text in reports.items()
                if (GOLDEN / name).read_text(encoding="utf-8") != text]
     assert not changed, f"reports differ from tests/golden/: {changed}"
+
+
+def test_corrupted_diamond_exit_codes():
+    codes = {key: code for key, (code, _) in corrupted_diamond_runs().items()}
+    assert codes == {(stem, check): code for stem, exits in CORRUPTED_DIAMOND_EXITS.items()
+                     for check, code in exits.items()}
 
 
 if __name__ == "__main__":

@@ -9,6 +9,8 @@ from reedylab.algebra import AlgebraError, peirce_blocks
 from reedylab.cli import main
 from reedylab.corpus import default_corpus_dir
 from reedylab.qh import (
+    _same_invariants,
+    _standards,
     directedness,
     layer_quotient_module,
     level_chain,
@@ -461,6 +463,38 @@ def test_no_exact_borel_for_4312_order(diamond_gf2):
     for cand in all_subalgebras_over_s(algebra, frame):
         verdict = rl.exact_borel_check(work, cand)
         assert not verdict["overall"]
+
+
+BOREL_INVARIANT_FALLBACKS = {
+    # structure: weights whose killed subspaces differ, with A- and with A+ as candidate
+    "diamond.deg1223": (0, 3), "diamond.deg1234": (0, 3), "diamond.deg4231": (0, 3),
+    "diamond.deg4312": (2, 2), "dualext.a2": (0, 2), "k": (0, 0), "m2.pair": (0, 2),
+    "simplex1": (0, 2), "simplex2": (0, 3), "tensor49": (0, 4), "tensor63": (0, 8),
+    "uppertri.as": (0, 1), "uppertri.ss": (1, 1),
+}
+
+
+@pytest.mark.parametrize("path", sorted(default_corpus_dir().glob("*.reedy.json")),
+                         ids=lambda path: path.name)
+def test_borel_match_is_the_invariant_verdict(path):
+    """Each weight's ``match`` is what ``_same_invariants`` says of the
+    induced module and the standard module, whether the natural map decided
+    it (equal killed subspaces) or the invariants did.  The carriers are one
+    subspace by construction; the fallbacks are pinned by count so that both
+    paths stay exercised."""
+    r = load_reedy(path)
+    frame = r.frame.normalized()
+    fallbacks = []
+    for sub in (r.aminus, r.aplus):
+        report = rl.exact_borel_check(frame, sub)
+        count = 0
+        for i, (standard, row) in enumerate(zip(_standards(frame), report["weights"])):
+            induced = rl.induce_module(r.algebra, sub, rl.simple_module(frame, i, "left", sub))
+            assert induced.carrier == standard.carrier
+            assert row["match"] == _same_invariants(induced, standard, frame), (sub, i)
+            count += induced.killed != standard.killed
+        fallbacks.append(count)
+    assert tuple(fallbacks) == BOREL_INVARIANT_FALLBACKS[path.name.removesuffix(".reedy.json")]
 
 
 def test_borel_rejects_unflagged_candidate(diamond):
