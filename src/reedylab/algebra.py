@@ -15,6 +15,9 @@ space (None for A); a subspace's extraction and radical on the subspace.
 
 from __future__ import annotations
 
+from itertools import compress
+from operator import itemgetter
+
 from .fields import Field
 from .linalg import (
     Echelon,
@@ -384,15 +387,76 @@ class IdempotentFrame:
 
 def peirce_blocks(frame: IdempotentFrame, sub: AlgSubspace | None = None) -> dict:
     """All blocks e_j X e_i of the algebra or of a subspace, kept on the
-    frame: the columns (e_j X) e_i of the rows e_j X."""
-    space = None if sub is None else sub.space
+    frame: the columns (e_j X) e_i of the rows e_j X, each the span of the
+    products of X's rows by the idempotents themselves.
 
-    def blocks():
-        a, lines = frame.algebra, frame.lines()
-        rows = [row_span(a, line, space) for line in lines]
-        return {(j, i): column_span(a, rows[j], line)
-                for j in range(len(lines)) for i, line in enumerate(lines)}
-    return memo(frame, ("peirce", space), blocks)
+    Two facts keep the products few.  A product e_j x is formed only when
+    some cell mult[s][t] with s in supp e_j and t in supp x is nonempty,
+    and x e_i likewise (``_frame_supports``): every product skipped is
+    zero by the table alone, with no associativity assumed.  And when every
+    nonzero product of a stage equals the row it came from (e_j x = x),
+    the span is those rows as they are: a subset of reduced echelon rows
+    is already reduced echelon, so no elimination runs."""
+    space = None if sub is None else sub.space
+    return memo(frame, ("peirce", space), lambda: _peirce_table(frame, space))
+
+
+def _frame_supports(frame: IdempotentFrame):
+    """The frame idempotents as sparse vectors, and per basis index t the
+    indices j, increasing, of the idempotents that can act on b_t on the
+    left (some cell mult[s][t] with s in supp e_j is nonempty) and on the
+    right (some mult[t][s]), read off the table once per frame."""
+    def build():
+        a = frame.algebra
+        mult, dim = a.mult, a.dim
+        idems = [sparse(a.field, e) for e in frame.idempotents]
+        left, right = [[] for _ in range(dim)], [[] for _ in range(dim)]
+        for j, e in enumerate(idems):
+            on_left, on_right = set(), set()
+            for s in e:  # the indices t whose cell mult[s][t], or mult[t][s], is nonempty
+                on_left.update(compress(range(dim), mult[s]))
+                on_right.update(compress(range(dim), map(itemgetter(s), mult)))
+            for t in on_left:
+                left[t].append(j)
+            for t in on_right:
+                right[t].append(j)
+        return idems, left, right
+    return memo(frame, "supports", build)
+
+
+def _peirce_table(frame: IdempotentFrame, space: Subspace | None) -> dict:
+    """The Peirce table of X = A (``space`` None) or of ``space``: the rows
+    e_j X split off X's rows, then the blocks (e_j X) e_i off those."""
+    a = frame.algebra
+    f, dim, mul = a.field, a.dim, a.mul_sparse
+    idems, left, right = _frame_supports(frame)
+    n = len(idems)
+    source = full_space(f, dim) if space is None else space
+    rows = _peirce_stage(source, left, n, lambda j, x: mul(idems[j], x))
+    table = {}
+    for j, row in enumerate(rows):
+        cols = _peirce_stage(row, right, n, lambda i, x: mul(x, idems[i]))
+        table.update(((j, i), col) for i, col in enumerate(cols))
+    return table
+
+
+def _peirce_stage(source: Subspace, supports, n: int, product) -> list:
+    """For k in range(n), the span of product(k, x) over the rows x of
+    ``source``, formed only for the k that ``supports`` lists at some index
+    of x.  A span whose nonzero products all equal their rows is those
+    rows, as they stand in ``source``; any other is eliminated."""
+    hits = [[] for _ in range(n)]
+    for pivot, x in source.rows.items():
+        acting = supports[pivot] if len(x) == 1 else {k for t in x for k in supports[t]}
+        for k in acting:
+            p = product(k, x)
+            if p:
+                hits[k].append((pivot, x, p))
+    f, dim = source.field, source.ambient_dim
+    return [Subspace(f, dim, {pivot: x for pivot, x, _ in found})
+            if all(p == x for _, x, p in found)
+            else sparse_span(f, dim, (p for _, _, p in found))
+            for found in hits]
 
 
 def peirce_dim(frame: IdempotentFrame, sub: AlgSubspace | None, i: int, side: str = "left") -> int:

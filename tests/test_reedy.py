@@ -1,5 +1,7 @@
 """Reedy verification, layers, recursion, induced structures, search, crosscheck."""
 
+import random
+import shutil
 from fractions import Fraction
 from itertools import permutations
 from pathlib import Path
@@ -8,6 +10,7 @@ import pytest
 
 import reedylab as rl
 from dense_modules import subalgebra_with_frame
+from peirce_oracle import peirce_blocks_by_spans, permuted, unitriangular
 from search_oracle import all_subalgebras_over_s
 from reedylab.algebra import (AlgebraError, column_span, corner_span, peirce_two_sided,
                               product_rank, product_span, row_span)
@@ -15,8 +18,8 @@ from reedylab.corpus import default_corpus_dir
 from reedylab.linalg import densify, modulo, span, sparse, sparse_span, subspace_intersect
 from reedylab.qh import level_chain, peirce_blocks
 from reedylab.reedy import _center_dim
-from reedylab.serialize import dumps, load_algebra, load_reedy, read_json
-from test_golden import two_cycle_structure
+from reedylab.serialize import dumps, load_algebra, load_reedy, read_json, write_json
+from test_golden import corrupted_diamond_table, two_cycle_structure
 from test_serialize import rescaled
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -229,6 +232,74 @@ def test_layer_check_product_counts(monkeypatch):
         now, before = LAYER_CHECK_PRODUCTS[name]
         assert len(calls) == now, name
         assert now < before, name
+
+
+# mul_sparse calls per verify_reedy from fresh structures, against those made
+# when each Peirce table multiplied every row by every idempotent line
+VERIFY_REEDY_PRODUCTS = {"simplex2-GFp": (129, 325), "simplex3-GFp": (445, 1417),
+                         "tensor49": (197, 641)}
+
+
+def test_verify_reedy_product_counts(monkeypatch):
+    """The Peirce tables multiply a row only by the idempotents the table
+    lets act on it: the guard that verify_reedy forms no product the table
+    alone shows to be zero."""
+    structures = _product_count_structures()
+    real, calls = rl.Algebra.mul_sparse, []
+    monkeypatch.setattr(rl.Algebra, "mul_sparse", lambda a, u, w: calls.append(1) or real(a, u, w))
+    for name, r in structures.items():
+        calls.clear()
+        rl.verify_reedy(r)
+        now, before = VERIFY_REEDY_PRODUCTS[name]
+        assert len(calls) == now, name
+        assert now < before, name
+
+
+def _assert_tables_match_the_span_oracle(frame, subs=(None,)):
+    """Each Peirce table of ``frame`` over A (None) or a subspace in
+    ``subs`` has the oracle's blocks: the same rows in the same pivot order."""
+    for sub in subs:
+        table, expected = peirce_blocks(frame, sub), peirce_blocks_by_spans(frame, sub)
+        assert table.keys() == expected.keys()
+        for key, block in expected.items():
+            assert list(table[key].rows.items()) == list(block.rows.items()), key
+
+
+def _assert_structure_matches_the_span_oracle(r):
+    _assert_tables_match_the_span_oracle(r.frame, (None, r.aplus, r.aminus))
+
+
+def test_peirce_tables_match_the_span_oracle_on_the_corpus():
+    for path in sorted(CORPUS.glob("*.reedy.json")):
+        _assert_structure_matches_the_span_oracle(load_reedy(path))
+    for path in sorted(CORPUS.glob("*.alg.json")):
+        _, frame = load_algebra(path)
+        if frame is not None:
+            _assert_tables_match_the_span_oracle(frame)
+
+
+def test_peirce_tables_match_the_span_oracle_on_permuted_rescaled_bases(simplex2, tensor49):
+    rng = random.Random(33)
+    for r in (simplex2, tensor49):
+        _assert_structure_matches_the_span_oracle(_rescaled_by_cycle(permuted(r, rng)))
+
+
+def test_peirce_tables_match_the_span_oracle_on_the_corrupted_diamond(tmp_path):
+    write_json(tmp_path / "diamond.alg.json", corrupted_diamond_table())
+    for path in sorted(CORPUS.glob("diamond.deg*.reedy.json")):
+        shutil.copy(path, tmp_path)
+        _assert_structure_matches_the_span_oracle(load_reedy(tmp_path / path.name))
+
+
+@pytest.mark.parametrize("field", [rl.prime_field(2147483629), rl.rationals()], ids=repr)
+def test_peirce_tables_match_the_span_oracle_on_a_block_mixing_basis(field):
+    """simplex2 on a seeded unitriangular basis, whose vectors lie across
+    the Peirce blocks, so that no idempotent fixes the rows it splits off."""
+    r = unitriangular(rl.build_simplex_algebra(2, field), random.Random(7), 0.2)
+    assert rl.verify_reedy(r)["overall"]
+    _assert_structure_matches_the_span_oracle(r)
+    table = peirce_blocks(r.frame)
+    assert any(len(row) > 1 for block in table.values() for row in block.rows.values())
 
 
 def two_sided_span(a, e, space):
@@ -634,16 +705,16 @@ def test_search_max_levels_keeps_the_structures_with_that_many_levels(diamond_gf
 
 def test_exhaustive_search_computes_the_peirce_blocks_of_a_once(monkeypatch, GF2):
     algebra, frame = rl.build_quiver_algebra(rl.diamond_presentation(), GF2)
-    rows_of_a = []
+    real, tables_of_a = rl.algebra._peirce_table, []
 
-    def counting(a, e, space):
+    def counting(work, space):
         if space is None:
-            rows_of_a.append(e)
-        return row_span(a, e, space)
+            tables_of_a.append(work)
+        return real(work, space)
 
-    monkeypatch.setattr(rl.algebra, "row_span", counting)
+    monkeypatch.setattr(rl.algebra, "_peirce_table", counting)
     assert rl.search_reedy(frame, mode="exhaustive")
-    assert len(rows_of_a) == len(frame)
+    assert len(tables_of_a) == 1
 
 
 def _block_dims(frame, sub):
@@ -799,19 +870,21 @@ def test_exhaustive_search_builds_candidate_tables_by_products(monkeypatch, diam
     """Diamond over GF(2): every Peirce table comes from ``peirce_blocks``;
     from a fresh frame the search builds the table of A and those of the 16
     candidates in pairs with the forced block dimensions, with the same
-    structures found."""
+    structures found, and each table has the span oracle's blocks."""
     algebra, frame = diamond_gf2
     expected = [(s.frame.degrees, s.aplus.space, s.aminus.space)
                 for s in rl.search_reedy(frame, mode="exhaustive")]
     fresh = rl.IdempotentFrame(algebra, frame.idempotents, frame.labels)
     built = []
-    real = rl.algebra.row_span
-    monkeypatch.setattr(rl.algebra, "row_span", lambda a, e, space: built.append(space) or real(a, e, space))
+    real = rl.algebra._peirce_table
+    monkeypatch.setattr(rl.algebra, "_peirce_table",
+                        lambda work, space: built.append(space) or real(work, space))
     found = rl.search_reedy(fresh, mode="exhaustive")
     assert [(s.frame.degrees, s.aplus.space, s.aminus.space) for s in found] == expected
-    assert built.count(None) == len(frame)
+    assert built.count(None) == 1
     tables = [space for space in built if space is not None]
-    assert len(tables) == 16 * len(frame) and len(set(tables)) == 16
+    assert len(tables) == 16 and len(set(tables)) == 16
+    _assert_tables_match_the_span_oracle(fresh, [None] + [rl.AlgSubspace(algebra, t) for t in tables])
 
 
 def test_all_subspaces_counts_every_subspace_once():
